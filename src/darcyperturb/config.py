@@ -228,7 +228,10 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    parser.read(path)
+    try:
+        parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
 
     cfg = RunConfig(base_dir=path.parent)
     for section in parser.sections():

@@ -172,37 +172,30 @@ def build_fitted_mesh(zeta: Perturbation, nx: int, nz: int) -> Mesh2D:
     nodes[:, 0] = np.repeat(xs, n_levels)
     nodes[:, 1] = levels.ravel()
 
-    tris = []
-    regions = []
-    for j in range(nx):
-        for l in range(2 * nz):
-            a = node_grid[j, l]
-            b = node_grid[j + 1, l]
-            c = node_grid[j + 1, l + 1]
-            d = node_grid[j, l + 1]
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-            regions.extend([1 if l < nz else 2] * 2)
-    triangles = np.array(tris, dtype=np.int64)
-    region = np.array(regions, dtype=np.int64)
+    # quad (j, l) has corners a = (j, l), b = (j+1, l), c = (j+1, l+1),
+    # d = (j, l+1) and splits into triangles 2(j*2nz+l) = abc and its pair acd
+    a, b = node_grid[:-1, :-1], node_grid[1:, :-1]
+    c, d = node_grid[1:, 1:], node_grid[:-1, 1:]
+    triangles = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    level_region = np.where(np.arange(2 * nz) < nz, 1, 2)
+    region = np.tile(np.repeat(level_region, 2), nx).astype(np.int64)
 
-    dirichlet = []
-    neumann = []
-    for j in range(nx):  # bottom z = -1 and top z = 1
-        dirichlet.append((node_grid[j, 0], node_grid[j + 1, 0]))
-        neumann.append((node_grid[j, -1], node_grid[j + 1, -1]))
-    for j_col in (0, nx):  # lateral walls: Dirichlet below the interface level
-        for l in range(2 * nz):
-            edge = (node_grid[j_col, l], node_grid[j_col, l + 1])
-            (dirichlet if l < nz else neumann).append(edge)
-    interface = np.array([(node_grid[j, nz], node_grid[j + 1, nz]) for j in range(nx)], dtype=np.int64)
+    def chain(ids):  # consecutive node pairs along a grid line
+        return np.column_stack((ids[:-1], ids[1:]))
+
+    # bottom z = -1 and the lateral walls below the interface level are
+    # Dirichlet; the top z = 1 and the walls above it are Neumann
+    left, right = node_grid[0], node_grid[nx]
+    dirichlet = np.concatenate([chain(node_grid[:, 0]), chain(left[: nz + 1]), chain(right[: nz + 1])])
+    neumann = np.concatenate([chain(node_grid[:, -1]), chain(left[nz:]), chain(right[nz:])])
+    interface = chain(node_grid[:, nz])
 
     mesh = Mesh2D(
         nodes=nodes,
         triangles=triangles,
         region=region,
-        dirichlet_edges=np.array(dirichlet, dtype=np.int64),
-        neumann_edges=np.array(neumann, dtype=np.int64),
+        dirichlet_edges=dirichlet,
+        neumann_edges=neumann,
         interface_edges=interface,
         nx=nx,
         nz=nz,
@@ -369,28 +362,25 @@ def energy_split(fld: Field2D, eps: float, k1: float = 1.0, k2: float = 1.0) -> 
     return e1, e2, e1 + e2
 
 
-def _area_below_zero(p: np.ndarray) -> np.ndarray:
-    """Area of each triangle's part with z < 0 (exact halfplane clip)."""
-    areas = np.empty(len(p))
-    for i, tri in enumerate(p):
-        # Sutherland-Hodgman against z <= 0
-        poly = list(tri)
-        out = []
-        for k in range(len(poly)):
-            cur, nxt = poly[k], poly[(k + 1) % len(poly)]
-            cin, nin = cur[1] <= 0.0, nxt[1] <= 0.0
-            if cin:
-                out.append(cur)
-            if cin != nin:
-                t = cur[1] / (cur[1] - nxt[1])
-                out.append(cur + t * (nxt - cur))
-        if len(out) < 3:
-            areas[i] = 0.0
-            continue
-        v = np.asarray(out)
-        x, z = v[:, 0], v[:, 1]
-        areas[i] = 0.5 * abs(np.dot(x, np.roll(z, -1)) - np.dot(z, np.roll(x, -1)))
-    return areas
+def _area_below_zero(p: np.ndarray, area: np.ndarray) -> np.ndarray:
+    """Area of the part with z <= 0 of each triangle p (closed-form halfplane clip).
+
+    A triangle with one or two vertices inside is cut by z = 0 along the
+    edges from its lone vertex a to the other two, b and c, at the fractions
+    s = z_a/(z_a - z_b) and t = z_a/(z_a - z_c); the corner triangle at a
+    keeps the share s*t of its area.
+    """
+    z = p[..., 1]
+    inside = z <= 0.0
+    n_in = np.sum(inside, axis=1)
+    below = np.where(n_in == 3, area, 0.0)
+    cut = np.flatnonzero((n_in == 1) | (n_in == 2))
+    one_in = n_in[cut] == 1
+    lone = np.argmax(inside[cut] == one_in[:, None], axis=1)
+    za, zb, zc = (z[cut, (lone + k) % 3] for k in range(3))
+    st = za / (za - zb) * (za / (za - zc))
+    below[cut] = area[cut] * np.where(one_in, st, 1.0 - st)
+    return below
 
 
 def energy_split_flat(fld: Field2D, eps: float, k1: float = 1.0, k2: float = 1.0) -> tuple[float, float, float]:
@@ -403,7 +393,7 @@ def energy_split_flat(fld: Field2D, eps: float, k1: float = 1.0, k2: float = 1.0
     g2 = np.sum(g * g, axis=1)
     p = fld.mesh.nodes[fld.mesh.triangles]
     area = fld.mesh.triangle_areas()
-    below = _area_below_zero(p)
+    below = _area_below_zero(p, area)
     above = area - below
     e1 = k1 * float(np.sum(g2 * below))
     e2 = (k2 / eps) * float(np.sum(g2 * above))

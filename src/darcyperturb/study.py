@@ -20,6 +20,9 @@ SCHEMA_VERSION = 1
 
 MODES = ("oned", "fitted2d", "flattened2d")
 
+# errors that mark one sweep row as failed; anything else is a bug and propagates
+_ROW_ERRORS = (fem2d.SolverConvergenceError, ValueError, ArithmeticError)
+
 # column order of records.csv (runtime is reported in summary.json only, so
 # reruns of the same config are byte-identical)
 CSV_COLUMNS = (
@@ -123,7 +126,7 @@ def _run_oned(amps, forcing, eps, resolution) -> list[ConvergenceRecord]:
             rec.bound_h_part = bound.h_part
             rec.bound_hperp_part = bound.hperp_part
             rec.bound_total = bound.total
-        except Exception as exc:  # keep sweeping
+        except _ROW_ERRORS as exc:  # keep sweeping
             rec.status = f"failed: {exc}"
         rec.runtime = perf_counter() - t0
         records.append(rec)
@@ -156,7 +159,7 @@ def _run_twod(shape, amps, forcing, eps, resolution, mode) -> list[ConvergenceRe
                 e1, e2, tot = flatten.flattened_energy_split(rho, zeta, eps)
                 rec.energy_flat_total = fem2d.energy_split(rho, eps)[2]
             rec.energy_e1, rec.energy_e2, rec.energy_total = e1, e2, tot
-        except Exception as exc:
+        except _ROW_ERRORS as exc:
             rec.status = f"failed: {exc}"
         rec.runtime = perf_counter() - t0
         records.append(rec)

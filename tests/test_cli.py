@@ -233,3 +233,27 @@ def test_study_writes_only_into_out_dir(tmp_path, monkeypatch):
 
 def test_missing_config_is_io_error(tmp_path):
     assert dispatch(["study", "--config", str(tmp_path / "nope.ini")]) == 3
+
+
+@pytest.mark.parametrize("text", [
+    "eps = 0.5\n",
+    "[domain]\neps = 0.5\neps = 0.4\n",
+    "[domain]\neps = 0.5\n[domain]\ndim = 2\n",
+], ids=["no-section-header", "duplicate-option", "duplicate-section"])
+def test_malformed_config_is_validation_error(tmp_path, capsys, text):
+    cfg = write_config(tmp_path / "run.ini", text)
+    with pytest.raises(ConfigError, match="malformed config"):
+        load_config(cfg)
+    assert dispatch(["validate-zeta", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "Traceback" not in err
+
+
+def test_non_numeric_table_is_validation_error(tmp_path, capsys):
+    (tmp_path / "zeta.csv").write_text("0.0,0.0\n0.5,abc\n1.0,0.0\n")
+    cfg = write_config(tmp_path / "run.ini", "[perturbation]\nfamily = table\ntable = zeta.csv\n")
+    assert dispatch(["validate-zeta", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "Traceback" not in err

@@ -63,6 +63,44 @@ def test_mesh_interface_polyline():
             assert sorted(regs) == [1, 2]
 
 
+@pytest.mark.parametrize("nx,nz", [(3, 5), (7, 2)])
+def test_mesh_layout(nx, nz):
+    zeta = sine(0.2, k=2)
+    m = build_fitted_mesh(zeta, nx, nz)
+    g = m.node_grid
+    assert g.shape == (nx + 1, 2 * nz + 1)
+    assert m.triangles.shape == (4 * nx * nz, 3)
+    # quad (j, l) -> triangles 2(j*2nz + l) and 2(j*2nz + l) + 1, region by level
+    for j in range(nx):
+        for l in range(2 * nz):
+            t = 2 * (j * 2 * nz + l)
+            assert tuple(m.triangles[t]) == (g[j, l], g[j + 1, l], g[j + 1, l + 1])
+            assert tuple(m.triangles[t + 1]) == (g[j, l], g[j + 1, l + 1], g[j, l + 1])
+            assert m.region[t] == m.region[t + 1] == (1 if l < nz else 2)
+    assert m.triangles.dtype == m.region.dtype == np.int64
+
+    def edge_set(edges):
+        return {tuple(sorted(e)) for e in edges}
+
+    bottom = {tuple(sorted((g[j, 0], g[j + 1, 0]))) for j in range(nx)}
+    top = {tuple(sorted((g[j, -1], g[j + 1, -1]))) for j in range(nx)}
+    walls_below = {tuple(sorted((g[c, l], g[c, l + 1]))) for c in (0, nx) for l in range(nz)}
+    walls_above = {tuple(sorted((g[c, l], g[c, l + 1]))) for c in (0, nx) for l in range(nz, 2 * nz)}
+    assert edge_set(m.dirichlet_edges) == bottom | walls_below
+    assert edge_set(m.neumann_edges) == top | walls_above
+    assert len(m.dirichlet_edges) == nx + 2 * nz
+    assert len(m.neumann_edges) == nx + 2 * nz
+
+    # ordered left-to-right polyline through the interface nodes
+    iface = m.interface_edges
+    assert iface.dtype == np.int64
+    assert [tuple(e) for e in iface] == [(g[j, nz], g[j + 1, nz]) for j in range(nx)]
+    assert np.array_equal(iface[1:, 0], iface[:-1, 1])
+    pts = m.nodes[iface[:, 0]]
+    assert np.allclose(pts[:, 0], m.col_x[:-1])
+    assert np.allclose(pts[:, 1], zeta.value(m.col_x[:-1]), atol=1e-15)
+
+
 def test_mesh_dirichlet_side():
     m = build_fitted_mesh(sine(0.2), 8, 8)
     dn = m.nodes[m.dirichlet_nodes]

@@ -61,7 +61,7 @@ def test_failed_row_does_not_abort():
     def flaky(x):
         x = np.asarray(x)
         if np.any(x > 0.2):  # blows up only for the first amplitude
-            raise RuntimeError("boom")
+            raise ValueError("boom")
         return np.zeros_like(x)
 
     fr = ForcingSpec(F=ZERO, f=flaky)
@@ -70,6 +70,41 @@ def test_failed_row_does_not_abort():
     assert recs[1].status == "ok"
     rep = check_estimates(recs, "oned")
     assert not rep.passed
+
+
+def _sweep_with_failing_solver(monkeypatch, mode, error):
+    """Run a two-row sweep whose solves of perturbed problems raise `error`."""
+    from darcyperturb import fem2d, solver1d
+
+    if mode == "oned":
+        module, name, perturbed = solver1d, "solve_exact_1d", lambda args: args[1] != 0.0
+        fr = ForcingSpec(F=ZERO, f=ONE)
+    else:
+        module, name, perturbed = fem2d, "assemble_solve", lambda args: np.any(args[0].zeta_at_cols)
+        fr = ForcingSpec(F=ZERO2, f=ONE2)
+    real = getattr(module, name)
+
+    def solve(*args, **kwargs):
+        if perturbed(args):
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, solve)
+    return run_sequence(shape_family("sine"), [0.2, 0.1], fr, 0.5, 8, mode)
+
+
+@pytest.mark.parametrize("mode", ["oned", "fitted2d"])
+def test_solver_error_marks_row_failed(monkeypatch, mode):
+    from darcyperturb.fem2d import SolverConvergenceError
+
+    recs = _sweep_with_failing_solver(monkeypatch, mode, SolverConvergenceError("no convergence", 1.0))
+    assert [r.status for r in recs] == ["failed: no convergence"] * 2
+
+
+@pytest.mark.parametrize("mode", ["oned", "fitted2d"])
+def test_programming_error_propagates(monkeypatch, mode):
+    with pytest.raises(TypeError, match="bug"):
+        _sweep_with_failing_solver(monkeypatch, mode, TypeError("bug"))
 
 
 def test_fitted2d_sweep_decreasing():
