@@ -99,6 +99,12 @@ def _load(args, overrides: dict | None = None) -> RunConfig:
     return cfg
 
 
+def _require_unit_k(cfg: RunConfig, command: str):
+    # the exact 1D solver, lower_bound_constant and estimate_rhs_1d assume k1 = k2 = 1
+    if cfg.k1 != 1.0 or cfg.k2 != 1.0:
+        raise ConfigError(f"{command} supports only k1 = k2 = 1, got k1 = {cfg.k1:g}, k2 = {cfg.k2:g}")
+
+
 def _write_or_stdout(path: Path | None, text: str):
     if path is None:
         sys.stdout.write(text)
@@ -133,6 +139,7 @@ def _field_csv_1d(field, samples: int) -> str:
 
 def _cmd_solve1d(args) -> int:
     cfg = _load(args, {"eps": args.eps, "dim": 1})
+    _require_unit_k(cfg, "solve1d")
     zeta = 0.0 if args.zeta is None else args.zeta
     if not -1.0 < zeta < 1.0:
         raise ConfigError(f"--zeta must lie in (-1, 1), got {zeta}")
@@ -233,12 +240,13 @@ def _cmd_flatten_check(args) -> int:
 
 def _cmd_study(args) -> int:
     cfg = _load(args, {"mode": args.mode})
+    _require_unit_k(cfg, "study")
     out_dir = args.out_dir if args.out_dir is not None else Path("study-out")
     forcing = cfg.forcing(dim=1 if cfg.mode == "oned" else 2)
     resolution = cfg.n_cells if cfg.mode == "oned" else cfg.nx
     records = study_mod.run_sequence(
         cfg.shape() if cfg.mode != "oned" else None,
-        cfg.amplitudes, forcing, cfg.eps, resolution, cfg.mode,
+        cfg.amplitudes, forcing, cfg.eps, resolution, cfg.mode, rtol=cfg.cg_rtol,
     )
     verdict = study_mod.check_estimates(records, cfg.mode, cfg.gap_target)
     paths = study_mod.emit_report(records, out_dir, estimate_report=verdict)

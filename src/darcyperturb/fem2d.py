@@ -11,14 +11,13 @@ boundary; region 2 carries k2/eps and a Neumann outer boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry import Perturbation, validate_admissible
-from .quadrature import gauss_rule, triangle_rule
+from .quadrature import as_array_fn, gauss_rule, triangle_rule
 
 
 class SolverConvergenceError(RuntimeError):
@@ -208,29 +207,29 @@ def build_fitted_mesh(zeta: Perturbation, nx: int, nz: int) -> Mesh2D:
     return mesh
 
 
-def _fn2(fn) -> Callable:
-    def wrapped(x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return np.asarray(fn(x, z), dtype=float) * np.ones_like(x)
+def _assemble_p1(mesh: Mesh2D, coef: np.ndarray) -> sp.csr_matrix:
+    """Matrix of sum_T grad(phi_a) . coef_T grad(phi_b) over P1 hat functions.
 
-    return wrapped
-
-
-def assemble_stiffness(mesh: Mesh2D, eps: float, k1: float, k2: float) -> sp.csr_matrix:
-    """Stiffness of the perturbed energy form on the fitted mesh."""
-    grads, area = mesh.basis_gradients()
-    coef = np.where(mesh.region == 1, k1, k2 / eps) * area
-    local = np.einsum("t,tad,tbd->tab", coef, grads, grads)
+    `coef` is the (n_tri, 2, 2) coefficient tensor per triangle, already
+    multiplied by the triangle area and the region scale.
+    """
+    grads, _ = mesh.basis_gradients()
+    local = np.einsum("tad,tde,tbe->tab", grads, coef, grads, optimize=True)
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
     K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
     return K.tocsr()
 
 
+def assemble_stiffness(mesh: Mesh2D, eps: float, k1: float, k2: float) -> sp.csr_matrix:
+    """Stiffness of the perturbed energy form on the fitted mesh."""
+    coef = np.where(mesh.region == 1, k1, k2 / eps) * mesh.triangle_areas()
+    return _assemble_p1(mesh, coef[:, None, None] * np.eye(2))
+
+
 def assemble_volume_load(mesh: Mesh2D, F, *, degree: int = 2) -> np.ndarray:
     """Load vector of int_Omega F r by per-triangle quadrature."""
-    F = _fn2(F)
+    F = as_array_fn(F)
     bary, w = triangle_rule(degree)
     p = mesh.nodes[mesh.triangles]                      # (t, 3, 2)
     qp = np.einsum("qa,tad->tqd", bary, p)              # (t, q, 2)
@@ -245,7 +244,7 @@ def assemble_volume_load(mesh: Mesh2D, F, *, degree: int = 2) -> np.ndarray:
 
 def assemble_interface_load(mesh: Mesh2D, f, *, order: int = 4) -> np.ndarray:
     """Load vector of int_{Gamma^zeta} f r dS along the interface polyline."""
-    f = _fn2(f)
+    f = as_array_fn(f)
     t, w = gauss_rule(order)
     load = np.zeros(mesh.n_nodes)
     a = mesh.nodes[mesh.interface_edges[:, 0]]
@@ -290,6 +289,18 @@ def cg_solve(K: sp.csr_matrix, load: np.ndarray, dirichlet: np.ndarray,
     return values
 
 
+def _galerkin_solve(mesh: Mesh2D, K: sp.csr_matrix, load: np.ndarray, label: str, meta: dict,
+                    rtol: float, maxiter: int | None) -> Field2D:
+    """CG solve of K u = load on the free nodes; records the Galerkin identity terms."""
+    values = cg_solve(K, load, mesh.dirichlet_nodes, rtol=rtol, maxiter=maxiter)
+    meta = {
+        **meta,
+        "load_functional": float(load @ values),
+        "bilinear_energy": float(values @ (K @ values)),
+    }
+    return Field2D(mesh=mesh, values=values, label=label, meta=meta)
+
+
 def assemble_solve(mesh: Mesh2D, forcing, eps: float, k1: float = 1.0, k2: float = 1.0,
                    *, rtol: float = 1e-10, maxiter: int | None = None) -> Field2D:
     """Galerkin solution of the perturbed weak problem on the fitted mesh."""
@@ -299,15 +310,8 @@ def assemble_solve(mesh: Mesh2D, forcing, eps: float, k1: float = 1.0, k2: float
     degree = 2 if forcing.quadrature_order <= 4 else 4
     load = assemble_volume_load(mesh, forcing.F, degree=degree)
     load += assemble_interface_load(mesh, forcing.f, order=max(2, forcing.quadrature_order))
-    values = cg_solve(K, load, mesh.dirichlet_nodes, rtol=rtol, maxiter=maxiter)
-    meta = {
-        "eps": eps,
-        "k1": k1,
-        "k2": k2,
-        "load_functional": float(load @ values),
-        "bilinear_energy": float(values @ (K @ values)),
-    }
-    return Field2D(mesh=mesh, values=values, label="fitted-solve", meta=meta)
+    return _galerkin_solve(mesh, K, load, "fitted-solve", {"eps": eps, "k1": k1, "k2": k2},
+                           rtol, maxiter)
 
 
 def resample(b: Field2D, mesh: Mesh2D) -> tuple[Field2D, float]:
@@ -346,20 +350,26 @@ def vnorm_diff_2d(a: Field2D, b: Field2D, *, return_info: bool = False):
     return val
 
 
-def vnorm_2d(a: Field2D) -> float:
-    g = a.gradients()
-    area = a.mesh.triangle_areas()
-    return float(np.sqrt(max(np.sum(area * np.sum(g * g, axis=1)), 0.0)))
+def _region_energies(fld: Field2D, metric: np.ndarray, below: np.ndarray,
+                     eps: float, k1: float, k2: float) -> tuple[float, float, float]:
+    """(e1, e2, total) of the P1 field under a per-triangle metric.
+
+    `metric` is (n_tri, 2, 2) or one (2, 2) matrix for all triangles; `below`
+    is the area of each triangle counted in region 1, the rest of its area
+    counts in region 2.  Exact because P1 gradients are constant per triangle.
+    """
+    g = fld.gradients()
+    dens = np.einsum("...d,...de,...e->...", g, metric, g)
+    area = fld.mesh.triangle_areas()
+    e1 = k1 * float(np.sum(dens * below))
+    e2 = (k2 / eps) * float(np.sum(dens * (area - below)))
+    return e1, e2, e1 + e2
 
 
 def energy_split(fld: Field2D, eps: float, k1: float = 1.0, k2: float = 1.0) -> tuple[float, float, float]:
     """(e1, e2, total) with regions read from the mesh tags (diagonal split)."""
-    g = fld.gradients()
-    area = fld.mesh.triangle_areas()
-    g2 = np.sum(g * g, axis=1) * area
-    e1 = k1 * float(np.sum(g2[fld.mesh.region == 1]))
-    e2 = (k2 / eps) * float(np.sum(g2[fld.mesh.region == 2]))
-    return e1, e2, e1 + e2
+    below = np.where(fld.mesh.region == 1, fld.mesh.triangle_areas(), 0.0)
+    return _region_energies(fld, np.eye(2), below, eps, k1, k2)
 
 
 def _area_below_zero(p: np.ndarray, area: np.ndarray) -> np.ndarray:
@@ -389,12 +399,5 @@ def energy_split_flat(fld: Field2D, eps: float, k1: float = 1.0, k2: float = 1.0
     Triangles straddling z = 0 are clipped exactly, which is enough because
     P1 gradients are constant per triangle.
     """
-    g = fld.gradients()
-    g2 = np.sum(g * g, axis=1)
-    p = fld.mesh.nodes[fld.mesh.triangles]
-    area = fld.mesh.triangle_areas()
-    below = _area_below_zero(p, area)
-    above = area - below
-    e1 = k1 * float(np.sum(g2 * below))
-    e2 = (k2 / eps) * float(np.sum(g2 * above))
-    return e1, e2, e1 + e2
+    below = _area_below_zero(fld.mesh.nodes[fld.mesh.triangles], fld.mesh.triangle_areas())
+    return _region_energies(fld, np.eye(2), below, eps, k1, k2)

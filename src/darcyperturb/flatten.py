@@ -15,18 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import Perturbation
-from .quadrature import gauss_rule, triangle_rule
-from . import solver1d
-from .fem2d import (
-    Field2D,
-    Mesh2D,
-    assemble_interface_load,
-    cg_solve,
-    _fn2,
-)
 import scipy.sparse as sp
+
+from . import fem2d, solver1d
+from .fem2d import Field2D, Mesh2D, assemble_interface_load, assemble_volume_load
+from .geometry import Perturbation
+from .quadrature import as_array_fn, triangle_rule
 
 REGIONS = (1, 2)
 
@@ -77,16 +71,34 @@ def lambda_map(i: int, zeta: Perturbation, point, direction: str = "forward"):
     return out if np.ndim(point) == 2 else out[0]
 
 
-def _matrix_entries(i: int, zeta: Perturbation, x, z):
-    """Vectorized (denom, stretch, g) with stretch = 1 - (-1)^i z."""
+def _transfer(i: int, zeta: Perturbation, x, z):
+    """A, A^{-1}, the metric (1 - (-1)^i zeta) A^T A and det A^{-1} of the
+    region-i map at reference points (x, z) of any shape.
+
+    The matrices are (..., 2, 2) arrays; det A^{-1} = 1 - (-1)^i zeta(x).
+    With stretch = 1 - (-1)^i z and g = grad zeta, A = [[1, -stretch g/det],
+    [0, 1/det]] and A^{-1} = [[1, stretch g], [0, det]].
+    """
     s = _sign(i)
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    zv = zeta.value(x)
     g = zeta.gradient(x)
-    denom = 1.0 - s * zv
+    denom = 1.0 - s * zeta.value(x)
     stretch = 1.0 - s * z
-    return denom, stretch, g
+    shape = np.shape(denom) + (2, 2)
+    A = np.zeros(shape)
+    A[..., 0, 0] = 1.0
+    A[..., 0, 1] = -stretch * g / denom
+    A[..., 1, 1] = 1.0 / denom
+    A_inv = np.zeros(shape)
+    A_inv[..., 0, 0] = 1.0
+    A_inv[..., 0, 1] = stretch * g
+    A_inv[..., 1, 1] = denom
+    metric = np.empty(shape)
+    metric[..., 0, 0] = denom
+    metric[..., 0, 1] = metric[..., 1, 0] = -stretch * g
+    metric[..., 1, 1] = (stretch**2 * g**2 + 1.0) / denom
+    return A, A_inv, metric, denom
 
 
 def grad_transfer(i: int, zeta: Perturbation, point) -> GradTransfer:
@@ -95,18 +107,13 @@ def grad_transfer(i: int, zeta: Perturbation, point) -> GradTransfer:
     At a knot of a piecewise zeta the one-sided (right) gradient is used.
     """
     x, z = float(point[0]), float(point[1])
-    denom, stretch, g = _matrix_entries(i, zeta, x, z)
-    A = np.array([[1.0, -stretch * g / denom], [0.0, 1.0 / denom]])
-    A_inv = np.array([[1.0, stretch * g], [0.0, denom]])
+    A, A_inv, _, denom = _transfer(i, zeta, x, z)
     return GradTransfer(region=i, point=(x, z), A=A, A_inv=A_inv, det_jacobian=float(denom))
 
 
 def metric_matrix(i: int, zeta: Perturbation, point) -> np.ndarray:
     """Symmetric flattened-form coefficient (1 - (-1)^i zeta) A^T A at a point."""
-    x, z = float(point[0]), float(point[1])
-    denom, stretch, g = _matrix_entries(i, zeta, x, z)
-    off = -stretch * g
-    return np.array([[denom, off], [off, (stretch**2 * g**2 + 1.0) / denom]])
+    return _transfer(i, zeta, float(point[0]), float(point[1]))[2]
 
 
 def pullback_norm_bound(zeta: Perturbation) -> float:
@@ -147,99 +154,32 @@ def t_apply(zeta: Perturbation, field, direction: str, out_mesh: Mesh2D) -> Fiel
     if isinstance(field, Field2D):
         values = field.value(x, src_z)
     else:
-        values = np.asarray(_fn2(field)(x, src_z), dtype=float)
+        values = as_array_fn(field)(x, src_z)
     return Field2D(mesh=out_mesh, values=values, label=f"{direction}[{getattr(field, 'label', 'fn')}]")
 
 
-def t_apply_smooth(zeta: Perturbation, value, grad):
-    """Analytic pullback of a smooth field: returns (value, gradient) callables.
+def _averaged_metric(mesh: Mesh2D, zeta: Perturbation) -> np.ndarray:
+    """(n_tri, 2, 2) metric averaged over each triangle with the degree-2 rule.
 
-    With w(x, z) = z (1 - (-1)^i zeta) + zeta the chain rule gives
-    d/dx (T u) = u_x + u_z * grad zeta * (1 - (-1)^i z) and
-    d/dz (T u) = u_z * (1 - (-1)^i zeta).
+    The average is all the P1 energy needs: gradients are constant per
+    triangle, so the quadrature of grad.metric grad is grad.average grad.
     """
-    value = _fn2(value)
-
-    def tv(x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        s = np.where(z < 0.0, -1.0, 1.0)
-        zv = zeta.value(x)
-        return value(x, z * (1.0 - s * zv) + zv)
-
-    def tg(x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        s = np.where(z < 0.0, -1.0, 1.0)
-        zv = zeta.value(x)
-        g = zeta.gradient(x)
-        w = z * (1.0 - s * zv) + zv
-        ux, uz = grad(x, w)
-        return ux + uz * g * (1.0 - s * z), uz * (1.0 - s * zv)
-
-    return tv, tg
-
-
-def h1_norm_smooth(value, grad, *, nx: int = 64, nz: int = 64, order: int = 4) -> float:
-    """Full H1 norm of an analytic field by tensor quadrature on an nx-by-nz grid
-    per region (cells never straddle the interface line z = 0)."""
-    value = _fn2(value)
-    total = 0.0
-    t, w = gauss_rule(order)
-    xs = np.linspace(0.0, 1.0, nx + 1)
-    for lo, hi in ((-1.0, 0.0), (0.0, 1.0)):
-        zs = np.linspace(lo, hi, nz + 1)
-        hx = 0.5 * np.diff(xs)
-        hz = 0.5 * np.diff(zs)
-        xq = xs[:-1, None] + hx[:, None] * (t[None, :] + 1.0)
-        zq = zs[:-1, None] + hz[:, None] * (t[None, :] + 1.0)
-        # tensor product; loop over z cells to bound memory
-        for kz in range(nz):
-            Zrow = zq[kz]
-            XX, ZZ = np.meshgrid(xq.ravel(), Zrow, indexing="ij")
-            v = value(XX, ZZ)
-            gx, gz = grad(XX, ZZ)
-            dens = (v * v + gx * gx + gz * gz).reshape(nx, order, order)
-            wxz = (hx[:, None, None] * w[None, :, None]) * (hz[kz] * w[None, None, :])
-            total += float(np.sum(dens * wxz))
-    return float(np.sqrt(max(total, 0.0)))
+    bary, wq = triangle_rule(2)
+    xq = mesh.nodes[mesh.triangles, 0] @ bary.T   # (n_tri, q)
+    zq = mesh.nodes[mesh.triangles, 1] @ bary.T
+    avg = np.empty((len(mesh.triangles), 2, 2))
+    for i in REGIONS:
+        sel = mesh.region == i
+        metric = _transfer(i, zeta, xq[sel], zq[sel])[2]
+        avg[sel] = np.einsum("tqde,q->tde", metric, wq)
+    return avg
 
 
 def assemble_flattened_stiffness(mesh: Mesh2D, zeta: Perturbation, eps: float,
                                  k1: float = 1.0, k2: float = 1.0) -> sp.csr_matrix:
     """Stiffness of the flattened form sum_i int (k_i/eps^{i-1}) (1-(-1)^i zeta) A^T A grad.grad."""
-    grads, area = mesh.basis_gradients()
-    bary, wq = triangle_rule(2)
-    p = mesh.nodes[mesh.triangles]
-    qp = np.einsum("qa,tad->tqd", bary, p)
-    xq, zq = qp[..., 0], qp[..., 1]
-
-    m11 = np.empty_like(xq)
-    m12 = np.empty_like(xq)
-    m22 = np.empty_like(xq)
-    scale = np.where(mesh.region == 1, k1, k2 / eps)
-    for i in REGIONS:
-        sel = mesh.region == i
-        denom, stretch, g = _matrix_entries(i, zeta, xq[sel], zq[sel])
-        m11[sel] = denom
-        m12[sel] = -stretch * g
-        m22[sel] = (stretch**2 * g**2 + 1.0) / denom
-
-    gx, gz = grads[..., 0], grads[..., 1]
-    # K[t,a,b] = area_t * scale_t * sum_q w_q (m11 gx_a gx_b + m12 (gx_a gz_b + gz_a gx_b) + m22 gz_a gz_b)
-    s11 = np.einsum("tq,q->t", m11, wq)
-    s12 = np.einsum("tq,q->t", m12, wq)
-    s22 = np.einsum("tq,q->t", m22, wq)
-    coef = area * scale
-    local = (
-        np.einsum("t,ta,tb->tab", coef * s11, gx, gx)
-        + np.einsum("t,ta,tb->tab", coef * s12, gx, gz)
-        + np.einsum("t,ta,tb->tab", coef * s12, gz, gx)
-        + np.einsum("t,ta,tb->tab", coef * s22, gz, gz)
-    )
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    coef = np.where(mesh.region == 1, k1, k2 / eps) * mesh.triangle_areas()
+    return fem2d._assemble_p1(mesh, coef[:, None, None] * _averaged_metric(mesh, zeta))
 
 
 def assemble_flattened_load(mesh: Mesh2D, zeta: Perturbation, forcing) -> np.ndarray:
@@ -248,29 +188,19 @@ def assemble_flattened_load(mesh: Mesh2D, zeta: Perturbation, forcing) -> np.nda
     The interface weight is the surface-measure Jacobian |(-grad zeta, 1)|, so
     the flattened load replicates int_{Gamma^zeta} f r dS.
     """
-    F = _fn2(forcing.F)
-    bary, wq = triangle_rule(2 if forcing.quadrature_order <= 4 else 4)
-    p = mesh.nodes[mesh.triangles]
-    qp = np.einsum("qa,tad->tqd", bary, p)
-    xq, zq = qp[..., 0], qp[..., 1]
-    dens = np.empty_like(xq)
-    for i in REGIONS:
-        sel = mesh.region == i
-        s = _sign(i)
-        zv = zeta.value(xq[sel])
-        denom = 1.0 - s * zv
-        dens[sel] = denom * F(xq[sel], zq[sel] * denom + zv)
-    area = mesh.triangle_areas()
-    contrib = np.einsum("t,tq,q,qa->ta", area, dens, wq, bary)
-    load = np.zeros(mesh.n_nodes)
-    np.add.at(load, mesh.triangles.ravel(), contrib.ravel())
 
-    f = _fn2(forcing.f)
+    def pulled_back_F(x, z):
+        # quadrature points of the reference mesh lie strictly inside one region
+        zv = zeta.value(x)
+        denom = 1.0 - np.where(z < 0.0, -1.0, 1.0) * zv
+        return denom * forcing.F(x, z * denom + zv)
 
     def weighted_f(x, z):
         g = zeta.gradient(x)
-        return np.sqrt(1.0 + g**2) * f(x, zeta.value(x))
+        return np.sqrt(1.0 + g**2) * forcing.f(x, zeta.value(x))
 
+    degree = 2 if forcing.quadrature_order <= 4 else 4
+    load = assemble_volume_load(mesh, pulled_back_F, degree=degree)
     load += assemble_interface_load(mesh, weighted_f, order=max(2, forcing.quadrature_order))
     return load
 
@@ -285,15 +215,8 @@ def solve_flattened(zeta: Perturbation, forcing, eps: float, ref_mesh: Mesh2D,
         raise ValueError("reference mesh must be the flat-interface mesh")
     K = assemble_flattened_stiffness(ref_mesh, zeta, eps, k1, k2)
     load = assemble_flattened_load(ref_mesh, zeta, forcing)
-    values = cg_solve(K, load, ref_mesh.dirichlet_nodes, rtol=rtol, maxiter=maxiter)
-    meta = {
-        "eps": eps,
-        "k1": k1,
-        "k2": k2,
-        "load_functional": float(load @ values),
-        "bilinear_energy": float(values @ (K @ values)),
-    }
-    return Field2D(mesh=ref_mesh, values=values, label="flattened-solve", meta=meta)
+    return fem2d._galerkin_solve(ref_mesh, K, load, "flattened-solve",
+                                 {"eps": eps, "k1": k1, "k2": k2}, rtol, maxiter)
 
 
 def flattened_energy_split(rho: Field2D, zeta: Perturbation, eps: float,
@@ -301,25 +224,8 @@ def flattened_energy_split(rho: Field2D, zeta: Perturbation, eps: float,
     """Per-region energies of the flattened form (pullbacks of the energies of
     the unflattened field over the perturbed regions)."""
     mesh = rho.mesh
-    bary, wq = triangle_rule(2)
-    p = mesh.nodes[mesh.triangles]
-    qp = np.einsum("qa,tad->tqd", bary, p)
-    xq, zq = qp[..., 0], qp[..., 1]
-    g = rho.gradients()
-    gx, gz = g[:, 0], g[:, 1]
-    area = mesh.triangle_areas()
-    parts = {}
-    for i in REGIONS:
-        sel = mesh.region == i
-        denom, stretch, grad = _matrix_entries(i, zeta, xq[sel], zq[sel])
-        m11 = denom
-        m12 = -stretch * grad
-        m22 = (stretch**2 * grad**2 + 1.0) / denom
-        dens = (m11 * gx[sel, None] ** 2 + 2.0 * m12 * gx[sel, None] * gz[sel, None]
-                + m22 * gz[sel, None] ** 2)
-        scale = k1 if i == 1 else k2 / eps
-        parts[i] = scale * float(np.sum(area[sel] * (dens @ wq)))
-    return parts[1], parts[2], parts[1] + parts[2]
+    below = np.where(mesh.region == 1, mesh.triangle_areas(), 0.0)
+    return fem2d._region_energies(rho, _averaged_metric(mesh, zeta), below, eps, k1, k2)
 
 
 def solve_flattened_1d(zeta: float, forcing, eps: float) -> solver1d.PiecewiseField1D:
@@ -330,8 +236,8 @@ def solve_flattened_1d(zeta: float, forcing, eps: float) -> solver1d.PiecewiseFi
     z0 = float(zeta)
     if not -1.0 < z0 < 1.0:
         raise ValueError(f"zeta must lie in (-1, 1), got {z0}")
-    F = solver1d._fn_vec(forcing.F)
-    f = solver1d._fn_vec(forcing.f)
+    F = as_array_fn(forcing.F)
+    f = as_array_fn(forcing.f)
     c_left = 1.0 / (1.0 + z0)
     c_right = 1.0 / (eps * (1.0 - z0))
 
@@ -346,21 +252,6 @@ def solve_flattened_1d(zeta: float, forcing, eps: float) -> solver1d.PiecewiseFi
         F_left, F_right, c_left, c_right, flux, 0.0,
         label=f"flattened(zeta={z0:g})",
     )
-
-
-def _stacked_matrices(i: int, zeta: Perturbation, x: np.ndarray, z: np.ndarray):
-    """(n, 2, 2) arrays of A and A^{-1} at the sample points."""
-    denom, stretch, g = _matrix_entries(i, zeta, x, z)
-    n = len(x)
-    A = np.zeros((n, 2, 2))
-    A[:, 0, 0] = 1.0
-    A[:, 0, 1] = -stretch * g / denom
-    A[:, 1, 1] = 1.0 / denom
-    A_inv = np.zeros((n, 2, 2))
-    A_inv[:, 0, 0] = 1.0
-    A_inv[:, 0, 1] = stretch * g
-    A_inv[:, 1, 1] = denom
-    return A, A_inv, denom
 
 
 def matrix_property_report(shapes, *, n_points: int = 1000, seed: int = 0,
@@ -389,7 +280,7 @@ def matrix_property_report(shapes, *, n_points: int = 1000, seed: int = 0,
         x = np.clip(x, 10 * fd_step, 1.0 - 10 * fd_step)
         for i in REGIONS:
             z = rng.uniform(-1.0, 0.0, n_points) if i == 1 else rng.uniform(0.0, 1.0, n_points)
-            A, A_inv, denom = _stacked_matrices(i, zeta, x, z)
+            A, A_inv, _, denom = _transfer(i, zeta, x, z)
             prod = np.einsum("nab,nbc->nac", A, A_inv)
             report["aainv_max"] = max(
                 report["aainv_max"], float(np.max(np.abs(prod - np.eye(2)[None])))
@@ -402,6 +293,7 @@ def matrix_property_report(shapes, *, n_points: int = 1000, seed: int = 0,
             report["norm_excess"] = max(
                 report["norm_excess"], float(np.max(sigma - ainv_norm_bound(zeta)))
             )
+            # from A, so the check does not compare the closed-form metric with itself
             metric = denom[:, None, None] * np.einsum("nba,nbc->nac", A, A)
             lam_min = np.linalg.eigvalsh(metric)[:, 0]
             report["coercivity_margin"] = min(
@@ -437,14 +329,13 @@ def _chain_rule_error(i: int, zeta: Perturbation, x: np.ndarray, z: np.ndarray,
         return u(xx, zz * (1.0 - s * zv) + zv)
 
     worst = 0.0
-    denom, stretch, g = _matrix_entries(i, zeta, x, z)
-    zv = zeta.value(x)
-    w = z * denom + zv
+    A, _, _, denom = _transfer(i, zeta, x, z)
+    w = z * denom + zeta.value(x)
     for u, grad_u in tests:
         dx = (composed(u, x + h, z) - composed(u, x - h, z)) / (2.0 * h)
         dz = (composed(u, x, z + h) - composed(u, x, z - h)) / (2.0 * h)
-        tx = dx - (stretch * g / denom) * dz
-        tz = dz / denom
+        tx = dx + A[:, 0, 1] * dz
+        tz = A[:, 1, 1] * dz
         ux, uz = grad_u(x, w)
         worst = max(worst, float(np.max(np.hypot(tx - ux, tz - uz))))
     return worst

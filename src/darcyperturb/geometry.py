@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .quadrature import DEFAULT_ORDER, integrate_cells
+from .quadrature import DEFAULT_ORDER, as_array_fn, integrate_cells
 
 ENDPOINT_TOL = 1e-12
 
@@ -93,16 +93,6 @@ class AdmissibilityReport:
     violations: tuple[str, ...] = ()
 
 
-def _as_shape(fn):
-    """Wrap a scalar expression so it maps float arrays to float arrays."""
-
-    def wrapped(x):
-        x = np.asarray(x, dtype=float)
-        return np.asarray(fn(x), dtype=float) * np.ones_like(x)
-
-    return wrapped
-
-
 def make_perturbation(family: str, params: dict | None = None, amplitude: float = 0.0) -> Perturbation:
     """Build an admissible perturbation amplitude * shape(x) with sup|shape| = 1.
 
@@ -122,8 +112,8 @@ def make_perturbation(family: str, params: dict | None = None, amplitude: float 
         k = int(raw)
         if k < 1 or float(k) != float(raw):
             raise ValueError(f"sine wavenumber must be a positive integer, got {raw}")
-        shape = _as_shape(lambda x: np.sin(k * np.pi * x))
-        grad_shape = _as_shape(lambda x: k * np.pi * np.cos(k * np.pi * x))
+        shape = as_array_fn(lambda x: np.sin(k * np.pi * x))
+        grad_shape = as_array_fn(lambda x: k * np.pi * np.cos(k * np.pi * x))
         grad_sup = k * np.pi
         label = f"sine(k={k})"
     elif family == "bump":
@@ -142,8 +132,8 @@ def make_perturbation(family: str, params: dict | None = None, amplitude: float 
             out[inside] = np.exp(4.0 - 1.0 / gi) * (1.0 - 2.0 * x[inside]) / gi**2
             return out
 
-        shape = _as_shape(raw)
-        grad_shape = _as_shape(raw_grad)
+        shape = as_array_fn(raw)
+        grad_shape = as_array_fn(raw_grad)
         xs = np.linspace(0.0, 1.0, 20001)
         grad_sup = float(np.max(np.abs(grad_shape(xs))))  # sampled ess-sup
         label = "bump"
@@ -151,8 +141,8 @@ def make_perturbation(family: str, params: dict | None = None, amplitude: float 
         c = float(params.pop("knot", 0.5))
         if not 0.0 < c < 1.0:
             raise ValueError(f"hat knot must lie in (0, 1), got {c}")
-        shape = _as_shape(lambda x: np.where(x <= c, x / c, (1.0 - x) / (1.0 - c)))
-        grad_shape = _as_shape(lambda x: np.where(x < c, 1.0 / c, -1.0 / (1.0 - c)))
+        shape = as_array_fn(lambda x: np.where(x <= c, x / c, (1.0 - x) / (1.0 - c)))
+        grad_shape = as_array_fn(lambda x: np.where(x < c, 1.0 / c, -1.0 / (1.0 - c)))
         grad_sup = max(1.0 / c, 1.0 / (1.0 - c))
         knots = (c,)
         label = f"hat(knot={c})"
@@ -166,8 +156,8 @@ def make_perturbation(family: str, params: dict | None = None, amplitude: float 
             raise ValueError(f"shape does not vanish at x = {endpoint}")
 
     a = float(amplitude)
-    value = _as_shape(lambda x, s=shape: a * s(x))
-    gradient = _as_shape(lambda x, g=grad_shape: a * g(x))
+    value = as_array_fn(lambda x, s=shape: a * s(x))
+    gradient = as_array_fn(lambda x, g=grad_shape: a * g(x))
     return Perturbation(
         representation="analytic-expression",
         value=value,
@@ -208,8 +198,8 @@ def perturbation_from_table(x: np.ndarray, z: np.ndarray) -> Perturbation:
     sup = float(np.max(np.abs(z)))
     return Perturbation(
         representation="piecewise-linear-on-knots",
-        value=_as_shape(value),
-        gradient=_as_shape(gradient),
+        value=as_array_fn(value),
+        gradient=as_array_fn(gradient),
         norm_sup=sup,
         norm_w1inf=sup + float(np.max(np.abs(slopes))),
         amplitude=sup,

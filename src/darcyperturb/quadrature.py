@@ -18,12 +18,18 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def integrate(fn, a: float, b: float, *, order: int = DEFAULT_ORDER, cells: int = 1) -> float:
-    """Integrate a vectorized scalar function over [a, b] with `cells` equal cells."""
-    if b == a:
-        return 0.0
-    edges = np.linspace(a, b, cells + 1)
-    return integrate_cells(fn, edges, order=order)
+def as_array_fn(fn):
+    """Wrap a scalar expression so it maps float arrays to float arrays.
+
+    The result takes the shape of the first argument, so expressions that
+    evaluate to a constant broadcast over the sample points.
+    """
+
+    def wrapped(*args):
+        args = [np.asarray(a, dtype=float) for a in args]
+        return np.asarray(fn(*args), dtype=float) * np.ones_like(args[0])
+
+    return wrapped
 
 
 def integrate_cells(fn, edges: np.ndarray, *, order: int = DEFAULT_ORDER) -> float:

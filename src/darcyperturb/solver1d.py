@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .quadrature import Antiderivative, gauss_rule
+from .quadrature import Antiderivative, as_array_fn, gauss_rule, integrate_cells
 
 BREAKPOINT_MERGE_TOL = 1e-13
 
@@ -74,15 +74,6 @@ class PiecewiseField1D:
     def derivative(self, x):
         """Weak derivative; at an interior breakpoint the right piece is used."""
         return self._eval(x, "deriv")
-
-    def max_jump(self) -> float:
-        """Largest value mismatch across interior breakpoints."""
-        jump = 0.0
-        for i, b in enumerate(self.breakpoints[1:-1], start=1):
-            left = float(self.pieces[i - 1].value(np.array([b]))[0])
-            right = float(self.pieces[i].value(np.array([b]))[0])
-            jump = max(jump, abs(left - right))
-        return jump
 
 
 def from_nodal(nodes: np.ndarray, values: np.ndarray, label: str = "") -> PiecewiseField1D:
@@ -156,8 +147,8 @@ def _two_region_exact(F_left, F_right, c_left: float, c_right: float,
 def solve_exact_1d(forcing, zeta: float, eps: float) -> PiecewiseField1D:
     """Exact solution q^zeta of the perturbed two-point problem (p for zeta = 0)."""
     _check_eps(eps)
-    F = _fn_vec(forcing.F)
-    f_at = float(_fn_vec(forcing.f)(np.asarray([zeta]))[0])
+    F = as_array_fn(forcing.F)
+    f_at = float(as_array_fn(forcing.f)(np.asarray([zeta]))[0])
     return _two_region_exact(
         F, F, 1.0, 1.0 / eps, f_at, zeta,
         label=f"exact(zeta={zeta:g})",
@@ -167,14 +158,6 @@ def solve_exact_1d(forcing, zeta: float, eps: float) -> PiecewiseField1D:
 def _check_eps(eps: float):
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-
-
-def _fn_vec(fn) -> Callable:
-    def wrapped(x):
-        x = np.asarray(x, dtype=float)
-        return np.asarray(fn(x), dtype=float) * np.ones_like(x)
-
-    return wrapped
 
 
 def solve_fem_1d(forcing, zeta: float, eps: float, n_cells: int) -> PiecewiseField1D:
@@ -199,7 +182,7 @@ def solve_fem_1d(forcing, zeta: float, eps: float, n_cells: int) -> PiecewiseFie
     main[1:] += coef / h
     off -= coef / h
 
-    F = _fn_vec(forcing.F)
+    F = as_array_fn(forcing.F)
     order = max(4, forcing.quadrature_order)
     t, w = gauss_rule(order)
     half = 0.5 * h
@@ -212,7 +195,7 @@ def solve_fem_1d(forcing, zeta: float, eps: float, n_cells: int) -> PiecewiseFie
     load[1:] += half * ((Fq * lam) @ w)
 
     iz = int(np.argmin(np.abs(nodes - zeta)))
-    f_vec = _fn_vec(forcing.f)
+    f_vec = as_array_fn(forcing.f)
     load[iz] += float(f_vec(np.asarray([zeta]))[0])
 
     # eliminate the Dirichlet node at x = -1
@@ -295,7 +278,7 @@ def hperp_exact_original(F, zeta: float, eps: float, f=None) -> PiecewiseField1D
     z0 = float(zeta)
     if not -1.0 < z0 < 1.0 or z0 == 0.0:
         raise ValueError(f"zeta must lie in (-1, 0) or (0, 1), got {z0}")
-    F = _fn_vec(F)
+    F = as_array_fn(F)
     if z0 > 0:
         IF = Antiderivative(F, 0.0, 1.0)
         Q = IF(1.0)
@@ -310,7 +293,7 @@ def hperp_exact_original(F, zeta: float, eps: float, f=None) -> PiecewiseField1D
         plateau = float(val(np.asarray([z0]))[0])
         return _gap_field(z0, val, der, plateau, "hperp_exact_p")
 
-    f0 = 0.0 if f is None else float(_fn_vec(f)(np.asarray([0.0]))[0])
+    f0 = 0.0 if f is None else float(as_array_fn(f)(np.asarray([0.0]))[0])
     IF = Antiderivative(F, z0, 1.0)
     Q = IF(1.0) - IF(0.0)  # int_0^1 F
 
@@ -337,8 +320,8 @@ def hperp_exact_perturbed(F, f, zeta: float, eps: float) -> PiecewiseField1D:
     z0 = float(zeta)
     if not -1.0 < z0 < 1.0 or z0 == 0.0:
         raise ValueError(f"zeta must lie in (-1, 0) or (0, 1), got {z0}")
-    F = _fn_vec(F)
-    f = _fn_vec(f)
+    F = as_array_fn(F)
+    f = as_array_fn(f)
     if z0 > 0:
         fz = float(f(np.asarray([z0]))[0])
         IF = Antiderivative(F, 0.0, 1.0)
@@ -385,36 +368,21 @@ def _gap_field(z0: float, val, der, plateau: float, label: str) -> PiecewiseFiel
     return PiecewiseField1D(breaks, tuple(pieces), label=label)
 
 
-def _union_breaks(a: PiecewiseField1D, b: PiecewiseField1D) -> np.ndarray:
-    return _insert_points(a.breakpoints, b.breakpoints)
-
-
 def vnorm_inner_1d(a: PiecewiseField1D, b: PiecewiseField1D, *, order: int = 16) -> float:
     """V inner product int_{-1}^{1} da db over the union of breakpoints."""
-    breaks = _union_breaks(a, b)
-    t, w = gauss_rule(order)
-    lo, hi = breaks[:-1], breaks[1:]
-    half = 0.5 * (hi - lo)
-    x = lo[:, None] + half[:, None] * (t[None, :] + 1.0)
-    da = a.derivative(x.ravel()).reshape(x.shape)
-    db = b.derivative(x.ravel()).reshape(x.shape)
-    return float(np.sum(half * ((da * db) @ w)))
-
-
-def vnorm_1d(a: PiecewiseField1D) -> float:
-    return float(np.sqrt(max(vnorm_inner_1d(a, a), 0.0)))
+    breaks = _insert_points(a.breakpoints, b.breakpoints)
+    return integrate_cells(lambda x: a.derivative(x) * b.derivative(x), breaks, order=order)
 
 
 def vnorm_diff_1d(a: PiecewiseField1D, b: PiecewiseField1D, *, order: int = 16) -> float:
     """V-norm of the difference, (int |da - db|^2)^(1/2)."""
-    breaks = _union_breaks(a, b)
-    t, w = gauss_rule(order)
-    lo, hi = breaks[:-1], breaks[1:]
-    half = 0.5 * (hi - lo)
-    x = lo[:, None] + half[:, None] * (t[None, :] + 1.0)
-    d = a.derivative(x.ravel()) - b.derivative(x.ravel())
-    d = d.reshape(x.shape)
-    return float(np.sqrt(max(np.sum(half * ((d * d) @ w)), 0.0)))
+
+    def sq(x):
+        d = a.derivative(x) - b.derivative(x)
+        return d * d
+
+    breaks = _insert_points(a.breakpoints, b.breakpoints)
+    return float(np.sqrt(max(integrate_cells(sq, breaks, order=order), 0.0)))
 
 
 def energy_split_1d(field: PiecewiseField1D, zeta: float, eps: float) -> tuple[float, float, float]:
@@ -431,12 +399,12 @@ def _restricted_energy(field: PiecewiseField1D, lo: float, hi: float, order: int
         return 0.0
     breaks = _insert_points(field.breakpoints, [lo, hi])
     breaks = breaks[(breaks >= lo - 1e-15) & (breaks <= hi + 1e-15)]
-    t, w = gauss_rule(order)
-    a, b = breaks[:-1], breaks[1:]
-    half = 0.5 * (b - a)
-    x = a[:, None] + half[:, None] * (t[None, :] + 1.0)
-    d = field.derivative(x.ravel()).reshape(x.shape)
-    return float(np.sum(half * ((d * d) @ w)))
+
+    def sq(x):
+        d = field.derivative(x)
+        return d * d
+
+    return integrate_cells(sq, breaks, order=order)
 
 
 def xi_1d(field: PiecewiseField1D, zeta: float) -> float:
@@ -473,8 +441,8 @@ def estimate_rhs_1d(F, f, zeta: float, eps: float) -> BoundRecord:
     z0 = float(zeta)
     if not -1.0 < z0 < 1.0:
         raise ValueError(f"zeta must lie in (-1, 1), got {z0}")
-    F = _fn_vec(F)
-    f = _fn_vec(f)
+    F = as_array_fn(F)
+    f = as_array_fn(f)
     if z0 == 0.0:
         return BoundRecord(0.0, 0.0)
     f0 = float(f(np.asarray([0.0]))[0])

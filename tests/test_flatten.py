@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import h1_norm_smooth, t_apply_smooth
 
 from darcyperturb.geometry import ForcingSpec, make_perturbation
 from darcyperturb import fem2d, solver1d
 from darcyperturb.flatten import (
     ainv_norm_bound,
+    assemble_flattened_stiffness,
     coercivity_constant,
+    flattened_energy_split,
     grad_transfer,
-    h1_norm_smooth,
     lambda_map,
     matrix_property_report,
     metric_matrix,
@@ -15,7 +18,6 @@ from darcyperturb.flatten import (
     solve_flattened,
     solve_flattened_1d,
     t_apply,
-    t_apply_smooth,
 )
 
 ZERO2 = lambda x, z: np.zeros_like(x)
@@ -311,4 +313,41 @@ def test_two_path_consistency_piecewise_linear_shape():
     q = fem2d.assemble_solve(fitted, fr, eps=0.5)
     rho = solve_flattened(zeta, fr, 0.5, ref)
     gap = fem2d.vnorm_diff_2d(t_apply(zeta, q, "T", ref), rho)
-    assert gap < 0.05 * fem2d.vnorm_2d(rho)
+    zero = fem2d.Field2D(mesh=ref, values=np.zeros(ref.n_nodes))
+    assert gap < 0.05 * fem2d.vnorm_diff_2d(rho, zero)
+
+
+# --- one P1 problem for both paths ----------------------------------------------
+
+sizes = st.integers(2, 8)
+eps_values = st.floats(0.05, 1.0)
+k_values = st.floats(0.1, 10.0)
+
+
+@settings(deadline=None, max_examples=30)
+@given(nx=sizes, nz=sizes, eps=eps_values, k1=k_values, k2=k_values)
+def test_flattened_stiffness_at_flat_zeta_is_fitted(nx, nz, eps, k1, k2):
+    flat = sine(0.0)
+    ref = fem2d.build_fitted_mesh(flat, nx, nz)
+    fitted = fem2d.assemble_stiffness(ref, eps, k1, k2)
+    flattened = assemble_flattened_stiffness(ref, flat, eps, k1, k2)
+    assert np.array_equal(fitted.toarray(), flattened.toarray())
+
+
+@settings(deadline=None, max_examples=30)
+@given(nx=sizes, nz=sizes, amp=st.floats(0.0, 0.6), eps=eps_values, k1=k_values, k2=k_values,
+       seed=st.integers(0, 2**32 - 1))
+def test_energy_split_is_the_quadratic_form_of_its_stiffness(nx, nz, amp, eps, k1, k2, seed):
+    zeta = sine(amp)
+    rng = np.random.default_rng(seed)
+    fitted = fem2d.build_fitted_mesh(zeta, nx, nz)
+    u = rng.standard_normal(fitted.n_nodes)
+    total = fem2d.energy_split(fem2d.Field2D(mesh=fitted, values=u), eps, k1, k2)[2]
+    K = fem2d.assemble_stiffness(fitted, eps, k1, k2)
+    assert total == pytest.approx(u @ (K @ u), rel=1e-12)
+
+    ref = fem2d.build_fitted_mesh(sine(0.0), nx, nz)
+    v = rng.standard_normal(ref.n_nodes)
+    total = flattened_energy_split(fem2d.Field2D(mesh=ref, values=v), zeta, eps, k1, k2)[2]
+    K = assemble_flattened_stiffness(ref, zeta, eps, k1, k2)
+    assert total == pytest.approx(v @ (K @ v), rel=1e-12)

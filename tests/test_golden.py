@@ -1,0 +1,46 @@
+"""The shipped study configs reproduce their committed records.csv.
+
+`tests/golden/<name>.csv` is the reference records.csv of `darcyperturb
+study` on `configs/<name>.ini`.  1D records must match byte for byte; 2D
+records must keep every status and agree in every numeric column to 1e-9
+relative, the room left for the summation order of the assembly.  Regenerate
+a file only for an intended change of outputs.
+"""
+
+import csv
+import math
+from pathlib import Path
+
+import pytest
+
+from darcyperturb.cli import dispatch
+
+HERE = Path(__file__).resolve().parent
+CONFIGS = HERE.parent / "configs"
+GOLDEN = HERE / "golden"
+REL_TOL_2D = 1e-9
+
+
+def _rows(text: str) -> list[dict]:
+    return list(csv.DictReader(text.splitlines()))
+
+
+@pytest.mark.parametrize("name", ["study-1d-sqrt", "study-2d-fitted", "study-2d-flattened"])
+def test_shipped_study_matches_golden(tmp_path, name):
+    assert dispatch(["study", "--config", str(CONFIGS / f"{name}.ini"), "--out-dir", str(tmp_path)]) == 0
+    got = (tmp_path / "records.csv").read_bytes()
+    want = (GOLDEN / f"{name}.csv").read_bytes()
+    if name == "study-1d-sqrt":
+        assert got == want
+        return
+    got_rows, want_rows = _rows(got.decode()), _rows(want.decode())
+    assert list(got_rows[0]) == list(want_rows[0])
+    assert len(got_rows) == len(want_rows)
+    for k, (g, w) in enumerate(zip(got_rows, want_rows)):
+        assert g["status"] == w["status"], f"row {k}"
+        for col in w:
+            if col == "status":
+                continue
+            a, b = float(g[col]), float(w[col])
+            assert (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=REL_TOL_2D), \
+                f"row {k} {col}: {a!r} vs golden {b!r}"
