@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry import Perturbation, validate_admissible
@@ -231,22 +232,19 @@ def assemble_volume_load(mesh: Mesh2D, F, *, degree: int = 2) -> np.ndarray:
     """Load vector of int_Omega F r by per-triangle quadrature."""
     F = as_array_fn(F)
     bary, w = triangle_rule(degree)
-    p = mesh.nodes[mesh.triangles]                      # (t, 3, 2)
-    qp = np.einsum("qa,tad->tqd", bary, p)              # (t, q, 2)
-    Fq = F(qp[..., 0].ravel(), qp[..., 1].ravel()).reshape(qp.shape[:2])
+    xq = mesh.nodes[mesh.triangles, 0] @ bary.T         # (t, q)
+    zq = mesh.nodes[mesh.triangles, 1] @ bary.T
+    Fq = F(xq.ravel(), zq.ravel()).reshape(xq.shape)
     area = mesh.triangle_areas()
     # basis value of hat a at barycentric point q is bary[q, a]
-    contrib = np.einsum("t,tq,q,qa->ta", area, Fq, w, bary)
-    load = np.zeros(mesh.n_nodes)
-    np.add.at(load, mesh.triangles.ravel(), contrib.ravel())
-    return load
+    contrib = (area[:, None] * Fq * w) @ bary
+    return np.bincount(mesh.triangles.ravel(), contrib.ravel(), minlength=mesh.n_nodes)
 
 
 def assemble_interface_load(mesh: Mesh2D, f, *, order: int = 4) -> np.ndarray:
     """Load vector of int_{Gamma^zeta} f r dS along the interface polyline."""
     f = as_array_fn(f)
     t, w = gauss_rule(order)
-    load = np.zeros(mesh.n_nodes)
     a = mesh.nodes[mesh.interface_edges[:, 0]]
     b = mesh.nodes[mesh.interface_edges[:, 1]]
     length = np.linalg.norm(b - a, axis=1)
@@ -256,45 +254,126 @@ def assemble_interface_load(mesh: Mesh2D, f, *, order: int = 4) -> np.ndarray:
     w_half = 0.5 * w
     c0 = length * np.einsum("eq,q,q->e", fq, w_half, 1.0 - lam)
     c1 = length * np.einsum("eq,q,q->e", fq, w_half, lam)
-    np.add.at(load, mesh.interface_edges[:, 0], c0)
-    np.add.at(load, mesh.interface_edges[:, 1], c1)
-    return load
+    return (np.bincount(mesh.interface_edges[:, 0], c0, minlength=mesh.n_nodes)
+            + np.bincount(mesh.interface_edges[:, 1], c1, minlength=mesh.n_nodes))
 
 
-def cg_solve(K: sp.csr_matrix, load: np.ndarray, dirichlet: np.ndarray,
-             *, rtol: float = 1e-10, maxiter: int | None = None) -> np.ndarray:
-    """Solve the SPD system on the free nodes with Jacobi-preconditioned CG."""
+# The V-cycle smoother is damped Jacobi with weights 1.5 / sum_j |a_ij|: the
+# row sums bound A from above, so every sweep contracts in the energy norm and
+# the V-cycle stays SPD on sheared meshes too; on a row of the 5-point
+# Laplacian the weight is 0.75 / a_ii.
+_SMOOTHER_SCALE = 1.5
+
+
+def _prolongation_1d(n: int) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Linear interpolation onto the n + 1 lines of one grid axis from every
+    other line plus the last one; the identity once n < 4 (no coarsening).
+
+    Returns the (n + 1, m) matrix and the fine indices of the m coarse lines.
+    """
+    if n < 4:
+        return sp.identity(n + 1, format="csr"), np.arange(n + 1)
+    coarse = np.unique(np.r_[np.arange(0, n + 1, 2), n])
+    mid = np.arange(1, n, 2)
+    rows = np.r_[coarse, mid, mid]
+    cols = np.r_[np.arange(len(coarse)), mid // 2, mid // 2 + 1]
+    vals = np.r_[np.ones(len(coarse)), np.full(2 * len(mid), 0.5)]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, len(coarse))), coarse
+
+
+def _multigrid_levels(A: sp.csr_matrix, free: np.ndarray) -> tuple[list, tuple]:
+    """Galerkin hierarchy of A on the free nodes of a node grid.
+
+    `free` is the grid-shaped mask of the rows of A.  Each level is a tuple
+    (A, P, smoother weights) with P = kron(Px, Pz) restricted to the
+    free fine and free coarse nodes; the coarsest operator comes back as its
+    Cholesky factor.  Plain tuples, so the hierarchy dies with the solve.
+    """
+    levels = []
+    while True:
+        Px, cx = _prolongation_1d(free.shape[0] - 1)
+        Pz, cz = _prolongation_1d(free.shape[1] - 1)
+        coarse = free[np.ix_(cx, cz)]
+        if coarse.size == free.size:
+            break
+        P = sp.kron(Px, Pz, format="csr")[free.ravel()][:, coarse.ravel()]
+        levels.append((A, P, _SMOOTHER_SCALE / np.asarray(abs(A).sum(axis=1)).ravel()))
+        A = (P.T @ A @ P).tocsr()
+        free = coarse
+    return levels, cho_factor(A.toarray())
+
+
+def _v_cycle(levels: list, coarsest: tuple, r: np.ndarray) -> np.ndarray:
+    """One symmetric V-cycle from a zero guess: damped Jacobi before and after
+    the coarse correction on every level, Cholesky on the coarsest."""
+    stack = []
+    for A, P, w in levels:
+        x = w * r
+        stack.append((r, x))
+        r = P.T @ (r - A @ x)
+    x = cho_solve(coarsest, r)
+    for (A, P, w), (r, x_pre) in zip(reversed(levels), reversed(stack)):
+        x = x_pre + P @ x
+        x += w * (r - A @ x)
+    return x
+
+
+def cg_solve(K: sp.csr_matrix, load: np.ndarray, dirichlet: np.ndarray, grid: tuple[int, int],
+             *, rtol: float = 1e-10, maxiter: int | None = None) -> tuple[np.ndarray, dict]:
+    """Solve the SPD system on the free nodes by CG preconditioned with one
+    geometric-multigrid V-cycle.
+
+    Node ids must run row-major over a `grid` = (columns, levels) node grid,
+    as `Mesh2D.node_grid` does; the coarse grids take every other line of each
+    axis.  Returns the nodal values (0 on `dirichlet`) and the solve record.
+    """
     n = K.shape[0]
-    free = np.setdiff1d(np.arange(n), dirichlet)
+    mask = np.ones(n, dtype=bool)
+    mask[dirichlet] = False
+    free = np.flatnonzero(mask)
     if len(free) == 0:
         raise SolverConvergenceError("no free nodes: empty Dirichlet complement", np.inf)
     if len(dirichlet) == 0:
         raise SolverConvergenceError("singular system: empty Dirichlet set", np.inf)
     A = K[free][:, free]
     b = load[free]
-    diag = A.diagonal()
-    if np.any(diag <= 0.0):
+    if np.any(A.diagonal() <= 0.0):
         raise SolverConvergenceError("non-SPD reduced system", np.inf)
-    M = LinearOperator(A.shape, matvec=lambda v: v / diag)
+    try:
+        levels, coarsest = _multigrid_levels(A, mask.reshape(grid))
+    except LinAlgError:
+        raise SolverConvergenceError("non-SPD reduced system", np.inf) from None
+    M = LinearOperator(A.shape, matvec=lambda r: _v_cycle(levels, coarsest, r))
     if maxiter is None:
         maxiter = int(50 * np.sqrt(len(free))) + 10
-    x, info = cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M)
+    iterations = 0
+
+    def count(xk):
+        nonlocal iterations
+        iterations += 1
+
+    x, info = cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M, callback=count)
+    res = float(np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300))
     if info != 0:
-        res = float(np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300))
         raise SolverConvergenceError(
             f"CG did not converge within {maxiter} iterations (relative residual {res:.3e})", res
         )
     values = np.zeros(n)
     values[free] = x
-    return values
+    record = {"solver": "mg-cg", "iterations": iterations, "rel_residual": res,
+              "dofs": len(free), "levels": len(levels) + 1}
+    return values, record
 
 
 def _galerkin_solve(mesh: Mesh2D, K: sp.csr_matrix, load: np.ndarray, label: str, meta: dict,
                     rtol: float, maxiter: int | None) -> Field2D:
-    """CG solve of K u = load on the free nodes; records the Galerkin identity terms."""
-    values = cg_solve(K, load, mesh.dirichlet_nodes, rtol=rtol, maxiter=maxiter)
+    """CG solve of K u = load on the free nodes; records the solve and the
+    Galerkin identity terms in the field's meta."""
+    values, record = cg_solve(K, load, mesh.dirichlet_nodes, mesh.node_grid.shape,
+                              rtol=rtol, maxiter=maxiter)
     meta = {
         **meta,
+        **record,
         "load_functional": float(load @ values),
         "bilinear_energy": float(values @ (K @ values)),
     }
