@@ -11,6 +11,8 @@ boundary; region 2 carries k2/eps and a Neumann outer boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from time import perf_counter
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,9 +31,13 @@ class SolverConvergenceError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh2D:
-    """Interface-fitted triangulation with structured-column metadata."""
+    """Interface-fitted triangulation with structured-column metadata.
+
+    Immutable: the triangle areas and hat gradients are computed once per mesh
+    and handed out read-only.  Meshes compare and hash by identity.
+    """
 
     nodes: np.ndarray            # (n_nodes, 2) coordinates (x, z)
     triangles: np.ndarray        # (n_tri, 3) positively oriented node triples
@@ -53,21 +59,28 @@ class Mesh2D:
     def dirichlet_nodes(self) -> np.ndarray:
         return np.unique(self.dirichlet_edges)
 
+    @cached_property
+    def _geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        x = self.nodes[:, 0].take(self.triangles)
+        z = self.nodes[:, 1].take(self.triangles)
+        area = 0.5 * ((x[:, 1] - x[:, 0]) * (z[:, 2] - z[:, 0])
+                      - (x[:, 2] - x[:, 0]) * (z[:, 1] - z[:, 0]))
+        # hat a vanishes on the edge from vertex b = a + 1 to c = a + 2 (mod 3)
+        b, c = [1, 2, 0], [2, 0, 1]
+        two_area = (2.0 * area)[:, None]
+        grads = np.stack([(z[:, b] - z[:, c]) / two_area, (x[:, c] - x[:, b]) / two_area], axis=-1)
+        grads.setflags(write=False)
+        area.setflags(write=False)
+        return grads, area
+
     def triangle_areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        """(n_tri,) triangle areas (read-only, computed once per mesh)."""
+        return self._geometry[1]
 
     def basis_gradients(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-triangle gradients of the three hat functions and the areas."""
-        p = self.nodes[self.triangles]
-        area = self.triangle_areas()
-        grads = np.empty((len(self.triangles), 3, 2))
-        for a in range(3):
-            b, c = (a + 1) % 3, (a + 2) % 3
-            grads[:, a, 0] = (p[:, b, 1] - p[:, c, 1]) / (2.0 * area)
-            grads[:, a, 1] = (p[:, c, 0] - p[:, b, 0]) / (2.0 * area)
-        return grads, area
+        """Per-triangle gradients of the three hat functions and the areas
+        (read-only, computed once per mesh)."""
+        return self._geometry
 
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles, in degrees."""
@@ -216,8 +229,11 @@ def _assemble_p1(mesh: Mesh2D, coef: np.ndarray) -> sp.csr_matrix:
     """
     grads, _ = mesh.basis_gradients()
     local = np.einsum("tad,tde,tbe->tab", grads, coef, grads, optimize=True)
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    # scipy stores the indices as int32 anyway (enough for 2**31 nodes), so
+    # int32 here avoids transient int64 copies at the assembly's memory peak
+    tri = mesh.triangles.astype(np.int32)
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
     K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
     return K.tocsr()
 
@@ -367,13 +383,15 @@ def cg_solve(K: sp.csr_matrix, load: np.ndarray, dirichlet: np.ndarray, grid: tu
 
 def _galerkin_solve(mesh: Mesh2D, K: sp.csr_matrix, load: np.ndarray, label: str, meta: dict,
                     rtol: float, maxiter: int | None) -> Field2D:
-    """CG solve of K u = load on the free nodes; records the solve and the
-    Galerkin identity terms in the field's meta."""
+    """CG solve of K u = load on the free nodes; records the solve, its
+    seconds and the Galerkin identity terms in the field's meta."""
+    t0 = perf_counter()
     values, record = cg_solve(K, load, mesh.dirichlet_nodes, mesh.node_grid.shape,
                               rtol=rtol, maxiter=maxiter)
     meta = {
         **meta,
         **record,
+        "solve_s": perf_counter() - t0,
         "load_functional": float(load @ values),
         "bilinear_energy": float(values @ (K @ values)),
     }
@@ -385,12 +403,13 @@ def assemble_solve(mesh: Mesh2D, forcing, eps: float, k1: float = 1.0, k2: float
     """Galerkin solution of the perturbed weak problem on the fitted mesh."""
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    t0 = perf_counter()
     K = assemble_stiffness(mesh, eps, k1, k2)
     degree = 2 if forcing.quadrature_order <= 4 else 4
     load = assemble_volume_load(mesh, forcing.F, degree=degree)
     load += assemble_interface_load(mesh, forcing.f, order=max(2, forcing.quadrature_order))
-    return _galerkin_solve(mesh, K, load, "fitted-solve", {"eps": eps, "k1": k1, "k2": k2},
-                           rtol, maxiter)
+    meta = {"eps": eps, "k1": k1, "k2": k2, "assemble_s": perf_counter() - t0}
+    return _galerkin_solve(mesh, K, load, "fitted-solve", meta, rtol, maxiter)
 
 
 def resample(b: Field2D, mesh: Mesh2D) -> tuple[Field2D, float]:

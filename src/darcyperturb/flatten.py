@@ -13,6 +13,8 @@ Gradients transfer through A_i with inverse [[1, (1 - (-1)^i z) grad zeta],
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from time import perf_counter
 
 import numpy as np
 import scipy.sparse as sp
@@ -158,11 +160,14 @@ def t_apply(zeta: Perturbation, field, direction: str, out_mesh: Mesh2D) -> Fiel
     return Field2D(mesh=out_mesh, values=values, label=f"{direction}[{getattr(field, 'label', 'fn')}]")
 
 
+@lru_cache(maxsize=1)
 def _averaged_metric(mesh: Mesh2D, zeta: Perturbation) -> np.ndarray:
     """(n_tri, 2, 2) metric averaged over each triangle with the degree-2 rule.
 
     The average is all the P1 energy needs: gradients are constant per
     triangle, so the quadrature of grad.metric grad is grad.average grad.
+    Kept for the last (mesh, zeta), so a row's solve and energy split share
+    it; read-only.
     """
     bary, wq = triangle_rule(2)
     xq = mesh.nodes[mesh.triangles, 0] @ bary.T   # (n_tri, q)
@@ -172,6 +177,7 @@ def _averaged_metric(mesh: Mesh2D, zeta: Perturbation) -> np.ndarray:
         sel = mesh.region == i
         metric = _transfer(i, zeta, xq[sel], zq[sel])[2]
         avg[sel] = np.einsum("tqde,q->tde", metric, wq)
+    avg.setflags(write=False)
     return avg
 
 
@@ -213,10 +219,11 @@ def solve_flattened(zeta: Perturbation, forcing, eps: float, ref_mesh: Mesh2D,
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     if np.max(np.abs(ref_mesh.zeta_at_cols)) > 1e-14:
         raise ValueError("reference mesh must be the flat-interface mesh")
+    t0 = perf_counter()
     K = assemble_flattened_stiffness(ref_mesh, zeta, eps, k1, k2)
     load = assemble_flattened_load(ref_mesh, zeta, forcing)
-    return fem2d._galerkin_solve(ref_mesh, K, load, "flattened-solve",
-                                 {"eps": eps, "k1": k1, "k2": k2}, rtol, maxiter)
+    meta = {"eps": eps, "k1": k1, "k2": k2, "assemble_s": perf_counter() - t0}
+    return fem2d._galerkin_solve(ref_mesh, K, load, "flattened-solve", meta, rtol, maxiter)
 
 
 def flattened_energy_split(rho: Field2D, zeta: Perturbation, eps: float,

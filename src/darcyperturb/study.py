@@ -146,26 +146,36 @@ def _run_twod(shape, amps, forcing, eps, resolution, mode, rtol) -> list[Converg
                                 norm_w1inf=zeta.norm_w1inf, resolution=n)
         t0 = perf_counter()
         try:
-            rec.lower_bound_c = lower_bound_constant(zeta, eps)
-            rec.coercivity_e = flatten.coercivity_constant(zeta)
-            rec.xi_p = xi_perturbation(p, zeta) if amp > 0.0 else 0.0
-            if mode == "fitted2d":
-                mesh = fem2d.build_fitted_mesh(zeta, n, n)
-                q = fem2d.assemble_solve(mesh, forcing, eps=eps, rtol=rtol)
-                rec.vnorm_gap = fem2d.vnorm_diff_2d(p, q)
-                e1, e2, tot = fem2d.energy_split(q, eps)
-                rec.energy_flat_total = fem2d.energy_split_flat(q, eps)[2]
-            else:
-                rho = flatten.solve_flattened(zeta, forcing, eps, ref_mesh, rtol=rtol)
-                rec.vnorm_gap = fem2d.vnorm_diff_2d(p, rho)
-                e1, e2, tot = flatten.flattened_energy_split(rho, zeta, eps)
-                rec.energy_flat_total = fem2d.energy_split(rho, eps)[2]
-            rec.energy_e1, rec.energy_e2, rec.energy_total = e1, e2, tot
+            _twod_row(rec, p, zeta, forcing, eps, mode, rtol)
         except _ROW_ERRORS as exc:
             rec.status = f"failed: {exc}"
         rec.runtime = perf_counter() - t0
         records.append(rec)
     return records
+
+
+def _twod_row(rec: ConvergenceRecord, p: fem2d.Field2D, zeta: Perturbation, forcing,
+              eps: float, mode: str, rtol: float) -> None:
+    """Fill one 2D row against the unperturbed solution p.
+
+    A function of its own so that the row's mesh, field and cached mesh
+    geometry are released before the next row builds its mesh.
+    """
+    rec.lower_bound_c = lower_bound_constant(zeta, eps)
+    rec.coercivity_e = flatten.coercivity_constant(zeta)
+    rec.xi_p = xi_perturbation(p, zeta) if rec.amplitude > 0.0 else 0.0
+    if mode == "fitted2d":
+        mesh = fem2d.build_fitted_mesh(zeta, rec.resolution, rec.resolution)
+        q = fem2d.assemble_solve(mesh, forcing, eps=eps, rtol=rtol)
+        rec.vnorm_gap = fem2d.vnorm_diff_2d(p, q)
+        e1, e2, tot = fem2d.energy_split(q, eps)
+        rec.energy_flat_total = fem2d.energy_split_flat(q, eps)[2]
+    else:
+        rho = flatten.solve_flattened(zeta, forcing, eps, p.mesh, rtol=rtol)
+        rec.vnorm_gap = fem2d.vnorm_diff_2d(p, rho)
+        e1, e2, tot = flatten.flattened_energy_split(rho, zeta, eps)
+        rec.energy_flat_total = fem2d.energy_split(rho, eps)[2]
+    rec.energy_e1, rec.energy_e2, rec.energy_total = e1, e2, tot
 
 
 @dataclass(frozen=True)

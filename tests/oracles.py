@@ -1,5 +1,6 @@
 """Reference computations that only the tests use: analytic pullbacks and
-norms of smooth fields, and the continuity of piecewise 1D fields."""
+norms of smooth fields, the continuity of piecewise 1D fields, and the P1
+mesh geometry computed afresh."""
 
 import numpy as np
 
@@ -68,3 +69,17 @@ def max_jump(field) -> float:
         right = float(field.pieces[i].value(np.array([b]))[0])
         jump = max(jump, abs(left - right))
     return jump
+
+
+def mesh_geometry(mesh):
+    """Per-triangle hat gradients (n_tri, 3, 2) and areas (n_tri,), computed
+    afresh from the nodes of a `Mesh2D` on every call."""
+    p = mesh.nodes[mesh.triangles]
+    area = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    grads = np.empty((len(mesh.triangles), 3, 2))
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        grads[:, a, 0] = (p[:, b, 1] - p[:, c, 1]) / (2.0 * area)
+        grads[:, a, 1] = (p[:, c, 0] - p[:, b, 0]) / (2.0 * area)
+    return grads, area

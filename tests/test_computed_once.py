@@ -1,0 +1,104 @@
+"""Per-mesh and per-row invariants computed once: the cached P1 geometry of a
+mesh, the averaged flattening metric of the last (mesh, zeta), and the
+release of each study row's mesh before the next row builds its own."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import mesh_geometry
+
+from darcyperturb import fem2d, flatten
+from darcyperturb.geometry import ForcingSpec, make_perturbation
+from darcyperturb.study import run_sequence, shape_family
+
+ONE2 = lambda x, z: np.ones_like(x)
+FORCING = ForcingSpec(F=lambda x, z: np.cos(x + z), f=ONE2)
+
+families = st.one_of(
+    st.builds(lambda k: ("sine", {"wavenumber": k}), st.integers(1, 3)),
+    st.just(("bump", {})),
+    st.builds(lambda c: ("hat", {"knot": c}), st.floats(0.2, 0.8)),
+)
+
+
+def sine(amp, k=1):
+    return make_perturbation("sine", {"wavenumber": k}, amp)
+
+
+@settings(deadline=None, max_examples=40)
+@given(nx=st.integers(2, 24), nz=st.integers(2, 24), family=families, amp=st.floats(0.0, 0.9))
+def test_cached_geometry_equals_fresh_formula(nx, nz, family, amp):
+    name, params = family
+    mesh = fem2d.build_fitted_mesh(make_perturbation(name, params, amp), nx, nz)
+    grads, area = mesh.basis_gradients()
+    expected_grads, expected_area = mesh_geometry(mesh)
+    assert np.array_equal(grads, expected_grads)
+    assert np.array_equal(area, expected_area)
+    assert np.array_equal(mesh.triangle_areas(), expected_area)
+
+
+def test_geometry_is_computed_once_and_read_only():
+    mesh = fem2d.build_fitted_mesh(sine(0.3), 6, 5)
+    grads, area = mesh.basis_gradients()
+    again = mesh.basis_gradients()
+    assert again[0] is grads and again[1] is area
+    assert mesh.triangle_areas() is area
+    with pytest.raises(ValueError):
+        grads[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        area[0] = 1.0
+
+
+def test_meshes_hash_by_identity():
+    a = fem2d.build_fitted_mesh(sine(0.0), 4, 4)
+    b = fem2d.build_fitted_mesh(sine(0.0), 4, 4)
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
+def test_metric_memo_follows_zeta():
+    ref = fem2d.build_fitted_mesh(sine(0.0), 8, 8)
+    z1, z2 = sine(0.3), sine(0.1, k=2)
+    memo = [flatten.assemble_flattened_stiffness(ref, z, 0.1) for z in (z1, z2, z1)]
+    for K, z in zip(memo, (z1, z2, z1)):
+        flatten._averaged_metric.cache_clear()
+        fresh = flatten.assemble_flattened_stiffness(ref, z, 0.1)
+        assert np.array_equal(K.toarray(), fresh.toarray())
+    assert not np.array_equal(memo[0].toarray(), memo[1].toarray())
+    assert not flatten._averaged_metric(ref, z1).flags.writeable
+
+
+def test_energy_split_uses_its_own_zeta():
+    ref = fem2d.build_fitted_mesh(sine(0.0), 8, 8)
+    z1, z2 = sine(0.3), sine(0.1, k=2)
+    rho = flatten.solve_flattened(z1, FORCING, 0.1, ref)
+    split = flatten.flattened_energy_split(rho, z2, 0.1)
+    flatten._averaged_metric.cache_clear()
+    assert split == flatten.flattened_energy_split(rho, z2, 0.1)
+    assert split != flatten.flattened_energy_split(rho, z1, 0.1)
+
+
+def test_row_mesh_released_before_next_row(monkeypatch):
+    built = []
+    alive = []
+    build = fem2d.build_fitted_mesh
+
+    def tracked(zeta, nx, nz):
+        # the first mesh is the sweep's reference mesh and lives throughout
+        alive.append([ref() is not None for ref in built[1:]])
+        mesh = build(zeta, nx, nz)
+        built.append(weakref.ref(mesh))
+        return mesh
+
+    monkeypatch.setattr(fem2d, "build_fitted_mesh", tracked)
+    gc.disable()  # release by reference count, not by a collector pass
+    try:
+        records = run_sequence(shape_family("sine"), [0.2, 0.1, 0.05], FORCING, 0.5, 8, "fitted2d")
+    finally:
+        gc.enable()
+    assert [r.status for r in records] == ["ok"] * 3
+    assert len(built) == 4
+    assert alive == [[], [], [False], [False, False]]

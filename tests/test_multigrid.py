@@ -90,7 +90,9 @@ def test_solve_record_in_meta():
     ref = fem2d.build_fitted_mesh(sine(0.0), 16, 16)
     flattened = solve_flattened(sine(0.2), FORCING, 0.1, ref)
     for q in (fitted, flattened):
-        assert {"solver", "iterations", "rel_residual", "dofs", "levels"} <= set(q.meta)
+        assert {"solver", "iterations", "rel_residual", "dofs", "levels",
+                "assemble_s", "solve_s"} <= set(q.meta)
+        assert q.meta["assemble_s"] >= 0.0 and q.meta["solve_s"] >= 0.0
         assert q.meta["solver"] == "mg-cg"
         assert q.meta["iterations"] >= 1
         assert 0.0 < q.meta["rel_residual"] <= 1e-10
