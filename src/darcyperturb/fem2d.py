@@ -11,7 +11,7 @@ boundary; region 2 carries k2/eps and a Neumann outer boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from time import perf_counter
 
 import numpy as np
@@ -297,25 +297,42 @@ def _prolongation_1d(n: int) -> tuple[sp.csr_matrix, np.ndarray]:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, len(coarse))), coarse
 
 
-def _multigrid_levels(A: sp.csr_matrix, free: np.ndarray) -> tuple[list, tuple]:
-    """Galerkin hierarchy of A on the free nodes of a node grid.
+@lru_cache(maxsize=1)
+def _prolongations(shape: tuple[int, int], free_bytes: bytes) -> tuple[sp.csr_matrix, ...]:
+    """Prolongations P = kron(Px, Pz) of every level, restricted to the free
+    fine and free coarse nodes, for the grid-shaped free-node mask given by
+    `shape` and its bytes.
 
-    `free` is the grid-shaped mask of the rows of A.  Each level is a tuple
-    (A, P, smoother weights) with P = kron(Px, Pz) restricted to the
-    free fine and free coarse nodes; the coarsest operator comes back as its
-    Cholesky factor.  Plain tuples, so the hierarchy dies with the solve.
+    They depend only on the grid and the Dirichlet set, which every row of a
+    study shares, so the last mask's are kept; read-only.
     """
-    levels = []
+    free = np.frombuffer(free_bytes, dtype=bool).reshape(shape)
+    prolongations = []
     while True:
         Px, cx = _prolongation_1d(free.shape[0] - 1)
         Pz, cz = _prolongation_1d(free.shape[1] - 1)
         coarse = free[np.ix_(cx, cz)]
         if coarse.size == free.size:
-            break
+            return tuple(prolongations)
         P = sp.kron(Px, Pz, format="csr")[free.ravel()][:, coarse.ravel()]
+        for a in (P.data, P.indices, P.indptr):
+            a.setflags(write=False)
+        prolongations.append(P)
+        free = coarse
+
+
+def _multigrid_levels(A: sp.csr_matrix, free: np.ndarray) -> tuple[list, tuple]:
+    """Galerkin hierarchy of A on the free nodes of a node grid.
+
+    `free` is the grid-shaped mask of the rows of A.  Each level is a tuple
+    (A, P, smoother weights) with P from `_prolongations`; the coarsest
+    operator comes back as its Cholesky factor.  Plain tuples, so the
+    hierarchy dies with the solve.
+    """
+    levels = []
+    for P in _prolongations(free.shape, free.tobytes()):
         levels.append((A, P, _SMOOTHER_SCALE / np.asarray(abs(A).sum(axis=1)).ravel()))
         A = (P.T @ A @ P).tocsr()
-        free = coarse
     return levels, cho_factor(A.toarray())
 
 

@@ -73,6 +73,24 @@ def lambda_map(i: int, zeta: Perturbation, point, direction: str = "forward"):
     return out if np.ndim(point) == 2 else out[0]
 
 
+def _metric(s, zeta: Perturbation, x: np.ndarray, z: np.ndarray):
+    """The metric (1 - s zeta) A^T A at reference points (x, z), s = (-1)^i,
+    with det A^{-1} = 1 - s zeta(x) and the shear (1 - s z) grad zeta.
+
+    The metric is a (2, 2, ...) array, entries first so that each entry is
+    contiguous over the points.  `s` may be an array that broadcasts against
+    x, so the points of both regions go in one call.
+    """
+    g = zeta.gradient(x)
+    denom = 1.0 - s * zeta.value(x)
+    stretch = 1.0 - s * z
+    metric = np.empty((2, 2) + np.shape(denom))
+    metric[0, 0] = denom
+    metric[0, 1] = metric[1, 0] = -stretch * g
+    metric[1, 1] = (stretch**2 * g**2 + 1.0) / denom
+    return metric, denom, stretch * g
+
+
 def _transfer(i: int, zeta: Perturbation, x, z):
     """A, A^{-1}, the metric (1 - (-1)^i zeta) A^T A and det A^{-1} of the
     region-i map at reference points (x, z) of any shape.
@@ -81,25 +99,18 @@ def _transfer(i: int, zeta: Perturbation, x, z):
     With stretch = 1 - (-1)^i z and g = grad zeta, A = [[1, -stretch g/det],
     [0, 1/det]] and A^{-1} = [[1, stretch g], [0, det]].
     """
-    s = _sign(i)
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    g = zeta.gradient(x)
-    denom = 1.0 - s * zeta.value(x)
-    stretch = 1.0 - s * z
-    shape = np.shape(denom) + (2, 2)
-    A = np.zeros(shape)
+    metric, denom, shear = _metric(_sign(i), zeta, x, z)
+    metric = np.moveaxis(metric, (0, 1), (-2, -1))
+    A = np.zeros(metric.shape)
     A[..., 0, 0] = 1.0
-    A[..., 0, 1] = -stretch * g / denom
+    A[..., 0, 1] = -shear / denom
     A[..., 1, 1] = 1.0 / denom
-    A_inv = np.zeros(shape)
+    A_inv = np.zeros(metric.shape)
     A_inv[..., 0, 0] = 1.0
-    A_inv[..., 0, 1] = stretch * g
+    A_inv[..., 0, 1] = shear
     A_inv[..., 1, 1] = denom
-    metric = np.empty(shape)
-    metric[..., 0, 0] = denom
-    metric[..., 0, 1] = metric[..., 1, 0] = -stretch * g
-    metric[..., 1, 1] = (stretch**2 * g**2 + 1.0) / denom
     return A, A_inv, metric, denom
 
 
@@ -172,11 +183,8 @@ def _averaged_metric(mesh: Mesh2D, zeta: Perturbation) -> np.ndarray:
     bary, wq = triangle_rule(2)
     xq = mesh.nodes[mesh.triangles, 0] @ bary.T   # (n_tri, q)
     zq = mesh.nodes[mesh.triangles, 1] @ bary.T
-    avg = np.empty((len(mesh.triangles), 2, 2))
-    for i in REGIONS:
-        sel = mesh.region == i
-        metric = _transfer(i, zeta, xq[sel], zq[sel])[2]
-        avg[sel] = np.einsum("tqde,q->tde", metric, wq)
+    s = np.where(mesh.region == 1, -1.0, 1.0)[:, None]
+    avg = np.moveaxis(_metric(s, zeta, xq, zq)[0] @ wq, -1, 0)
     avg.setflags(write=False)
     return avg
 

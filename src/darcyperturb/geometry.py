@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .quadrature import DEFAULT_ORDER, as_array_fn, integrate_cells
 
@@ -245,6 +244,10 @@ def _segment_edges(zeta: Perturbation, samples: int = 2048) -> np.ndarray:
     vals = zeta.value(xs)
     sgn = np.sign(vals)
     for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
+        # imported only once a root is bracketed: scipy.optimize costs about
+        # 0.3 s and 15 MiB to load, and every 2D row calls this function
+        from scipy.optimize import brentq
+
         edges.add(brentq(lambda t: float(zeta.value(t)), xs[i], xs[i + 1], xtol=1e-14))
     zero_hits = [float(x) for x, v in zip(xs, vals) if v == 0.0]
     if len(zero_hits) <= 64:  # isolated touch points; skip for flat stretches

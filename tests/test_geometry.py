@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import darcyperturb
 from darcyperturb.geometry import (
     DomainConfig,
+    _segment_edges,
     lower_bound_constant,
     make_perturbation,
     perturbation_from_table,
@@ -184,3 +191,49 @@ def test_xi_sup_bound():
         gx, gz = grad(X, Z)
         sup2 = float(np.max(gx**2 + gz**2))
         assert abs(xi_perturbation(grad, z)) <= sup2 * (m1 + m2) + 1e-9
+
+
+def _run_python(code: str, cwd: Path) -> str:
+    """Run `code` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(darcyperturb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy_optimize(tmp_path):
+    code = "import sys, darcyperturb.cli; print('scipy.optimize' in sys.modules)"
+    assert _run_python(code, tmp_path) == "False"
+
+
+@pytest.mark.parametrize("mode", ["fitted2d", "flattened2d"])
+def test_one_signed_study_never_loads_scipy_optimize(tmp_path, mode):
+    # sine k = 1 never changes sign, so no root is bracketed and the import
+    # is not paid during the run either
+    (tmp_path / "run.ini").write_text(
+        "[domain]\ndim = 2\neps = 0.1\n"
+        "[perturbation]\nfamily = sine\nwavenumber = 1\n"
+        "[forcing]\nF = 0\nf = 1\n"
+        "[solver]\nnx = 8\nnz = 8\n"
+        f"[study]\nmode = {mode}\namplitudes = 0.2 0.1\n"
+    )
+    code = ("import sys\n"
+            "from darcyperturb.cli import dispatch\n"
+            "assert dispatch(['study', '--config', 'run.ini', '--out-dir', 'out']) == 0\n"
+            "print('scipy.optimize' in sys.modules)")
+    assert _run_python(code, tmp_path) == "False"
+    assert (tmp_path / "out" / "records.csv").exists()
+
+
+def test_table_sign_change_inside_segment():
+    # zeta falls linearly from 0.3 at x = 0.2 to -0.1 at x = 0.7, so its zero
+    # x0 = 0.575 is neither a knot nor a sample point: only root finding adds it
+    x0 = 0.575
+    zeta = perturbation_from_table(np.array([0.0, 0.2, 0.7, 1.0]), np.array([0.0, 0.3, -0.1, 0.0]))
+    edges = _segment_edges(zeta)
+    assert np.min(np.abs(edges - x0)) < 1e-12
+    m1, m2 = strip_measures(zeta)
+    assert m1 == pytest.approx(0.5 * x0 * 0.3, abs=1e-12)
+    assert m2 == pytest.approx(0.5 * (1.0 - x0) * 0.1, abs=1e-12)
