@@ -241,6 +241,9 @@ def _cmd_flatten_check(args) -> int:
 def _cmd_study(args) -> int:
     cfg = _load(args, {"mode": args.mode})
     _require_unit_k(cfg, "study")
+    # the 2D sweeps build n x n meshes with n = nx
+    if cfg.mode != "oned" and cfg.nz != cfg.nx:
+        raise ConfigError(f"study {cfg.mode} needs nz = nx, got nx = {cfg.nx}, nz = {cfg.nz}")
     out_dir = args.out_dir if args.out_dir is not None else Path("study-out")
     forcing = cfg.forcing(dim=1 if cfg.mode == "oned" else 2)
     resolution = cfg.n_cells if cfg.mode == "oned" else cfg.nx

@@ -66,7 +66,7 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
 
 
 _SECTION_KEYS = {
-    "domain": {"dim", "eps", "k1", "k2", "poincare_bound"},
+    "domain": {"dim", "eps", "k1", "k2"},
     "perturbation": {"family", "amplitude", "wavenumber", "knot", "table"},
     "forcing": {"f_volume", "f_interface", "quadrature_order", "continuity_tol"},
     "solver": {"n_cells", "nx", "nz", "cg_rtol"},
@@ -82,7 +82,6 @@ class RunConfig:
     eps: float = 0.5
     k1: float = 1.0
     k2: float = 1.0
-    poincare_bound: float | None = None
 
     family: str = "sine"
     amplitude: float = 0.1
@@ -130,8 +129,7 @@ class RunConfig:
     # --- builders -----------------------------------------------------------
 
     def domain(self) -> DomainConfig:
-        return DomainConfig(dim=self.dim, epsilon=self.eps, k1=self.k1, k2=self.k2,
-                            poincare_bound=self.poincare_bound)
+        return DomainConfig(dim=self.dim, epsilon=self.eps, k1=self.k1, k2=self.k2)
 
     def perturbation(self, amplitude: float | None = None) -> Perturbation:
         amp = self.amplitude if amplitude is None else amplitude
@@ -198,7 +196,7 @@ class RunConfig:
 
 def _parse_value(section: str, key: str, raw: str):
     ints = {"dim", "wavenumber", "quadrature_order", "n_cells", "nx", "nz"}
-    floats = {"eps", "k1", "k2", "poincare_bound", "amplitude", "knot", "cg_rtol",
+    floats = {"eps", "k1", "k2", "amplitude", "knot", "cg_rtol",
               "continuity_tol", "gap_target"}
     if key in ints:
         try:

@@ -31,7 +31,6 @@ class DomainConfig:
     epsilon: float = 1.0
     k1: float = 1.0
     k2: float = 1.0
-    poincare_bound: float | None = None
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -42,8 +41,6 @@ class DomainConfig:
             raise ValueError("permeabilities k1, k2 must be positive")
         if self.gamma_extent[1] <= self.gamma_extent[0]:
             raise ValueError(f"empty gamma extent {self.gamma_extent}")
-        if self.poincare_bound is not None and self.poincare_bound <= 0.0:
-            raise ValueError("poincare_bound must be positive when given")
 
 
 @dataclass(frozen=True)

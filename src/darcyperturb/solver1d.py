@@ -4,9 +4,9 @@ perturbation error bounds.
 
 The problem: -d(k dq) = F with k = 1 on (-1, zeta) and k = 1/eps on (zeta, 1),
 q(-1) = 0, dq(1) = 0 and the flux jump dq(zeta-) - (1/eps) dq(zeta+) = f(zeta).
-zeta = 0 gives the unperturbed solution p.  For zeta > 0 the space V splits
-into H = {dr = 0 on (0, zeta)} and its V-orthogonal complement; for zeta < 0
-the mirrored splitting (dr = 0 on (zeta, 0)) is used.
+zeta = 0 gives the unperturbed solution p.  For zeta != 0 the space V splits
+into H = {dr = 0 on the gap (lo, hi) between 0 and zeta} and its V-orthogonal
+complement; every gap quantity has one formula for both signs of zeta.
 """
 
 from __future__ import annotations
@@ -34,6 +34,19 @@ class Piece:
 
 def _constant(c: float) -> Callable:
     return lambda x: np.full_like(np.asarray(x, dtype=float), c)
+
+
+def _flat(c: float) -> Piece:
+    """The piece with constant value c and zero slope."""
+    return Piece(_constant(c), _constant(0.0))
+
+
+_ZERO = _flat(0.0)
+
+
+def _at(fn, x: float) -> float:
+    """fn(x) for a scalar x, through the array wrapper every solver uses."""
+    return float(as_array_fn(fn)(np.asarray([x]))[0])
 
 
 @dataclass(frozen=True)
@@ -99,6 +112,25 @@ def _insert_points(breaks: Sequence[float], extra: Sequence[float]) -> np.ndarra
     return np.array(keep)
 
 
+def _gap(zeta: float) -> tuple[float, float]:
+    """(lo, hi): the gap between 0 and zeta, which must lie in (-1, 0) or (0, 1)."""
+    z0 = float(zeta)
+    if not -1.0 < z0 < 1.0 or z0 == 0.0:
+        raise ValueError(f"zeta must lie in (-1, 0) or (0, 1), got {z0}")
+    return min(z0, 0.0), max(z0, 0.0)
+
+
+def _bands(breaks: np.ndarray, lo: float, hi: float, below: Piece, inside: Piece,
+           above: Piece, label: str) -> PiecewiseField1D:
+    """Field on `breaks` whose cells take `below`, `inside` or `above` by where
+    their midpoint lies against (lo, hi)."""
+    pieces = []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        mid = 0.5 * (a + b)
+        pieces.append(below if mid < lo else inside if mid < hi else above)
+    return PiecewiseField1D(breaks, tuple(pieces), label=label)
+
+
 def _two_region_exact(F_left, F_right, c_left: float, c_right: float,
                       flux: float, iface: float, label: str) -> PiecewiseField1D:
     """Exact solution of -d(c du) = F with region coefficients split at `iface`,
@@ -127,30 +159,20 @@ def _two_region_exact(F_left, F_right, c_left: float, c_right: float,
     v_iface = V_left(z0)
     V_right = Antiderivative(d_right, z0, 1.0)
 
-    def val_left(x):
-        return V_left(x)
-
     def val_right(x):
         return v_iface + V_right(x)
 
-    breaks = _insert_points([-1.0, z0, 1.0], [0.0])
-    pieces = []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        mid = 0.5 * (lo + hi)
-        if mid < z0:
-            pieces.append(Piece(val_left, d_left))
-        else:
-            pieces.append(Piece(val_right, d_right))
-    return PiecewiseField1D(breaks, tuple(pieces), label=label)
+    right = Piece(val_right, d_right)
+    return _bands(_insert_points([-1.0, z0, 1.0], [0.0]), z0, z0,
+                  Piece(V_left, d_left), right, right, label)
 
 
 def solve_exact_1d(forcing, zeta: float, eps: float) -> PiecewiseField1D:
     """Exact solution q^zeta of the perturbed two-point problem (p for zeta = 0)."""
     _check_eps(eps)
     F = as_array_fn(forcing.F)
-    f_at = float(as_array_fn(forcing.f)(np.asarray([zeta]))[0])
     return _two_region_exact(
-        F, F, 1.0, 1.0 / eps, f_at, zeta,
+        F, F, 1.0, 1.0 / eps, _at(forcing.f, zeta), zeta,
         label=f"exact(zeta={zeta:g})",
     )
 
@@ -195,8 +217,7 @@ def solve_fem_1d(forcing, zeta: float, eps: float, n_cells: int) -> PiecewiseFie
     load[1:] += half * ((Fq * lam) @ w)
 
     iz = int(np.argmin(np.abs(nodes - zeta)))
-    f_vec = as_array_fn(forcing.f)
-    load[iz] += float(f_vec(np.asarray([zeta]))[0])
+    load[iz] += _at(forcing.f, zeta)
 
     # eliminate the Dirichlet node at x = -1
     ab = np.zeros((3, n - 1))
@@ -212,10 +233,6 @@ def solve_fem_1d(forcing, zeta: float, eps: float, n_cells: int) -> PiecewiseFie
     return from_nodal(nodes, values, label=f"fem(zeta={zeta:g}, n={n_cells})")
 
 
-def _zero_field() -> PiecewiseField1D:
-    return PiecewiseField1D(np.array([-1.0, 1.0]), (Piece(_constant(0.0), _constant(0.0)),), "zero")
-
-
 def project_H(r: PiecewiseField1D, zeta: float) -> PiecewiseField1D:
     """V-orthogonal projection onto H (fields with no slope between 0 and zeta).
 
@@ -223,23 +240,14 @@ def project_H(r: PiecewiseField1D, zeta: float) -> PiecewiseField1D:
     """
     if zeta == 0.0:
         return r
-    z0 = float(zeta)
-    if not -1.0 < z0 < 1.0:
-        raise ValueError(f"zeta must lie in (-1, 1), got {z0}")
-    breaks = _insert_points(r.breakpoints, [0.0, z0])
-    lo, hi = (0.0, z0) if z0 > 0 else (z0, 0.0)
+    lo, hi = _gap(zeta)
     anchor = r.value(lo)          # value held constant across the gap
     shift = r.value(hi) - anchor  # removed from the outer branch
-    pieces = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        mid = 0.5 * (a + b)
-        if mid < lo:
-            pieces.append(Piece(r.value, r.derivative))
-        elif mid < hi:
-            pieces.append(Piece(_constant(anchor), _constant(0.0)))
-        else:
-            pieces.append(Piece(lambda x, s=shift: r.value(x) - s, r.derivative))
-    return PiecewiseField1D(breaks, tuple(pieces), label=f"P_H[{r.label}]")
+    return _bands(_insert_points(r.breakpoints, [lo, hi]), lo, hi,
+                  Piece(r.value, r.derivative),
+                  _flat(anchor),
+                  Piece(lambda x: r.value(x) - shift, r.derivative),
+                  f"P_H[{r.label}]")
 
 
 def project_Hperp(r: PiecewiseField1D, zeta: float) -> PiecewiseField1D:
@@ -248,124 +256,61 @@ def project_Hperp(r: PiecewiseField1D, zeta: float) -> PiecewiseField1D:
     zeta = 0 degenerates to the trivial subspace and returns the zero field.
     """
     if zeta == 0.0:
-        return _zero_field()
-    z0 = float(zeta)
-    if not -1.0 < z0 < 1.0:
-        raise ValueError(f"zeta must lie in (-1, 1), got {z0}")
-    breaks = _insert_points(r.breakpoints, [0.0, z0])
-    lo, hi = (0.0, z0) if z0 > 0 else (z0, 0.0)
+        return PiecewiseField1D(np.array([-1.0, 1.0]), (_ZERO,), "zero")
+    lo, hi = _gap(zeta)
     anchor = r.value(lo)
     plateau = r.value(hi) - anchor
-    pieces = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        mid = 0.5 * (a + b)
-        if mid < lo:
-            pieces.append(Piece(_constant(0.0), _constant(0.0)))
-        elif mid < hi:
-            pieces.append(Piece(lambda x, c=anchor: r.value(x) - c, r.derivative))
-        else:
-            pieces.append(Piece(_constant(plateau), _constant(0.0)))
-    return PiecewiseField1D(breaks, tuple(pieces), label=f"P_Hperp[{r.label}]")
+    return _bands(_insert_points(r.breakpoints, [lo, hi]), lo, hi,
+                  _ZERO,
+                  Piece(lambda x: r.value(x) - anchor, r.derivative),
+                  _flat(plateau),
+                  f"P_Hperp[{r.label}]")
+
+
+def _gap_solution(F, f, zeta: float, eps: float, iface: float, label: str) -> PiecewiseField1D:
+    """Closed-form H-orthogonal projection of the exact solution whose
+    interface sits at `iface` (0 for p, zeta for q^zeta).
+
+    The projection vanishes below the gap (lo, hi), is flat above it, and on it
+    has slope scale * (flux + int_x^1 F).  A gap above the interface lies in the
+    1/eps region: (scale, flux) = (eps, 0).  A gap below it has unit coefficient
+    and carries the interface flux: (scale, flux) = (1, f(hi)), with f = 0 when
+    no f is given.
+    """
+    _check_eps(eps)
+    lo, hi = _gap(zeta)
+    if iface == lo:
+        scale, flux = eps, 0.0
+    else:
+        scale, flux = 1.0, 0.0 if f is None else _at(f, hi)
+    IF = Antiderivative(as_array_fn(F), lo, 1.0)
+    top = IF(1.0)
+
+    def slope(x):
+        return scale * (flux + (top - IF(x)))
+
+    V = Antiderivative(slope, lo, hi)
+    return _bands(_insert_points([-1.0, 1.0], [lo, hi]), lo, hi,
+                  _ZERO, Piece(V, slope), _flat(V(hi)), label)
 
 
 def hperp_exact_original(F, zeta: float, eps: float, f=None) -> PiecewiseField1D:
     """Closed-form H-orthogonal projection of the unperturbed solution p.
 
-    For zeta > 0 this is the double-integral formula scaled by eps (f plays no
-    role); for zeta < 0 the mirrored formula carries the interface flux f(0).
+    Its interface is 0: for zeta > 0 the gap lies in the 1/eps region and f
+    plays no role; for zeta < 0 it lies below and carries the flux f(0).
     """
-    _check_eps(eps)
-    z0 = float(zeta)
-    if not -1.0 < z0 < 1.0 or z0 == 0.0:
-        raise ValueError(f"zeta must lie in (-1, 0) or (0, 1), got {z0}")
-    F = as_array_fn(F)
-    if z0 > 0:
-        IF = Antiderivative(F, 0.0, 1.0)
-        Q = IF(1.0)
-        D = Antiderivative(lambda t: IF(t), 0.0, z0)
-
-        def val(x):
-            return eps * (np.asarray(x) * Q - D(np.minimum(x, z0)))
-
-        def der(x):
-            return eps * (Q - IF(np.asarray(x)))
-
-        plateau = float(val(np.asarray([z0]))[0])
-        return _gap_field(z0, val, der, plateau, "hperp_exact_p")
-
-    f0 = 0.0 if f is None else float(as_array_fn(f)(np.asarray([0.0]))[0])
-    IF = Antiderivative(F, z0, 1.0)
-    Q = IF(1.0) - IF(0.0)  # int_0^1 F
-
-    def d_neg(x):
-        # Q + f(0) + int_x^0 F
-        return Q + f0 + (IF(0.0) - IF(np.asarray(x)))
-
-    V = Antiderivative(d_neg, z0, 0.0)
-
-    def val(x):
-        return V(np.maximum(np.asarray(x), z0))
-
-    plateau = float(val(np.asarray([0.0]))[0])
-    return _gap_field(z0, val, d_neg, plateau, "hperp_exact_p")
+    return _gap_solution(F, f, zeta, eps, 0.0, "hperp_exact_p")
 
 
 def hperp_exact_perturbed(F, f, zeta: float, eps: float) -> PiecewiseField1D:
     """Closed-form H-orthogonal projection of the perturbed solution q^zeta.
 
-    For zeta > 0 the gap problem has unit coefficient and carries f(zeta); for
-    zeta < 0 it is scaled by eps and f drops out.
+    Its interface is zeta: for zeta > 0 the gap lies below it, has unit
+    coefficient and carries f(zeta); for zeta < 0 it is scaled by eps and f
+    drops out.
     """
-    _check_eps(eps)
-    z0 = float(zeta)
-    if not -1.0 < z0 < 1.0 or z0 == 0.0:
-        raise ValueError(f"zeta must lie in (-1, 0) or (0, 1), got {z0}")
-    F = as_array_fn(F)
-    f = as_array_fn(f)
-    if z0 > 0:
-        fz = float(f(np.asarray([z0]))[0])
-        IF = Antiderivative(F, 0.0, 1.0)
-        Q = IF(1.0)
-        D = Antiderivative(lambda t: IF(t), 0.0, z0)
-
-        def val(x):
-            return np.asarray(x) * (Q + fz) - D(np.minimum(x, z0))
-
-        def der(x):
-            return (Q + fz) - IF(np.asarray(x))
-
-        plateau = float(val(np.asarray([z0]))[0])
-        return _gap_field(z0, val, der, plateau, "hperp_exact_q")
-
-    IF = Antiderivative(F, z0, 1.0)
-    Q = IF(1.0) - IF(0.0)
-
-    def d_neg(x):
-        return eps * (Q + (IF(0.0) - IF(np.asarray(x))))
-
-    V = Antiderivative(d_neg, z0, 0.0)
-
-    def val(x):
-        return V(np.maximum(np.asarray(x), z0))
-
-    plateau = float(val(np.asarray([0.0]))[0])
-    return _gap_field(z0, val, d_neg, plateau, "hperp_exact_q")
-
-
-def _gap_field(z0: float, val, der, plateau: float, label: str) -> PiecewiseField1D:
-    """Assemble a field that vanishes before the gap and is flat after it."""
-    lo, hi = (0.0, z0) if z0 > 0 else (z0, 0.0)
-    breaks = _insert_points([-1.0, 1.0], [lo, hi])
-    pieces = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        mid = 0.5 * (a + b)
-        if mid < lo:
-            pieces.append(Piece(_constant(0.0), _constant(0.0)))
-        elif mid < hi:
-            pieces.append(Piece(val, der))
-        else:
-            pieces.append(Piece(_constant(plateau), _constant(0.0)))
-    return PiecewiseField1D(breaks, tuple(pieces), label=label)
+    return _gap_solution(F, f, zeta, eps, float(zeta), "hperp_exact_q")
 
 
 def vnorm_inner_1d(a: PiecewiseField1D, b: PiecewiseField1D, *, order: int = 16) -> float:
@@ -408,13 +353,11 @@ def _restricted_energy(field: PiecewiseField1D, lo: float, hi: float, order: int
 
 
 def xi_1d(field: PiecewiseField1D, zeta: float) -> float:
-    """1D perturbation functional: -int_0^zeta |dq|^2 for zeta > 0, mirrored below."""
-    z0 = float(zeta)
-    if z0 == 0.0:
+    """1D perturbation functional -sign(zeta) int_gap |dq|^2 (0 for zeta = 0)."""
+    if zeta == 0.0:
         return 0.0
-    if z0 > 0:
-        return -_restricted_energy(field, 0.0, z0)
-    return _restricted_energy(field, z0, 0.0)
+    lo, hi = _gap(zeta)
+    return float(-np.sign(zeta) * _restricted_energy(field, lo, hi))
 
 
 @dataclass(frozen=True)
@@ -434,35 +377,23 @@ def estimate_rhs_1d(F, f, zeta: float, eps: float) -> BoundRecord:
 
     h_part = sqrt(2) |f(0) - f(zeta)|; hperp_part keeps the pre-compression
     sqrt(|zeta|) form of the projection estimate (the compressed |zeta| form
-    fails for |zeta| < 1).  Mirrored formulas are used for zeta < 0, where the
-    role of f(zeta) is played by f(0).
+    fails for |zeta| < 1).  On the gap (lo, hi) it uses int_0^1 F, int_x^0 F
+    and f at the top of the gap: f(zeta) for zeta > 0, f(0) for zeta < 0.
     """
     _check_eps(eps)
-    z0 = float(zeta)
-    if not -1.0 < z0 < 1.0:
-        raise ValueError(f"zeta must lie in (-1, 1), got {z0}")
-    F = as_array_fn(F)
-    f = as_array_fn(f)
-    if z0 == 0.0:
+    if zeta == 0.0:
         return BoundRecord(0.0, 0.0)
-    f0 = float(f(np.asarray([0.0]))[0])
-    fz = float(f(np.asarray([z0]))[0])
-    h_part = np.sqrt(2.0) * abs(f0 - fz)
+    lo, hi = _gap(zeta)
+    f_lo, f_hi = _at(f, lo), _at(f, hi)
+    h_part = np.sqrt(2.0) * abs(f_lo - f_hi)
 
+    IF = Antiderivative(as_array_fn(F), lo, 1.0)
+    at_zero = IF(0.0) if lo < 0.0 else 0.0  # int_lo^0 F; IF(lo) is 0
+    Q = IF(1.0) - at_zero
     t, w = gauss_rule(16)
-    if z0 > 0:
-        IF = Antiderivative(F, 0.0, 1.0)
-        Q = IF(1.0)
-        half = 0.5 * z0
-        x = half * (t + 1.0)
-        l2 = np.sqrt(max(half * np.dot(w, IF(x) ** 2), 0.0))
-        hperp = (1.0 - eps) * l2 + np.sqrt(z0) * abs((1.0 - eps) * Q + fz)
-    else:
-        IF = Antiderivative(F, z0, 1.0)
-        Q = IF(1.0) - IF(0.0)
-        half = 0.5 * (-z0)
-        x = z0 + half * (t + 1.0)
-        E = IF(0.0) - IF(x)  # int_x^0 F
-        l2 = np.sqrt(max(half * np.dot(w, E**2), 0.0))
-        hperp = (1.0 - eps) * l2 + np.sqrt(-z0) * abs((1.0 - eps) * Q + f0)
+    half = 0.5 * (hi - lo)
+    x = lo + half * (t + 1.0)
+    E = at_zero - IF(x)  # int_x^0 F
+    l2 = np.sqrt(max(half * np.dot(w, E**2), 0.0))
+    hperp = (1.0 - eps) * l2 + np.sqrt(hi - lo) * abs((1.0 - eps) * Q + f_hi)
     return BoundRecord(float(h_part), float(hperp))

@@ -282,6 +282,25 @@ def test_study_rejects_non_unit_k(tmp_path, capsys, text):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("mode", ["fitted2d", "flattened2d"])
+def test_study_rejects_nz_other_than_nx(tmp_path, capsys, mode):
+    cfg = write_config(tmp_path / "run.ini", _study_2d(mode).replace("nx = 8\n", "nx = 16\n"))
+    out_dir = tmp_path / "out"
+    assert dispatch(["study", "--config", str(cfg), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "nz = nx" in err
+    assert not out_dir.exists()
+
+
+def test_study_rejects_poincare_bound_as_unknown_key(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.ini", GOOD_1D.replace("eps = 0.5\n", "eps = 0.5\npoincare_bound = 2.0\n"))
+    out_dir = tmp_path / "out"
+    assert dispatch(["study", "--config", str(cfg), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "unknown key 'poincare_bound'" in err
+    assert not out_dir.exists()
+
+
 def test_solve1d_rejects_non_unit_k(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.ini", GOOD_1D.replace("eps = 0.5\n", "eps = 0.5\nk2 = 2\n"))
     out = tmp_path / "sol.csv"

@@ -183,12 +183,25 @@ def test_hperp_exact_perturbed_tent():
     x = np.linspace(-1, 1, 401)
     expected = np.where(x <= 0.0, 0.0, np.where(x <= 0.25, x, 0.25))
     assert np.max(np.abs(u.value(x) - expected)) < 1e-12
+    # zeta < 0: the gap (-0.25, 0) lies in q's 1/eps region and f drops out;
+    # slope 0.5 (1 - x) for F = 1
+    u = hperp_exact_perturbed(ONE, ONE, zeta=-0.25, eps=0.5)
+    assert np.max(np.abs(u.value(x[x <= -0.25]))) < 1e-14
+    assert float(u.value(-0.1)) == pytest.approx(0.088125, abs=1e-12)
+    assert np.max(np.abs(u.value(x[x >= 0.0]) - 0.140625)) < 1e-12
 
 
 def test_hperp_exact_original_value_at_interface():
     u = hperp_exact_original(ONE, zeta=0.25, eps=0.5)
     # eps * (zeta * int_0^1 F - int_0^zeta int_0^t F) = 0.5 * (0.25 - 0.03125)
     assert float(u.value(0.25)) == pytest.approx(0.109375, abs=1e-12)
+    # zeta < 0: the gap (-0.25, 0) lies below p's interface and carries
+    # f(0) = 1; slope 1 + int_x^1 F = 2 - x for F = 1
+    u = hperp_exact_original(ONE, zeta=-0.25, eps=0.5, f=ONE)
+    x = np.linspace(-1, 1, 401)
+    assert np.max(np.abs(u.value(x[x <= -0.25]))) < 1e-14
+    assert float(u.value(-0.1)) == pytest.approx(0.32625, abs=1e-12)
+    assert np.max(np.abs(u.value(x[x >= 0.0]) - 0.53125)) < 1e-12
 
 
 @pytest.mark.parametrize("zeta", [0.25, 0.1, -0.1, -0.25])
