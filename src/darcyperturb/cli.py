@@ -105,6 +105,12 @@ def _require_unit_k(cfg: RunConfig, command: str):
         raise ConfigError(f"{command} supports only k1 = k2 = 1, got k1 = {cfg.k1:g}, k2 = {cfg.k2:g}")
 
 
+def _require_square(cfg: RunConfig, command: str):
+    # the study sweeps and the --compare-fitted table build n x n meshes with n = nx
+    if cfg.nz != cfg.nx:
+        raise ConfigError(f"{command} needs nz = nx, got nx = {cfg.nx}, nz = {cfg.nz}")
+
+
 def _write_or_stdout(path: Path | None, text: str):
     if path is None:
         sys.stdout.write(text)
@@ -116,7 +122,7 @@ def _write_or_stdout(path: Path | None, text: str):
 def _cmd_validate_zeta(args) -> int:
     cfg = _load(args, {"amplitude": args.amplitude})
     zeta = cfg.perturbation()
-    report = validate_admissible(zeta, cfg.domain(), samples=args.samples)
+    report = validate_admissible(zeta, samples=args.samples)
     problems = list(report.violations) + cfg.validate_forcing()
     if problems:
         for v in problems:
@@ -185,6 +191,8 @@ def _cmd_solve2d(args) -> int:
 
 def _cmd_flatten_solve(args) -> int:
     cfg = _solve2d_config(args)
+    if args.compare_fitted is not None:
+        _require_square(cfg, "flatten-solve --compare-fitted")
     zeta = cfg.perturbation()
     forcing = cfg.forcing(dim=2)
     ref = fem2d.build_fitted_mesh(cfg.perturbation(amplitude=0.0), cfg.nx, cfg.nz)
@@ -241,9 +249,8 @@ def _cmd_flatten_check(args) -> int:
 def _cmd_study(args) -> int:
     cfg = _load(args, {"mode": args.mode})
     _require_unit_k(cfg, "study")
-    # the 2D sweeps build n x n meshes with n = nx
-    if cfg.mode != "oned" and cfg.nz != cfg.nx:
-        raise ConfigError(f"study {cfg.mode} needs nz = nx, got nx = {cfg.nx}, nz = {cfg.nz}")
+    if cfg.mode != "oned":
+        _require_square(cfg, f"study {cfg.mode}")
     out_dir = args.out_dir if args.out_dir is not None else Path("study-out")
     forcing = cfg.forcing(dim=1 if cfg.mode == "oned" else 2)
     resolution = cfg.n_cells if cfg.mode == "oned" else cfg.nx

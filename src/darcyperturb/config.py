@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import DomainConfig, ForcingSpec, Perturbation, make_perturbation, perturbation_from_table
+from .geometry import ForcingSpec, Perturbation, make_perturbation, perturbation_from_table
 
 
 class ConfigError(ValueError):
@@ -127,9 +127,6 @@ class RunConfig:
         return self
 
     # --- builders -----------------------------------------------------------
-
-    def domain(self) -> DomainConfig:
-        return DomainConfig(dim=self.dim, epsilon=self.eps, k1=self.k1, k2=self.k2)
 
     def perturbation(self, amplitude: float | None = None) -> Perturbation:
         amp = self.amplitude if amplitude is None else amplitude

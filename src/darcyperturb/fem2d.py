@@ -109,13 +109,17 @@ class Field2D:
         return np.einsum("tad,ta->td", grads, self.values[self.mesh.triangles])
 
     def value(self, x, z):
-        """P1 interpolation at points whose abscissae match mesh columns."""
+        """P1 interpolation at 1D arrays of points whose abscissae match mesh
+        columns."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         z = np.atleast_1d(np.asarray(z, dtype=float))
         cols = _match_columns(x, self.mesh.col_x)
+        # one stable sort groups the points by column: a mask per column would
+        # cost a pass over all points for each of the nx + 1 columns
+        order = np.argsort(cols, kind="stable")
+        starts = np.flatnonzero(np.diff(cols[order], prepend=-1))
         out = np.empty_like(z)
-        for j in np.unique(cols):
-            sel = cols == j
+        for j, sel in zip(cols[order[starts]], np.split(order, starts[1:])):
             ids = self.mesh.node_grid[j]
             out[sel] = np.interp(z[sel], self.mesh.nodes[ids, 1], self.values[ids])
         return out
@@ -429,40 +433,18 @@ def assemble_solve(mesh: Mesh2D, forcing, eps: float, k1: float = 1.0, k2: float
     return _galerkin_solve(mesh, K, load, "fitted-solve", meta, rtol, maxiter)
 
 
-def resample(b: Field2D, mesh: Mesh2D) -> tuple[Field2D, float]:
-    """P1-interpolate a field onto another mesh with matching columns.
-
-    Returns the resampled field and the interpolation-layer thickness (the
-    largest vertical node displacement between the two meshes).
-    """
-    cols = _match_columns(mesh.col_x, b.mesh.col_x)
-    values = np.empty(mesh.n_nodes)
-    layer = 0.0
-    for j_out, j_in in enumerate(cols):
-        ids_out = mesh.node_grid[j_out]
-        ids_in = b.mesh.node_grid[j_in]
-        z_out = mesh.nodes[ids_out, 1]
-        z_in = b.mesh.nodes[ids_in, 1]
-        values[ids_out] = np.interp(z_out, z_in, b.values[ids_in])
-        if len(z_out) == len(z_in):
-            layer = max(layer, float(np.max(np.abs(z_out - z_in))))
-        else:
-            layer = max(layer, float(abs(mesh.zeta_at_cols[j_out] - b.mesh.zeta_at_cols[j_in])))
-    return Field2D(mesh=mesh, values=values, label=f"resampled[{b.label}]"), layer
+def resample(b: Field2D, mesh: Mesh2D) -> Field2D:
+    """P1-interpolate a field onto the nodes of another mesh with matching columns."""
+    values = b.value(mesh.nodes[:, 0], mesh.nodes[:, 1])
+    return Field2D(mesh=mesh, values=values, label=f"resampled[{b.label}]")
 
 
-def vnorm_diff_2d(a: Field2D, b: Field2D, *, return_info: bool = False):
+def vnorm_diff_2d(a: Field2D, b: Field2D) -> float:
     """V-norm (int |grad a - grad b|^2)^(1/2), resampling b onto a's mesh."""
-    if b.mesh is a.mesh:
-        b_on_a, layer = b, 0.0
-    else:
-        b_on_a, layer = resample(b, a.mesh)
+    b_on_a = b if b.mesh is a.mesh else resample(b, a.mesh)
     diff = a.gradients() - b_on_a.gradients()
     _, area = a.mesh.basis_gradients()
-    val = float(np.sqrt(max(np.sum(area * np.sum(diff * diff, axis=1)), 0.0)))
-    if return_info:
-        return val, {"layer_thickness": layer}
-    return val
+    return float(np.sqrt(max(np.sum(area * np.sum(diff * diff, axis=1)), 0.0)))
 
 
 def _region_energies(fld: Field2D, metric: np.ndarray, below: np.ndarray,

@@ -12,7 +12,6 @@ Gradients transfer through A_i with inverse [[1, (1 - (-1)^i z) grad zeta],
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
 
@@ -26,22 +25,14 @@ from .quadrature import as_array_fn, triangle_rule
 
 REGIONS = (1, 2)
 
+# central-difference step of the chain-rule check in matrix_property_report
+_FD_STEP = 1e-6
+
 
 def _sign(i: int) -> float:
     if i not in REGIONS:
         raise ValueError(f"region index must be 1 or 2, got {i}")
     return float((-1) ** i)
-
-
-@dataclass(frozen=True)
-class GradTransfer:
-    """Gradient-transfer data of one region at one reference point."""
-
-    region: int
-    point: tuple[float, float]
-    A: np.ndarray
-    A_inv: np.ndarray
-    det_jacobian: float
 
 
 def lambda_map(i: int, zeta: Perturbation, point, direction: str = "forward"):
@@ -91,9 +82,11 @@ def _metric(s, zeta: Perturbation, x: np.ndarray, z: np.ndarray):
     return metric, denom, stretch * g
 
 
-def _transfer(i: int, zeta: Perturbation, x, z):
+def transfer(i: int, zeta: Perturbation, x, z):
     """A, A^{-1}, the metric (1 - (-1)^i zeta) A^T A and det A^{-1} of the
     region-i map at reference points (x, z) of any shape.
+
+    At a knot of a piecewise zeta the one-sided (right) gradient is used.
 
     The matrices are (..., 2, 2) arrays; det A^{-1} = 1 - (-1)^i zeta(x).
     With stretch = 1 - (-1)^i z and g = grad zeta, A = [[1, -stretch g/det],
@@ -112,21 +105,6 @@ def _transfer(i: int, zeta: Perturbation, x, z):
     A_inv[..., 0, 1] = shear
     A_inv[..., 1, 1] = denom
     return A, A_inv, metric, denom
-
-
-def grad_transfer(i: int, zeta: Perturbation, point) -> GradTransfer:
-    """Matrices A, A^{-1} and det of the region-i map at a reference point.
-
-    At a knot of a piecewise zeta the one-sided (right) gradient is used.
-    """
-    x, z = float(point[0]), float(point[1])
-    A, A_inv, _, denom = _transfer(i, zeta, x, z)
-    return GradTransfer(region=i, point=(x, z), A=A, A_inv=A_inv, det_jacobian=float(denom))
-
-
-def metric_matrix(i: int, zeta: Perturbation, point) -> np.ndarray:
-    """Symmetric flattened-form coefficient (1 - (-1)^i zeta) A^T A at a point."""
-    return _transfer(i, zeta, float(point[0]), float(point[1]))[2]
 
 
 def pullback_norm_bound(zeta: Perturbation) -> float:
@@ -269,8 +247,7 @@ def solve_flattened_1d(zeta: float, forcing, eps: float) -> solver1d.PiecewiseFi
     )
 
 
-def matrix_property_report(shapes, *, n_points: int = 1000, seed: int = 0,
-                           fd_step: float = 1e-6) -> dict:
+def matrix_property_report(shapes, *, n_points: int = 1000, seed: int = 0) -> dict:
     """Sampled verification of the matrix identities and the chain rule.
 
     Returns maxima of |A A^{-1} - I|, |det A^{-1} - (1 - (-1)^i zeta)|, the
@@ -291,11 +268,11 @@ def matrix_property_report(shapes, *, n_points: int = 1000, seed: int = 0,
         if zeta.knots:
             # keep sample and finite-difference stencils away from the knots
             for knot in zeta.knots:
-                x[np.abs(x - knot) < 10 * fd_step] += 20 * fd_step
-        x = np.clip(x, 10 * fd_step, 1.0 - 10 * fd_step)
+                x[np.abs(x - knot) < 10 * _FD_STEP] += 20 * _FD_STEP
+        x = np.clip(x, 10 * _FD_STEP, 1.0 - 10 * _FD_STEP)
         for i in REGIONS:
             z = rng.uniform(-1.0, 0.0, n_points) if i == 1 else rng.uniform(0.0, 1.0, n_points)
-            A, A_inv, _, denom = _transfer(i, zeta, x, z)
+            A, A_inv, _, denom = transfer(i, zeta, x, z)
             prod = np.einsum("nab,nbc->nac", A, A_inv)
             report["aainv_max"] = max(
                 report["aainv_max"], float(np.max(np.abs(prod - np.eye(2)[None])))
@@ -319,7 +296,7 @@ def matrix_property_report(shapes, *, n_points: int = 1000, seed: int = 0,
         xs = x[sub]
         for i in REGIONS:
             zs = rng.uniform(-0.9, -0.1, len(xs)) if i == 1 else rng.uniform(0.1, 0.9, len(xs))
-            err = _chain_rule_error(i, zeta, xs, zs, tests, fd_step)
+            err = _chain_rule_error(i, zeta, xs, zs, tests)
             report["chain_rule_max"] = max(report["chain_rule_max"], err)
     return report
 
@@ -334,8 +311,7 @@ def _chain_rule_test_functions():
     ]
 
 
-def _chain_rule_error(i: int, zeta: Perturbation, x: np.ndarray, z: np.ndarray,
-                      tests, h: float) -> float:
+def _chain_rule_error(i: int, zeta: Perturbation, x: np.ndarray, z: np.ndarray, tests) -> float:
     """max |A grad_x(u o Lambda^{-1}) - (grad u) o Lambda^{-1}| by central differences."""
     s = _sign(i)
 
@@ -343,8 +319,9 @@ def _chain_rule_error(i: int, zeta: Perturbation, x: np.ndarray, z: np.ndarray,
         zv = zeta.value(xx)
         return u(xx, zz * (1.0 - s * zv) + zv)
 
+    h = _FD_STEP
     worst = 0.0
-    A, _, _, denom = _transfer(i, zeta, x, z)
+    A, _, _, denom = transfer(i, zeta, x, z)
     w = z * denom + zeta.value(x)
     for u, grad_u in tests:
         dx = (composed(u, x + h, z) - composed(u, x - h, z)) / (2.0 * h)

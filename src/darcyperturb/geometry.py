@@ -15,32 +15,15 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import DEFAULT_ORDER, as_array_fn, integrate_cells
+from .quadrature import DEFAULT_ORDER, as_array_fn, gauss_rule, integrate_cells
 
 ENDPOINT_TOL = 1e-12
 
+# sign-change scan grid of zeta, and the Gauss order of the strip integrals
+_EDGE_SAMPLES = 2048
+_STRIP_ORDER = 8
+
 PERTURBATION_FAMILIES = ("sine", "bump", "hat")
-
-
-@dataclass(frozen=True)
-class DomainConfig:
-    """Parameters of the reference slab and the two-scale coupling."""
-
-    dim: int = 2
-    gamma_extent: tuple[float, float] = (0.0, 1.0)
-    epsilon: float = 1.0
-    k1: float = 1.0
-    k2: float = 1.0
-
-    def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if self.k1 <= 0.0 or self.k2 <= 0.0:
-            raise ValueError("permeabilities k1, k2 must be positive")
-        if self.gamma_extent[1] <= self.gamma_extent[0]:
-            raise ValueError(f"empty gamma extent {self.gamma_extent}")
 
 
 @dataclass(frozen=True)
@@ -52,14 +35,11 @@ class Perturbation:
     norm_w1inf = norm_sup + ess-sup |grad zeta|.
     """
 
-    representation: str
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     norm_sup: float
     norm_w1inf: float
-    amplitude: float
     knots: tuple[float, ...] = ()
-    family: str = ""
 
     def __call__(self, x):
         return self.value(x)
@@ -111,7 +91,6 @@ def make_perturbation(family: str, params: dict | None = None, amplitude: float 
         shape = as_array_fn(lambda x: np.sin(k * np.pi * x))
         grad_shape = as_array_fn(lambda x: k * np.pi * np.cos(k * np.pi * x))
         grad_sup = k * np.pi
-        label = f"sine(k={k})"
     elif family == "bump":
         def raw(x):
             g = x * (1.0 - x)
@@ -132,7 +111,6 @@ def make_perturbation(family: str, params: dict | None = None, amplitude: float 
         grad_shape = as_array_fn(raw_grad)
         xs = np.linspace(0.0, 1.0, 20001)
         grad_sup = float(np.max(np.abs(grad_shape(xs))))  # sampled ess-sup
-        label = "bump"
     elif family == "hat":
         c = float(params.pop("knot", 0.5))
         if not 0.0 < c < 1.0:
@@ -141,7 +119,6 @@ def make_perturbation(family: str, params: dict | None = None, amplitude: float 
         grad_shape = as_array_fn(lambda x: np.where(x < c, 1.0 / c, -1.0 / (1.0 - c)))
         grad_sup = max(1.0 / c, 1.0 / (1.0 - c))
         knots = (c,)
-        label = f"hat(knot={c})"
     else:
         raise ValueError(f"unknown perturbation family {family!r}; choose from {PERTURBATION_FAMILIES}")
     if params:
@@ -155,14 +132,11 @@ def make_perturbation(family: str, params: dict | None = None, amplitude: float 
     value = as_array_fn(lambda x, s=shape: a * s(x))
     gradient = as_array_fn(lambda x, g=grad_shape: a * g(x))
     return Perturbation(
-        representation="analytic-expression",
         value=value,
         gradient=gradient,
         norm_sup=a,
         norm_w1inf=a + a * grad_sup,
-        amplitude=a,
         knots=knots,
-        family=label,
     )
 
 
@@ -193,29 +167,25 @@ def perturbation_from_table(x: np.ndarray, z: np.ndarray) -> Perturbation:
 
     sup = float(np.max(np.abs(z)))
     return Perturbation(
-        representation="piecewise-linear-on-knots",
         value=as_array_fn(value),
         gradient=as_array_fn(gradient),
         norm_sup=sup,
         norm_w1inf=sup + float(np.max(np.abs(slopes))),
-        amplitude=sup,
         knots=tuple(float(t) for t in x[1:-1]),
-        family="table",
     )
 
 
-def validate_admissible(zeta: Perturbation, cfg: DomainConfig | None = None,
-                        samples: int = 1024) -> AdmissibilityReport:
-    """Check boundary vanishing, |zeta| < 1 and gradient boundedness by sampling."""
-    a, b = cfg.gamma_extent if cfg is not None else (0.0, 1.0)
+def validate_admissible(zeta: Perturbation, samples: int = 1024) -> AdmissibilityReport:
+    """Check boundary vanishing, |zeta| < 1 and gradient boundedness by
+    sampling Gamma = [0, 1]."""
     violations: list[str] = []
 
-    for endpoint in (a, b):
+    for endpoint in (0.0, 1.0):
         v = float(zeta.value(endpoint))
         if abs(v) > ENDPOINT_TOL:
             violations.append(f"zeta does not vanish on the boundary of Gamma: zeta({endpoint}) = {v:g}")
 
-    xs = np.linspace(a, b, samples)
+    xs = np.linspace(0.0, 1.0, samples)
     vals = zeta.value(xs)
     if not np.all(np.isfinite(vals)):
         violations.append("zeta takes non-finite values")
@@ -233,11 +203,11 @@ def validate_admissible(zeta: Perturbation, cfg: DomainConfig | None = None,
     return AdmissibilityReport(admissible=not violations, violations=tuple(violations))
 
 
-def _segment_edges(zeta: Perturbation, samples: int = 2048) -> np.ndarray:
+def _segment_edges(zeta: Perturbation) -> np.ndarray:
     """Edges of smooth one-signed segments of zeta: knots plus root-found sign changes."""
     edges = {0.0, 1.0}
     edges.update(zeta.knots)
-    xs = np.linspace(0.0, 1.0, samples + 1)
+    xs = np.linspace(0.0, 1.0, _EDGE_SAMPLES + 1)
     vals = zeta.value(xs)
     sgn = np.sign(vals)
     for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
@@ -252,19 +222,22 @@ def _segment_edges(zeta: Perturbation, samples: int = 2048) -> np.ndarray:
     return np.array(sorted(edges))
 
 
-def strip_measures(zeta: Perturbation, *, order: int = 8, subcells: int = 16) -> tuple[float, float]:
+def _strip_cells(zeta: Perturbation, subcells: int) -> np.ndarray:
+    """Edges of `subcells` equal cells on every smooth one-signed segment of zeta."""
+    edges = _segment_edges(zeta)
+    cells = [np.linspace(lo, hi, subcells + 1) for lo, hi in zip(edges[:-1], edges[1:])]
+    return np.unique(np.concatenate(cells))
+
+
+def strip_measures(zeta: Perturbation) -> tuple[float, float]:
     """Lebesgue measures of the strips the perturbed interface sweeps.
 
     m1 = meas(Omega_1^zeta - Omega_1) = int max(zeta, 0),
     m2 = meas(Omega_2^zeta - Omega_2) = int max(-zeta, 0).
     """
-    edges = _segment_edges(zeta)
-    cells = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        cells.append(np.linspace(lo, hi, subcells + 1))
-    all_edges = np.unique(np.concatenate(cells))
-    m1 = integrate_cells(lambda x: np.maximum(zeta.value(x), 0.0), all_edges, order=order)
-    m2 = integrate_cells(lambda x: np.maximum(-zeta.value(x), 0.0), all_edges, order=order)
+    cells = _strip_cells(zeta, 16)
+    m1 = integrate_cells(lambda x: np.maximum(zeta.value(x), 0.0), cells, order=_STRIP_ORDER)
+    m2 = integrate_cells(lambda x: np.maximum(-zeta.value(x), 0.0), cells, order=_STRIP_ORDER)
     return max(m1, 0.0), max(m2, 0.0)
 
 
@@ -278,7 +251,7 @@ def lower_bound_constant(zeta: Perturbation, eps: float) -> float:
     return 1.0 - eps * abs(1.0 - 1.0 / eps) * (m1 + m2)
 
 
-def xi_perturbation(field, zeta: Perturbation, *, order: int = 8, x_subcells: int = 32) -> float:
+def xi_perturbation(field, zeta: Perturbation) -> float:
     """Signed gradient-energy difference over the swept strips.
 
     Returns int_{Omega_2^zeta - Omega_2} |grad r|^2 - int_{Omega_1^zeta - Omega_1} |grad r|^2.
@@ -286,12 +259,12 @@ def xi_perturbation(field, zeta: Perturbation, *, order: int = 8, x_subcells: in
     `gradient` attribute.
     """
     grad = getattr(field, "gradient", field)
+    t, w = gauss_rule(_STRIP_ORDER)
 
     def energy_column(x):
         # for each abscissa, +/- the z-integral of |grad|^2 between 0 and zeta(x)
         x = np.asarray(x, dtype=float)
         zv = zeta.value(x)
-        t, w = np.polynomial.legendre.leggauss(order)
         half = 0.5 * zv  # from 0 to zeta(x)
         zq = half[:, None] * (t[None, :] + 1.0)
         xq = np.broadcast_to(x[:, None], zq.shape)
@@ -302,6 +275,4 @@ def xi_perturbation(field, zeta: Perturbation, *, order: int = 8, x_subcells: in
         # in Omega_2^z - Omega_2 (plus sign): both give -col.
         return -col
 
-    edges = _segment_edges(zeta)
-    cells = [np.linspace(lo, hi, x_subcells + 1) for lo, hi in zip(edges[:-1], edges[1:])]
-    return integrate_cells(energy_column, np.unique(np.concatenate(cells)), order=order)
+    return integrate_cells(energy_column, _strip_cells(zeta, 32), order=_STRIP_ORDER)

@@ -8,6 +8,10 @@ import numpy as np
 
 DEFAULT_ORDER = 4
 
+# Gauss order and cell count of every Antiderivative
+_ANTIDERIVATIVE_ORDER = 12
+_ANTIDERIVATIVE_CELLS = 32
+
 
 @lru_cache(maxsize=None)
 def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -52,15 +56,14 @@ class Antiderivative:
     precision for smooth integrands.
     """
 
-    def __init__(self, fn, a: float, b: float, *, order: int = 12, cells: int = 32):
+    def __init__(self, fn, a: float, b: float):
         if b <= a:
             raise ValueError(f"need a < b, got [{a}, {b}]")
         self.fn = fn
         self.a = float(a)
         self.b = float(b)
-        self.order = order
-        self.grid = np.linspace(a, b, cells + 1)
-        t, w = gauss_rule(order)
+        self.grid = np.linspace(a, b, _ANTIDERIVATIVE_CELLS + 1)
+        t, w = gauss_rule(_ANTIDERIVATIVE_ORDER)
         lo, hi = self.grid[:-1], self.grid[1:]
         half = 0.5 * (hi - lo)
         x = lo[:, None] + half[:, None] * (t[None, :] + 1.0)
@@ -74,7 +77,7 @@ class Antiderivative:
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         idx = np.clip(np.searchsorted(self.grid, x_arr, side="right") - 1, 0, len(self.grid) - 2)
         lo = self.grid[idx]
-        t, w = gauss_rule(self.order)
+        t, w = gauss_rule(_ANTIDERIVATIVE_ORDER)
         half = 0.5 * (x_arr - lo)
         pts = lo[:, None] + half[:, None] * (t[None, :] + 1.0)
         vals = np.asarray(self.fn(pts.ravel()), dtype=float).reshape(pts.shape)

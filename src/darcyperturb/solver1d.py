@@ -21,6 +21,9 @@ from .quadrature import Antiderivative, as_array_fn, gauss_rule, integrate_cells
 
 BREAKPOINT_MERGE_TOL = 1e-13
 
+# Gauss order of the V-norm, energy and bound integrals
+_ORDER = 16
+
 
 class Piece:
     """One smooth piece of a field: evaluable value and derivative."""
@@ -274,15 +277,14 @@ def _gap_solution(F, f, zeta: float, eps: float, iface: float, label: str) -> Pi
     The projection vanishes below the gap (lo, hi), is flat above it, and on it
     has slope scale * (flux + int_x^1 F).  A gap above the interface lies in the
     1/eps region: (scale, flux) = (eps, 0).  A gap below it has unit coefficient
-    and carries the interface flux: (scale, flux) = (1, f(hi)), with f = 0 when
-    no f is given.
+    and carries the interface flux: (scale, flux) = (1, f(hi)).
     """
     _check_eps(eps)
     lo, hi = _gap(zeta)
     if iface == lo:
         scale, flux = eps, 0.0
     else:
-        scale, flux = 1.0, 0.0 if f is None else _at(f, hi)
+        scale, flux = 1.0, _at(f, hi)
     IF = Antiderivative(as_array_fn(F), lo, 1.0)
     top = IF(1.0)
 
@@ -294,7 +296,7 @@ def _gap_solution(F, f, zeta: float, eps: float, iface: float, label: str) -> Pi
                   _ZERO, Piece(V, slope), _flat(V(hi)), label)
 
 
-def hperp_exact_original(F, zeta: float, eps: float, f=None) -> PiecewiseField1D:
+def hperp_exact_original(F, f, zeta: float, eps: float) -> PiecewiseField1D:
     """Closed-form H-orthogonal projection of the unperturbed solution p.
 
     Its interface is 0: for zeta > 0 the gap lies in the 1/eps region and f
@@ -313,13 +315,13 @@ def hperp_exact_perturbed(F, f, zeta: float, eps: float) -> PiecewiseField1D:
     return _gap_solution(F, f, zeta, eps, float(zeta), "hperp_exact_q")
 
 
-def vnorm_inner_1d(a: PiecewiseField1D, b: PiecewiseField1D, *, order: int = 16) -> float:
+def vnorm_inner_1d(a: PiecewiseField1D, b: PiecewiseField1D) -> float:
     """V inner product int_{-1}^{1} da db over the union of breakpoints."""
     breaks = _insert_points(a.breakpoints, b.breakpoints)
-    return integrate_cells(lambda x: a.derivative(x) * b.derivative(x), breaks, order=order)
+    return integrate_cells(lambda x: a.derivative(x) * b.derivative(x), breaks, order=_ORDER)
 
 
-def vnorm_diff_1d(a: PiecewiseField1D, b: PiecewiseField1D, *, order: int = 16) -> float:
+def vnorm_diff_1d(a: PiecewiseField1D, b: PiecewiseField1D) -> float:
     """V-norm of the difference, (int |da - db|^2)^(1/2)."""
 
     def sq(x):
@@ -327,7 +329,7 @@ def vnorm_diff_1d(a: PiecewiseField1D, b: PiecewiseField1D, *, order: int = 16) 
         return d * d
 
     breaks = _insert_points(a.breakpoints, b.breakpoints)
-    return float(np.sqrt(max(integrate_cells(sq, breaks, order=order), 0.0)))
+    return float(np.sqrt(max(integrate_cells(sq, breaks, order=_ORDER), 0.0)))
 
 
 def energy_split_1d(field: PiecewiseField1D, zeta: float, eps: float) -> tuple[float, float, float]:
@@ -339,7 +341,7 @@ def energy_split_1d(field: PiecewiseField1D, zeta: float, eps: float) -> tuple[f
     return e1, e2, e1 + e2
 
 
-def _restricted_energy(field: PiecewiseField1D, lo: float, hi: float, order: int = 16) -> float:
+def _restricted_energy(field: PiecewiseField1D, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
     breaks = _insert_points(field.breakpoints, [lo, hi])
@@ -349,7 +351,7 @@ def _restricted_energy(field: PiecewiseField1D, lo: float, hi: float, order: int
         d = field.derivative(x)
         return d * d
 
-    return integrate_cells(sq, breaks, order=order)
+    return integrate_cells(sq, breaks, order=_ORDER)
 
 
 def xi_1d(field: PiecewiseField1D, zeta: float) -> float:
@@ -390,7 +392,7 @@ def estimate_rhs_1d(F, f, zeta: float, eps: float) -> BoundRecord:
     IF = Antiderivative(as_array_fn(F), lo, 1.0)
     at_zero = IF(0.0) if lo < 0.0 else 0.0  # int_lo^0 F; IF(lo) is 0
     Q = IF(1.0) - at_zero
-    t, w = gauss_rule(16)
+    t, w = gauss_rule(_ORDER)
     half = 0.5 * (hi - lo)
     x = lo + half * (t + 1.0)
     E = at_zero - IF(x)  # int_x^0 F

@@ -226,8 +226,8 @@ def _fmt(value) -> str:
     return repr(v)
 
 
-def loglog_slope(records: Sequence[ConvergenceRecord], *, points: int = 4) -> float | None:
-    """Least-squares slope of log gap vs log amplitude on the last `points` rows."""
+def loglog_slope(records: Sequence[ConvergenceRecord]) -> float | None:
+    """Least-squares slope of log gap vs log amplitude on the last four rows."""
     pairs = [
         (r.amplitude, r.vnorm_gap)
         for r in records
@@ -235,7 +235,7 @@ def loglog_slope(records: Sequence[ConvergenceRecord], *, points: int = 4) -> fl
     ]
     if len(pairs) < 2:
         return None
-    pairs = pairs[-points:]
+    pairs = pairs[-4:]
     la = np.log([a for a, _ in pairs])
     lg = np.log([g for _, g in pairs])
     return float(np.polyfit(la, lg, 1)[0])

@@ -65,7 +65,7 @@ def test_criterion_1_oned_oracle_equivalence():
                         ),
                         solver1d.vnorm_diff_1d(
                             solver1d.project_Hperp(p, zeta),
-                            solver1d.hperp_exact_original(F, zeta, eps, f=f),
+                            solver1d.hperp_exact_original(F, f, zeta, eps),
                         ),
                     )
     elapsed = time.perf_counter() - t0

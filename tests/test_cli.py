@@ -83,6 +83,9 @@ def test_load_config_range_validation(tmp_path):
     cfg3 = write_config(tmp_path / "bad3.ini", "[solver]\nnx = 1\n")
     with pytest.raises(ConfigError, match="nx"):
         load_config(cfg3)
+    cfg4 = write_config(tmp_path / "bad4.ini", "[domain]\nk1 = 0\n")
+    with pytest.raises(ConfigError, match="k1"):
+        load_config(cfg4)
 
 
 def test_table_perturbation_from_config(tmp_path):
@@ -205,6 +208,20 @@ def test_flatten_solve_with_comparison(tmp_path):
     rows = [tuple(map(float, ln.split(","))) for ln in lines[1:]]
     assert len(rows) == 2  # 8 and 16
     assert rows[0][0] > rows[1][0]
+
+
+def test_flatten_solve_comparison_rejects_nz_other_than_nx(tmp_path, capsys):
+    # the comparison table builds n x n meshes, so it cannot honour nz != nx
+    cfg = write_config(tmp_path / "run.ini", GOOD_2D.replace("nx = 8", "nx = 16"))
+    cmp_csv = tmp_path / "gaps.csv"
+    assert dispatch(["flatten-solve", "--config", str(cfg), "--out", str(tmp_path / "rho.csv"),
+                     "--compare-fitted", str(cmp_csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "nz = nx" in err
+    assert not cmp_csv.exists()
+    # without the comparison the nx x nz solve runs
+    assert dispatch(["flatten-solve", "--config", str(cfg), "--out", str(tmp_path / "rho.csv")]) == 0
+    assert len((tmp_path / "rho.csv").read_text().splitlines()) == 1 + 17 * 17
 
 
 def test_study_end_to_end(tmp_path):

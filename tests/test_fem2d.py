@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from darcyperturb.geometry import ForcingSpec, lower_bound_constant, make_perturbation
 from darcyperturb.fem2d import (
@@ -7,6 +8,7 @@ from darcyperturb.fem2d import (
     assemble_solve,
     assemble_stiffness,
     assemble_volume_load,
+    Field2D,
     build_fitted_mesh,
     energy_split,
     energy_split_flat,
@@ -188,15 +190,13 @@ def test_self_convergence_decreasing():
     assert all(d2 < 0.9 * d1 for d1, d2 in zip(diffs, diffs[1:]))
 
 
-def test_vnorm_same_field_and_info():
+def test_vnorm_same_field_and_other_mesh():
     m = build_fitted_mesh(sine(0.1), 8, 8)
     q = assemble_solve(m, forcing(f=ONE2), eps=0.5)
     assert vnorm_diff_2d(q, q) == 0.0
     ref = build_fitted_mesh(sine(0.0), 8, 8)
     p = assemble_solve(ref, forcing(f=ONE2), eps=0.5)
-    val, info = vnorm_diff_2d(p, q, return_info=True)
-    assert val > 0.0
-    assert info["layer_thickness"] == pytest.approx(0.1, abs=1e-12)
+    assert vnorm_diff_2d(p, q) > 0.0
 
 
 def test_vnorm_gap_decreases_with_amplitude():
@@ -305,9 +305,16 @@ def test_point_location_containment():
         assert np.min(np.stack([a, b, 1 - a - b])) > -1e-10
 
 
-def test_resample_identity():
-    m = build_fitted_mesh(sine(0.1), 12, 10)
-    q = assemble_solve(m, forcing(f=ONE2), eps=0.5)
-    rs, layer = resample(q, m)
-    assert np.max(np.abs(rs.values - q.values)) == 0.0
-    assert layer == 0.0
+SHAPES = {"sine": {"wavenumber": 1}, "bump": {}, "hat": {"knot": 0.5}}
+
+
+@settings(deadline=None, max_examples=40)
+@given(nx=st.integers(2, 24), nz=st.integers(2, 24), family=st.sampled_from(sorted(SHAPES)),
+       amp=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1))
+def test_resample_identity(nx, nz, family, amp, seed):
+    m = build_fitted_mesh(make_perturbation(family, SHAPES[family], amp), nx, nz)
+    rng = np.random.default_rng(seed)
+    q = Field2D(mesh=m, values=rng.standard_normal(m.n_nodes))
+    assert np.array_equal(resample(q, m).values, q.values)
+    perm = rng.permutation(m.n_nodes)
+    assert np.array_equal(q.value(m.nodes[perm, 0], m.nodes[perm, 1]), q.values[perm])

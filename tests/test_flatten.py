@@ -10,14 +10,13 @@ from darcyperturb.flatten import (
     assemble_flattened_stiffness,
     coercivity_constant,
     flattened_energy_split,
-    grad_transfer,
     lambda_map,
     matrix_property_report,
-    metric_matrix,
     pullback_norm_bound,
     solve_flattened,
     solve_flattened_1d,
     t_apply,
+    transfer,
 )
 
 ZERO2 = lambda x, z: np.zeros_like(x)
@@ -90,46 +89,44 @@ def test_lambda_map_rejects_outside():
 
 
 def test_grad_transfer_identity_at_zero():
-    gt = grad_transfer(1, sine(0.0), (0.4, -0.3))
-    assert np.allclose(gt.A, np.eye(2))
-    assert np.allclose(gt.A_inv, np.eye(2))
-    assert gt.det_jacobian == 1.0
+    A, A_inv, _, det = transfer(1, sine(0.0), 0.4, -0.3)
+    assert np.allclose(A, np.eye(2))
+    assert np.allclose(A_inv, np.eye(2))
+    assert det == 1.0
 
 
 def test_grad_transfer_flat_gradient_sample():
     # at the sine peak the gradient vanishes, reproducing the constant-zeta case
-    gt = grad_transfer(2, sine(0.25), (0.5, 0.3))
-    assert np.allclose(gt.A, np.diag([1.0, 4.0 / 3.0]), atol=1e-14)
-    assert gt.det_jacobian == pytest.approx(0.75)
-    m = metric_matrix(2, sine(0.25), (0.5, 0.3))
+    A, _, m, det = transfer(2, sine(0.25), 0.5, 0.3)
+    assert np.allclose(A, np.diag([1.0, 4.0 / 3.0]), atol=1e-14)
+    assert det == pytest.approx(0.75)
     assert np.allclose(m, np.diag([0.75, 4.0 / 3.0]), atol=1e-14)
 
 
 def test_matrix_products_random():
     rng = np.random.default_rng(8)
     for zeta in shapes5():
-        for _ in range(20):
-            x = rng.uniform(0.05, 0.95)
-            if zeta.knots and min(abs(x - k) for k in zeta.knots) < 1e-3:
-                continue
-            i = int(rng.integers(1, 3))
-            z = rng.uniform(-1, 0) if i == 1 else rng.uniform(0, 1)
-            gt = grad_transfer(i, zeta, (x, z))
-            assert np.max(np.abs(gt.A @ gt.A_inv - np.eye(2))) < 1e-12
+        for i in (1, 2):
+            x = rng.uniform(0.05, 0.95, 20)
+            if zeta.knots:
+                x = x[np.min(np.abs(x[:, None] - np.array(zeta.knots)), axis=1) >= 1e-3]
+            z = rng.uniform(-1, 0, len(x)) if i == 1 else rng.uniform(0, 1, len(x))
+            A, A_inv, m, det = transfer(i, zeta, x, z)
+            assert A.shape == A_inv.shape == m.shape == (len(x), 2, 2)
+            assert np.max(np.abs(A @ A_inv - np.eye(2))) < 1e-12
             s = (-1.0) ** i
-            assert gt.det_jacobian == pytest.approx(1.0 - s * float(zeta.value(x)), abs=1e-14)
-            m = metric_matrix(i, zeta, (x, z))
-            assert np.allclose(m, gt.det_jacobian * gt.A.T @ gt.A, atol=1e-12)
+            assert np.allclose(det, 1.0 - s * zeta.value(x), rtol=0.0, atol=1e-14)
+            assert np.allclose(m, det[:, None, None] * np.swapaxes(A, 1, 2) @ A, atol=1e-12)
 
 
 def test_grad_transfer_one_sided_at_knot():
     # at the tent peak the right-hand slope is reported
     hat = make_perturbation("hat", {"knot": 0.5}, 0.3)
-    gt = grad_transfer(1, hat, (0.5, -0.5))
+    _, A_inv, _, det = transfer(1, hat, 0.5, -0.5)
     right_slope = -0.3 / 0.5
     stretch = 1.0 + (-0.5)  # 1 - (-1)^1 z
-    assert gt.A_inv[0, 1] == pytest.approx(stretch * right_slope, abs=1e-14)
-    assert gt.det_jacobian == pytest.approx(1.3)
+    assert A_inv[0, 1] == pytest.approx(stretch * right_slope, abs=1e-14)
+    assert det == pytest.approx(1.3)
 
 
 def test_bounds_arithmetic():
@@ -351,3 +348,18 @@ def test_energy_split_is_the_quadratic_form_of_its_stiffness(nx, nz, amp, eps, k
     total = flattened_energy_split(fem2d.Field2D(mesh=ref, values=v), zeta, eps, k1, k2)[2]
     K = assemble_flattened_stiffness(ref, zeta, eps, k1, k2)
     assert total == pytest.approx(v @ (K @ v), rel=1e-12)
+
+
+@settings(deadline=None, max_examples=20)
+@given(n=st.integers(2, 16), family=st.sampled_from(["sine", "bump", "hat"]),
+       amp=st.floats(0.0, 0.6), eps=eps_values)
+def test_galerkin_identity_on_both_paths(n, family, amp, eps):
+    # load . u equals u . K u for the solved u, up to the CG tolerance
+    params = {"sine": {"wavenumber": 1}, "bump": {}, "hat": {"knot": 0.5}}[family]
+    zeta = make_perturbation(family, params, amp)
+    fr = ForcingSpec(F=lambda x, z: x + z, f=lambda x, z: 1.0 + x)
+    fitted = fem2d.assemble_solve(fem2d.build_fitted_mesh(zeta, n, n), fr, eps=eps)
+    ref = fem2d.build_fitted_mesh(sine(0.0), n, n)
+    flattened = solve_flattened(zeta, fr, eps, ref)
+    for q in (fitted, flattened):
+        assert q.meta["load_functional"] == pytest.approx(q.meta["bilinear_energy"], rel=1e-8)

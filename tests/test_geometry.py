@@ -8,7 +8,6 @@ import pytest
 
 import darcyperturb
 from darcyperturb.geometry import (
-    DomainConfig,
     _segment_edges,
     lower_bound_constant,
     make_perturbation,
@@ -17,16 +16,6 @@ from darcyperturb.geometry import (
     validate_admissible,
     xi_perturbation,
 )
-
-
-def test_domain_config_validation():
-    DomainConfig(epsilon=0.5)
-    with pytest.raises(ValueError):
-        DomainConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        DomainConfig(epsilon=1.5)
-    with pytest.raises(ValueError):
-        DomainConfig(k1=-1.0)
 
 
 def test_zero_perturbation():
@@ -76,12 +65,10 @@ def test_admissibility():
     from darcyperturb.geometry import Perturbation
 
     const = Perturbation(
-        representation="analytic-expression",
         value=lambda x: np.full_like(np.asarray(x, dtype=float), 0.1),
         gradient=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         norm_sup=0.1,
         norm_w1inf=0.1,
-        amplitude=0.1,
     )
     rep = validate_admissible(const)
     assert not rep.admissible

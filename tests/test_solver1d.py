@@ -173,7 +173,7 @@ def test_projection_degenerate_zeta():
 
 
 def test_hperp_exact_zero_forcing():
-    u = hperp_exact_original(ZERO, zeta=0.25, eps=0.5)
+    u = hperp_exact_original(ZERO, ZERO, zeta=0.25, eps=0.5)
     x = np.linspace(-1, 1, 101)
     assert np.max(np.abs(u.value(x))) < 1e-14
 
@@ -192,12 +192,12 @@ def test_hperp_exact_perturbed_tent():
 
 
 def test_hperp_exact_original_value_at_interface():
-    u = hperp_exact_original(ONE, zeta=0.25, eps=0.5)
+    u = hperp_exact_original(ONE, ONE, zeta=0.25, eps=0.5)
     # eps * (zeta * int_0^1 F - int_0^zeta int_0^t F) = 0.5 * (0.25 - 0.03125)
     assert float(u.value(0.25)) == pytest.approx(0.109375, abs=1e-12)
     # zeta < 0: the gap (-0.25, 0) lies below p's interface and carries
     # f(0) = 1; slope 1 + int_x^1 F = 2 - x for F = 1
-    u = hperp_exact_original(ONE, zeta=-0.25, eps=0.5, f=ONE)
+    u = hperp_exact_original(ONE, ONE, zeta=-0.25, eps=0.5)
     x = np.linspace(-1, 1, 401)
     assert np.max(np.abs(u.value(x[x <= -0.25]))) < 1e-14
     assert float(u.value(-0.1)) == pytest.approx(0.32625, abs=1e-12)
@@ -217,7 +217,7 @@ def test_hperp_matches_projected_exact(zeta, eps):
         q = solve_exact_1d(fr, zeta=zeta, eps=eps)
         p = solve_exact_1d(fr, zeta=0.0, eps=eps)
         assert vnorm_diff_1d(project_Hperp(q, zeta), hperp_exact_perturbed(F, f, zeta, eps)) < 1e-8
-        assert vnorm_diff_1d(project_Hperp(p, zeta), hperp_exact_original(F, zeta, eps, f=f)) < 1e-8
+        assert vnorm_diff_1d(project_Hperp(p, zeta), hperp_exact_original(F, f, zeta, eps)) < 1e-8
 
 
 # --- V-norm -----------------------------------------------------------------
@@ -311,7 +311,7 @@ def test_randomized_bound_and_oracle_stress():
         assert vnorm_diff_1d(project_Hperp(q, zeta),
                              hperp_exact_perturbed(F, f, zeta, eps)) < 1e-10
         assert vnorm_diff_1d(project_Hperp(p, zeta),
-                             hperp_exact_original(F, zeta, eps, f=f)) < 1e-10
+                             hperp_exact_original(F, f, zeta, eps)) < 1e-10
 
 
 def test_strong_convergence_sweep():
