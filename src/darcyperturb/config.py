@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import ForcingSpec, Perturbation, make_perturbation, perturbation_from_table
+from .quadrature import as_array_fn
 
 
 class ConfigError(ValueError):
@@ -55,14 +56,12 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
         elif isinstance(node, ast.Name) and node.id not in names and node.id not in _EXPR_FUNCS:
             raise ConfigError(f"unknown name {node.id!r} in expression {expr!r}")
     code = compile(tree, "<forcing>", "eval")
-    namespace = {**_EXPR_FUNCS, **_EXPR_CONSTS}
+    scope = {"__builtins__": {}, **_EXPR_FUNCS, **_EXPR_CONSTS}
 
     def fn(*args):
-        local = dict(zip(variables, args))
-        out = eval(code, {"__builtins__": {}}, {**namespace, **local})
-        return np.asarray(out, dtype=float) * np.ones_like(args[0], dtype=float)
+        return eval(code, scope, dict(zip(variables, args)))
 
-    return fn
+    return as_array_fn(fn)
 
 
 _SECTION_KEYS = {
@@ -224,7 +223,9 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     try:
-        parser.read(path)
+        # read_file, unlike read, raises on a path it cannot open (a directory, say)
+        with path.open() as fh:
+            parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
 

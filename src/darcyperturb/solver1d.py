@@ -12,6 +12,7 @@ complement; every gap quantity has one formula for both signs of zeta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,17 +72,23 @@ class PiecewiseField1D:
         object.__setattr__(self, "breakpoints", bp)
 
     def _piece_index(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(
-            np.searchsorted(self.breakpoints, x, side="right") - 1, 0, len(self.pieces) - 1
-        )
+        # integer min/max clamp: np.clip costs several times more per call
+        return np.minimum(np.maximum(self.breakpoints.searchsorted(x, side="right") - 1, 0),
+                          len(self.pieces) - 1)
 
     def _eval(self, x, attr: str):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty_like(x_arr)
         idx = self._piece_index(x_arr)
-        for i in np.unique(idx):
-            sel = idx == i
-            out[sel] = getattr(self.pieces[i], attr)(x_arr[sel])
+        used = np.bincount(idx.ravel()).nonzero()[0]  # np.unique(idx), without its sort
+        if len(used) == 1:
+            # all points in one piece: one call on x_arr.ravel(), which holds
+            # the values x_arr[idx == i] would copy, in the same order
+            out[...] = getattr(self.pieces[used[0]], attr)(x_arr.ravel()).reshape(x_arr.shape)
+        else:
+            for i in used:
+                sel = idx == i
+                out[sel] = getattr(self.pieces[i], attr)(x_arr[sel])
         return out if np.ndim(x) else float(out[0])
 
     def value(self, x):
@@ -270,6 +277,12 @@ def project_Hperp(r: PiecewiseField1D, zeta: float) -> PiecewiseField1D:
                   f"P_Hperp[{r.label}]")
 
 
+@lru_cache(maxsize=1)
+def _integral_to_one(F, lo: float) -> Antiderivative:
+    """x -> int_lo^x F; for zeta > 0 every row of a sweep asks for lo = 0."""
+    return Antiderivative(as_array_fn(F), lo, 1.0)
+
+
 def _gap_solution(F, f, zeta: float, eps: float, iface: float, label: str) -> PiecewiseField1D:
     """Closed-form H-orthogonal projection of the exact solution whose
     interface sits at `iface` (0 for p, zeta for q^zeta).
@@ -285,7 +298,7 @@ def _gap_solution(F, f, zeta: float, eps: float, iface: float, label: str) -> Pi
         scale, flux = eps, 0.0
     else:
         scale, flux = 1.0, _at(f, hi)
-    IF = Antiderivative(as_array_fn(F), lo, 1.0)
+    IF = _integral_to_one(F, lo)
     top = IF(1.0)
 
     def slope(x):
@@ -389,7 +402,7 @@ def estimate_rhs_1d(F, f, zeta: float, eps: float) -> BoundRecord:
     f_lo, f_hi = _at(f, lo), _at(f, hi)
     h_part = np.sqrt(2.0) * abs(f_lo - f_hi)
 
-    IF = Antiderivative(as_array_fn(F), lo, 1.0)
+    IF = _integral_to_one(F, lo)
     at_zero = IF(0.0) if lo < 0.0 else 0.0  # int_lo^0 F; IF(lo) is 0
     Q = IF(1.0) - at_zero
     t, w = gauss_rule(_ORDER)

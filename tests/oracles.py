@@ -1,10 +1,13 @@
 """Reference computations that only the tests use: analytic pullbacks and
-norms of smooth fields, the continuity of piecewise 1D fields, and the P1
-mesh geometry computed afresh."""
+norms of smooth fields, the continuity of piecewise 1D fields, the P1 mesh
+geometry computed afresh, and the plain forms of the 1D evaluation paths
+(broadcast by a product with ones, np.clip clamps, one call per np.unique
+piece) that the library's shortcuts must reproduce bit for bit."""
 
 import numpy as np
 
-from darcyperturb.quadrature import as_array_fn, gauss_rule
+from darcyperturb.config import _EXPR_CONSTS, _EXPR_FUNCS
+from darcyperturb.quadrature import _ANTIDERIVATIVE_ORDER, as_array_fn, gauss_rule
 
 
 def t_apply_smooth(zeta, value, grad):
@@ -83,3 +86,74 @@ def mesh_geometry(mesh):
         grads[:, a, 0] = (p[:, b, 1] - p[:, c, 1]) / (2.0 * area)
         grads[:, a, 1] = (p[:, c, 0] - p[:, b, 0]) / (2.0 * area)
     return grads, area
+
+
+def min_angle_loop(mesh) -> float:
+    """Smallest interior angle of a `Mesh2D` in degrees, one corner at a time."""
+    p = mesh.nodes[mesh.triangles]
+    angles = []
+    for a in range(3):
+        u = p[:, (a + 1) % 3] - p[:, a]
+        v = p[:, (a + 2) % 3] - p[:, a]
+        cosang = np.sum(u * v, axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+        angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
+    return float(np.min(angles))
+
+
+def broadcast_fn(fn):
+    """`fn` over float arrays, always broadcast by a product with ones."""
+
+    def wrapped(*args):
+        args = [np.asarray(a, dtype=float) for a in args]
+        return np.asarray(fn(*args), dtype=float) * np.ones_like(args[0])
+
+    return wrapped
+
+
+def broadcast_expression(expr: str, variables: tuple[str, ...]):
+    """A forcing expression evaluated with a fresh namespace per call and
+    broadcast by a product with ones (validation is left to the library)."""
+    code = compile(expr, "<forcing>", "eval")
+
+    def fn(*args):
+        local = dict(zip(variables, args))
+        out = eval(code, {"__builtins__": {}}, {**_EXPR_FUNCS, **_EXPR_CONSTS, **local})
+        return np.asarray(out, dtype=float) * np.ones_like(args[0], dtype=float)
+
+    return fn
+
+
+def antiderivative_clip(G, x):
+    """`Antiderivative.__call__` with an np.clip cell clamp and the Gauss rule
+    read per call."""
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    idx = np.clip(np.searchsorted(G.grid, x_arr, side="right") - 1, 0, len(G.grid) - 2)
+    lo = G.grid[idx]
+    t, w = gauss_rule(_ANTIDERIVATIVE_ORDER)
+    half = 0.5 * (x_arr - lo)
+    pts = lo[:, None] + half[:, None] * (t[None, :] + 1.0)
+    vals = np.asarray(G.fn(pts.ravel()), dtype=float).reshape(pts.shape)
+    out = G.cum[idx] + half * (vals @ w)
+    return out if np.ndim(x) else float(out[0])
+
+
+def piece_index_clip(field, x) -> np.ndarray:
+    """Piece of a `PiecewiseField1D` holding each point, clamped by np.clip."""
+    return np.clip(np.searchsorted(field.breakpoints, x, side="right") - 1, 0, len(field.pieces) - 1)
+
+
+def eval_per_piece(field, x, attr: str):
+    """`PiecewiseField1D` value ("value") or derivative ("deriv"), one call
+    per piece that np.unique finds."""
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(x_arr)
+    idx = piece_index_clip(field, x_arr)
+    for i in np.unique(idx):
+        sel = idx == i
+        out[sel] = getattr(field.pieces[i], attr)(x_arr[sel])
+    return out if np.ndim(x) else float(out[0])
+
+
+def bits(a) -> np.ndarray:
+    """IEEE bit patterns of float values, so that -0.0 and NaN compare too."""
+    return np.asarray(a, dtype=float).view(np.int64)

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from darcyperturb.cli import dispatch
-from darcyperturb.config import ConfigError, compile_expression, load_config
+from darcyperturb.config import _EXPR_FUNCS, _SECTION_KEYS, ConfigError, compile_expression, load_config
 
 
 def write_config(path: Path, text: str) -> Path:
@@ -334,3 +338,87 @@ def test_study_honours_cg_rtol(tmp_path, mode):
         assert dispatch(["study", "--config", str(cfg), "--out-dir", str(tmp_path / name)]) == 0
         records[name] = (tmp_path / name / "records.csv").read_text()
     assert records["loose"] != records["default"]
+
+
+# --- every documented failure maps to its exit code ---------------------------
+
+_NAME = st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True)
+_KNOWN_KEYS = set().union(*_SECTION_KEYS.values()) | {"f", "F"}
+_OUTSIDE_UNIT = st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True),
+                          st.just(float("nan")))
+_DISALLOWED = st.one_of(
+    st.sampled_from(["__import__('os')", "x.real", "y + 1", "[x]", "x if x else 1", "lambda: 1",
+                     "x[0]", "(x, x)", "1 +", "x == 1", "x and 1", "open('f')", "{}"]),
+    _NAME.filter(lambda n: n not in _EXPR_FUNCS).map(lambda n: f"{n}(x)"),
+    _NAME.map(lambda n: f"x.{n}"),
+)
+
+
+def _config_with(section: str, line: str) -> str:
+    """GOOD_1D with `line` added to `section` (appended when it is new)."""
+    if f"[{section}]\n" in GOOD_1D:
+        return GOOD_1D.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    return GOOD_1D + f"\n[{section}]\n{line}\n"
+
+
+def _out(command: str, d: Path) -> list[str]:
+    if command == "study":
+        return ["--out-dir", str(d / "out")]
+    return ["--out", str(d / "sol.csv")] if command == "solve1d" else []
+
+
+@st.composite
+def malformed_runs(draw):
+    """(argv builder, config text, exit code): a bad config, a missing file
+    or bad usage."""
+    command = draw(st.sampled_from(["study", "validate-zeta", "solve1d"]))
+    kind = draw(st.sampled_from(["section", "key", "eps", "size", "amplitude", "expression",
+                                 "missing", "directory", "flag", "usage"]))
+    text = None
+    if kind == "section":
+        name = draw(_NAME.filter(lambda n: n not in _SECTION_KEYS))
+        text = _config_with(name, "a = 1")
+    elif kind == "key":
+        section = draw(st.sampled_from(sorted(_SECTION_KEYS)))
+        key = draw(_NAME.filter(lambda n: n not in _KNOWN_KEYS))
+        text = _config_with(section, f"{key} = 1")
+    elif kind == "eps":
+        text = GOOD_1D.replace("eps = 0.5", f"eps = {draw(_OUTSIDE_UNIT)!r}")
+    elif kind == "size":
+        key = draw(st.sampled_from(["nx", "nz", "n_cells"]))
+        limit = 3 if key == "n_cells" else 1
+        text = _config_with("solver", f"{key} = {draw(st.integers(-10**6, limit))}")
+    elif kind == "amplitude":
+        amp = draw(st.one_of(st.floats(max_value=-5e-324), st.floats(min_value=1.0),
+                             st.just(float("nan"))))
+        text = _config_with("perturbation", f"amplitude = {amp!r}")
+    elif kind == "expression":
+        key = draw(st.sampled_from(["F", "f"]))
+        text = GOOD_1D.replace(f"\n{key} = ", f"\n{key} = {draw(_DISALLOWED)}\n# ", 1)
+    if text is not None:
+        return (lambda d: [command, "--config", str(d / "run.ini"), *_out(command, d)]), text, 1
+    if kind in ("missing", "directory"):
+        name = "absent.ini" if kind == "missing" else "."
+        return (lambda d: [command, "--config", str(d / name), *_out(command, d)]), GOOD_1D, 3
+    if kind == "flag":
+        flag = "--zz" + draw(_NAME)
+        return (lambda d: [command, "--config", str(d / "run.ini"), flag]), GOOD_1D, 64
+    argv = draw(st.sampled_from([[], ["frobnicate"], ["study", "--mode", "bogus"],
+                                 ["solve1d", "--zeta", "abc"], ["validate-zeta", "--samples", "1.5"]]))
+    return (lambda d: list(argv)), GOOD_1D, 64
+
+
+@settings(deadline=None, max_examples=150)
+@given(run=malformed_runs())
+def test_malformed_input_exit_codes(run):
+    argv_for, text, code = run
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "run.ini").write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            got = dispatch(argv_for(d))
+        assert got == code, err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().startswith({1: "validation error:", 3: "i/o error:", 64: "usage error:"}[code])
+        assert not (d / "out").exists() and not (d / "sol.csv").exists()

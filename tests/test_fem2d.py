@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from darcyperturb.geometry import ForcingSpec, lower_bound_constant, make_perturbation
+from oracles import min_angle_loop
 from darcyperturb.fem2d import (
     assemble_interface_load,
     assemble_solve,
@@ -120,6 +121,14 @@ def test_min_angle():
     for amp in (0.0, 0.1, 0.2):
         m = build_fitted_mesh(sine(amp), 32, 32)
         assert m.min_angle() > 10.0
+
+
+@settings(deadline=None, max_examples=60)
+@given(family=st.sampled_from(["sine", "bump", "hat"]), amp=st.floats(0.0, 0.9),
+       nx=st.integers(2, 24), nz=st.integers(2, 24))
+def test_min_angle_matches_corner_loop(family, amp, nx, nz):
+    m = build_fitted_mesh(make_perturbation(family, {}, amp), nx, nz)
+    assert m.min_angle() == min_angle_loop(m)
 
 
 def test_zero_data_zero_solution():

@@ -55,6 +55,7 @@ def test_mg_cg_matches_direct_solve(kind, nx, nz, amp, eps, k1, k2, seed):
     assert np.linalg.norm(values[free] - direct) <= 1e-8 * np.linalg.norm(direct)
     assert np.all(values[mesh.dirichlet_nodes] == 0.0)
     assert record["dofs"] == len(free)
+    assert record["nnz"] == A.nnz
 
 
 @settings(deadline=None, max_examples=30)
@@ -90,13 +91,15 @@ def test_solve_record_in_meta():
     ref = fem2d.build_fitted_mesh(sine(0.0), 16, 16)
     flattened = solve_flattened(sine(0.2), FORCING, 0.1, ref)
     for q in (fitted, flattened):
-        assert {"solver", "iterations", "rel_residual", "dofs", "levels",
+        assert {"solver", "iterations", "rel_residual", "dofs", "nnz", "levels",
                 "assemble_s", "solve_s"} <= set(q.meta)
         assert q.meta["assemble_s"] >= 0.0 and q.meta["solve_s"] >= 0.0
         assert q.meta["solver"] == "mg-cg"
         assert q.meta["iterations"] >= 1
         assert 0.0 < q.meta["rel_residual"] <= 1e-10
         assert q.meta["dofs"] == q.mesh.n_nodes - len(q.mesh.dirichlet_nodes)
+        # the reduced P1 matrix: a diagonal plus at most six neighbours per row
+        assert q.meta["dofs"] < q.meta["nnz"] <= 7 * q.meta["dofs"]
         assert q.meta["levels"] >= 2
 
 

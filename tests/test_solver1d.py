@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from darcyperturb import solver1d
+from darcyperturb.config import compile_expression
 from darcyperturb.geometry import ForcingSpec
-from oracles import max_jump
+from oracles import bits, eval_per_piece, max_jump, piece_index_clip
 
 from darcyperturb.solver1d import (
     energy_split_1d,
@@ -336,3 +339,76 @@ def test_energy_split_and_xi():
     p = solve_exact_1d(fr, 0.0, 0.5)
     assert xi_1d(p, 0.25) == pytest.approx(0.0, abs=1e-12)  # dp = 0 on (0, 0.25)
     assert xi_1d(q, 0.25) == pytest.approx(-0.25, abs=1e-10)  # dq = 1 there
+
+
+# --- evaluation shortcuts against the plain forms, bit for bit (tests/oracles.py)
+
+
+@st.composite
+def fields(draw):
+    """Piecewise-linear fields through random nodes, and exact solutions
+    with a constant or a varying source."""
+    if draw(st.booleans()):
+        inner = draw(st.lists(st.integers(-99, 99).map(lambda k: k / 100), max_size=6, unique=True))
+        nodes = np.unique([-1.0, *inner, 1.0])
+        values = draw(st.lists(st.floats(-10.0, 10.0), min_size=len(nodes), max_size=len(nodes)))
+        return from_nodal(nodes, values)
+    F = compile_expression(draw(st.sampled_from(["0", "sin(pi*x) + x**2"])), ("x",))
+    f = compile_expression(draw(st.sampled_from(["1", "1 + 0.5*x"])), ("x",))
+    zeta = draw(st.floats(-0.9, 0.9))
+    return solve_exact_1d(forcing(F, f), zeta, draw(st.floats(0.05, 1.0)))
+
+
+@st.composite
+def fields_and_points(draw):
+    """A field and points on, inside and outside its breakpoints; half of the
+    draws keep every point in one piece."""
+    field = draw(fields())
+    bp = field.breakpoints
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(bp) - 2))
+        pts = st.one_of(st.just(bp[i]), st.floats(bp[i], bp[i + 1], exclude_max=True))
+    else:
+        pts = st.one_of(st.sampled_from(list(bp)), st.floats(-1.0, 1.0),
+                        st.floats(-3.0, -1.0), st.floats(1.0, 3.0))
+    xs = np.array(draw(st.lists(pts, min_size=1, max_size=40)))
+    if draw(st.booleans()) and len(xs) % 2 == 0:
+        xs = xs.reshape(2, -1)
+    return field, xs
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=fields_and_points())
+def test_piecewise_eval_matches_per_piece_loop(case):
+    field, xs = case
+    assert np.array_equal(field._piece_index(xs), piece_index_clip(field, xs))
+    for method, attr in ((field.value, "value"), (field.derivative, "deriv")):
+        new, old = method(xs), eval_per_piece(field, xs, attr)
+        assert new.shape == old.shape
+        assert np.array_equal(bits(new), bits(old))
+        x0 = float(xs.flat[0])
+        new0, old0 = method(x0), eval_per_piece(field, x0, attr)
+        assert type(new0) is float and bits(new0) == bits(old0)
+
+
+def test_piecewise_eval_of_no_points():
+    field = from_nodal(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 3.0]))
+    assert field.value(np.empty(0)).shape == (0,)
+    assert field.derivative(np.empty((0, 3))).shape == (0, 3)
+
+
+def test_bound_reuses_the_row_invariant_antiderivative():
+    F = compile_expression("sin(pi*x) + x**2", ("x",))
+    f = compile_expression("1 + 0.5*x", ("x",))
+    fresh = {}
+    for zeta in (-0.2, 0.4, 0.3):
+        solver1d._integral_to_one.cache_clear()
+        fresh[zeta] = estimate_rhs_1d(F, f, zeta, 0.3)
+    # rows with zeta > 0 share lo = 0 and reuse its integral; others build their own
+    G = solver1d._integral_to_one(F, 0.0)
+    assert estimate_rhs_1d(F, f, 0.4, 0.3) == fresh[0.4]
+    assert estimate_rhs_1d(F, f, 0.3, 0.3) == fresh[0.3]
+    assert solver1d._integral_to_one(F, 0.0) is G
+    assert estimate_rhs_1d(F, f, -0.2, 0.3) == fresh[-0.2]
+    assert solver1d._integral_to_one(F, -0.2).a == -0.2
+    assert estimate_rhs_1d(F, f, 0.4, 0.3) == fresh[0.4]
