@@ -31,9 +31,9 @@ def as_array_fn(fn):
     """Wrap a scalar expression so it maps float arrays to float arrays.
 
     The result takes the shape of the first argument, so expressions that
-    evaluate to a constant broadcast over the sample points.  It is never one
-    of the arguments or a view of one.  A function that is already wrapped is
-    returned as it is.
+    evaluate to a constant broadcast over the sample points.  The result is a
+    new array, never one of the arguments.  A function that is already wrapped
+    is returned as it is.
     """
     if getattr(fn, "_maps_arrays", False):
         return fn
@@ -42,11 +42,8 @@ def as_array_fn(fn):
         args = [np.asarray(a, dtype=float) for a in args]
         out = np.asarray(fn(*args), dtype=float)
         x = args[0]
-        # v * 1.0 is v, so the product with ones below is only needed for its shape
-        if x.ndim and out.shape == x.shape and out.base is None and all(out is not a for a in args):
-            return out
         if x.ndim and not out.ndim:
-            return np.full_like(x, out)
+            return np.full_like(x, out)  # v * 1.0 is v: the product below, without the ones
         return out * np.ones_like(x)
 
     wrapped._maps_arrays = True

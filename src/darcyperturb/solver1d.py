@@ -81,14 +81,9 @@ class PiecewiseField1D:
         out = np.empty_like(x_arr)
         idx = self._piece_index(x_arr)
         used = np.bincount(idx.ravel()).nonzero()[0]  # np.unique(idx), without its sort
-        if len(used) == 1:
-            # all points in one piece: one call on x_arr.ravel(), which holds
-            # the values x_arr[idx == i] would copy, in the same order
-            out[...] = getattr(self.pieces[used[0]], attr)(x_arr.ravel()).reshape(x_arr.shape)
-        else:
-            for i in used:
-                sel = idx == i
-                out[sel] = getattr(self.pieces[i], attr)(x_arr[sel])
+        for i in used:
+            sel = idx == i
+            out[sel] = getattr(self.pieces[i], attr)(x_arr[sel])
         return out if np.ndim(x) else float(out[0])
 
     def value(self, x):
@@ -278,9 +273,23 @@ def project_Hperp(r: PiecewiseField1D, zeta: float) -> PiecewiseField1D:
 
 
 @lru_cache(maxsize=1)
-def _integral_to_one(F, lo: float) -> Antiderivative:
-    """x -> int_lo^x F; for zeta > 0 every row of a sweep asks for lo = 0."""
+def _cached_integral(F, lo: float) -> Antiderivative:
     return Antiderivative(as_array_fn(F), lo, 1.0)
+
+
+def _integral_to_one(F, lo: float) -> Antiderivative:
+    """x -> int_lo^x F, kept for the last (F, lo) asked: for zeta > 0 every row
+    of a study's sweep asks for the same F and lo = 0.
+
+    F is taken to be a pure function of x.  An F that cannot be hashed (an
+    instance of a callable class with __eq__ but no __hash__, say) gets a new
+    integral on each call.
+    """
+    try:
+        hash(F)
+    except TypeError:
+        return Antiderivative(as_array_fn(F), lo, 1.0)
+    return _cached_integral(F, lo)
 
 
 def _gap_solution(F, f, zeta: float, eps: float, iface: float, label: str) -> PiecewiseField1D:
@@ -298,7 +307,7 @@ def _gap_solution(F, f, zeta: float, eps: float, iface: float, label: str) -> Pi
         scale, flux = eps, 0.0
     else:
         scale, flux = 1.0, _at(f, hi)
-    IF = _integral_to_one(F, lo)
+    IF = Antiderivative(as_array_fn(F), lo, 1.0)
     top = IF(1.0)
 
     def slope(x):

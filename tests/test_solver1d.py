@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -402,7 +404,7 @@ def test_bound_reuses_the_row_invariant_antiderivative():
     f = compile_expression("1 + 0.5*x", ("x",))
     fresh = {}
     for zeta in (-0.2, 0.4, 0.3):
-        solver1d._integral_to_one.cache_clear()
+        solver1d._cached_integral.cache_clear()
         fresh[zeta] = estimate_rhs_1d(F, f, zeta, 0.3)
     # rows with zeta > 0 share lo = 0 and reuse its integral; others build their own
     G = solver1d._integral_to_one(F, 0.0)
@@ -412,3 +414,24 @@ def test_bound_reuses_the_row_invariant_antiderivative():
     assert estimate_rhs_1d(F, f, -0.2, 0.3) == fresh[-0.2]
     assert solver1d._integral_to_one(F, -0.2).a == -0.2
     assert estimate_rhs_1d(F, f, 0.4, 0.3) == fresh[0.4]
+
+
+@dataclass
+class _Ramp:
+    """A callable forcing that cannot be hashed: dataclass eq sets __hash__ to None."""
+
+    slope: float
+
+    def __call__(self, x):
+        return self.slope * x
+
+
+def test_bound_and_gap_solutions_take_an_unhashable_forcing():
+    F, G = _Ramp(1.5), lambda x: 1.5 * x
+    with pytest.raises(TypeError):
+        hash(F)
+    x = np.linspace(-1.0, 1.0, 41)
+    for zeta in (0.3, -0.2):
+        assert estimate_rhs_1d(F, ONE, zeta, 0.4) == estimate_rhs_1d(G, ONE, zeta, 0.4)
+        for exact in (hperp_exact_original, hperp_exact_perturbed):
+            assert np.array_equal(exact(F, ONE, zeta, 0.4).value(x), exact(G, ONE, zeta, 0.4).value(x))
