@@ -11,13 +11,11 @@ boundary; region 2 carries k2/eps and a Neumann outer boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from time import perf_counter
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry import Perturbation, validate_admissible
 from .quadrature import as_array_fn, gauss_rule, triangle_rule
@@ -300,57 +298,106 @@ def _prolongation_1d(n: int) -> tuple[sp.csr_matrix, np.ndarray]:
 
 
 @lru_cache(maxsize=1)
-def _prolongations(shape: tuple[int, int], free_bytes: bytes) -> tuple[sp.csr_matrix, ...]:
+def _prolongations(shape: tuple[int, int], free_bytes: bytes) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
     """Prolongations P = kron(Px, Pz) of every level, restricted to the free
     fine and free coarse nodes, for the grid-shaped free-node mask given by
-    `shape` and its bytes.
+    `shape` and its bytes, each paired with its restriction R = P^T.
 
     They depend only on the grid and the Dirichlet set, which every row of a
     study shares, so the last mask's are kept; read-only.
     """
     free = np.frombuffer(free_bytes, dtype=bool).reshape(shape)
-    prolongations = []
+    transfers = []
     while True:
         Px, cx = _prolongation_1d(free.shape[0] - 1)
         Pz, cz = _prolongation_1d(free.shape[1] - 1)
         coarse = free[np.ix_(cx, cz)]
         if coarse.size == free.size:
-            return tuple(prolongations)
+            return tuple(transfers)
         P = sp.kron(Px, Pz, format="csr")[free.ravel()][:, coarse.ravel()]
-        for a in (P.data, P.indices, P.indptr):
+        R = P.T.tocsr()
+        for a in (P.data, P.indices, P.indptr, R.data, R.indices, R.indptr):
             a.setflags(write=False)
-        prolongations.append(P)
+        transfers.append((P, R))
         free = coarse
 
 
-def _multigrid_levels(A: sp.csr_matrix, free: np.ndarray) -> tuple[list, tuple]:
+def _multigrid_levels(A: sp.csr_matrix, free: np.ndarray) -> tuple[list, np.ndarray]:
     """Galerkin hierarchy of A on the free nodes of a node grid.
 
     `free` is the grid-shaped mask of the rows of A.  Each level is a tuple
-    (A, P, smoother weights) with P from `_prolongations`; the coarsest
-    operator comes back as its Cholesky factor.  Plain tuples, so the
-    hierarchy dies with the solve.
+    (A, P, R, smoother weights) with P and R = P^T from `_prolongations`; the
+    coarsest operator comes back as the inverse of its Cholesky factor.
+    Plain tuples, so the hierarchy dies with the solve.  Raises
+    `np.linalg.LinAlgError` when the coarsest operator is not SPD.
     """
     levels = []
-    for P in _prolongations(free.shape, free.tobytes()):
-        levels.append((A, P, _SMOOTHER_SCALE / np.asarray(abs(A).sum(axis=1)).ravel()))
-        A = (P.T @ A @ P).tocsr()
-    return levels, cho_factor(A.toarray())
+    for P, R in _prolongations(free.shape, free.tobytes()):
+        levels.append((A, P, R, _SMOOTHER_SCALE / np.asarray(abs(A).sum(axis=1)).ravel()))
+        A = (R @ (A @ P)).tocsr()
+    # the coarsest grid has at most 4 x 4 lines, so its dense inverse factor
+    # is tiny and turns the coarse solve into two small matvecs
+    return levels, np.linalg.inv(np.linalg.cholesky(A.toarray()))
 
 
-def _v_cycle(levels: list, coarsest: tuple, r: np.ndarray) -> np.ndarray:
+def _v_cycle(levels: list, coarsest: np.ndarray, r: np.ndarray) -> np.ndarray:
     """One symmetric V-cycle from a zero guess: damped Jacobi before and after
-    the coarse correction on every level, Cholesky on the coarsest."""
+    the coarse correction on every level, the inverse Cholesky factor L^-1
+    of the coarsest operator as coarse solve L^-T L^-1 r."""
     stack = []
-    for A, P, w in levels:
+    for A, P, R, w in levels:
         x = w * r
         stack.append((r, x))
-        r = P.T @ (r - A @ x)
-    x = cho_solve(coarsest, r)
-    for (A, P, w), (r, x_pre) in zip(reversed(levels), reversed(stack)):
+        r = R @ (r - A @ x)
+    x = coarsest.T @ (coarsest @ r)
+    for (A, P, R, w), (r, x_pre) in zip(reversed(levels), reversed(stack)):
         x = x_pre + P @ x
         x += w * (r - A @ x)
     return x
+
+
+def cg(A, b: np.ndarray, *, rtol: float = 1e-5, atol: float = 0.0, maxiter: int | None = None,
+       M=None, callback=None) -> tuple[np.ndarray, int]:
+    """Preconditioned conjugate gradients (Hestenes & Stiefel, 1952) from a
+    zero guess, with the update order and the stopping rule of
+    `scipy.sparse.linalg.cg`: stop once ||r|| < max(atol, rtol ||b||).
+
+    `M` is a callable applying the preconditioner, `callback(x)` runs after
+    every iteration.  Returns (x, 0) on convergence and (x, maxiter) when the
+    iterations run out; b = 0 gives zeros at once.  Raises
+    `SolverConvergenceError` when a search direction p has p.Ap <= 0, where
+    A (or M) is not positive definite.
+    """
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0
+    tol = max(float(atol), float(rtol) * float(bnorm))
+    if maxiter is None:
+        maxiter = 10 * len(b)
+    x = np.zeros_like(b)
+    r = b.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < tol:
+            return x, 0
+        z = r if M is None else M(r)
+        rho = np.dot(r, z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A @ p
+        pq = np.dot(p, q)
+        if not pq > 0.0:
+            raise SolverConvergenceError(f"CG met a direction with p.Ap = {pq:.3e}: the system is not SPD",
+                                         float(np.linalg.norm(r) / bnorm))
+        alpha = rho / pq
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
 
 
 def cg_solve(K: sp.csr_matrix, load: np.ndarray, dirichlet: np.ndarray, grid: tuple[int, int],
@@ -376,18 +423,14 @@ def cg_solve(K: sp.csr_matrix, load: np.ndarray, dirichlet: np.ndarray, grid: tu
         raise SolverConvergenceError("non-SPD reduced system", np.inf)
     try:
         levels, coarsest = _multigrid_levels(A, mask.reshape(grid))
-    except LinAlgError:
+    except np.linalg.LinAlgError:
         raise SolverConvergenceError("non-SPD reduced system", np.inf) from None
-    M = LinearOperator(A.shape, matvec=lambda r: _v_cycle(levels, coarsest, r))
     if maxiter is None:
         maxiter = int(50 * np.sqrt(len(free))) + 10
-    iterations = 0
-
-    def count(xk):
-        nonlocal iterations
-        iterations += 1
-
-    x, info = cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M, callback=count)
+    # one entry per iteration, all the same iterate: the count is its length
+    steps = []
+    x, info = cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter,
+                 M=partial(_v_cycle, levels, coarsest), callback=steps.append)
     res = float(np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300))
     if info != 0:
         raise SolverConvergenceError(
@@ -395,7 +438,7 @@ def cg_solve(K: sp.csr_matrix, load: np.ndarray, dirichlet: np.ndarray, grid: tu
         )
     values = np.zeros(n)
     values[free] = x
-    record = {"solver": "mg-cg", "iterations": iterations, "rel_residual": res,
+    record = {"solver": "mg-cg", "iterations": len(steps), "rel_residual": res,
               "dofs": len(free), "nnz": A.nnz, "levels": len(levels) + 1}
     return values, record
 

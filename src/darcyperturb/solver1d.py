@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .quadrature import Antiderivative, as_array_fn, gauss_rule, integrate_cells
 
@@ -107,14 +106,17 @@ def from_nodal(nodes: np.ndarray, values: np.ndarray, label: str = "") -> Piecew
 
 
 def _insert_points(breaks: Sequence[float], extra: Sequence[float]) -> np.ndarray:
-    pts = np.asarray(sorted(set(float(b) for b in breaks) | set(float(e) for e in extra)))
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if p - keep[-1] > BREAKPOINT_MERGE_TOL:
-            keep.append(p)
-        else:
-            keep[-1] = max(keep[-1], p)
-    return np.array(keep)
+    """Sorted union of `breaks` and `extra`, where each run of points at most
+    BREAKPOINT_MERGE_TOL apart collapses to its largest point.
+
+    Of equal values (0.0 and -0.0) the first given is kept: sorting the
+    reversed input stably puts it last among its equals, and the last point
+    of every run is the one kept.
+    """
+    pts = np.sort(np.concatenate((breaks, extra), dtype=float)[::-1], kind="stable")
+    keep = np.ones(len(pts), dtype=bool)
+    keep[:-1] = pts[1:] - pts[:-1] > BREAKPOINT_MERGE_TOL
+    return pts[keep]
 
 
 def _gap(zeta: float) -> tuple[float, float]:
@@ -192,6 +194,8 @@ def solve_fem_1d(forcing, zeta: float, eps: float, n_cells: int) -> PiecewiseFie
 
     Tridiagonal solve; the uniform mesh is augmented with 0 and zeta as nodes.
     """
+    from scipy.linalg import solve_banded  # only here: no CLI command needs it
+
     _check_eps(eps)
     if n_cells < 4:
         raise ValueError(f"need n_cells >= 4, got {n_cells}")

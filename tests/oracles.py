@@ -2,12 +2,14 @@
 norms of smooth fields, the continuity of piecewise 1D fields, the P1 mesh
 geometry computed afresh, and the plain forms of the 1D evaluation paths
 (broadcast by a product with ones, np.clip clamps, one call per np.unique
-piece) that the library's shortcuts must reproduce bit for bit."""
+piece, a Python merge of breakpoints) that the library's shortcuts must
+reproduce bit for bit."""
 
 import numpy as np
 
 from darcyperturb.config import _EXPR_CONSTS, _EXPR_FUNCS
 from darcyperturb.quadrature import _ANTIDERIVATIVE_ORDER, as_array_fn, gauss_rule
+from darcyperturb.solver1d import BREAKPOINT_MERGE_TOL
 
 
 def t_apply_smooth(zeta, value, grad):
@@ -152,6 +154,18 @@ def eval_per_piece(field, x, attr: str):
         sel = idx == i
         out[sel] = getattr(field.pieces[i], attr)(x_arr[sel])
     return out if np.ndim(x) else float(out[0])
+
+
+def insert_points_loop(breaks, extra) -> np.ndarray:
+    """`solver1d._insert_points` as a set union, a sort and a Python merge loop."""
+    pts = np.asarray(sorted(set(float(b) for b in breaks) | set(float(e) for e in extra)))
+    keep = [pts[0]]
+    for p in pts[1:]:
+        if p - keep[-1] > BREAKPOINT_MERGE_TOL:
+            keep.append(p)
+        else:
+            keep[-1] = max(keep[-1], p)
+    return np.array(keep)
 
 
 def bits(a) -> np.ndarray:

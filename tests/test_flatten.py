@@ -58,20 +58,29 @@ def test_lambda_map_column_endpoints():
     assert np.allclose(out, [0.5, 0.5 * 0.75 + 0.25])
 
 
-def test_lambda_map_round_trip():
-    rng = np.random.default_rng(2)
-    for zeta in shapes5():
-        x = rng.uniform(0, 1, 1000)
-        zv = zeta.value(x)
-        for i, lo, hi in ((1, -np.ones_like(x), zv), (2, zv, np.ones_like(x))):
-            z = lo + rng.uniform(0, 1, 1000) * (hi - lo)
-            pts = np.column_stack([x, z])
-            flat = lambda_map(i, zeta, pts, "forward")
-            back = lambda_map(i, zeta, flat, "inverse")
-            assert np.max(np.abs(back - pts)) < 1e-12
+@st.composite
+def perturbations(draw):
+    """Every family with an amplitude below 1, the bound of admissibility."""
+    family = draw(st.sampled_from(["sine", "bump", "hat"]))
+    params = {"sine": {"wavenumber": draw(st.integers(1, 4))}, "bump": {},
+              "hat": {"knot": draw(st.floats(0.05, 0.95))}}[family]
+    return make_perturbation(family, params, draw(st.floats(0.0, 1.0, exclude_max=True)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(zeta=perturbations(), seed=st.integers(0, 2**32 - 1))
+def test_lambda_map_round_trip(zeta, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, 200)
+    zv = zeta.value(x)
+    for i, lo, hi in ((1, -np.ones_like(x), zv), (2, zv, np.ones_like(x))):
+        z = lo + rng.uniform(0, 1, 200) * (hi - lo)
+        pts = np.column_stack([x, z])
+        flat = lambda_map(i, zeta, pts, "forward")
+        back = lambda_map(i, zeta, flat, "inverse")
+        assert np.max(np.abs(back - pts)) < 1e-12
     # the two inverse maps agree on the flat interface
-    zeta = sine(0.3)
-    on_gamma = np.column_stack([rng.uniform(0, 1, 50), np.zeros(50)])
+    on_gamma = np.column_stack([x, np.zeros_like(x)])
     a = lambda_map(1, zeta, on_gamma, "inverse")
     b = lambda_map(2, zeta, on_gamma, "inverse")
     assert np.max(np.abs(a - b)) == 0.0

@@ -214,6 +214,27 @@ def test_one_signed_study_never_loads_scipy_optimize(tmp_path, mode):
     assert (tmp_path / "out" / "records.csv").exists()
 
 
+_STUDIES = {
+    "oned": "[domain]\ndim = 1\neps = 0.5\n[forcing]\nF = 0\nf = 1\n"
+            "[study]\nmode = oned\namplitudes = 0.2 0.1\n",
+    "fitted2d": "[domain]\ndim = 2\neps = 0.1\n[perturbation]\nfamily = sine\nwavenumber = 1\n"
+                "[forcing]\nF = 0\nf = 1\n[solver]\nnx = 8\nnz = 8\n"
+                "[study]\nmode = fitted2d\namplitudes = 0.2 0.1\n",
+}
+
+
+@pytest.mark.parametrize("run", ["import", "oned", "fitted2d"])
+def test_runs_load_no_scipy_beyond_sparse(tmp_path, run):
+    # the baseline is what `import scipy.sparse` loads by itself, whatever the
+    # scipy version; neither scipy.linalg nor scipy.sparse.linalg may come on top
+    code = "import sys, scipy.sparse\nbase = set(sys.modules)\nfrom darcyperturb.cli import dispatch\n"
+    if run != "import":
+        (tmp_path / "run.ini").write_text(_STUDIES[run])
+        code += "assert dispatch(['study', '--config', 'run.ini', '--out-dir', 'out']) == 0\n"
+    code += "print(sorted(m for m in set(sys.modules) - base if m.split('.')[0] == 'scipy'))"
+    assert _run_python(code, tmp_path) == "[]"
+
+
 def test_table_sign_change_inside_segment():
     # zeta falls linearly from 0.3 at x = 0.2 to -0.1 at x = 0.7, so its zero
     # x0 = 0.575 is neither a knot nor a sample point: only root finding adds it

@@ -1,8 +1,12 @@
 """Multigrid-preconditioned CG: agreement with a direct solve, symmetry of the
-V-cycle, iteration counts flat in the mesh size, and the solve record."""
+V-cycle, iteration counts flat in the mesh size, the solve record, and the
+CG loop against scipy's `cg` (imported here only)."""
+
+from functools import partial
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -81,7 +85,7 @@ def test_thin_meshes_coarsen_to_a_small_system(nx, nz):
     mesh, K = system("fitted", nx, nz, 0.1, 0.1)
     _, _, (levels, coarsest) = hierarchy(mesh, K)
     assert len(levels) >= 3
-    assert coarsest[0].shape[0] <= 2000
+    assert coarsest.shape[0] <= 2000
     q = fem2d.assemble_solve(mesh, FORCING, eps=0.1)
     assert q.meta["rel_residual"] <= 1e-10
 
@@ -108,3 +112,101 @@ def test_maxiter_exhaustion_raises_with_finite_residual():
     with pytest.raises(fem2d.SolverConvergenceError) as info:
         fem2d.assemble_solve(mesh, FORCING, eps=0.1, rtol=1e-14, maxiter=1)
     assert np.isfinite(info.value.residual) and info.value.residual > 0.0
+
+
+# --- fem2d.cg against scipy.sparse.linalg.cg ----------------------------------
+
+
+def scipy_cg(A, b, *, rtol, maxiter, M=None):
+    """scipy's CG with the same arguments; returns (x, info, iterations)."""
+    steps = []
+    op = None if M is None else spla.LinearOperator(A.shape, matvec=M)
+    x, info = spla.cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=op, callback=steps.append)
+    return x, info, len(steps)
+
+
+def our_cg(A, b, *, rtol, maxiter, M=None):
+    steps = []
+    x, info = fem2d.cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M, callback=steps.append)
+    assert all(s is x for s in steps)
+    return x, info, len(steps)
+
+
+@st.composite
+def spd_systems(draw):
+    """A dense random SPD matrix with a drawn condition number, or a fitted or
+    flattened stiffness with its V-cycle as preconditioner."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 30))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        B = (q * np.geomspace(1.0, draw(st.floats(1.0, 1e3)), n)) @ q.T
+        return sp.csr_matrix(0.5 * (B + B.T)), rng.standard_normal(n), None
+    mesh, K = system(draw(kinds), draw(sizes), draw(sizes), draw(amps), draw(eps_values))
+    A, _, (levels, coarsest) = hierarchy(mesh, K)
+    return A, rng.standard_normal(A.shape[0]), partial(fem2d._v_cycle, levels, coarsest)
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=spd_systems(), rtol=st.floats(1e-12, 1e-4), vcycle=st.booleans())
+def test_cg_matches_scipy(case, rtol, vcycle):
+    A, b, M = case
+    M = M if vcycle else None
+    maxiter = 10 * A.shape[0] + 50
+    x, info, iters = our_cg(A, b, rtol=rtol, maxiter=maxiter, M=M)
+    x_ref, info_ref, iters_ref = scipy_cg(A, b, rtol=rtol, maxiter=maxiter, M=M)
+    assert info == info_ref == 0
+    assert abs(iters - iters_ref) <= 1
+    # both residuals lie below rtol ||b||, so their difference lies below twice that
+    bnorm = np.linalg.norm(b)
+    assert np.linalg.norm(A @ x - b) <= rtol * bnorm
+    assert np.linalg.norm(A @ (x - x_ref)) <= 2.0 * rtol * bnorm
+
+
+def test_cg_of_zero_rhs_returns_zeros():
+    A = sp.identity(5, format="csr")
+    steps = []
+    x, info = fem2d.cg(A, np.zeros(5), rtol=1e-10, callback=steps.append)
+    assert info == 0 and steps == []
+    assert np.array_equal(x, np.zeros(5))
+
+
+def test_cg_exhausting_maxiter_returns_maxiter():
+    mesh, K = system("fitted", 16, 16, 0.2, 0.1)
+    A, _, _ = hierarchy(mesh, K)
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    x, info, iters = our_cg(A, b, rtol=1e-14, maxiter=3)
+    x_ref, info_ref, iters_ref = scipy_cg(A, b, rtol=1e-14, maxiter=3)
+    assert info == info_ref == 3
+    assert iters == iters_ref == 3
+    assert np.array_equal(x, x_ref)
+
+
+def test_cg_with_the_exact_inverse_takes_one_step():
+    A = sp.diags([2.0, 3.0, 5.0, 7.0], format="csr")
+    x, info, iters = our_cg(A, np.ones(4), rtol=1e-12, maxiter=10, M=lambda r: r / A.diagonal())
+    assert info == 0 and iters == 1
+    assert np.allclose(x, 1.0 / A.diagonal(), rtol=1e-15)
+
+
+def test_cg_stops_on_a_direction_of_no_positive_curvature():
+    A = sp.diags([1.0, -1.0], format="csr")
+    with pytest.raises(fem2d.SolverConvergenceError, match="not SPD"):
+        fem2d.cg(A, np.ones(2), rtol=1e-10, maxiter=10)
+
+
+def test_cg_solve_rejects_an_indefinite_system():
+    # subtracting 8 times the checkerboard mode turns its curvature negative
+    # while the diagonal and the coarse grids, which do not see the mode, stay
+    # positive: only the CG loop can notice
+    mesh = fem2d.build_fitted_mesh(sine(0.0), 16, 16)
+    K = fem2d.assemble_stiffness(mesh, 1.0, 1.0, 1.0)
+    j, l = np.indices(mesh.node_grid.shape)
+    w = ((-1.0) ** (j + l)).ravel()
+    w[mesh.dirichlet_nodes] = 0.0
+    w /= np.linalg.norm(w)
+    K = (K - 8.0 * sp.csr_matrix(np.outer(w, w))).tocsr()
+    load = np.random.default_rng(0).standard_normal(mesh.n_nodes)
+    with pytest.raises(fem2d.SolverConvergenceError, match="not SPD") as info:
+        fem2d.cg_solve(K, load, mesh.dirichlet_nodes, mesh.node_grid.shape)
+    assert np.isfinite(info.value.residual)

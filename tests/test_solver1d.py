@@ -2,12 +2,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from darcyperturb import solver1d
 from darcyperturb.config import compile_expression
 from darcyperturb.geometry import ForcingSpec
-from oracles import bits, eval_per_piece, max_jump, piece_index_clip
+from oracles import bits, eval_per_piece, insert_points_loop, max_jump, piece_index_clip
 
 from darcyperturb.solver1d import (
     energy_split_1d,
@@ -435,3 +435,34 @@ def test_bound_and_gap_solutions_take_an_unhashable_forcing():
         assert estimate_rhs_1d(F, ONE, zeta, 0.4) == estimate_rhs_1d(G, ONE, zeta, 0.4)
         for exact in (hperp_exact_original, hperp_exact_perturbed):
             assert np.array_equal(exact(F, ONE, zeta, 0.4).value(x), exact(G, ONE, zeta, 0.4).value(x))
+
+
+TOL = solver1d.BREAKPOINT_MERGE_TOL
+anchors = st.one_of(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0]), st.floats(-1.0, 1.0))
+# offsets up to a few merge tolerances, so that runs of close points form
+offsets = st.one_of(st.sampled_from([TOL, -TOL]), st.integers(-4, 4).map(lambda k: k * TOL / 2))
+points = st.one_of(anchors, st.builds(lambda a, d: a + d, anchors, offsets))
+
+
+@st.composite
+def breaks_and_extra(draw):
+    """Breakpoints and extra points drawn from a small pool, so that equal
+    values (0.0 and -0.0 among them) recur within and across the two lists."""
+    pool = draw(st.lists(points, min_size=1, max_size=6))
+    breaks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    extra = draw(st.lists(st.one_of(st.sampled_from(pool), points), max_size=4))
+    return (np.array(breaks) if draw(st.booleans()) else breaks), extra
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=breaks_and_extra())
+@example(case=([-0.0, 1.0], [0.0]))
+@example(case=([0.0, 1.0], [-0.0]))
+@example(case=([-1.0, 0.0, -0.0], [0.0]))
+@example(case=([-TOL / 2, 1.0], [0.0, -0.0]))
+@example(case=([-1.0, 1.0], [TOL, 0.0, 2 * TOL, -TOL]))
+def test_insert_points_matches_merge_loop(case):
+    breaks, extra = case
+    new, old = solver1d._insert_points(breaks, extra), insert_points_loop(breaks, extra)
+    assert new.shape == old.shape
+    assert np.array_equal(bits(new), bits(old))
