@@ -50,16 +50,23 @@ def as_array_fn(fn):
     return wrapped
 
 
-def integrate_cells(fn, edges: np.ndarray, *, order: int = DEFAULT_ORDER) -> float:
-    """Composite Gauss-Legendre integral of `fn` over the cells given by `edges`."""
+def integrate_cells(fn, edges: np.ndarray, *, order: int = DEFAULT_ORDER):
+    """Composite Gauss-Legendre integral of `fn` over the cells given by `edges`.
+
+    `edges` of shape (R, cells + 1) holds R rows at once: `fn` then takes the
+    (R, k) sample points and the result is an array of R integrals.  One row
+    of edges gives a float, and `fn` takes the flat sample points.
+    """
     edges = np.asarray(edges, dtype=float)
     t, w = gauss_rule(order)
-    lo, hi = edges[:-1], edges[1:]
+    lo, hi = edges[..., :-1], edges[..., 1:]
     half = 0.5 * (hi - lo)
-    # (cells, order) sample grid
-    x = lo[:, None] + half[:, None] * (t[None, :] + 1.0)
-    vals = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
-    return float(np.sum(half * (vals @ w)))
+    # (..., cells, order) sample grid
+    x = lo[..., None] + half[..., None] * (t + 1.0)
+    vals = np.asarray(fn(x.reshape(edges.shape[:-1] + (-1,))), dtype=float).reshape(x.shape)
+    # (R, cells, order) @ w keeps the per-row product of a single row, bit for bit
+    total = np.sum(half * (vals @ w), axis=-1)
+    return total if total.ndim else float(total)
 
 
 class Antiderivative:
@@ -68,35 +75,43 @@ class Antiderivative:
     Cell boundary values are precomputed; the in-cell remainder is done with a
     fresh Gauss rule per call, so evaluations stay accurate to near machine
     precision for smooth integrands.
+
+    `a` and `b` may be arrays of R row endpoints; the integral then holds R
+    rows.  A call takes points of shape (R, m), row r inside row r's interval
+    (a scalar is one point per row, giving (R, 1)), and a one-row integral
+    takes points of any shape.  `fn` gets the sample points in blocks of the
+    call's leading shape: (R, k) for R rows, flat for flat points.
     """
 
-    def __init__(self, fn, a: float, b: float):
-        if b <= a:
+    def __init__(self, fn, a, b):
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        if np.any(b <= a):
             raise ValueError(f"need a < b, got [{a}, {b}]")
         self.fn = fn
-        self.a = float(a)
-        self.b = float(b)
-        self.grid = np.linspace(a, b, _ANTIDERIVATIVE_CELLS + 1)
-        lo, hi = self.grid[:-1], self.grid[1:]
+        self.grid = np.linspace(a, b, _ANTIDERIVATIVE_CELLS + 1, axis=-1)
+        lo, hi = self.grid[..., :-1], self.grid[..., 1:]
         half = 0.5 * (hi - lo)
-        x = lo[:, None] + half[:, None] * _NODES_PLUS_ONE
-        vals = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+        x = lo[..., None] + half[..., None] * _NODES_PLUS_ONE
+        vals = np.asarray(fn(x.reshape(a.shape + (-1,))), dtype=float).reshape(x.shape)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite integrand sample in Antiderivative")
         cell_ints = half * (vals @ _WEIGHTS)
-        self.cum = np.concatenate([[0.0], np.cumsum(cell_ints)])
+        self.cum = np.concatenate([np.zeros(a.shape + (1,)), np.cumsum(cell_ints, axis=-1)], axis=-1)
+        # flat index of the first grid point of each row
+        self._row_start = np.arange(0, self.grid.size, _ANTIDERIVATIVE_CELLS + 1).reshape(a.shape + (1,))
 
     def __call__(self, x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+        # the count of grid points <= x is searchsorted(side="right") row by row;
         # integer min/max clamp: np.clip costs several times more per call
-        idx = np.minimum(np.maximum(self.grid.searchsorted(x_arr, side="right") - 1, 0),
-                         _ANTIDERIVATIVE_CELLS - 1)
-        lo = self.grid[idx]
+        count = np.count_nonzero(self.grid[..., None, :] <= x_arr[..., None], axis=-1)
+        idx = np.minimum(np.maximum(count - 1, 0), _ANTIDERIVATIVE_CELLS - 1) + self._row_start
+        lo = self.grid.ravel()[idx]
         half = 0.5 * (x_arr - lo)
-        pts = lo[:, None] + half[:, None] * _NODES_PLUS_ONE
-        vals = np.asarray(self.fn(pts.ravel()), dtype=float).reshape(pts.shape)
-        out = self.cum[idx] + half * (vals @ _WEIGHTS)
-        return out if np.ndim(x) else float(out[0])
+        pts = lo[..., None] + half[..., None] * _NODES_PLUS_ONE
+        vals = np.asarray(self.fn(pts.reshape(pts.shape[:-2] + (-1,))), dtype=float).reshape(pts.shape)
+        out = self.cum.ravel()[idx] + half * (vals @ _WEIGHTS)
+        return out if np.ndim(x) or self.grid.ndim > 1 else float(out[0])
 
 
 def triangle_rule(degree: int = 2) -> tuple[np.ndarray, np.ndarray]:

@@ -7,12 +7,22 @@ q(-1) = 0, dq(1) = 0 and the flux jump dq(zeta-) - (1/eps) dq(zeta+) = f(zeta).
 zeta = 0 gives the unperturbed solution p.  For zeta != 0 the space V splits
 into H = {dr = 0 on the gap (lo, hi) between 0 and zeta} and its V-orthogonal
 complement; every gap quantity has one formula for both signs of zeta.
+
+solve_exact_1d, vnorm_diff_1d, energy_split_1d, xi_1d and estimate_rhs_1d
+also take an array of R values of zeta of one structure (all in (0, 1) or
+all in (-1, 0), none within BREAKPOINT_MERGE_TOL of 0 or of +-1) and solve
+the R problems at once, each bit for bit as alone.  The field then holds R
+rows, with breakpoints of shape (R, n), and each per-row number is an array
+of R values.  Every array keeps the shape it has for one problem with one
+leading row axis in front, so each product sees the shapes it sees for one
+row (BLAS results depend on the shape).  A field of one row, such as p, is
+shared by all the rows it meets.  Rows that turn out to differ in structure
+raise ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,9 +57,33 @@ def _flat(c: float) -> Piece:
 _ZERO = _flat(0.0)
 
 
-def _at(fn, x: float) -> float:
-    """fn(x) for a scalar x, through the array wrapper every solver uses."""
-    return float(as_array_fn(fn)(np.asarray([x]))[0])
+def _pointwise(fn) -> Callable:
+    """fn on points of any shape, called on the flat points through the array
+    wrapper every solver uses: forcings see flat arrays, whatever the row
+    layout of the integral that samples them."""
+    fn = as_array_fn(fn)
+    return lambda x: fn(x.ravel()).reshape(x.shape)
+
+
+def _at(fn, x):
+    """fn at each value of x, in the shape of x."""
+    return _pointwise(fn)(np.asarray(x, dtype=float))
+
+
+def _shared(a: np.ndarray) -> np.ndarray:
+    """The last-axis pattern that every row of `a` has; rows that differ raise."""
+    first = a[(0,) * (a.ndim - 1)]
+    if not np.all(a == first):
+        raise ValueError("the rows of a batch differ in structure")
+    return first
+
+
+def _join(*parts) -> np.ndarray:
+    """Concatenation along the last axis of per-row arrays and of points (or
+    floats) that every row shares."""
+    arrs = [np.atleast_1d(np.asarray(a, dtype=float)) for a in parts]
+    lead = np.broadcast_shapes(*(a.shape[:-1] for a in arrs))
+    return np.concatenate([np.broadcast_to(a, lead + a.shape[-1:]) for a in arrs], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -58,6 +92,8 @@ class PiecewiseField1D:
 
     breakpoints[i] .. breakpoints[i+1] is covered by pieces[i]; fields built by
     the solvers are continuous across breakpoints and vanish at x = -1.
+    Breakpoints of shape (R, n) make R rows with the same pieces; `value` and
+    `derivative` then take points of shape (R, m).
     """
 
     breakpoints: np.ndarray
@@ -66,31 +102,38 @@ class PiecewiseField1D:
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
-        if len(bp) != len(self.pieces) + 1 or np.any(np.diff(bp) <= 0.0):
+        if bp.shape[-1] != len(self.pieces) + 1 or np.any(np.diff(bp, axis=-1) <= 0.0):
             raise ValueError("breakpoints must be sorted and one longer than pieces")
         object.__setattr__(self, "breakpoints", bp)
 
     def _piece_index(self, x: np.ndarray) -> np.ndarray:
+        # the count of breakpoints <= x is searchsorted(side="right") row by row;
         # integer min/max clamp: np.clip costs several times more per call
-        return np.minimum(np.maximum(self.breakpoints.searchsorted(x, side="right") - 1, 0),
-                          len(self.pieces) - 1)
+        count = np.count_nonzero(self.breakpoints[..., None, :] <= x[..., None], axis=-1)
+        return np.minimum(np.maximum(count - 1, 0), len(self.pieces) - 1)
 
-    def _eval(self, x, attr: str):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x_arr)
-        idx = self._piece_index(x_arr)
-        used = np.bincount(idx.ravel()).nonzero()[0]  # np.unique(idx), without its sort
-        for i in used:
-            sel = idx == i
-            out[sel] = getattr(self.pieces[i], attr)(x_arr[sel])
-        return out if np.ndim(x) else float(out[0])
+    def _eval(self, x: np.ndarray, attr: str) -> np.ndarray:
+        """Pieces at the points x, of shape (m,) or (R, m), one call per piece
+        on the columns it holds; every row must hold each column in the same
+        piece."""
+        cols = _shared(self._piece_index(x))
+        out = np.empty(np.broadcast_shapes(x.shape, self.breakpoints.shape[:-1] + (1,)))
+        for i in np.bincount(cols).nonzero()[0]:  # np.unique(cols), without its sort
+            sel = cols == i
+            out[..., sel] = getattr(self.pieces[i], attr)(x[..., sel])
+        return out
+
+    def _at_points(self, x, attr: str):
+        x_arr = np.asarray(x, dtype=float)
+        out = self._eval(x_arr.reshape(self.breakpoints.shape[:-1] + (-1,)), attr)
+        return out.reshape(x_arr.shape) if x_arr.ndim else float(out[0])
 
     def value(self, x):
-        return self._eval(x, "value")
+        return self._at_points(x, "value")
 
     def derivative(self, x):
         """Weak derivative; at an interior breakpoint the right piece is used."""
-        return self._eval(x, "deriv")
+        return self._at_points(x, "deriv")
 
 
 def from_nodal(nodes: np.ndarray, values: np.ndarray, label: str = "") -> PiecewiseField1D:
@@ -105,37 +148,37 @@ def from_nodal(nodes: np.ndarray, values: np.ndarray, label: str = "") -> Piecew
     return PiecewiseField1D(nodes, tuple(pieces), label=label)
 
 
-def _insert_points(breaks: Sequence[float], extra: Sequence[float]) -> np.ndarray:
+def _insert_points(breaks, extra: Sequence) -> np.ndarray:
     """Sorted union of `breaks` and `extra`, where each run of points at most
     BREAKPOINT_MERGE_TOL apart collapses to its largest point.
 
     Of equal values (0.0 and -0.0) the first given is kept: sorting the
     reversed input stably puts it last among its equals, and the last point
-    of every run is the one kept.
+    of every run is the one kept.  Rows of (R, n) breakpoints are merged row
+    by row and must merge alike.
     """
-    pts = np.sort(np.concatenate((breaks, extra), dtype=float)[::-1], kind="stable")
-    keep = np.ones(len(pts), dtype=bool)
-    keep[:-1] = pts[1:] - pts[:-1] > BREAKPOINT_MERGE_TOL
-    return pts[keep]
+    pts = np.sort(_join(breaks, *extra)[..., ::-1], axis=-1, kind="stable")
+    keep = np.ones(pts.shape, dtype=bool)
+    keep[..., :-1] = pts[..., 1:] - pts[..., :-1] > BREAKPOINT_MERGE_TOL
+    return pts[..., _shared(keep)]
 
 
-def _gap(zeta: float) -> tuple[float, float]:
-    """(lo, hi): the gap between 0 and zeta, which must lie in (-1, 0) or (0, 1)."""
-    z0 = float(zeta)
-    if not -1.0 < z0 < 1.0 or z0 == 0.0:
-        raise ValueError(f"zeta must lie in (-1, 0) or (0, 1), got {z0}")
-    return min(z0, 0.0), max(z0, 0.0)
+def _gap(zeta):
+    """(lo, hi): the gap between 0 and zeta, which must lie in (-1, 0) or (0, 1)
+    (for an array of zeta, every value in the same one)."""
+    z = np.asarray(zeta, dtype=float)
+    if not (np.all((-1.0 < z) & (z < 0.0)) or np.all((0.0 < z) & (z < 1.0))):
+        raise ValueError(f"zeta must lie in (-1, 0) or (0, 1), got {z if z.ndim else float(z)}")
+    return np.minimum(z, 0.0), np.maximum(z, 0.0)
 
 
-def _bands(breaks: np.ndarray, lo: float, hi: float, below: Piece, inside: Piece,
+def _bands(breaks: np.ndarray, lo, hi, below: Piece, inside: Piece,
            above: Piece, label: str) -> PiecewiseField1D:
     """Field on `breaks` whose cells take `below`, `inside` or `above` by where
-    their midpoint lies against (lo, hi)."""
-    pieces = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        mid = 0.5 * (a + b)
-        pieces.append(below if mid < lo else inside if mid < hi else above)
-    return PiecewiseField1D(breaks, tuple(pieces), label=label)
+    their midpoint lies against (lo, hi) (per-row columns for R rows)."""
+    mid = 0.5 * (breaks[..., :-1] + breaks[..., 1:])
+    band = _shared(np.where(mid < lo, 0, np.where(mid < hi, 1, 2)))
+    return PiecewiseField1D(breaks, tuple((below, inside, above)[k] for k in band), label=label)
 
 
 def _two_region_exact(F_left, F_right, c_left: float, c_right: float,
@@ -143,16 +186,18 @@ def _two_region_exact(F_left, F_right, c_left: float, c_right: float,
     """Exact solution of -d(c du) = F with region coefficients split at `iface`,
     u(-1) = 0, du(1) = 0 and flux jump c_left du(iface-) - c_right du(iface+) = flux.
 
-    Built by double integration with quadrature antiderivatives.
+    Built by double integration with quadrature antiderivatives.  For an
+    array of R interfaces, `flux` is an (R, 1) column and the field has R rows.
     """
-    z0 = float(iface)
-    if not -1.0 < z0 < 1.0:
-        raise ValueError(f"interface must lie in (-1, 1), got {z0}")
+    z0 = np.asarray(iface, dtype=float)
+    if not np.all((-1.0 < z0) & (z0 < 1.0)):
+        raise ValueError(f"interface must lie in (-1, 1), got {z0 if z0.ndim else float(z0)}")
+    zc = z0[..., None]  # one column: the interface of each row
 
-    IR = Antiderivative(F_right, z0, 1.0)
-    IL = Antiderivative(F_left, -1.0, z0)
+    IR = Antiderivative(_pointwise(F_right), z0, 1.0)
+    IL = Antiderivative(_pointwise(F_left), -1.0, z0)
     right_total = IR(1.0)
-    left_total = IL(z0)
+    left_total = IL(zc)
 
     def d_right(x):
         # c_right * du = int_x^1 F_right (Neumann at x = 1)
@@ -160,27 +205,28 @@ def _two_region_exact(F_left, F_right, c_left: float, c_right: float,
 
     def d_left(x):
         # c_left * du = flux + int_iface^1 F_right + int_x^iface F_left
-        return (flux + right_total + (left_total - IL(np.asarray(x, dtype=float)))) / c_left
+        return (flux + right_total + (left_total - IL(x))) / c_left
 
     V_left = Antiderivative(d_left, -1.0, z0)
-    v_iface = V_left(z0)
+    v_iface = V_left(zc)
     V_right = Antiderivative(d_right, z0, 1.0)
 
     def val_right(x):
         return v_iface + V_right(x)
 
     right = Piece(val_right, d_right)
-    return _bands(_insert_points([-1.0, z0, 1.0], [0.0]), z0, z0,
+    return _bands(_insert_points(_join(-1.0, zc, 1.0), [0.0]), zc, zc,
                   Piece(V_left, d_left), right, right, label)
 
 
-def solve_exact_1d(forcing, zeta: float, eps: float) -> PiecewiseField1D:
-    """Exact solution q^zeta of the perturbed two-point problem (p for zeta = 0)."""
+def solve_exact_1d(forcing, zeta, eps: float) -> PiecewiseField1D:
+    """Exact solution q^zeta of the perturbed two-point problem (p for zeta = 0);
+    R rows for an array of R values of zeta."""
     _check_eps(eps)
-    F = as_array_fn(forcing.F)
+    z = np.asarray(zeta, dtype=float)
     return _two_region_exact(
-        F, F, 1.0, 1.0 / eps, _at(forcing.f, zeta), zeta,
-        label=f"exact(zeta={zeta:g})",
+        forcing.F, forcing.F, 1.0, 1.0 / eps, _at(forcing.f, z[..., None]), z,
+        label=f"exact(zeta={float(z):g})" if z.ndim == 0 else f"exact({len(z)} rows)",
     )
 
 
@@ -276,26 +322,6 @@ def project_Hperp(r: PiecewiseField1D, zeta: float) -> PiecewiseField1D:
                   f"P_Hperp[{r.label}]")
 
 
-@lru_cache(maxsize=1)
-def _cached_integral(F, lo: float) -> Antiderivative:
-    return Antiderivative(as_array_fn(F), lo, 1.0)
-
-
-def _integral_to_one(F, lo: float) -> Antiderivative:
-    """x -> int_lo^x F, kept for the last (F, lo) asked: for zeta > 0 every row
-    of a study's sweep asks for the same F and lo = 0.
-
-    F is taken to be a pure function of x.  An F that cannot be hashed (an
-    instance of a callable class with __eq__ but no __hash__, say) gets a new
-    integral on each call.
-    """
-    try:
-        hash(F)
-    except TypeError:
-        return Antiderivative(as_array_fn(F), lo, 1.0)
-    return _cached_integral(F, lo)
-
-
 def _gap_solution(F, f, zeta: float, eps: float, iface: float, label: str) -> PiecewiseField1D:
     """Closed-form H-orthogonal projection of the exact solution whose
     interface sits at `iface` (0 for p, zeta for q^zeta).
@@ -311,7 +337,7 @@ def _gap_solution(F, f, zeta: float, eps: float, iface: float, label: str) -> Pi
         scale, flux = eps, 0.0
     else:
         scale, flux = 1.0, _at(f, hi)
-    IF = Antiderivative(as_array_fn(F), lo, 1.0)
+    IF = Antiderivative(_pointwise(F), lo, 1.0)
     top = IF(1.0)
 
     def slope(x):
@@ -341,56 +367,69 @@ def hperp_exact_perturbed(F, f, zeta: float, eps: float) -> PiecewiseField1D:
     return _gap_solution(F, f, zeta, eps, float(zeta), "hperp_exact_q")
 
 
+def _scalar(v):
+    """A float for a single problem, the array of R values for R rows."""
+    return v if np.ndim(v) else float(v)
+
+
+def _sqrt_of_positive_part(v):
+    """sqrt(max(v, 0.0)): as Python's max, keeps v (a NaN or -0.0 too) unless 0.0 is larger."""
+    return _scalar(np.sqrt(np.where(v < 0.0, 0.0, v)))
+
+
 def vnorm_inner_1d(a: PiecewiseField1D, b: PiecewiseField1D) -> float:
     """V inner product int_{-1}^{1} da db over the union of breakpoints."""
-    breaks = _insert_points(a.breakpoints, b.breakpoints)
-    return integrate_cells(lambda x: a.derivative(x) * b.derivative(x), breaks, order=_ORDER)
+    breaks = _insert_points(a.breakpoints, [b.breakpoints])
+    return integrate_cells(lambda x: a._eval(x, "deriv") * b._eval(x, "deriv"), breaks, order=_ORDER)
 
 
-def vnorm_diff_1d(a: PiecewiseField1D, b: PiecewiseField1D) -> float:
-    """V-norm of the difference, (int |da - db|^2)^(1/2)."""
+def vnorm_diff_1d(a: PiecewiseField1D, b: PiecewiseField1D):
+    """V-norm of the difference, (int |da - db|^2)^(1/2); an array for R rows."""
 
     def sq(x):
-        d = a.derivative(x) - b.derivative(x)
+        d = a._eval(x, "deriv") - b._eval(x, "deriv")
         return d * d
 
-    breaks = _insert_points(a.breakpoints, b.breakpoints)
-    return float(np.sqrt(max(integrate_cells(sq, breaks, order=_ORDER), 0.0)))
+    breaks = _insert_points(a.breakpoints, [b.breakpoints])
+    return _sqrt_of_positive_part(integrate_cells(sq, breaks, order=_ORDER))
 
 
-def energy_split_1d(field: PiecewiseField1D, zeta: float, eps: float) -> tuple[float, float, float]:
+def energy_split_1d(field: PiecewiseField1D, zeta, eps: float):
     """(e1, e2, e1 + e2) with e1 = int_{-1}^{zeta} |dq|^2, e2 = (1/eps) int_{zeta}^{1} |dq|^2."""
     _check_eps(eps)
-    sq = _restricted_energy(field, -1.0, float(zeta))
-    e1 = sq
-    e2 = _restricted_energy(field, float(zeta), 1.0) / eps
+    z = np.asarray(zeta, dtype=float)
+    e1 = _restricted_energy(field, -1.0, z)
+    e2 = _restricted_energy(field, z, 1.0) / eps
     return e1, e2, e1 + e2
 
 
-def _restricted_energy(field: PiecewiseField1D, lo: float, hi: float) -> float:
-    if hi <= lo:
+def _restricted_energy(field: PiecewiseField1D, lo, hi):
+    """int_lo^hi |d field|^2, row by row for per-row bounds or fields (0.0 for an empty interval)."""
+    lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
+    if np.all(hi <= lo):
         return 0.0
     breaks = _insert_points(field.breakpoints, [lo, hi])
-    breaks = breaks[(breaks >= lo - 1e-15) & (breaks <= hi + 1e-15)]
+    breaks = breaks[..., _shared((breaks >= lo - 1e-15) & (breaks <= hi + 1e-15))]
 
     def sq(x):
-        d = field.derivative(x)
+        d = field._eval(x, "deriv")
         return d * d
 
     return integrate_cells(sq, breaks, order=_ORDER)
 
 
-def xi_1d(field: PiecewiseField1D, zeta: float) -> float:
+def xi_1d(field: PiecewiseField1D, zeta):
     """1D perturbation functional -sign(zeta) int_gap |dq|^2 (0 for zeta = 0)."""
-    if zeta == 0.0:
+    if np.ndim(zeta) == 0 and zeta == 0.0:
         return 0.0
     lo, hi = _gap(zeta)
-    return float(-np.sign(zeta) * _restricted_energy(field, lo, hi))
+    return _scalar(-np.sign(zeta) * _restricted_energy(field, lo, hi))
 
 
 @dataclass(frozen=True)
 class BoundRecord:
-    """Explicit right-hand side of the 1D continuous-dependence estimate."""
+    """Explicit right-hand side of the 1D continuous-dependence estimate
+    (arrays of R values for R rows)."""
 
     h_part: float
     hperp_part: float
@@ -400,7 +439,7 @@ class BoundRecord:
         return self.h_part + self.hperp_part
 
 
-def estimate_rhs_1d(F, f, zeta: float, eps: float) -> BoundRecord:
+def estimate_rhs_1d(F, f, zeta, eps: float) -> BoundRecord:
     """Computable bound ||p - q^zeta||_V <= h_part + hperp_part.
 
     h_part = sqrt(2) |f(0) - f(zeta)|; hperp_part keeps the pre-compression
@@ -409,19 +448,21 @@ def estimate_rhs_1d(F, f, zeta: float, eps: float) -> BoundRecord:
     and f at the top of the gap: f(zeta) for zeta > 0, f(0) for zeta < 0.
     """
     _check_eps(eps)
-    if zeta == 0.0:
+    if np.ndim(zeta) == 0 and zeta == 0.0:
         return BoundRecord(0.0, 0.0)
-    lo, hi = _gap(zeta)
+    gap = _gap(zeta)
+    lo, hi = (g[..., None] for g in gap)  # one column: the gap of each row
     f_lo, f_hi = _at(f, lo), _at(f, hi)
-    h_part = np.sqrt(2.0) * abs(f_lo - f_hi)
+    h_part = np.sqrt(2.0) * np.abs(f_lo - f_hi)
 
-    IF = _integral_to_one(F, lo)
-    at_zero = IF(0.0) if lo < 0.0 else 0.0  # int_lo^0 F; IF(lo) is 0
+    IF = Antiderivative(_pointwise(F), gap[0], 1.0)
+    at_zero = IF(0.0) if np.all(lo < 0.0) else 0.0  # int_lo^0 F; IF(lo) is 0
     Q = IF(1.0) - at_zero
     t, w = gauss_rule(_ORDER)
     half = 0.5 * (hi - lo)
     x = lo + half * (t + 1.0)
     E = at_zero - IF(x)  # int_x^0 F
-    l2 = np.sqrt(max(half * np.dot(w, E**2), 0.0))
-    hperp = (1.0 - eps) * l2 + np.sqrt(hi - lo) * abs((1.0 - eps) * Q + f_hi)
-    return BoundRecord(float(h_part), float(hperp))
+    # (..., 1, 16) @ w is np.dot(w, E**2) of each row, bit for bit
+    l2 = _sqrt_of_positive_part(half * ((E**2)[..., None, :] @ w))
+    hperp = (1.0 - eps) * l2 + np.sqrt(hi - lo) * np.abs((1.0 - eps) * Q + f_hi)
+    return BoundRecord(_scalar(h_part[..., 0]), _scalar(hperp[..., 0]))

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Sequence
@@ -22,6 +23,9 @@ MODES = ("oned", "fitted2d", "flattened2d")
 
 # errors that mark one sweep row as failed; anything else is a bug and propagates
 _ROW_ERRORS = (fem2d.SolverConvergenceError, ValueError, ArithmeticError)
+
+# rows of a 1D sweep solved together; peak memory grows with it
+_ONED_BATCH_ROWS = 16
 
 # column order of records.csv (runtime is reported in summary.json only, so
 # reruns of the same config are byte-identical)
@@ -111,28 +115,68 @@ def run_sequence(shape: Callable[[float], Perturbation] | None, amplitudes: Sequ
 def _run_oned(amps, forcing, eps, resolution) -> list[ConvergenceRecord]:
     p = solver1d.solve_exact_1d(forcing, 0.0, eps)
     records = []
-    for amp in amps:
-        rec = ConvergenceRecord(amplitude=amp, norm_sup=abs(amp), norm_w1inf=abs(amp),
-                                resolution=int(resolution))
-        t0 = perf_counter()
-        try:
-            q = solver1d.solve_exact_1d(forcing, amp, eps)
-            rec.vnorm_gap = solver1d.vnorm_diff_1d(p, q)
-            e1, e2, tot = solver1d.energy_split_1d(q, amp, eps)
-            rec.energy_e1, rec.energy_e2, rec.energy_total = e1, e2, tot
-            rec.energy_flat_total = solver1d.energy_split_1d(q, 0.0, eps)[2]
-            rec.lower_bound_c = 1.0 - eps * abs(1.0 - 1.0 / eps) * abs(amp)
-            rec.coercivity_e = (1.0 - abs(amp)) / (1.0 + 3.0 + 4.0 * amp * amp)
-            rec.xi_p = solver1d.xi_1d(p, amp)
-            bound = solver1d.estimate_rhs_1d(forcing.F, forcing.f, amp, eps)
-            rec.bound_h_part = bound.h_part
-            rec.bound_hperp_part = bound.hperp_part
-            rec.bound_total = bound.total
-        except _ROW_ERRORS as exc:  # keep sweeping
-            rec.status = f"failed: {exc}"
-        rec.runtime = perf_counter() - t0
-        records.append(rec)
+    for batch in _oned_batches(amps):
+        records += _oned_rows(batch, p, forcing, eps, resolution)
     return records
+
+
+def _oned_batches(amps):
+    """The amplitudes in runs of at most _ONED_BATCH_ROWS that share one
+    structure (each in (0, 1), none within BREAKPOINT_MERGE_TOL of 0 or 1),
+    and every other amplitude alone."""
+    tol = solver1d.BREAKPOINT_MERGE_TOL
+    for regular, run in groupby(amps, key=lambda amp: amp > tol and 1.0 - amp > tol):
+        run = list(run)
+        step = _ONED_BATCH_ROWS if regular else 1
+        for k in range(0, len(run), step):
+            yield run[k:k + step]
+
+
+def _oned_rows(amps, p, forcing, eps, resolution) -> list[ConvergenceRecord]:
+    """Records of `amps`, solved together (one amplitude as a scalar).
+
+    A batch that fails is solved again one row at a time, so a failing row
+    fails alone, and the failed attempt's time is shared over its rows.  Each
+    row's runtime is the batch's time over its rows.
+    """
+    recs = [ConvergenceRecord(amplitude=amp, norm_sup=abs(amp), norm_w1inf=abs(amp),
+                              resolution=int(resolution)) for amp in amps]
+    t0 = perf_counter()
+    try:
+        _fill_oned(recs, np.array(amps) if len(amps) > 1 else amps[0], p, forcing, eps)
+    except _ROW_ERRORS as exc:  # keep sweeping
+        if len(amps) > 1:
+            attempt = (perf_counter() - t0) / len(amps)
+            recs = [rec for amp in amps for rec in _oned_rows([amp], p, forcing, eps, resolution)]
+            for rec in recs:
+                rec.runtime += attempt
+            return recs
+        recs[0].status = f"failed: {exc}"
+    runtime = (perf_counter() - t0) / len(recs)
+    for rec in recs:
+        rec.runtime = runtime
+    return recs
+
+
+def _fill_oned(recs, zeta, p, forcing, eps) -> None:
+    """Fill the rows of `recs` in order, a few columns at a time, for zeta (the
+    amplitudes as an array, or one as a float) against the unperturbed p."""
+
+    def put(**columns):
+        for name, values in columns.items():
+            for rec, v in zip(recs, np.broadcast_to(values, len(recs))):
+                setattr(rec, name, float(v))
+
+    q = solver1d.solve_exact_1d(forcing, zeta, eps)
+    put(vnorm_gap=solver1d.vnorm_diff_1d(p, q))
+    e1, e2, tot = solver1d.energy_split_1d(q, zeta, eps)
+    put(energy_e1=e1, energy_e2=e2, energy_total=tot)
+    put(energy_flat_total=solver1d.energy_split_1d(q, 0.0, eps)[2])
+    put(lower_bound_c=1.0 - eps * abs(1.0 - 1.0 / eps) * np.abs(zeta),
+        coercivity_e=(1.0 - np.abs(zeta)) / (1.0 + 3.0 + 4.0 * zeta * zeta))
+    put(xi_p=solver1d.xi_1d(p, zeta))
+    bound = solver1d.estimate_rhs_1d(forcing.F, forcing.f, zeta, eps)
+    put(bound_h_part=bound.h_part, bound_hperp_part=bound.hperp_part, bound_total=bound.total)
 
 
 def _run_twod(shape, amps, forcing, eps, resolution, mode, rtol) -> list[ConvergenceRecord]:

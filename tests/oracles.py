@@ -2,14 +2,16 @@
 norms of smooth fields, the continuity of piecewise 1D fields, the P1 mesh
 geometry computed afresh, and the plain forms of the 1D evaluation paths
 (broadcast by a product with ones, np.clip clamps, one call per np.unique
-piece, a Python merge of breakpoints) that the library's shortcuts must
-reproduce bit for bit."""
+piece, a Python merge of breakpoints, one amplitude at a time) that the
+library's shortcuts and row batches must reproduce bit for bit."""
+
+import math
 
 import numpy as np
 
 from darcyperturb.config import _EXPR_CONSTS, _EXPR_FUNCS
-from darcyperturb.quadrature import _ANTIDERIVATIVE_ORDER, as_array_fn, gauss_rule
-from darcyperturb.solver1d import BREAKPOINT_MERGE_TOL
+from darcyperturb.quadrature import _ANTIDERIVATIVE_CELLS, _ANTIDERIVATIVE_ORDER, as_array_fn, gauss_rule
+from darcyperturb.solver1d import _ORDER as _ORDER_1D, BREAKPOINT_MERGE_TOL, Piece
 
 
 def t_apply_smooth(zeta, value, grad):
@@ -166,6 +168,158 @@ def insert_points_loop(breaks, extra) -> np.ndarray:
         else:
             keep[-1] = max(keep[-1], p)
     return np.array(keep)
+
+
+# --- the 1D study one amplitude at a time -------------------------------------
+# The per-row forms of solver1d and of the oned sweep in study, with the plain
+# helpers above: a batch of rows must give each row these bits.
+
+TOL = BREAKPOINT_MERGE_TOL
+# source and flux expressions the batch properties draw from
+SOURCES = ["0", "1", "x", "x**2 - 1/3", "sin(pi*x) + x**2", "exp(x) - 2", "tanh(4*x)", "sqrt(x + 1.5)*x"]
+FLUXES = ["1", "0", "1 + 0.5*x", "cos(3*x)", "log(2 + x)", "exp(-x)", "minimum(x, 0.2) + 1"]
+
+
+class RowAntiderivative:
+    """`quadrature.Antiderivative` of one interval: flat integrand points and
+    the np.clip lookup of `antiderivative_clip`."""
+
+    def __init__(self, fn, a: float, b: float):
+        self.fn = fn
+        self.grid = np.linspace(a, b, _ANTIDERIVATIVE_CELLS + 1)
+        t, w = gauss_rule(_ANTIDERIVATIVE_ORDER)
+        lo, hi = self.grid[:-1], self.grid[1:]
+        half = 0.5 * (hi - lo)
+        x = lo[:, None] + half[:, None] * (t[None, :] + 1.0)
+        vals = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite integrand sample in Antiderivative")
+        self.cum = np.concatenate([[0.0], np.cumsum(half * (vals @ w))])
+
+    def __call__(self, x):
+        return antiderivative_clip(self, x)
+
+
+class RowField:
+    """`PiecewiseField1D` of one row, evaluated by `eval_per_piece`."""
+
+    def __init__(self, breakpoints, pieces):
+        self.breakpoints = np.asarray(breakpoints, dtype=float)
+        self.pieces = pieces
+
+    def value(self, x):
+        return eval_per_piece(self, x, "value")
+
+    def derivative(self, x):
+        return eval_per_piece(self, x, "deriv")
+
+
+def _row_at(fn, x: float) -> float:
+    return float(as_array_fn(fn)(np.asarray([x]))[0])
+
+
+def row_integrate_cells(fn, edges, order: int = _ORDER_1D) -> float:
+    edges = np.asarray(edges, dtype=float)
+    t, w = gauss_rule(order)
+    lo, hi = edges[:-1], edges[1:]
+    half = 0.5 * (hi - lo)
+    x = lo[:, None] + half[:, None] * (t[None, :] + 1.0)
+    vals = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+    return float(np.sum(half * (vals @ w)))
+
+
+def row_exact(F, f, zeta: float, eps: float) -> RowField:
+    """`solver1d.solve_exact_1d` for one zeta."""
+    F = as_array_fn(F)
+    flux, z0, c_right = _row_at(f, zeta), float(zeta), 1.0 / eps
+    IR, IL = RowAntiderivative(F, z0, 1.0), RowAntiderivative(F, -1.0, z0)
+    right_total, left_total = IR(1.0), IL(z0)
+
+    def d_right(x):
+        return (right_total - IR(x)) / c_right
+
+    def d_left(x):
+        return (flux + right_total + (left_total - IL(x))) / 1.0
+
+    V_left = RowAntiderivative(d_left, -1.0, z0)
+    v_iface = V_left(z0)
+    V_right = RowAntiderivative(d_right, z0, 1.0)
+    left, right = Piece(V_left, d_left), Piece(lambda x: v_iface + V_right(x), d_right)
+    breaks = insert_points_loop([-1.0, z0, 1.0], [0.0])
+    mids = 0.5 * (breaks[:-1] + breaks[1:])
+    return RowField(breaks, tuple(left if m < z0 else right for m in mids))
+
+
+def row_vnorm_diff(a: RowField, b: RowField) -> float:
+    def sq(x):
+        d = a.derivative(x) - b.derivative(x)
+        return d * d
+
+    return float(np.sqrt(max(row_integrate_cells(sq, insert_points_loop(a.breakpoints, b.breakpoints)), 0.0)))
+
+
+def row_energy(field: RowField, lo: float, hi: float) -> float:
+    """int_lo^hi |d field|^2 as `solver1d._restricted_energy` of one row."""
+    if hi <= lo:
+        return 0.0
+    breaks = insert_points_loop(field.breakpoints, [lo, hi])
+    breaks = breaks[(breaks >= lo - 1e-15) & (breaks <= hi + 1e-15)]
+
+    def sq(x):
+        d = field.derivative(x)
+        return d * d
+
+    return row_integrate_cells(sq, breaks)
+
+
+def row_xi(field: RowField, zeta: float) -> float:
+    if zeta == 0.0:
+        return 0.0
+    return float(-np.sign(zeta) * row_energy(field, min(zeta, 0.0), max(zeta, 0.0)))
+
+
+def row_bound(F, f, zeta: float, eps: float) -> tuple[float, float]:
+    """(h_part, hperp_part) of `solver1d.estimate_rhs_1d` for one zeta."""
+    if zeta == 0.0:
+        return 0.0, 0.0
+    lo, hi = min(zeta, 0.0), max(zeta, 0.0)
+    f_lo, f_hi = _row_at(f, lo), _row_at(f, hi)
+    h_part = np.sqrt(2.0) * abs(f_lo - f_hi)
+    IF = RowAntiderivative(as_array_fn(F), lo, 1.0)
+    at_zero = IF(0.0) if lo < 0.0 else 0.0
+    Q = IF(1.0) - at_zero
+    t, w = gauss_rule(_ORDER_1D)
+    half = 0.5 * (hi - lo)
+    E = at_zero - IF(lo + half * (t + 1.0))
+    l2 = np.sqrt(max(half * np.dot(w, E**2), 0.0))
+    return float(h_part), float((1.0 - eps) * l2 + np.sqrt(hi - lo) * abs((1.0 - eps) * Q + f_hi))
+
+
+def row_study(amps, forcing, eps: float) -> list[dict]:
+    """The records.csv values of a oned study, one amplitude at a time: a dict
+    per row of every column it reached, and its status."""
+    p = row_exact(forcing.F, forcing.f, 0.0, eps)
+    rows = []
+    for amp in amps:
+        row = dict.fromkeys(("vnorm_gap", "energy_e1", "energy_e2", "energy_total", "energy_flat_total",
+                             "lower_bound_c", "coercivity_e", "xi_p", "bound_h_part",
+                             "bound_hperp_part", "bound_total"), math.nan)
+        try:
+            q = row_exact(forcing.F, forcing.f, amp, eps)
+            row["vnorm_gap"] = row_vnorm_diff(p, q)
+            e1, e2 = row_energy(q, -1.0, amp), row_energy(q, amp, 1.0) / eps
+            row.update(energy_e1=e1, energy_e2=e2, energy_total=e1 + e2)
+            row["energy_flat_total"] = row_energy(q, -1.0, 0.0) + row_energy(q, 0.0, 1.0) / eps
+            row["lower_bound_c"] = 1.0 - eps * abs(1.0 - 1.0 / eps) * abs(amp)
+            row["coercivity_e"] = (1.0 - abs(amp)) / (1.0 + 3.0 + 4.0 * amp * amp)
+            row["xi_p"] = row_xi(p, amp)
+            h_part, hperp = row_bound(forcing.F, forcing.f, amp, eps)
+            row.update(bound_h_part=h_part, bound_hperp_part=hperp, bound_total=h_part + hperp)
+            row["status"] = "ok"
+        except (ValueError, ArithmeticError) as exc:
+            row["status"] = f"failed: {exc}"
+        rows.append(row)
+    return rows
 
 
 def bits(a) -> np.ndarray:

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from darcyperturb import solver1d
 from darcyperturb.config import compile_expression
 from darcyperturb.geometry import ForcingSpec
-from oracles import bits, eval_per_piece, insert_points_loop, max_jump, piece_index_clip
+from oracles import (FLUXES, SOURCES, TOL, bits, eval_per_piece, insert_points_loop, max_jump,
+                     piece_index_clip, row_bound, row_energy, row_exact, row_vnorm_diff, row_xi)
 
 from darcyperturb.solver1d import (
     energy_split_1d,
@@ -399,23 +400,6 @@ def test_piecewise_eval_of_no_points():
     assert field.derivative(np.empty((0, 3))).shape == (0, 3)
 
 
-def test_bound_reuses_the_row_invariant_antiderivative():
-    F = compile_expression("sin(pi*x) + x**2", ("x",))
-    f = compile_expression("1 + 0.5*x", ("x",))
-    fresh = {}
-    for zeta in (-0.2, 0.4, 0.3):
-        solver1d._cached_integral.cache_clear()
-        fresh[zeta] = estimate_rhs_1d(F, f, zeta, 0.3)
-    # rows with zeta > 0 share lo = 0 and reuse its integral; others build their own
-    G = solver1d._integral_to_one(F, 0.0)
-    assert estimate_rhs_1d(F, f, 0.4, 0.3) == fresh[0.4]
-    assert estimate_rhs_1d(F, f, 0.3, 0.3) == fresh[0.3]
-    assert solver1d._integral_to_one(F, 0.0) is G
-    assert estimate_rhs_1d(F, f, -0.2, 0.3) == fresh[-0.2]
-    assert solver1d._integral_to_one(F, -0.2).a == -0.2
-    assert estimate_rhs_1d(F, f, 0.4, 0.3) == fresh[0.4]
-
-
 @dataclass
 class _Ramp:
     """A callable forcing that cannot be hashed: dataclass eq sets __hash__ to None."""
@@ -437,7 +421,6 @@ def test_bound_and_gap_solutions_take_an_unhashable_forcing():
             assert np.array_equal(exact(F, ONE, zeta, 0.4).value(x), exact(G, ONE, zeta, 0.4).value(x))
 
 
-TOL = solver1d.BREAKPOINT_MERGE_TOL
 anchors = st.one_of(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0]), st.floats(-1.0, 1.0))
 # offsets up to a few merge tolerances, so that runs of close points form
 offsets = st.one_of(st.sampled_from([TOL, -TOL]), st.integers(-4, 4).map(lambda k: k * TOL / 2))
@@ -466,3 +449,78 @@ def test_insert_points_matches_merge_loop(case):
     new, old = solver1d._insert_points(breaks, extra), insert_points_loop(breaks, extra)
     assert new.shape == old.shape
     assert np.array_equal(bits(new), bits(old))
+
+
+# --- row batches against one row at a time (tests/oracles.py) ----------------
+
+@st.composite
+def one_signed_batches(draw):
+    """Two or more distinct values of zeta, all in (0, 1) or all in (-1, 0)."""
+    zetas = draw(st.lists(st.floats(1e-9, 0.999), min_size=2, max_size=20, unique=True))
+    return np.array(zetas) * draw(st.sampled_from([1.0, -1.0]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(F=st.sampled_from(SOURCES), f=st.sampled_from(FLUXES), eps=st.floats(0.0, 1.0, exclude_min=True),
+       zetas=one_signed_batches(), s=st.floats(0.0, 0.99))
+@np.errstate(over="ignore")  # e2 of a tiny eps
+def test_batched_functions_match_rows_one_at_a_time(F, f, eps, zetas, s):
+    F, f = compile_expression(F, ("x",)), compile_expression(f, ("x",))
+    p = solve_exact_1d(forcing(F, f), 0.0, eps)
+    q = solve_exact_1d(forcing(F, f), zetas, eps)
+    gaps, (e1, e2, tot), xi_p, xi_q = (vnorm_diff_1d(p, q), energy_split_1d(q, zetas, eps),
+                                        xi_1d(p, zetas), xi_1d(q, zetas))
+    flat, bound = energy_split_1d(q, 0.0, eps), estimate_rhs_1d(F, f, zetas, eps)
+    # a point of each band of every row: below the gap, in it and above it (s = 0
+    # gives the breakpoints themselves; near s = 1 rounding could put a row's
+    # point in the next band, and a batch needs each column in one band)
+    lo, hi = np.minimum(zetas, 0.0), np.maximum(zetas, 0.0)
+    xs = np.stack([-1.0 + (lo + 1.0) * s, lo + (hi - lo) * s, hi + (1.0 - hi) * s], axis=1)
+    values, slopes = q.value(xs), q.derivative(xs)
+    p_row = row_exact(F, f, 0.0, eps)
+    for r, z in enumerate(zetas):
+        q_row = row_exact(F, f, z, eps)
+        e1_row, e2_row = row_energy(q_row, -1.0, z), row_energy(q_row, z, 1.0) / eps
+        flat_row = row_energy(q_row, -1.0, 0.0) + row_energy(q_row, 0.0, 1.0) / eps
+        h_part, hperp = row_bound(F, f, z, eps)
+        expected = [row_vnorm_diff(p_row, q_row), e1_row, e2_row, e1_row + e2_row, flat_row,
+                    row_xi(p_row, z), row_xi(q_row, z), h_part, hperp, h_part + hperp]
+        got = [gaps[r], e1[r], e2[r], tot[r], flat[2][r], xi_p[r], xi_q[r],
+               bound.h_part[r], bound.hperp_part[r], bound.total[r]]
+        assert np.array_equal(bits(got), bits(expected)), r
+        assert np.array_equal(bits(values[r]), bits(q_row.value(xs[r])))
+        assert np.array_equal(bits(slopes[r]), bits(q_row.derivative(xs[r])))
+
+
+@settings(deadline=None, max_examples=100)
+@given(F=st.sampled_from(SOURCES), f=st.sampled_from(FLUXES), eps=st.floats(0.0, 1.0, exclude_min=True),
+       zeta=st.one_of(st.floats(-0.999, 0.999), st.sampled_from([0.0, TOL / 2, -TOL, 2 * TOL])))
+@np.errstate(over="ignore")
+def test_single_zeta_matches_the_row_form(F, f, eps, zeta):
+    """A float zeta is the one-row case and gives the per-row bits, as floats."""
+    F, f = compile_expression(F, ("x",)), compile_expression(f, ("x",))
+    q, q_row = solve_exact_1d(forcing(F, f), zeta, eps), row_exact(F, f, zeta, eps)
+    x = np.linspace(-1.0, 1.0, 41)
+    assert np.array_equal(q.breakpoints, q_row.breakpoints)
+    assert np.array_equal(bits(q.value(x)), bits(q_row.value(x)))
+    assert np.array_equal(bits(q.derivative(x)), bits(q_row.derivative(x)))
+    p, p_row = solve_exact_1d(forcing(F, f), 0.0, eps), row_exact(F, f, 0.0, eps)
+    bound = estimate_rhs_1d(F, f, zeta, eps)
+    got = [vnorm_diff_1d(p, q), *energy_split_1d(q, zeta, eps)[:2], xi_1d(p, zeta),
+           bound.h_part, bound.hperp_part]
+    assert all(type(v) is float for v in got)
+    expected = [row_vnorm_diff(p_row, q_row), row_energy(q_row, -1.0, zeta),
+                row_energy(q_row, zeta, 1.0) / eps, row_xi(p_row, zeta), *row_bound(F, f, zeta, eps)]
+    assert np.array_equal(bits(got), bits(expected))
+
+
+def test_rows_of_another_structure_are_refused():
+    fr = forcing(f=ONE)
+    with pytest.raises(ValueError, match="differ in structure"):
+        solve_exact_1d(fr, np.array([0.3, -0.2]), 0.5)
+    with pytest.raises(ValueError, match="differ in structure"):
+        solve_exact_1d(fr, np.array([0.3, TOL / 2]), 0.5)
+    with pytest.raises(ValueError, match="zeta must lie"):
+        estimate_rhs_1d(ZERO, ONE, np.array([0.3, -0.2]), 0.5)
+    with pytest.raises(ValueError, match="zeta must lie"):
+        xi_1d(solve_exact_1d(fr, 0.0, 0.5), np.array([0.3, 0.0]))

@@ -1,10 +1,15 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from darcyperturb import solver1d, study
+from darcyperturb.config import compile_expression
 from darcyperturb.geometry import ForcingSpec
 from darcyperturb.study import (
+    CSV_COLUMNS,
     ConvergenceRecord,
     check_estimates,
     emit_report,
@@ -12,6 +17,7 @@ from darcyperturb.study import (
     run_sequence,
     shape_family,
 )
+from oracles import FLUXES, SOURCES, TOL, bits, row_study
 
 ZERO = lambda x: np.zeros_like(x)
 ONE = lambda x: np.ones_like(x)
@@ -74,10 +80,11 @@ def test_failed_row_does_not_abort():
 
 def _sweep_with_failing_solver(monkeypatch, mode, error):
     """Run a two-row sweep whose solves of perturbed problems raise `error`."""
-    from darcyperturb import fem2d, solver1d
+    from darcyperturb import fem2d
 
     if mode == "oned":
-        module, name, perturbed = solver1d, "solve_exact_1d", lambda args: args[1] != 0.0
+        # zeta is an array for a batch of rows
+        module, name, perturbed = solver1d, "solve_exact_1d", lambda args: np.any(np.asarray(args[1]) != 0.0)
         fr = ForcingSpec(F=ZERO, f=ONE)
     else:
         module, name, perturbed = fem2d, "assemble_solve", lambda args: np.any(args[0].zeta_at_cols)
@@ -105,6 +112,121 @@ def test_solver_error_marks_row_failed(monkeypatch, mode):
 def test_programming_error_propagates(monkeypatch, mode):
     with pytest.raises(TypeError, match="bug"):
         _sweep_with_failing_solver(monkeypatch, mode, TypeError("bug"))
+
+
+# --- the 1D sweep in row batches against the sweep one row at a time (tests/oracles.py)
+
+# amplitudes at and within the merge tolerance of 0 and 1, which run alone
+EDGE_AMPLITUDES = [TOL / 2, TOL, 2 * TOL, 1e-12, 1.0 - 2 * TOL, 1.0 - TOL, 1.0 - TOL / 2,
+                   float(np.nextafter(1.0, 0.0))]
+
+
+@st.composite
+def ladders(draw):
+    """Decreasing amplitude ladders of any length, with edge amplitudes and 0 mixed in."""
+    inner = st.floats(1e-9, 0.999)
+    amps = draw(st.lists(st.one_of(inner, inner, inner, st.sampled_from(EDGE_AMPLITUDES)),
+                         min_size=1, max_size=40))
+    if draw(st.booleans()):
+        amps.append(0.0)
+    return sorted(set(amps), reverse=True)
+
+
+def _assert_rows_match(recs, rows):
+    assert len(recs) == len(rows)
+    for rec, row in zip(recs, rows):
+        assert rec.status == row["status"]
+        for col in CSV_COLUMNS[4:-1]:
+            assert bits(getattr(rec, col)) == bits(row[col]), (rec.amplitude, col)
+
+
+@settings(deadline=None, max_examples=40)
+@given(F=st.sampled_from(SOURCES), f=st.sampled_from(FLUXES),
+       eps=st.floats(0.0, 1.0, exclude_min=True), amps=ladders())
+@example(F="sin(pi*x) + x**2", f="1 + 0.5*x", eps=0.3,
+         amps=sorted([k / 40 for k in range(1, 34)] + [TOL, 1.0 - TOL, 0.0], reverse=True))
+def test_batched_sweep_matches_rows_one_at_a_time(F, f, eps, amps):
+    forcing = ForcingSpec(F=compile_expression(F, ("x",)), f=compile_expression(f, ("x",)))
+    with np.errstate(all="ignore"):
+        recs = run_sequence(None, amps, forcing, eps, 64, "oned")
+        rows = row_study(amps, forcing, eps)
+    _assert_rows_match(recs, rows)
+
+
+def _raises_at(zeta):
+    def f(x):
+        x = np.asarray(x)
+        if np.any(x == zeta):
+            raise ArithmeticError(f"no flux at {zeta}")
+        return 1.0 + 0.5 * x
+
+    return f
+
+
+@pytest.mark.parametrize("f, status", [
+    (_raises_at(0.3), "failed: no flux at 0.3"),
+    # f(0.3) is inf, so the left part of that row's solution has a non-finite sample
+    (compile_expression("1/(x - 0.3)", ("x",)), "failed: non-finite integrand sample in Antiderivative"),
+], ids=["raising-forcing", "non-finite-sample"])
+def test_failing_row_fails_alone_in_its_batch(f, status):
+    amps = [(40 - k) / 100 for k in range(40)]
+    assert 0.3 in amps[1:15]  # inside the first batch
+    forcing = ForcingSpec(F=compile_expression("x**2", ("x",)), f=f)
+    with np.errstate(divide="ignore"):
+        recs = run_sequence(None, amps, forcing, 0.4, 64, "oned")
+        rows = row_study(amps, forcing, 0.4)
+    assert [r.status for r in recs] == [status if a == 0.3 else "ok" for a in amps]
+    _assert_rows_match(recs, rows)
+
+
+def test_redone_rows_carry_the_failed_attempt(monkeypatch):
+    """Each row of a failed batch, solved again alone, also carries its share of
+    the failed attempt's time (a clock that ticks once per reading)."""
+    monkeypatch.setattr(study, "perf_counter", itertools.count().__next__)
+    n = study._ONED_BATCH_ROWS
+    amps = [(40 - k) / 100 for k in range(n + 4)]
+    assert 0.3 in amps[:n]
+    forcing = ForcingSpec(F=compile_expression("x**2", ("x",)), f=_raises_at(0.3))
+    recs = run_sequence(None, amps, forcing, 0.4, 64, "oned")
+    assert [r.status != "ok" for r in recs].count(True) == 1
+    # the failed batch: one tick over n rows, then one tick per row; the rest: one tick over 4 rows
+    assert [r.runtime for r in recs] == [1.0 + 1.0 / n] * n + [0.25] * 4
+
+
+def test_forcings_see_flat_points():
+    """A forcing written for 1-D arrays works in a batch: it is called on flat points."""
+
+    def flat_only(fn):
+        def call(x):
+            assert np.ndim(x) == 1
+            return fn(x)
+
+        return call
+
+    forcing = ForcingSpec(F=flat_only(lambda x: np.sin(3.0 * x)), f=flat_only(lambda x: 1.0 + x * x))
+    amps = list(np.linspace(0.6, 0.05, 20))
+    _assert_rows_match(run_sequence(None, amps, forcing, 0.2, 64, "oned"), row_study(amps, forcing, 0.2))
+
+
+def test_oned_sweep_runs_in_batches(monkeypatch):
+    """Rows of one structure are solved together, at most _ONED_BATCH_ROWS at a
+    time; 0 and amplitudes within the merge tolerance of 0 or 1 run alone."""
+    sizes = []
+    real = solver1d.solve_exact_1d
+
+    def solve(forcing, zeta, eps):
+        sizes.append(np.size(zeta) if np.ndim(zeta) else None)
+        return real(forcing, zeta, eps)
+
+    monkeypatch.setattr(solver1d, "solve_exact_1d", solve)
+    n = study._ONED_BATCH_ROWS
+    amps = [1.0 - TOL / 2, *np.linspace(0.9, 0.1, 2 * n + 3), TOL, 0.0]
+    recs = run_sequence(None, amps, ForcingSpec(F=ZERO, f=ONE), 0.5, 64, "oned")
+    assert all(r.status == "ok" for r in recs)
+    # p, the edge row, two full batches and the rest, the edge row and 0
+    assert sizes == [None, None, n, n, 3, None, None]
+    runtimes = [r.runtime for r in recs]
+    assert runtimes[1:n + 1] == [runtimes[1]] * n
 
 
 def test_fitted2d_sweep_decreasing():
