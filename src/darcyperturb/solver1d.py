@@ -23,6 +23,7 @@ raise ValueError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -186,8 +187,11 @@ def _two_region_exact(F_left, F_right, c_left: float, c_right: float,
     """Exact solution of -d(c du) = F with region coefficients split at `iface`,
     u(-1) = 0, du(1) = 0 and flux jump c_left du(iface-) - c_right du(iface+) = flux.
 
-    Built by double integration with quadrature antiderivatives.  For an
-    array of R interfaces, `flux` is an (R, 1) column and the field has R rows.
+    Built by double integration with quadrature antiderivatives.  The
+    derivative needs one integration; the values need a second one, which is
+    built on the first `value` read, so a field that is only differentiated
+    (every study row) never builds it.  For an array of R interfaces, `flux`
+    is an (R, 1) column and the field has R rows.
     """
     z0 = np.asarray(iface, dtype=float)
     if not np.all((-1.0 < z0) & (z0 < 1.0)):
@@ -198,6 +202,11 @@ def _two_region_exact(F_left, F_right, c_left: float, c_right: float,
     IL = Antiderivative(_pointwise(F_left), -1.0, z0)
     right_total = IR(1.0)
     left_total = IL(zc)
+    # the slopes are this sum less IL(x) or IR(x), and IL and IR have checked
+    # their samples of F: a row with a non-finite slope fails here, not when
+    # its values are first read
+    if not np.all(np.isfinite(flux + right_total + left_total)):
+        raise ValueError("non-finite integrand sample in Antiderivative")
 
     def d_right(x):
         # c_right * du = int_x^1 F_right (Neumann at x = 1)
@@ -207,16 +216,21 @@ def _two_region_exact(F_left, F_right, c_left: float, c_right: float,
         # c_left * du = flux + int_iface^1 F_right + int_x^iface F_left
         return (flux + right_total + (left_total - IL(x))) / c_left
 
-    V_left = Antiderivative(d_left, -1.0, z0)
-    v_iface = V_left(zc)
-    V_right = Antiderivative(d_right, z0, 1.0)
+    @cache
+    def values():
+        V_left = Antiderivative(d_left, -1.0, z0)
+        return V_left, V_left(zc), Antiderivative(d_right, z0, 1.0)
+
+    def val_left(x):
+        return values()[0](x)
 
     def val_right(x):
+        _, v_iface, V_right = values()
         return v_iface + V_right(x)
 
     right = Piece(val_right, d_right)
     return _bands(_insert_points(_join(-1.0, zc, 1.0), [0.0]), zc, zc,
-                  Piece(V_left, d_left), right, right, label)
+                  Piece(val_left, d_left), right, right, label)
 
 
 def solve_exact_1d(forcing, zeta, eps: float) -> PiecewiseField1D:

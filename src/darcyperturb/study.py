@@ -24,8 +24,10 @@ MODES = ("oned", "fitted2d", "flattened2d")
 # errors that mark one sweep row as failed; anything else is a bug and propagates
 _ROW_ERRORS = (fem2d.SolverConvergenceError, ValueError, ArithmeticError)
 
-# rows of a 1D sweep solved together; peak memory grows with it
-_ONED_BATCH_ROWS = 16
+# rows of a 1D sweep solved together: on a 1600-row sweep, 64 rows take half
+# the time of 16 and 128 no less than 64; peak RSS was 54.7-54.9 MiB at all
+# three (2-vCPU x86-64, numpy 2.4), most of it the imports
+_ONED_BATCH_ROWS = 64
 
 # column order of records.csv (runtime is reported in summary.json only, so
 # reruns of the same config are byte-identical)
@@ -264,10 +266,7 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return repr(v)
+    return repr(float(value))  # NaN of either sign gives 'nan'
 
 
 def loglog_slope(records: Sequence[ConvergenceRecord]) -> float | None:

@@ -1,10 +1,13 @@
-"""The shipped study configs reproduce their committed records.csv.
+"""The shipped study configs reproduce their committed records.csv, and
+`solve1d` its committed field CSVs.
 
 `tests/golden/<name>.csv` is the reference records.csv of `darcyperturb
 study` on `configs/<name>.ini`.  1D records must match byte for byte; 2D
 records must keep every status and agree in every numeric column to 1e-9
-relative, the room left for the summation order of the assembly.  Regenerate
-a file only for an intended change of outputs.
+relative, the room left for the summation order of the assembly.
+`tests/golden/solve1d-*.csv` are `solve1d` outputs, which read the values of
+the exact field, and must match byte for byte.  Regenerate a file only for an
+intended change of outputs.
 """
 
 import csv
@@ -44,3 +47,19 @@ def test_shipped_study_matches_golden(tmp_path, name):
             a, b = float(g[col]), float(w[col])
             assert (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=REL_TOL_2D), \
                 f"row {k} {col}: {a!r} vs golden {b!r}"
+
+
+# solve1d golden -> its arguments; the first is the README command
+SOLVE1D = {
+    "solve1d-sqrt-zeta0.25": ["--zeta", "0.25", "--eps", "0.5", "--forcing", str(CONFIGS / "study-1d-sqrt.ini")],
+    "solve1d-sqrt-zeta-0.3": ["--zeta", "-0.3", "--eps", "0.5", "--forcing", str(CONFIGS / "study-1d-sqrt.ini")],
+    "solve1d-smooth-zeta0.35": ["--zeta", "0.35", "--forcing", str(GOLDEN / "solve1d-smooth.ini")],
+    "solve1d-smooth-zeta-0.2": ["--zeta", "-0.2", "--forcing", str(GOLDEN / "solve1d-smooth.ini")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE1D))
+def test_solve1d_matches_golden(tmp_path, name):
+    out = tmp_path / "sol.csv"
+    assert dispatch(["solve1d", *SOLVE1D[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()

@@ -17,7 +17,7 @@ from darcyperturb.study import (
     run_sequence,
     shape_family,
 )
-from oracles import FLUXES, SOURCES, TOL, bits, row_study
+from oracles import FLUXES, SOURCES, TOL, bits, row_exact, row_study
 
 ZERO = lambda x: np.zeros_like(x)
 ONE = lambda x: np.ones_like(x)
@@ -145,6 +145,8 @@ def _assert_rows_match(recs, rows):
        eps=st.floats(0.0, 1.0, exclude_min=True), amps=ladders())
 @example(F="sin(pi*x) + x**2", f="1 + 0.5*x", eps=0.3,
          amps=sorted([k / 40 for k in range(1, 34)] + [TOL, 1.0 - TOL, 0.0], reverse=True))
+@example(F="exp(x) - 2", f="cos(3*x)", eps=0.7,  # more rows than one batch holds
+         amps=sorted([k / 100 for k in range(1, 100)] + [0.0], reverse=True))
 def test_batched_sweep_matches_rows_one_at_a_time(F, f, eps, amps):
     forcing = ForcingSpec(F=compile_expression(F, ("x",)), f=compile_expression(f, ("x",)))
     with np.errstate(all="ignore"):
@@ -163,20 +165,37 @@ def _raises_at(zeta):
     return f
 
 
-@pytest.mark.parametrize("f, status", [
-    (_raises_at(0.3), "failed: no flux at 0.3"),
-    # f(0.3) is inf, so the left part of that row's solution has a non-finite sample
-    (compile_expression("1/(x - 0.3)", ("x",)), "failed: non-finite integrand sample in Antiderivative"),
-], ids=["raising-forcing", "non-finite-sample"])
-def test_failing_row_fails_alone_in_its_batch(f, status):
+@pytest.mark.parametrize("F, f, status", [
+    ("x**2", _raises_at(0.3), "failed: no flux at 0.3"),
+    # f(0.3) is inf, so the slope of that row's solution is non-finite
+    ("x**2", "1/(x - 0.3)", "failed: non-finite integrand sample in Antiderivative"),
+    # every sample is finite, and so is the integral of F over (-1, 1), 1.2e308;
+    # only with the row's flux of 1e308 at 0.3 does the slope overflow
+    ("6e307", "1e308*exp(-(1000*(x - 0.3))**2)", "failed: non-finite integrand sample in Antiderivative"),
+], ids=["raising-forcing", "non-finite-sample", "overflowing-slope"])
+def test_failing_row_fails_alone_in_its_batch(F, f, status):
     amps = [(40 - k) / 100 for k in range(40)]
     assert 0.3 in amps[1:15]  # inside the first batch
-    forcing = ForcingSpec(F=compile_expression("x**2", ("x",)), f=f)
-    with np.errstate(divide="ignore"):
+    if isinstance(f, str):
+        f = compile_expression(f, ("x",))
+    forcing = ForcingSpec(F=compile_expression(F, ("x",)), f=f)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         recs = run_sequence(None, amps, forcing, 0.4, 64, "oned")
         rows = row_study(amps, forcing, 0.4)
     assert [r.status for r in recs] == [status if a == 0.3 else "ok" for a in amps]
     _assert_rows_match(recs, rows)
+
+
+def test_overflowing_source_fails_the_unperturbed_solve():
+    """A constant F whose integral overflows fails p, which every row shares:
+    the sweep raises the error the one-row oracle raises."""
+    forcing = ForcingSpec(F=compile_expression("1e308", ("x",)), f=ONE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite integrand sample") as got:
+            run_sequence(None, [0.4, 0.3], forcing, 0.4, 64, "oned")
+        with pytest.raises(ValueError) as want:
+            row_study([0.4, 0.3], forcing, 0.4)
+    assert str(got.value) == str(want.value)
 
 
 def test_redone_rows_carry_the_failed_attempt(monkeypatch):
@@ -184,7 +203,8 @@ def test_redone_rows_carry_the_failed_attempt(monkeypatch):
     the failed attempt's time (a clock that ticks once per reading)."""
     monkeypatch.setattr(study, "perf_counter", itertools.count().__next__)
     n = study._ONED_BATCH_ROWS
-    amps = [(40 - k) / 100 for k in range(n + 4)]
+    # a decreasing ladder in (0.2, 0.4) for any n, with 0.3 at row n // 2
+    amps = [0.3 * (1.0 + (n // 2 - k) / (4 * (n + 4))) for k in range(n + 4)]
     assert 0.3 in amps[:n]
     forcing = ForcingSpec(F=compile_expression("x**2", ("x",)), f=_raises_at(0.3))
     recs = run_sequence(None, amps, forcing, 0.4, 64, "oned")
@@ -227,6 +247,45 @@ def test_oned_sweep_runs_in_batches(monkeypatch):
     assert sizes == [None, None, n, n, 3, None, None]
     runtimes = [r.runtime for r in recs]
     assert runtimes[1:n + 1] == [runtimes[1]] * n
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_oned_batch_builds_no_value_antiderivative(monkeypatch, sign):
+    """A batch of the 1D sweep reads only slopes: it builds IR, IL and the
+    bound's IF, and no antiderivative of a slope.  Values read afterwards are
+    built once and keep the bits of the one-row form."""
+    built, fields = [], []
+
+    class Counted(solver1d.Antiderivative):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    real = solver1d.solve_exact_1d
+
+    def solve(*args):
+        fields.append(real(*args))
+        return fields[-1]
+
+    F, f = compile_expression("sin(3*x) + x**2", ("x",)), compile_expression("exp(x) + 0.5", ("x",))
+    forcing = ForcingSpec(F=F, f=f)
+    p = solver1d.solve_exact_1d(forcing, 0.0, 0.13)
+    zetas = sign * np.linspace(0.85, 0.05, 12)
+    recs = [ConvergenceRecord(amplitude=z, norm_sup=abs(z), norm_w1inf=abs(z), resolution=64) for z in zetas]
+    monkeypatch.setattr(solver1d, "Antiderivative", Counted)
+    monkeypatch.setattr(solver1d, "solve_exact_1d", solve)
+    study._fill_oned(recs, zetas, p, forcing, 0.13)
+    assert len(built) == 3
+    (q,) = fields
+    lo, hi = np.minimum(zetas, 0.0), np.maximum(zetas, 0.0)
+    s = np.linspace(0.0, 0.99, 9)
+    xs = np.concatenate([-1.0 + (lo + 1.0)[:, None] * s, lo[:, None] + (hi - lo)[:, None] * s,
+                         hi[:, None] + (1.0 - hi)[:, None] * s], axis=1)
+    for _ in range(2):
+        values = q.value(xs)
+        assert len(built) == 5  # V_left and V_right, on the first read only
+    for r, z in enumerate(zetas):
+        assert np.array_equal(bits(values[r]), bits(row_exact(F, f, z, 0.13).value(xs[r])))
 
 
 def test_fitted2d_sweep_decreasing():
