@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fem2d, flatten, solver1d, study as study_mod
 from .config import ConfigError, RunConfig, load_config
-from .geometry import validate_admissible
+from .geometry import FLAT_ZETA, make_perturbation, validate_admissible
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -195,7 +195,7 @@ def _cmd_flatten_solve(args) -> int:
         _require_square(cfg, "flatten-solve --compare-fitted")
     zeta = cfg.perturbation()
     forcing = cfg.forcing(dim=2)
-    ref = fem2d.build_fitted_mesh(cfg.perturbation(amplitude=0.0), cfg.nx, cfg.nz)
+    ref = fem2d.build_fitted_mesh(FLAT_ZETA, cfg.nx, cfg.nz)
     field = flatten.solve_flattened(zeta, forcing, cfg.eps, ref, cfg.k1, cfg.k2, rtol=cfg.cg_rtol)
     _write_or_stdout(args.out, _field_csv_2d(field))
     if args.mesh_out is not None:
@@ -210,7 +210,7 @@ def _cmd_flatten_solve(args) -> int:
             n //= 2
         lines = ["h,vnorm_gap"]
         for n in sorted(sizes):
-            refn = fem2d.build_fitted_mesh(cfg.perturbation(amplitude=0.0), n, n)
+            refn = fem2d.build_fitted_mesh(FLAT_ZETA, n, n)
             fitted = fem2d.build_fitted_mesh(zeta, n, n)
             q = fem2d.assemble_solve(fitted, forcing, cfg.eps, cfg.k1, cfg.k2, rtol=cfg.cg_rtol)
             rho = flatten.solve_flattened(zeta, forcing, cfg.eps, refn, cfg.k1, cfg.k2, rtol=cfg.cg_rtol)
@@ -225,9 +225,9 @@ def _cmd_flatten_check(args) -> int:
     shapes = [
         cfg.perturbation(amplitude=a) for a in (0.25, 0.1)
     ] + [
-        study_mod.make_perturbation("sine", {"wavenumber": 2}, 0.2),
-        study_mod.make_perturbation("hat", {"knot": 0.5}, 0.3),
-        study_mod.make_perturbation("bump", {}, 0.3),
+        make_perturbation("sine", {"wavenumber": 2}, 0.2),
+        make_perturbation("hat", {"knot": 0.5}, 0.3),
+        make_perturbation("bump", {}, 0.3),
     ]
     report = flatten.matrix_property_report(shapes, n_points=args.points, seed=args.seed)
     ok = (
@@ -249,6 +249,8 @@ def _cmd_flatten_check(args) -> int:
 def _cmd_study(args) -> int:
     cfg = _load(args, {"mode": args.mode})
     _require_unit_k(cfg, "study")
+    if cfg.family == "table":
+        raise ConfigError("study cannot sweep a table perturbation: a table has no amplitude")
     if cfg.mode != "oned":
         _require_square(cfg, f"study {cfg.mode}")
     out_dir = args.out_dir if args.out_dir is not None else Path("study-out")

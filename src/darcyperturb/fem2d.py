@@ -17,7 +17,7 @@ from time import perf_counter
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Perturbation, validate_admissible
+from .geometry import Perturbation, _area_below, validate_admissible
 from .quadrature import as_array_fn, gauss_rule, triangle_rule
 
 
@@ -120,12 +120,6 @@ class Field2D:
             out[sel] = np.interp(z[sel], self.mesh.nodes[ids, 1], self.values[ids])
         return out
 
-    def gradient(self, x, z):
-        """Piecewise-constant gradient at arbitrary interior points."""
-        tri = _locate_triangles(self.mesh, np.asarray(x, dtype=float), np.asarray(z, dtype=float))
-        g = self.gradients()[tri]
-        return g[..., 0], g[..., 1]
-
 
 def _match_columns(x: np.ndarray, col_x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     idx = np.clip(np.searchsorted(col_x, x), 0, len(col_x) - 1)
@@ -135,28 +129,6 @@ def _match_columns(x: np.ndarray, col_x: np.ndarray, tol: float = 1e-12) -> np.n
         bad = x[np.abs(col_x[idx] - x) > tol][:3]
         raise ValueError(f"abscissae {bad} do not match mesh columns")
     return idx
-
-
-def _locate_triangles(mesh: Mesh2D, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Structured point location: column strip, then quad row, then sub-triangle."""
-    shape = x.shape
-    x = x.ravel()
-    z = z.ravel()
-    j = np.clip(np.searchsorted(mesh.col_x, x, side="right") - 1, 0, mesh.nx - 1)
-    # interpolate the column z-levels horizontally across the strip
-    t = (x - mesh.col_x[j]) / (mesh.col_x[j + 1] - mesh.col_x[j])
-    lev_left = mesh.nodes[mesh.node_grid[j], 1]
-    lev_right = mesh.nodes[mesh.node_grid[j + 1], 1]
-    lev = lev_left + t[:, None] * (lev_right - lev_left)
-    rows = np.clip(np.sum(lev <= z[:, None], axis=1) - 1, 0, 2 * mesh.nz - 1)
-    # quad (j, row) is split into triangles 2*(j*2nz+row) and its pair; decide by
-    # the diagonal from (j, row) to (j+1, row+1)
-    quad = j * (2 * mesh.nz) + rows
-    p0 = mesh.nodes[mesh.node_grid[j, rows]]
-    p2 = mesh.nodes[mesh.node_grid[np.minimum(j + 1, mesh.nx), np.minimum(rows + 1, 2 * mesh.nz)]]
-    below_diag = (x - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (z - p0[:, 1]) * (p2[:, 0] - p0[:, 0]) >= 0.0
-    tri = 2 * quad + np.where(below_diag, 0, 1)
-    return tri.reshape(shape)
 
 
 def build_fitted_mesh(zeta: Perturbation, nx: int, nz: int) -> Mesh2D:
@@ -510,32 +482,12 @@ def energy_split(fld: Field2D, eps: float, k1: float = 1.0, k2: float = 1.0) -> 
     return _region_energies(fld, np.eye(2), below, eps, k1, k2)
 
 
-def _area_below_zero(p: np.ndarray, area: np.ndarray) -> np.ndarray:
-    """Area of the part with z <= 0 of each triangle p (closed-form halfplane clip).
-
-    A triangle with one or two vertices inside is cut by z = 0 along the
-    edges from its lone vertex a to the other two, b and c, at the fractions
-    s = z_a/(z_a - z_b) and t = z_a/(z_a - z_c); the corner triangle at a
-    keeps the share s*t of its area.
-    """
-    z = p[..., 1]
-    inside = z <= 0.0
-    n_in = np.sum(inside, axis=1)
-    below = np.where(n_in == 3, area, 0.0)
-    cut = np.flatnonzero((n_in == 1) | (n_in == 2))
-    one_in = n_in[cut] == 1
-    lone = np.argmax(inside[cut] == one_in[:, None], axis=1)
-    za, zb, zc = (z[cut, (lone + k) % 3] for k in range(3))
-    st = za / (za - zb) * (za / (za - zc))
-    below[cut] = area[cut] * np.where(one_in, st, 1.0 - st)
-    return below
-
-
 def energy_split_flat(fld: Field2D, eps: float, k1: float = 1.0, k2: float = 1.0) -> tuple[float, float, float]:
     """(e1, e2, total) measured in the unperturbed split at z = 0.
 
     Triangles straddling z = 0 are clipped exactly, which is enough because
     P1 gradients are constant per triangle.
     """
-    below = _area_below_zero(fld.mesh.nodes[fld.mesh.triangles], fld.mesh.triangle_areas())
+    mesh = fld.mesh
+    below = _area_below(mesh.nodes[:, 1].take(mesh.triangles), mesh.triangle_areas())
     return _region_energies(fld, np.eye(2), below, eps, k1, k2)

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from . import fem2d, solver1d
 from .fem2d import Field2D, Mesh2D, assemble_interface_load, assemble_volume_load
-from .geometry import Perturbation
+from .geometry import Perturbation, _area_below, _heights_above
 from .quadrature import as_array_fn, triangle_rule
 
 REGIONS = (1, 2)
@@ -218,6 +218,24 @@ def flattened_energy_split(rho: Field2D, zeta: Perturbation, eps: float,
     the unflattened field over the perturbed regions)."""
     mesh = rho.mesh
     below = np.where(mesh.region == 1, mesh.triangle_areas(), 0.0)
+    return fem2d._region_energies(rho, _averaged_metric(mesh, zeta), below, eps, k1, k2)
+
+
+def flattened_energy_split_flat(rho: Field2D, zeta: Perturbation, eps: float,
+                                k1: float = 1.0, k2: float = 1.0) -> tuple[float, float, float]:
+    """(e1, e2, total) of the pulled-back field T^{-1} rho measured in the
+    unperturbed split at z = 0, computed on the reference mesh.
+
+    In region i the physical line z = 0 pulls back to the reference curve
+    z = -zeta/(1 - (-1)^i zeta).  Each triangle is clipped exactly against
+    the polyline of that curve through its values at the mesh columns, and
+    both parts carry the region's averaged metric.
+    """
+    mesh = rho.mesh
+    zc = zeta.value(mesh.col_x)
+    h = np.where((mesh.region == 1)[:, None],
+                 _heights_above(mesh, -zc / (1.0 + zc)), _heights_above(mesh, -zc / (1.0 - zc)))
+    below = _area_below(h, mesh.triangle_areas())
     return fem2d._region_energies(rho, _averaged_metric(mesh, zeta), below, eps, k1, k2)
 
 

@@ -1,6 +1,8 @@
 """Convergence-study harness: perturbation sweeps, measured V-norm gaps and
 energies, numeric checks of the perturbation inequalities, and machine-readable
-reports (records.csv + summary.json)."""
+reports (records.csv + summary.json).  In 2D, energy_flat_total is a_0 of the
+row's perturbed field (q, or the pulled-back T^{-1} rho), and xi_p the exact
+P1 integral of p over the strips of the polyline of zeta through the columns."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fem2d, flatten, solver1d
-from .geometry import Perturbation, lower_bound_constant, make_perturbation, xi_perturbation
+from .geometry import FLAT_ZETA, Perturbation, lower_bound_constant, make_perturbation, xi_perturbation
 
 SCHEMA_VERSION = 1
 
@@ -183,7 +185,7 @@ def _fill_oned(recs, zeta, p, forcing, eps) -> None:
 
 def _run_twod(shape, amps, forcing, eps, resolution, mode, rtol) -> list[ConvergenceRecord]:
     n = int(resolution)
-    ref_mesh = fem2d.build_fitted_mesh(shape(0.0), n, n)
+    ref_mesh = fem2d.build_fitted_mesh(FLAT_ZETA, n, n)
     p = fem2d.assemble_solve(ref_mesh, forcing, eps=eps, rtol=rtol)
     records = []
     for amp in amps:
@@ -209,7 +211,7 @@ def _twod_row(rec: ConvergenceRecord, p: fem2d.Field2D, zeta: Perturbation, forc
     """
     rec.lower_bound_c = lower_bound_constant(zeta, eps)
     rec.coercivity_e = flatten.coercivity_constant(zeta)
-    rec.xi_p = xi_perturbation(p, zeta) if rec.amplitude > 0.0 else 0.0
+    rec.xi_p = xi_perturbation(p, zeta)
     if mode == "fitted2d":
         mesh = fem2d.build_fitted_mesh(zeta, rec.resolution, rec.resolution)
         q = fem2d.assemble_solve(mesh, forcing, eps=eps, rtol=rtol)
@@ -220,7 +222,7 @@ def _twod_row(rec: ConvergenceRecord, p: fem2d.Field2D, zeta: Perturbation, forc
         rho = flatten.solve_flattened(zeta, forcing, eps, p.mesh, rtol=rtol)
         rec.vnorm_gap = fem2d.vnorm_diff_2d(p, rho)
         e1, e2, tot = flatten.flattened_energy_split(rho, zeta, eps)
-        rec.energy_flat_total = fem2d.energy_split(rho, eps)[2]
+        rec.energy_flat_total = flatten.flattened_energy_split_flat(rho, zeta, eps)[2]
     rec.energy_e1, rec.energy_e2, rec.energy_total = e1, e2, tot
 
 

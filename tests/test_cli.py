@@ -228,6 +228,41 @@ def test_flatten_solve_comparison_rejects_nz_other_than_nx(tmp_path, capsys):
     assert len((tmp_path / "rho.csv").read_text().splitlines()) == 1 + 17 * 17
 
 
+def table_config(tmp_path: Path, extra: str = "") -> Path:
+    """GOOD_2D with the sine replaced by a table of -0.15 sin(pi x)."""
+    xs = np.linspace(0, 1, 17)
+    zs = -0.15 * np.sin(np.pi * xs)
+    zs[0] = zs[-1] = 0.0
+    np.savetxt(tmp_path / "zeta.csv", np.column_stack([xs, zs]), delimiter=",")
+    text = GOOD_2D.replace("family = sine\namplitude = 0.2\nwavenumber = 1\n", "family = table\ntable = zeta.csv\n")
+    assert "table = zeta.csv" in text
+    return write_config(tmp_path / "run.ini", text + extra)
+
+
+def test_flatten_solve_accepts_a_table_perturbation(tmp_path):
+    # the reference mesh is the flat one whatever the family
+    cfg = table_config(tmp_path)
+    out, cmp_csv = tmp_path / "rho.csv", tmp_path / "gaps.csv"
+    assert dispatch(["flatten-solve", "--config", str(cfg), "--out", str(out), "--nx", "16", "--nz", "16",
+                     "--compare-fitted", str(cmp_csv), "--mesh-out", str(tmp_path / "mesh.csv")]) == 0
+    nodes = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert len(nodes) == 17 * 33
+    assert np.array_equal(np.unique(nodes[:, 2]), np.linspace(-1.0, 1.0, 33))
+    gaps = np.loadtxt(cmp_csv, delimiter=",", skiprows=1)
+    assert gaps.shape == (2, 2) and np.all(np.isfinite(gaps[:, 1])) and np.all(gaps[:, 1] > 0.0)
+
+
+@pytest.mark.parametrize("mode", ["oned", "fitted2d", "flattened2d"])
+def test_study_rejects_a_table_perturbation(tmp_path, capsys, mode):
+    # a table has no amplitude: every row of the sweep would solve the same table
+    cfg = table_config(tmp_path, f"\n[study]\nmode = {mode}\namplitudes = 0.2 0.1\n")
+    out_dir = tmp_path / "out"
+    assert dispatch(["study", "--config", str(cfg), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "table" in err
+    assert not out_dir.exists()
+
+
 def test_study_end_to_end(tmp_path):
     cfg = write_config(tmp_path / "run.ini", GOOD_1D)
     out_dir = tmp_path / "out"

@@ -1,25 +1,27 @@
-"""Property tests of the flat-split clip against a Sutherland-Hodgman oracle."""
+"""Property tests of the triangle clip against a Sutherland-Hodgman oracle,
+for the flat line z = 0 and for sloped lines z = l(x)."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from darcyperturb.fem2d import _area_below_zero, build_fitted_mesh
-from darcyperturb.geometry import make_perturbation
+from darcyperturb.fem2d import build_fitted_mesh
+from darcyperturb.geometry import _area_below, make_perturbation
 
 
-def area_below_zero_loop(p: np.ndarray) -> np.ndarray:
-    """Reference clip: per-triangle Sutherland-Hodgman against z <= 0."""
+def area_below_loop(p: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Reference clip: per-triangle Sutherland-Hodgman against h <= 0, where h
+    holds the vertex heights above the cutting line."""
     areas = np.empty(len(p))
-    for i, tri in enumerate(p):
-        poly = list(tri)
+    for i, (tri, ht) in enumerate(zip(p, h)):
         out = []
-        for k in range(len(poly)):
-            cur, nxt = poly[k], poly[(k + 1) % len(poly)]
-            cin, nin = cur[1] <= 0.0, nxt[1] <= 0.0
+        for k in range(3):
+            cur, nxt = tri[k], tri[(k + 1) % 3]
+            hc, hn = ht[k], ht[(k + 1) % 3]
+            cin, nin = hc <= 0.0, hn <= 0.0
             if cin:
                 out.append(cur)
             if cin != nin:
-                t = cur[1] / (cur[1] - nxt[1])
+                t = hc / (hc - hn)
                 out.append(cur + t * (nxt - cur))
         if len(out) < 3:
             areas[i] = 0.0
@@ -64,15 +66,33 @@ triangles = st.lists(st.one_of(st.tuples(point, point, point), special_triangle(
 @given(triangles)
 def test_clip_matches_loop(tris):
     p = np.array(tris, dtype=float)
-    below = _area_below_zero(p, full_area(p))
-    np.testing.assert_allclose(below, area_below_zero_loop(p), rtol=0.0, atol=1e-14)
+    below = _area_below(p[..., 1], full_area(p))
+    np.testing.assert_allclose(below, area_below_loop(p, p[..., 1]), rtol=0.0, atol=1e-14)
+
+
+def sloped_triangle(intercept, slope):
+    """Triangles with vertices on the line z = intercept + slope * x drawn often."""
+    on_line = st.builds(lambda x: (x, intercept + slope * x), coord)
+    return st.tuples(*[st.one_of(on_line, point)] * 3)
+
+
+@given(st.tuples(coord, st.floats(-2.0, 2.0)).flatmap(
+    lambda line: st.tuples(st.just(line), st.lists(sloped_triangle(*line), min_size=1, max_size=24))))
+def test_clip_matches_loop_for_sloped_line(drawn):
+    (intercept, slope), tris = drawn
+    p = np.array(tris, dtype=float)
+    # the clip never reads x: it sees only the heights above the line
+    h = p[..., 1] - (intercept + slope * p[..., 0])
+    below = _area_below(h, full_area(p))
+    np.testing.assert_allclose(below, area_below_loop(p, h), rtol=0.0, atol=1e-14)
+    assert np.all(below >= 0.0) and np.all(below <= full_area(p))
 
 
 @given(triangles)
 def test_clip_within_triangle_area(tris):
     p = np.array(tris, dtype=float)
     area = full_area(p)
-    below = _area_below_zero(p, area)
+    below = _area_below(p[..., 1], area)
     assert np.all(below >= 0.0)
     assert np.all(below <= area)
 
@@ -89,7 +109,7 @@ def test_clip_partitions_fitted_mesh(family, amplitude, nx, nz):
     zeta = make_perturbation(family.rstrip("2"), params[family], amplitude)
     mesh = build_fitted_mesh(zeta, nx, nz)
     area = mesh.triangle_areas()
-    below = _area_below_zero(mesh.nodes[mesh.triangles], area)
+    below = _area_below(mesh.nodes[:, 1].take(mesh.triangles), area)
     # the part of (0, 1) x (-1, 1) below z = 0 has area 1
     assert abs(np.sum(below) - 1.0) < 1e-12
     assert np.all(below <= area)

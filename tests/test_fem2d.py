@@ -297,23 +297,6 @@ def test_energy_split_flat_partition():
     assert e1a + e2a == pytest.approx(e1b + e2b, rel=1e-12)
 
 
-def test_point_location_containment():
-    from darcyperturb.fem2d import _locate_triangles
-
-    rng = np.random.default_rng(12)
-    for amp, k in ((0.0, 1), (0.25, 1), (0.2, 2)):
-        mesh = build_fitted_mesh(sine(amp, k=k), 13, 9)
-        x = rng.uniform(0, 1, 2000)
-        z = rng.uniform(-1, 1, 2000)
-        p = mesh.nodes[mesh.triangles[_locate_triangles(mesh, x, z)]]
-        v0, v1 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-        v2 = np.column_stack([x, z]) - p[:, 0]
-        den = v0[:, 0] * v1[:, 1] - v1[:, 0] * v0[:, 1]
-        a = (v2[:, 0] * v1[:, 1] - v1[:, 0] * v2[:, 1]) / den
-        b = (v0[:, 0] * v2[:, 1] - v2[:, 0] * v0[:, 1]) / den
-        assert np.min(np.stack([a, b, 1 - a - b])) > -1e-10
-
-
 SHAPES = {"sine": {"wavenumber": 1}, "bump": {}, "hat": {"knot": 0.5}}
 
 

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import h1_norm_smooth, t_apply_smooth
 
-from darcyperturb.geometry import ForcingSpec, make_perturbation
+from darcyperturb.geometry import FLAT_ZETA, ForcingSpec, make_perturbation, perturbation_from_table
 from darcyperturb import fem2d, solver1d
 from darcyperturb.flatten import (
     ainv_norm_bound,
     assemble_flattened_stiffness,
     coercivity_constant,
     flattened_energy_split,
+    flattened_energy_split_flat,
     lambda_map,
     matrix_property_report,
     pullback_norm_bound,
@@ -372,3 +373,34 @@ def test_galerkin_identity_on_both_paths(n, family, amp, eps):
     flattened = solve_flattened(zeta, fr, eps, ref)
     for q in (fitted, flattened):
         assert q.meta["load_functional"] == pytest.approx(q.meta["bilinear_energy"], rel=1e-8)
+
+
+# --- the flat split of the pulled-back field -------------------------------------
+
+FLAT_SPLIT_SHAPES = {"sine": {"wavenumber": 1}, "bump": {}, "hat": {"knot": 0.3}}
+
+
+def signed_shape(family, amp, sign):
+    """amp * shape for sign 1; for sign -1 the table of its negative."""
+    zeta = make_perturbation(family, dict(FLAT_SPLIT_SHAPES[family]), amp)
+    if sign > 0:
+        return zeta
+    xs = np.linspace(0.0, 1.0, 65)
+    return perturbation_from_table(xs, -zeta.value(xs))
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(4, 12), family=st.sampled_from(sorted(FLAT_SPLIT_SHAPES)),
+       sign=st.sampled_from([1, -1]), amp=st.floats(0.0, 0.6), eps=st.sampled_from([0.1, 0.5, 1.0]))
+def test_flat_split_energy_agrees_on_both_paths(n, family, sign, amp, eps):
+    # the flat split of the fitted solution q and of the pulled-back flattened
+    # solution measure one energy, O(h) apart relative to the amplitude; on a
+    # grid of these draws the largest |difference| / (amp h a_0) was 2.3 (sine,
+    # amplitude 0.6, eps 0.1), and the flat split of rho itself is O(amp) off
+    zeta = signed_shape(family, amp, sign)
+    fr = ForcingSpec(F=ZERO2, f=ONE2)
+    q = fem2d.assemble_solve(fem2d.build_fitted_mesh(zeta, n, n), fr, eps=eps)
+    rho = solve_flattened(zeta, fr, eps, fem2d.build_fitted_mesh(FLAT_ZETA, n, n))
+    fitted = fem2d.energy_split_flat(q, eps)[2]
+    flattened = flattened_energy_split_flat(rho, zeta, eps)[2]
+    assert abs(flattened - fitted) <= (4.0 * amp / n + 1e-9) * fitted

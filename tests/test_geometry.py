@@ -5,9 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import darcyperturb
+from darcyperturb.fem2d import Field2D, build_fitted_mesh
 from darcyperturb.geometry import (
+    FLAT_ZETA,
     _segment_edges,
     lower_bound_constant,
     make_perturbation,
@@ -139,45 +142,77 @@ def test_lower_bound_arithmetic():
     assert lower_bound_constant(z, 0.5) == pytest.approx(0.95, abs=1e-10)
 
 
+def reference_field(values_at, n=16):
+    """P1 field on the n x n reference mesh with nodal values values_at(x, z)."""
+    mesh = build_fitted_mesh(FLAT_ZETA, n, n)
+    return Field2D(mesh=mesh, values=values_at(mesh.nodes[:, 0], mesh.nodes[:, 1]))
+
+
+def polyline_strip_area(zeta, col_x):
+    """int zeta_h (signed) and int |zeta_h| of the polyline through the columns."""
+    a, b = zeta.value(col_x[:-1]), zeta.value(col_x[1:])
+    dx = np.diff(col_x)
+    signed = float(np.sum(0.5 * dx * (a + b)))
+    # a column where zeta_h changes sign holds two triangles of heights |a| and |b|
+    crossing = a * b < 0.0
+    width = np.where(crossing, (a * a + b * b) / np.where(crossing, np.abs(a) + np.abs(b), 1.0),
+                     np.abs(a + b))
+    return signed, float(np.sum(0.5 * dx * width))
+
+
 def test_xi_zero_perturbation():
-    z = make_perturbation("sine", {"wavenumber": 1}, 0.0)
-    grad = lambda x, zz: (np.ones_like(x), np.ones_like(x))
-    assert xi_perturbation(grad, z) == pytest.approx(0.0, abs=1e-14)
+    # both clips see the same heights, so every strip area is exactly 0
+    rng = np.random.default_rng(3)
+    r = reference_field(lambda x, z: rng.standard_normal(x.shape))
+    assert xi_perturbation(r, make_perturbation("sine", {"wavenumber": 1}, 0.0)) == 0.0
+    assert xi_perturbation(r, FLAT_ZETA) == 0.0
 
 
 def test_xi_constant_gradient():
-    # grad r constant c: xi = |c|^2 (m2 - m1)
+    # grad r constant c: xi = |c|^2 (m2 - m1) up to the trapezoid error of the
+    # polyline, h^2 |zeta'(1) - zeta'(0)| / 12 + O(h^4) <= amp h^2 here
     c = (0.7, -1.3)
-    grad = lambda x, z: (np.full_like(x, c[0]), np.full_like(x, c[1]))
     c2 = c[0] ** 2 + c[1] ** 2
+    n = 64
+    r = reference_field(lambda x, z: c[0] * x + c[1] * z, n)
     for family, params, amp in [("sine", {"wavenumber": 1}, 0.3), ("sine", {"wavenumber": 2}, 0.2), ("hat", {"knot": 0.25}, 0.4)]:
         z = make_perturbation(family, params, amp)
         m1, m2 = strip_measures(z)
-        assert xi_perturbation(grad, z) == pytest.approx(c2 * (m2 - m1), abs=1e-9)
+        assert xi_perturbation(r, z) == pytest.approx(c2 * (m2 - m1), abs=c2 * amp / n**2)
 
 
 def test_xi_symmetric_cancel():
     z = make_perturbation("sine", {"wavenumber": 2}, 0.25)
-    grad = lambda x, zz: (np.zeros_like(x), np.ones_like(x))
-    assert xi_perturbation(grad, z) == pytest.approx(0.0, abs=1e-10)
+    assert xi_perturbation(reference_field(lambda x, zz: zz), z) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_xi_sup_bound():
     rng = np.random.default_rng(7)
     z = make_perturbation("sine", {"wavenumber": 3}, 0.2)
-    m1, m2 = strip_measures(z)
     for _ in range(5):
         a, b, c = rng.uniform(-1, 1, size=3)
+        r = reference_field(lambda x, zz: a * x + b * zz + c * x * zz, 24)
+        g = r.gradients()
+        sup2 = float(np.max(np.sum(g * g, axis=1)))
+        _, strip = polyline_strip_area(z, r.mesh.col_x)
+        assert abs(xi_perturbation(r, z)) <= sup2 * strip * (1.0 + 1e-12)
 
-        def grad(x, zz, a=a, b=b, c=c):
-            return (a + c * zz, b + c * x)
 
-        xs = np.linspace(0, 1, 101)
-        zs = np.linspace(-1, 1, 101)
-        X, Z = np.meshgrid(xs, zs)
-        gx, gz = grad(X, Z)
-        sup2 = float(np.max(gx**2 + gz**2))
-        assert abs(xi_perturbation(grad, z)) <= sup2 * (m1 + m2) + 1e-9
+XI_SHAPES = {"sine": {"wavenumber": 1}, "sine2": {"wavenumber": 2}, "sine3": {"wavenumber": 3},
+             "bump": {}, "hat": {"knot": 0.3}}
+
+
+@settings(deadline=None, max_examples=60)
+@given(family=st.sampled_from(sorted(XI_SHAPES)), amp=st.floats(0.0, 0.9), sign=st.sampled_from([1.0, -1.0]),
+       n=st.integers(2, 24), c=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_xi_of_a_linear_field_is_the_polyline_strip_area(family, amp, sign, n, c):
+    # for grad r = c the clip gives |c|^2 (|{z <= 0}| - |{z <= zeta_h}|) = -|c|^2 int zeta_h
+    shape = make_perturbation(family.rstrip("23"), XI_SHAPES[family], amp)
+    xs = np.linspace(0.0, 1.0, 2 * n + 1)
+    zeta = shape if sign > 0 else perturbation_from_table(xs, -shape.value(xs))
+    r = reference_field(lambda x, z: c[0] * x + c[1] * z, n)
+    signed, _ = polyline_strip_area(zeta, r.mesh.col_x)
+    assert abs(xi_perturbation(r, zeta) + (c[0] ** 2 + c[1] ** 2) * signed) <= 1e-13
 
 
 def _run_python(code: str, cwd: Path) -> str:

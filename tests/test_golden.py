@@ -49,6 +49,15 @@ def test_shipped_study_matches_golden(tmp_path, name):
                 f"row {k} {col}: {a!r} vs golden {b!r}"
 
 
+def test_both_2d_goldens_measure_one_flat_split():
+    # fitted a_0(q) and the flattened a_0 of the pulled-back field agree to 1 %
+    fitted = _rows((GOLDEN / "study-2d-fitted.csv").read_text())
+    flattened = _rows((GOLDEN / "study-2d-flattened.csv").read_text())
+    assert [r["amplitude"] for r in fitted] == [r["amplitude"] for r in flattened]
+    for f, g in zip(fitted, flattened):
+        assert math.isclose(float(f["energy_flat_total"]), float(g["energy_flat_total"]), rel_tol=0.01)
+
+
 # solve1d golden -> its arguments; the first is the README command
 SOLVE1D = {
     "solve1d-sqrt-zeta0.25": ["--zeta", "0.25", "--eps", "0.5", "--forcing", str(CONFIGS / "study-1d-sqrt.ini")],
