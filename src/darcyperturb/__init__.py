@@ -21,7 +21,6 @@ from .solver1d import (
     project_H,
     project_Hperp,
     solve_exact_1d,
-    solve_fem_1d,
     vnorm_diff_1d,
 )
 from .fem2d import (
@@ -31,7 +30,6 @@ from .fem2d import (
     assemble_solve,
     build_fitted_mesh,
     energy_split,
-    energy_split_flat,
     vnorm_diff_2d,
 )
 from .flatten import (
@@ -71,7 +69,6 @@ __all__ = [
     "coercivity_constant",
     "emit_report",
     "energy_split",
-    "energy_split_flat",
     "estimate_rhs_1d",
     "hperp_exact_original",
     "hperp_exact_perturbed",
@@ -86,7 +83,6 @@ __all__ = [
     "run_sequence",
     "shape_family",
     "solve_exact_1d",
-    "solve_fem_1d",
     "solve_flattened",
     "solve_flattened_1d",
     "strip_measures",

@@ -82,15 +82,7 @@ def build_parser() -> _Parser:
 
 
 def _load(args, overrides: dict | None = None) -> RunConfig:
-    overrides = overrides or {}
-    if args.config is not None:
-        cfg = load_config(args.config, overrides)
-    else:
-        cfg = RunConfig()
-        for key, value in overrides.items():
-            if value is not None:
-                setattr(cfg, key, value)
-        cfg.validate()
+    cfg = load_config(args.config, overrides)
     if getattr(args, "forcing", None):
         forcing_cfg = load_config(args.forcing)
         cfg.f_volume = forcing_cfg.f_volume
@@ -221,10 +213,12 @@ def _cmd_flatten_solve(args) -> int:
 
 
 def _cmd_flatten_check(args) -> int:
-    cfg = _load(args) if args.config is not None else RunConfig()
-    shapes = [
+    cfg = _load(args)
+    # a table is checked as it is; another family at two amplitudes
+    configured = [cfg.perturbation()] if cfg.family == "table" else [
         cfg.perturbation(amplitude=a) for a in (0.25, 0.1)
-    ] + [
+    ]
+    shapes = configured + [
         make_perturbation("sine", {"wavenumber": 2}, 0.2),
         make_perturbation("hat", {"knot": 0.5}, 0.3),
         make_perturbation("bump", {}, 0.3),

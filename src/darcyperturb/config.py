@@ -130,6 +130,8 @@ class RunConfig:
     def perturbation(self, amplitude: float | None = None) -> Perturbation:
         amp = self.amplitude if amplitude is None else amplitude
         if self.family == "table":
+            if amplitude is not None:
+                raise ConfigError(_TABLE_AMPLITUDE)
             if not self.table:
                 raise ConfigError("perturbation family 'table' needs a table = <csv> entry")
             path = (self.base_dir / self.table).resolve()
@@ -212,24 +214,28 @@ def _parse_value(section: str, key: str, raw: str):
     return raw
 
 
+_TABLE_AMPLITUDE = "family = table takes no amplitude: the table gives zeta itself"
+
 _KEY_RENAMES = {("forcing", "f"): "f_interface", ("forcing", "F"): "f_volume"}
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    """Load and validate a run configuration file, applying flag overrides."""
+    """Load and validate a run configuration file (the defaults for path
+    None), applying flag overrides."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keep key case so F and f read naturally
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    try:
-        # read_file, unlike read, raises on a path it cannot open (a directory, say)
-        with path.open() as fh:
-            parser.read_file(fh)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from exc
-
-    cfg = RunConfig(base_dir=path.parent)
+    cfg = RunConfig()
+    if path is not None:
+        path = Path(path)
+        if not path.exists():
+            raise FileNotFoundError(f"config file not found: {path}")
+        try:
+            # read_file, unlike read, raises on a path it cannot open (a directory, say)
+            with path.open() as fh:
+                parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}") from exc
+        cfg.base_dir = path.parent
     for section in parser.sections():
         if section not in _SECTION_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
@@ -238,7 +244,9 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             if attr not in _SECTION_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             setattr(cfg, attr, _parse_value(section, attr, raw))
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            setattr(cfg, key, value)
+    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
+    for key, value in overrides.items():
+        setattr(cfg, key, value)
+    if cfg.family == "table" and ("amplitude" in overrides or parser.has_option("perturbation", "amplitude")):
+        raise ConfigError(_TABLE_AMPLITUDE)
     return cfg.validate()

@@ -1,11 +1,12 @@
 """P1 finite elements on interface-fitted triangulations of the slab
 Omega = (0, 1) x (-1, 1).
 
-Meshes are tensor grids whose columns follow the perturbed interface: below
-it, the reference levels in [-1, 0] are stretched by 1 + zeta(x); above it,
-the levels in [0, 1] by 1 - zeta(x).  Each quad is split into two triangles.
-Region 1 (below the interface) carries coefficient k1 and a Dirichlet outer
-boundary; region 2 carries k2/eps and a Neumann outer boundary.
+Meshes are tensor grids whose columns follow the perturbed interface: the
+column maps (`geometry.column_map_inverse`) stretch the reference levels in
+[-1, 0] by 1 + zeta(x) and those in [0, 1] by 1 - zeta(x).  Each quad is
+split into two triangles.  Region 1 (below the interface) carries
+coefficient k1 and a Dirichlet outer boundary; region 2 carries k2/eps and a
+Neumann outer boundary.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from time import perf_counter
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Perturbation, _area_below, validate_admissible
+from .geometry import Perturbation, _area_below, _check_eps, column_map_inverse, validate_admissible
 from .quadrature import as_array_fn, gauss_rule, triangle_rule
 
 
@@ -92,17 +93,31 @@ class Mesh2D:
 
 @dataclass(frozen=True)
 class Field2D:
-    """Nodal scalar field over a mesh; Dirichlet nodes carry value 0."""
+    """Nodal scalar field over a mesh; Dirichlet nodes carry value 0.
+
+    Immutable: `values` is made read-only (the array passed in is frozen, not
+    copied), so the gradient is computed once.
+    """
 
     mesh: Mesh2D
     values: np.ndarray
     label: str = ""
     meta: dict = field(default_factory=dict)
 
-    def gradients(self) -> np.ndarray:
-        """(n_tri, 2) constant gradient per triangle."""
+    def __post_init__(self):
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        self.values.setflags(write=False)
+
+    @cached_property
+    def _gradients(self) -> np.ndarray:
         grads, _ = self.mesh.basis_gradients()
-        return np.einsum("tad,ta->td", grads, self.values[self.mesh.triangles])
+        g = np.einsum("tad,ta->td", grads, self.values[self.mesh.triangles])
+        g.setflags(write=False)
+        return g
+
+    def gradients(self) -> np.ndarray:
+        """(n_tri, 2) constant gradient per triangle (read-only)."""
+        return self._gradients
 
     def value(self, x, z):
         """P1 interpolation at 1D arrays of points whose abscissae match mesh
@@ -144,18 +159,12 @@ def build_fitted_mesh(zeta: Perturbation, nx: int, nz: int) -> Mesh2D:
     if np.any(np.abs(zv) >= 1.0):
         raise ValueError("|zeta| >= 1 at a column: cells would invert")
 
-    lower_ref = np.linspace(-1.0, 0.0, nz + 1)
-    upper_ref = np.linspace(0.0, 1.0, nz + 1)
-    # column levels: pullback of the reference levels through the column map
-    levels = np.empty((nx + 1, 2 * nz + 1))
-    levels[:, : nz + 1] = lower_ref[None, :] * (1.0 + zv[:, None]) + zv[:, None]
-    levels[:, nz:] = upper_ref[None, :] * (1.0 - zv[:, None]) + zv[:, None]
-
-    n_levels = 2 * nz + 1
-    node_grid = np.arange((nx + 1) * n_levels).reshape(nx + 1, n_levels)
-    nodes = np.empty(((nx + 1) * n_levels, 2))
-    nodes[:, 0] = np.repeat(xs, n_levels)
-    nodes[:, 1] = levels.ravel()
+    # column levels: the reference levels pulled back through the column maps,
+    # the interface level z = 0 through the upper one
+    ref = np.r_[np.linspace(-1.0, 0.0, nz + 1), np.linspace(0.0, 1.0, nz + 1)[1:]]
+    levels = column_map_inverse(np.where(ref < 0.0, -1.0, 1.0), zv[:, None], ref)
+    node_grid = np.arange(levels.size).reshape(levels.shape)
+    nodes = np.column_stack([np.repeat(xs, len(ref)), levels.ravel()])
 
     # quad (j, l) has corners a = (j, l), b = (j+1, l), c = (j+1, l+1),
     # d = (j, l+1) and splits into triangles 2(j*2nz+l) = abc and its pair acd
@@ -193,12 +202,13 @@ def build_fitted_mesh(zeta: Perturbation, nx: int, nz: int) -> Mesh2D:
     return mesh
 
 
-def _assemble_p1(mesh: Mesh2D, coef: np.ndarray) -> sp.csr_matrix:
-    """Matrix of sum_T grad(phi_a) . coef_T grad(phi_b) over P1 hat functions.
+def _assemble_p1(mesh: Mesh2D, tensor: np.ndarray, eps: float, k1: float, k2: float) -> sp.csr_matrix:
+    """Matrix of sum_T k_T |T| grad(phi_a) . tensor_T grad(phi_b) over P1 hat
+    functions, with k_T = k1 below the interface and k2/eps above.
 
-    `coef` is the (n_tri, 2, 2) coefficient tensor per triangle, already
-    multiplied by the triangle area and the region scale.
+    `tensor` is (n_tri, 2, 2) or one (2, 2) matrix for all triangles.
     """
+    coef = (np.where(mesh.region == 1, k1, k2 / eps) * mesh.triangle_areas())[:, None, None] * tensor
     grads, _ = mesh.basis_gradients()
     local = np.einsum("tad,tde,tbe->tab", grads, coef, grads, optimize=True)
     # scipy stores the indices as int32 anyway (enough for 2**31 nodes), so
@@ -212,8 +222,7 @@ def _assemble_p1(mesh: Mesh2D, coef: np.ndarray) -> sp.csr_matrix:
 
 def assemble_stiffness(mesh: Mesh2D, eps: float, k1: float, k2: float) -> sp.csr_matrix:
     """Stiffness of the perturbed energy form on the fitted mesh."""
-    coef = np.where(mesh.region == 1, k1, k2 / eps) * mesh.triangle_areas()
-    return _assemble_p1(mesh, coef[:, None, None] * np.eye(2))
+    return _assemble_p1(mesh, np.eye(2), eps, k1, k2)
 
 
 def assemble_volume_load(mesh: Mesh2D, F, *, degree: int = 2) -> np.ndarray:
@@ -244,6 +253,14 @@ def assemble_interface_load(mesh: Mesh2D, f, *, order: int = 4) -> np.ndarray:
     c1 = length * np.einsum("eq,q,q->e", fq, w_half, lam)
     return (np.bincount(mesh.interface_edges[:, 0], c0, minlength=mesh.n_nodes)
             + np.bincount(mesh.interface_edges[:, 1], c1, minlength=mesh.n_nodes))
+
+
+def _load(mesh: Mesh2D, F, f, quadrature_order: int) -> np.ndarray:
+    """Volume load of F plus interface load of f, in the rules that a
+    forcing's `quadrature_order` selects."""
+    load = assemble_volume_load(mesh, F, degree=2 if quadrature_order <= 4 else 4)
+    load += assemble_interface_load(mesh, f, order=max(2, quadrature_order))
+    return load
 
 
 # The V-cycle smoother is damped Jacobi with weights 1.5 / sum_j |a_ij|: the
@@ -415,35 +432,28 @@ def cg_solve(K: sp.csr_matrix, load: np.ndarray, dirichlet: np.ndarray, grid: tu
     return values, record
 
 
-def _galerkin_solve(mesh: Mesh2D, K: sp.csr_matrix, load: np.ndarray, label: str, meta: dict,
-                    rtol: float, maxiter: int | None) -> Field2D:
-    """CG solve of K u = load on the free nodes; records the solve, its
-    seconds and the Galerkin identity terms in the field's meta."""
+def _galerkin_solve(mesh: Mesh2D, assemble, label: str, eps: float, k1: float, k2: float,
+                    rtol: float) -> Field2D:
+    """Assemble (K, load) by `assemble()`, then CG-solve K u = load on the
+    free nodes; records the coefficients, the solve, the seconds of both
+    phases and the Galerkin identity terms in the field's meta."""
     t0 = perf_counter()
-    values, record = cg_solve(K, load, mesh.dirichlet_nodes, mesh.node_grid.shape,
-                              rtol=rtol, maxiter=maxiter)
-    meta = {
-        **meta,
-        **record,
-        "solve_s": perf_counter() - t0,
-        "load_functional": float(load @ values),
-        "bilinear_energy": float(values @ (K @ values)),
-    }
+    K, load = assemble()
+    t1 = perf_counter()
+    values, record = cg_solve(K, load, mesh.dirichlet_nodes, mesh.node_grid.shape, rtol=rtol)
+    meta = {"eps": eps, "k1": k1, "k2": k2, "assemble_s": t1 - t0, **record, "solve_s": perf_counter() - t1,
+            "load_functional": float(load @ values), "bilinear_energy": float(values @ (K @ values))}
     return Field2D(mesh=mesh, values=values, label=label, meta=meta)
 
 
 def assemble_solve(mesh: Mesh2D, forcing, eps: float, k1: float = 1.0, k2: float = 1.0,
-                   *, rtol: float = 1e-10, maxiter: int | None = None) -> Field2D:
+                   *, rtol: float = 1e-10) -> Field2D:
     """Galerkin solution of the perturbed weak problem on the fitted mesh."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    t0 = perf_counter()
-    K = assemble_stiffness(mesh, eps, k1, k2)
-    degree = 2 if forcing.quadrature_order <= 4 else 4
-    load = assemble_volume_load(mesh, forcing.F, degree=degree)
-    load += assemble_interface_load(mesh, forcing.f, order=max(2, forcing.quadrature_order))
-    meta = {"eps": eps, "k1": k1, "k2": k2, "assemble_s": perf_counter() - t0}
-    return _galerkin_solve(mesh, K, load, "fitted-solve", meta, rtol, maxiter)
+    _check_eps(eps)
+    return _galerkin_solve(
+        mesh, lambda: (assemble_stiffness(mesh, eps, k1, k2),
+                       _load(mesh, forcing.F, forcing.f, forcing.quadrature_order)),
+        "fitted-solve", eps, k1, k2, rtol)
 
 
 def resample(b: Field2D, mesh: Mesh2D) -> Field2D:
@@ -460,34 +470,29 @@ def vnorm_diff_2d(a: Field2D, b: Field2D) -> float:
     return float(np.sqrt(max(np.sum(area * np.sum(diff * diff, axis=1)), 0.0)))
 
 
-def _region_energies(fld: Field2D, metric: np.ndarray, below: np.ndarray,
-                     eps: float, k1: float, k2: float) -> tuple[float, float, float]:
-    """(e1, e2, total) of the P1 field under a per-triangle metric.
+def _region_energies(fld: Field2D, metric: np.ndarray, heights: np.ndarray,
+                     eps: float, k1: float, k2: float) -> tuple[float, float, float, float]:
+    """(e1, e2, total, flat_total) of the P1 field under a per-triangle metric.
 
-    `metric` is (n_tri, 2, 2) or one (2, 2) matrix for all triangles; `below`
-    is the area of each triangle counted in region 1, the rest of its area
-    counts in region 2.  Exact because P1 gradients are constant per triangle.
+    One energy density gives the split by the region tags (e1, e2, total) and
+    the total of the flat split, whose region 1 is the part of each triangle
+    below the cut with vertex heights `heights` (n_tri, 3).  `metric` is
+    (n_tri, 2, 2) or one (2, 2) matrix.  Exact: P1 gradients are constant.
     """
     g = fld.gradients()
     dens = np.einsum("...d,...de,...e->...", g, metric, g)
     area = fld.mesh.triangle_areas()
-    e1 = k1 * float(np.sum(dens * below))
-    e2 = (k2 / eps) * float(np.sum(dens * (area - below)))
-    return e1, e2, e1 + e2
+
+    def split(below):
+        e1 = k1 * float(np.sum(dens * below))
+        e2 = (k2 / eps) * float(np.sum(dens * (area - below)))
+        return e1, e2, e1 + e2
+
+    return *split(np.where(fld.mesh.region == 1, area, 0.0)), split(_area_below(heights, area))[2]
 
 
-def energy_split(fld: Field2D, eps: float, k1: float = 1.0, k2: float = 1.0) -> tuple[float, float, float]:
-    """(e1, e2, total) with regions read from the mesh tags (diagonal split)."""
-    below = np.where(fld.mesh.region == 1, fld.mesh.triangle_areas(), 0.0)
-    return _region_energies(fld, np.eye(2), below, eps, k1, k2)
-
-
-def energy_split_flat(fld: Field2D, eps: float, k1: float = 1.0, k2: float = 1.0) -> tuple[float, float, float]:
-    """(e1, e2, total) measured in the unperturbed split at z = 0.
-
-    Triangles straddling z = 0 are clipped exactly, which is enough because
-    P1 gradients are constant per triangle.
-    """
+def energy_split(fld: Field2D, eps: float, k1: float = 1.0, k2: float = 1.0) -> tuple[float, ...]:
+    """(e1, e2, total) with regions read from the mesh tags (diagonal split),
+    and the total of the flat split at z = 0, straddling triangles clipped."""
     mesh = fld.mesh
-    below = _area_below(mesh.nodes[:, 1].take(mesh.triangles), mesh.triangle_areas())
-    return _region_energies(fld, np.eye(2), below, eps, k1, k2)
+    return _region_energies(fld, np.eye(2), mesh.nodes[:, 1].take(mesh.triangles), eps, k1, k2)

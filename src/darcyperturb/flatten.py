@@ -4,23 +4,23 @@ flattened variational problems on the reference domain.
 
 Region i in {1, 2} maps Omega_i^zeta onto Omega_i by
     Lambda_i(x, X_N) = (x, (X_N - zeta(x)) / (1 - (-1)^i zeta(x))),
-whose inverse stretches the reference level z back to z (1 - (-1)^i zeta) + zeta.
-Gradients transfer through A_i with inverse [[1, (1 - (-1)^i z) grad zeta],
-[0, 1 - (-1)^i zeta]]; the flattened weak form carries the metric
-(1 - (-1)^i zeta) A^T A.
+whose inverse stretches the reference level z back to z (1 - (-1)^i zeta) + zeta
+(`geometry.column_map` and `column_map_inverse`).  Gradients transfer through
+A_i with inverse [[1, (1 - (-1)^i z) grad zeta], [0, 1 - (-1)^i zeta]]; the
+flattened weak form carries the metric (1 - (-1)^i zeta) A^T A.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from time import perf_counter
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import fem2d, solver1d
-from .fem2d import Field2D, Mesh2D, assemble_interface_load, assemble_volume_load
-from .geometry import Perturbation, _area_below, _heights_above
+from .fem2d import Field2D, Mesh2D
+from .geometry import (Perturbation, _check_eps, _heights_above, column_map, column_map_inverse,
+                       column_scale)
 from .quadrature import as_array_fn, triangle_rule
 
 REGIONS = (1, 2)
@@ -42,25 +42,17 @@ def lambda_map(i: int, zeta: Perturbation, point, direction: str = "forward"):
     the perturbed region Omega_i^zeta, inverse expects reference points.
     """
     s = _sign(i)
+    if direction not in ("forward", "inverse"):
+        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    forward = direction == "forward"
     pts = np.atleast_2d(np.asarray(point, dtype=float))
     x, z = pts[:, 0], pts[:, 1]
     zv = zeta.value(x)
-    denom = 1.0 - s * zv
-    tol = 1e-12
-    if direction == "forward":
-        lo = np.where(i == 1, -1.0, zv)
-        hi = np.where(i == 1, zv, 1.0)
-        if np.any(z < lo - tol) or np.any(z > hi + tol):
-            raise ValueError(f"point outside region {i} of the perturbed domain")
-        out_z = (z - zv) / denom
-    elif direction == "inverse":
-        lo, hi = (-1.0, 0.0) if i == 1 else (0.0, 1.0)
-        if np.any(z < lo - tol) or np.any(z > hi + tol):
-            raise ValueError(f"point outside reference region {i}")
-        out_z = z * denom + zv
-    else:
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    out = np.column_stack([x, out_z])
+    iface = zv if forward else 0.0
+    lo, hi = (-1.0, iface) if i == 1 else (iface, 1.0)
+    if np.any(z < lo - 1e-12) or np.any(z > hi + 1e-12):
+        raise ValueError(f"point outside region {i} of the {'perturbed' if forward else 'reference'} domain")
+    out = np.column_stack([x, (column_map if forward else column_map_inverse)(s, zv, z)])
     return out if np.ndim(point) == 2 else out[0]
 
 
@@ -73,7 +65,7 @@ def _metric(s, zeta: Perturbation, x: np.ndarray, z: np.ndarray):
     x, so the points of both regions go in one call.
     """
     g = zeta.gradient(x)
-    denom = 1.0 - s * zeta.value(x)
+    denom = column_scale(s, zeta.value(x))
     stretch = 1.0 - s * z
     metric = np.empty((2, 2) + np.shape(denom))
     metric[0, 0] = denom
@@ -136,16 +128,11 @@ def t_apply(zeta: Perturbation, field, direction: str, out_mesh: Mesh2D) -> Fiel
     z = out_mesh.nodes[:, 1]
     zv = zeta.value(x)
     if direction == "T":
-        s = np.where(z < 0.0, -1.0, 1.0)
-        src_z = z * (1.0 - s * zv) + zv
+        src_z = column_map_inverse(np.where(z < 0.0, -1.0, 1.0), zv, z)
     else:
-        s = np.where(z < zv, -1.0, 1.0)
-        src_z = (z - zv) / (1.0 - s * zv)
+        src_z = column_map(np.where(z < zv, -1.0, 1.0), zv, z)
     src_z = np.clip(src_z, -1.0, 1.0)
-    if isinstance(field, Field2D):
-        values = field.value(x, src_z)
-    else:
-        values = as_array_fn(field)(x, src_z)
+    values = field.value(x, src_z) if isinstance(field, Field2D) else as_array_fn(field)(x, src_z)
     return Field2D(mesh=out_mesh, values=values, label=f"{direction}[{getattr(field, 'label', 'fn')}]")
 
 
@@ -170,8 +157,7 @@ def _averaged_metric(mesh: Mesh2D, zeta: Perturbation) -> np.ndarray:
 def assemble_flattened_stiffness(mesh: Mesh2D, zeta: Perturbation, eps: float,
                                  k1: float = 1.0, k2: float = 1.0) -> sp.csr_matrix:
     """Stiffness of the flattened form sum_i int (k_i/eps^{i-1}) (1-(-1)^i zeta) A^T A grad.grad."""
-    coef = np.where(mesh.region == 1, k1, k2 / eps) * mesh.triangle_areas()
-    return fem2d._assemble_p1(mesh, coef[:, None, None] * _averaged_metric(mesh, zeta))
+    return fem2d._assemble_p1(mesh, _averaged_metric(mesh, zeta), eps, k1, k2)
 
 
 def assemble_flattened_load(mesh: Mesh2D, zeta: Perturbation, forcing) -> np.ndarray:
@@ -184,83 +170,67 @@ def assemble_flattened_load(mesh: Mesh2D, zeta: Perturbation, forcing) -> np.nda
     def pulled_back_F(x, z):
         # quadrature points of the reference mesh lie strictly inside one region
         zv = zeta.value(x)
-        denom = 1.0 - np.where(z < 0.0, -1.0, 1.0) * zv
-        return denom * forcing.F(x, z * denom + zv)
+        s = np.where(z < 0.0, -1.0, 1.0)
+        return column_scale(s, zv) * forcing.F(x, column_map_inverse(s, zv, z))
 
     def weighted_f(x, z):
         g = zeta.gradient(x)
         return np.sqrt(1.0 + g**2) * forcing.f(x, zeta.value(x))
 
-    degree = 2 if forcing.quadrature_order <= 4 else 4
-    load = assemble_volume_load(mesh, pulled_back_F, degree=degree)
-    load += assemble_interface_load(mesh, weighted_f, order=max(2, forcing.quadrature_order))
-    return load
+    return fem2d._load(mesh, pulled_back_F, weighted_f, forcing.quadrature_order)
 
 
 def solve_flattened(zeta: Perturbation, forcing, eps: float, ref_mesh: Mesh2D,
-                    k1: float = 1.0, k2: float = 1.0, *, rtol: float = 1e-10,
-                    maxiter: int | None = None) -> Field2D:
+                    k1: float = 1.0, k2: float = 1.0, *, rtol: float = 1e-10) -> Field2D:
     """Galerkin solve of the flattened problem on the fixed reference mesh."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    _check_eps(eps)
     if np.max(np.abs(ref_mesh.zeta_at_cols)) > 1e-14:
         raise ValueError("reference mesh must be the flat-interface mesh")
-    t0 = perf_counter()
-    K = assemble_flattened_stiffness(ref_mesh, zeta, eps, k1, k2)
-    load = assemble_flattened_load(ref_mesh, zeta, forcing)
-    meta = {"eps": eps, "k1": k1, "k2": k2, "assemble_s": perf_counter() - t0}
-    return fem2d._galerkin_solve(ref_mesh, K, load, "flattened-solve", meta, rtol, maxiter)
+    return fem2d._galerkin_solve(
+        ref_mesh, lambda: (assemble_flattened_stiffness(ref_mesh, zeta, eps, k1, k2),
+                           assemble_flattened_load(ref_mesh, zeta, forcing)),
+        "flattened-solve", eps, k1, k2, rtol)
 
 
-def flattened_energy_split(rho: Field2D, zeta: Perturbation, eps: float,
-                           k1: float = 1.0, k2: float = 1.0) -> tuple[float, float, float]:
-    """Per-region energies of the flattened form (pullbacks of the energies of
-    the unflattened field over the perturbed regions)."""
-    mesh = rho.mesh
-    below = np.where(mesh.region == 1, mesh.triangle_areas(), 0.0)
-    return fem2d._region_energies(rho, _averaged_metric(mesh, zeta), below, eps, k1, k2)
-
-
-def flattened_energy_split_flat(rho: Field2D, zeta: Perturbation, eps: float,
-                                k1: float = 1.0, k2: float = 1.0) -> tuple[float, float, float]:
-    """(e1, e2, total) of the pulled-back field T^{-1} rho measured in the
-    unperturbed split at z = 0, computed on the reference mesh.
+def flattened_energy_split(rho: Field2D, zeta: Perturbation, eps: float, k1: float = 1.0,
+                           k2: float = 1.0) -> tuple[float, float, float, float]:
+    """Per-region energies (e1, e2, total) of the flattened form (pullbacks of
+    the energies of the unflattened field over the perturbed regions), and
+    the total of the pulled-back field T^{-1} rho in the unperturbed split at
+    z = 0, computed on the reference mesh.
 
     In region i the physical line z = 0 pulls back to the reference curve
-    z = -zeta/(1 - (-1)^i zeta).  Each triangle is clipped exactly against
-    the polyline of that curve through its values at the mesh columns, and
-    both parts carry the region's averaged metric.
+    Lambda_i(0) = -zeta/(1 - (-1)^i zeta).  Each triangle is clipped exactly
+    against the polyline of that curve through its values at the mesh
+    columns, and both parts carry the region's averaged metric.
     """
     mesh = rho.mesh
     zc = zeta.value(mesh.col_x)
-    h = np.where((mesh.region == 1)[:, None],
-                 _heights_above(mesh, -zc / (1.0 + zc)), _heights_above(mesh, -zc / (1.0 - zc)))
-    below = _area_below(h, mesh.triangle_areas())
-    return fem2d._region_energies(rho, _averaged_metric(mesh, zeta), below, eps, k1, k2)
+    h1, h2 = (_heights_above(mesh, column_map(s, zc, 0.0)) for s in (-1.0, 1.0))
+    h = np.where((mesh.region == 1)[:, None], h1, h2)
+    return fem2d._region_energies(rho, _averaged_metric(mesh, zeta), h, eps, k1, k2)
 
 
 def solve_flattened_1d(zeta: float, forcing, eps: float) -> solver1d.PiecewiseField1D:
     """Exact solution of the 1D flattened problem; equals q^zeta composed with
     the inverse column map."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    _check_eps(eps)
     z0 = float(zeta)
     if not -1.0 < z0 < 1.0:
         raise ValueError(f"zeta must lie in (-1, 1), got {z0}")
     F = as_array_fn(forcing.F)
     f = as_array_fn(forcing.f)
-    c_left = 1.0 / (1.0 + z0)
-    c_right = 1.0 / (eps * (1.0 - z0))
 
-    def F_left(x):
-        return (1.0 + z0) * F(np.asarray(x) * (1.0 + z0) + z0)
+    def pulled_back(s):
+        # the region's source on the reference interval, and its stretch
+        scale = column_scale(s, z0)
+        return (lambda x: scale * F(column_map_inverse(s, z0, np.asarray(x)))), scale
 
-    def F_right(x):
-        return (1.0 - z0) * F(np.asarray(x) * (1.0 - z0) + z0)
-
+    F_left, scale_left = pulled_back(-1.0)
+    F_right, scale_right = pulled_back(1.0)
     flux = float(f(np.asarray([z0]))[0])
     return solver1d._two_region_exact(
-        F_left, F_right, c_left, c_right, flux, 0.0,
+        F_left, F_right, 1.0 / scale_left, 1.0 / (eps * scale_right), flux, 0.0,
         label=f"flattened(zeta={z0:g})",
     )
 
@@ -295,7 +265,7 @@ def matrix_property_report(shapes, *, n_points: int = 1000, seed: int = 0) -> di
             report["aainv_max"] = max(
                 report["aainv_max"], float(np.max(np.abs(prod - np.eye(2)[None])))
             )
-            det_expected = 1.0 - _sign(i) * zeta.value(x)
+            det_expected = column_scale(_sign(i), zeta.value(x))
             report["det_max"] = max(
                 report["det_max"], float(np.max(np.abs(np.linalg.det(A_inv) - det_expected)))
             )
@@ -334,13 +304,12 @@ def _chain_rule_error(i: int, zeta: Perturbation, x: np.ndarray, z: np.ndarray, 
     s = _sign(i)
 
     def composed(u, xx, zz):
-        zv = zeta.value(xx)
-        return u(xx, zz * (1.0 - s * zv) + zv)
+        return u(xx, column_map_inverse(s, zeta.value(xx), zz))
 
     h = _FD_STEP
     worst = 0.0
-    A, _, _, denom = transfer(i, zeta, x, z)
-    w = z * denom + zeta.value(x)
+    A = transfer(i, zeta, x, z)[0]
+    w = column_map_inverse(s, zeta.value(x), z)
     for u, grad_u in tests:
         dx = (composed(u, x + h, z) - composed(u, x - h, z)) / (2.0 * h)
         dz = (composed(u, x, z + h) - composed(u, x, z - h)) / (2.0 * h)

@@ -7,8 +7,10 @@ Dirichlet outer boundary) and the upper region Omega_2 (fast flow, coefficient
 k2/eps, Neumann outer boundary).  A perturbation zeta moves the interface to
 the graph z = zeta(x) while keeping it pinned at the lateral walls.
 
-`_area_below`, the exact area of each triangle below a line, is the one
-triangle clip of the 2D code: both flat splits and `xi_perturbation` use it.
+`column_map` and its inverse are the one form of the maps Lambda_i of
+`flatten`.  `_area_below`, the exact area of each triangle below a line, is
+the one triangle clip of the 2D code: both flat splits and `xi_perturbation`
+use it.
 """
 
 from __future__ import annotations
@@ -243,14 +245,35 @@ def strip_measures(zeta: Perturbation) -> tuple[float, float]:
     return max(m1, 0.0), max(m2, 0.0)
 
 
+def _check_eps(eps: float):
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+
+
 def lower_bound_constant(zeta: Perturbation, eps: float) -> float:
     """Constant 1 - eps*|1 - 1/eps|*(m1 + m2) bounding the perturbed energy form
     from below against the unperturbed one (coefficient as derived, see README
     notes on the displayed form)."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    _check_eps(eps)
     m1, m2 = strip_measures(zeta)
     return 1.0 - eps * abs(1.0 - 1.0 / eps) * (m1 + m2)
+
+
+def column_scale(s, zv):
+    """Stretch 1 - s zeta = det A^{-1} of the region-i map, s = (-1)^i, at
+    interface heights zv = zeta(x)."""
+    return 1.0 - s * zv
+
+
+def column_map(s, zv, z):
+    """Lambda_i at interface heights zv: the height z of region i of the
+    perturbed slab to the reference level (z - zeta)/(1 - s zeta)."""
+    return (z - zv) / column_scale(s, zv)
+
+
+def column_map_inverse(s, zv, z):
+    """Lambda_i^{-1}: the reference level z to the height z (1 - s zeta) + zeta."""
+    return z * column_scale(s, zv) + zv
 
 
 def _area_below(h: np.ndarray, area: np.ndarray) -> np.ndarray:

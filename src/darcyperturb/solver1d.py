@@ -1,4 +1,4 @@
-"""Exact and finite-element solvers for the 1D two-region problem on (-1, 1),
+"""The exact solver of the 1D two-region problem on (-1, 1),
 the H / H-orthogonal decomposition of the pressure space, and the explicit
 perturbation error bounds.
 
@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .geometry import _check_eps
 from .quadrature import Antiderivative, as_array_fn, gauss_rule, integrate_cells
 
 BREAKPOINT_MERGE_TOL = 1e-13
@@ -137,18 +138,6 @@ class PiecewiseField1D:
         return self._at_points(x, "deriv")
 
 
-def from_nodal(nodes: np.ndarray, values: np.ndarray, label: str = "") -> PiecewiseField1D:
-    """Piecewise-linear field through nodal values."""
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    slopes = np.diff(values) / np.diff(nodes)
-    pieces = []
-    for i in range(len(slopes)):
-        x0, v0, s = nodes[i], values[i], slopes[i]
-        pieces.append(Piece(lambda x, x0=x0, v0=v0, s=s: v0 + s * (np.asarray(x) - x0), _constant(s)))
-    return PiecewiseField1D(nodes, tuple(pieces), label=label)
-
-
 def _insert_points(breaks, extra: Sequence) -> np.ndarray:
     """Sorted union of `breaks` and `extra`, where each run of points at most
     BREAKPOINT_MERGE_TOL apart collapses to its largest point.
@@ -242,64 +231,6 @@ def solve_exact_1d(forcing, zeta, eps: float) -> PiecewiseField1D:
         forcing.F, forcing.F, 1.0, 1.0 / eps, _at(forcing.f, z[..., None]), z,
         label=f"exact(zeta={float(z):g})" if z.ndim == 0 else f"exact({len(z)} rows)",
     )
-
-
-def _check_eps(eps: float):
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-
-
-def solve_fem_1d(forcing, zeta: float, eps: float, n_cells: int) -> PiecewiseField1D:
-    """P1 Galerkin solution of the same weak problem on a mesh containing zeta.
-
-    Tridiagonal solve; the uniform mesh is augmented with 0 and zeta as nodes.
-    """
-    from scipy.linalg import solve_banded  # only here: no CLI command needs it
-
-    _check_eps(eps)
-    if n_cells < 4:
-        raise ValueError(f"need n_cells >= 4, got {n_cells}")
-    if not -1.0 < zeta < 1.0:
-        raise ValueError(f"zeta must lie in (-1, 1), got {zeta}")
-    nodes = _insert_points(np.linspace(-1.0, 1.0, n_cells + 1), [0.0, float(zeta)])
-    n = len(nodes)
-    h = np.diff(nodes)
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    coef = np.where(mids < zeta, 1.0, 1.0 / eps)
-
-    main = np.zeros(n)
-    off = np.zeros(n - 1)
-    main[:-1] += coef / h
-    main[1:] += coef / h
-    off -= coef / h
-
-    F = as_array_fn(forcing.F)
-    order = max(4, forcing.quadrature_order)
-    t, w = gauss_rule(order)
-    half = 0.5 * h
-    xq = nodes[:-1, None] + half[:, None] * (t[None, :] + 1.0)
-    Fq = F(xq.ravel()).reshape(xq.shape)
-    # hat function values on each cell at the quadrature points
-    lam = (xq - nodes[:-1, None]) / h[:, None]
-    load = np.zeros(n)
-    load[:-1] += half * ((Fq * (1.0 - lam)) @ w)
-    load[1:] += half * ((Fq * lam) @ w)
-
-    iz = int(np.argmin(np.abs(nodes - zeta)))
-    load[iz] += _at(forcing.f, zeta)
-
-    # eliminate the Dirichlet node at x = -1
-    ab = np.zeros((3, n - 1))
-    ab[0, 1:] = off[1:]
-    ab[1, :] = main[1:]
-    ab[2, :-1] = off[1:]
-    rhs = load[1:].copy()
-    try:
-        sol = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - valid meshes are SPD
-        raise RuntimeError(f"singular 1D FEM system: {exc}") from exc
-    values = np.concatenate([[0.0], sol])
-    return from_nodal(nodes, values, label=f"fem(zeta={zeta:g}, n={n_cells})")
 
 
 def project_H(r: PiecewiseField1D, zeta: float) -> PiecewiseField1D:

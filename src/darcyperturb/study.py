@@ -215,15 +215,12 @@ def _twod_row(rec: ConvergenceRecord, p: fem2d.Field2D, zeta: Perturbation, forc
     if mode == "fitted2d":
         mesh = fem2d.build_fitted_mesh(zeta, rec.resolution, rec.resolution)
         q = fem2d.assemble_solve(mesh, forcing, eps=eps, rtol=rtol)
-        rec.vnorm_gap = fem2d.vnorm_diff_2d(p, q)
-        e1, e2, tot = fem2d.energy_split(q, eps)
-        rec.energy_flat_total = fem2d.energy_split_flat(q, eps)[2]
+        energies = fem2d.energy_split(q, eps)
     else:
-        rho = flatten.solve_flattened(zeta, forcing, eps, p.mesh, rtol=rtol)
-        rec.vnorm_gap = fem2d.vnorm_diff_2d(p, rho)
-        e1, e2, tot = flatten.flattened_energy_split(rho, zeta, eps)
-        rec.energy_flat_total = flatten.flattened_energy_split_flat(rho, zeta, eps)[2]
-    rec.energy_e1, rec.energy_e2, rec.energy_total = e1, e2, tot
+        q = flatten.solve_flattened(zeta, forcing, eps, p.mesh, rtol=rtol)
+        energies = flatten.flattened_energy_split(q, zeta, eps)
+    rec.vnorm_gap = fem2d.vnorm_diff_2d(p, q)
+    rec.energy_e1, rec.energy_e2, rec.energy_total, rec.energy_flat_total = energies
 
 
 @dataclass(frozen=True)

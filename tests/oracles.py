@@ -1,17 +1,24 @@
 """Reference computations that only the tests use: analytic pullbacks and
 norms of smooth fields, the continuity of piecewise 1D fields, the P1 mesh
-geometry computed afresh, and the plain forms of the 1D evaluation paths
+geometry computed afresh, the P1 finite-element solve of the 1D problem that
+cross-checks the exact solver, the plain forms of the 1D evaluation paths
 (broadcast by a product with ones, np.clip clamps, one call per np.unique
 piece, a Python merge of breakpoints, one amplitude at a time) that the
-library's shortcuts and row batches must reproduce bit for bit."""
+library's shortcuts and row batches must reproduce bit for bit, and the
+column maps and energy splits of the 2D paths written out one formula per
+use, which the shared forms must reproduce bit for bit too."""
 
 import math
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from darcyperturb.config import _EXPR_CONSTS, _EXPR_FUNCS
+from darcyperturb.flatten import _averaged_metric
+from darcyperturb.geometry import _area_below, _check_eps, _heights_above
 from darcyperturb.quadrature import _ANTIDERIVATIVE_CELLS, _ANTIDERIVATIVE_ORDER, as_array_fn, gauss_rule
-from darcyperturb.solver1d import _ORDER as _ORDER_1D, BREAKPOINT_MERGE_TOL, Piece
+from darcyperturb.solver1d import (_ORDER as _ORDER_1D, BREAKPOINT_MERGE_TOL, Piece, PiecewiseField1D, _at,
+                                   _constant, _insert_points, _two_region_exact)
 
 
 def t_apply_smooth(zeta, value, grad):
@@ -170,6 +177,72 @@ def insert_points_loop(breaks, extra) -> np.ndarray:
     return np.array(keep)
 
 
+# --- the P1 cross-check of the exact 1D solver ---------------------------------
+
+def from_nodal(nodes: np.ndarray, values: np.ndarray, label: str = "") -> PiecewiseField1D:
+    """Piecewise-linear field through nodal values."""
+    nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    slopes = np.diff(values) / np.diff(nodes)
+    pieces = []
+    for i in range(len(slopes)):
+        x0, v0, s = nodes[i], values[i], slopes[i]
+        pieces.append(Piece(lambda x, x0=x0, v0=v0, s=s: v0 + s * (np.asarray(x) - x0), _constant(s)))
+    return PiecewiseField1D(nodes, tuple(pieces), label=label)
+
+
+def solve_fem_1d(forcing, zeta: float, eps: float, n_cells: int) -> PiecewiseField1D:
+    """P1 Galerkin solution of the same weak problem on a mesh containing zeta.
+
+    Tridiagonal solve; the uniform mesh is augmented with 0 and zeta as nodes.
+    """
+    _check_eps(eps)
+    if n_cells < 4:
+        raise ValueError(f"need n_cells >= 4, got {n_cells}")
+    if not -1.0 < zeta < 1.0:
+        raise ValueError(f"zeta must lie in (-1, 1), got {zeta}")
+    nodes = _insert_points(np.linspace(-1.0, 1.0, n_cells + 1), [0.0, float(zeta)])
+    n = len(nodes)
+    h = np.diff(nodes)
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    coef = np.where(mids < zeta, 1.0, 1.0 / eps)
+
+    main = np.zeros(n)
+    off = np.zeros(n - 1)
+    main[:-1] += coef / h
+    main[1:] += coef / h
+    off -= coef / h
+
+    F = as_array_fn(forcing.F)
+    order = max(4, forcing.quadrature_order)
+    t, w = gauss_rule(order)
+    half = 0.5 * h
+    xq = nodes[:-1, None] + half[:, None] * (t[None, :] + 1.0)
+    Fq = F(xq.ravel()).reshape(xq.shape)
+    # hat function values on each cell at the quadrature points
+    lam = (xq - nodes[:-1, None]) / h[:, None]
+    load = np.zeros(n)
+    load[:-1] += half * ((Fq * (1.0 - lam)) @ w)
+    load[1:] += half * ((Fq * lam) @ w)
+
+    iz = int(np.argmin(np.abs(nodes - zeta)))
+    load[iz] += _at(forcing.f, zeta)
+
+    # eliminate the Dirichlet node at x = -1
+    ab = np.zeros((3, n - 1))
+    ab[0, 1:] = off[1:]
+    ab[1, :] = main[1:]
+    ab[2, :-1] = off[1:]
+    rhs = load[1:].copy()
+    try:
+        sol = solve_banded((1, 1), ab, rhs)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - valid meshes are SPD
+        raise RuntimeError(f"singular 1D FEM system: {exc}") from exc
+    values = np.concatenate([[0.0], sol])
+    return from_nodal(nodes, values, label=f"fem(zeta={zeta:g}, n={n_cells})")
+
+
+
 # --- the 1D study one amplitude at a time -------------------------------------
 # The per-row forms of solver1d and of the oned sweep in study, with the plain
 # helpers above: a batch of rows must give each row these bits.
@@ -325,3 +398,98 @@ def row_study(amps, forcing, eps: float) -> list[dict]:
 def bits(a) -> np.ndarray:
     """IEEE bit patterns of float values, so that -0.0 and NaN compare too."""
     return np.asarray(a, dtype=float).view(np.int64)
+
+
+# --- 2D column maps and energy splits, one formula per use ---------------------
+# The column map of each call site and the four energy splits, written out as
+# each site wrote them before the sites shared one form.
+
+
+def fitted_levels(zv: np.ndarray, nz: int) -> np.ndarray:
+    """(nx + 1, 2 nz + 1) column levels of a fitted mesh at interface heights zv."""
+    lower_ref = np.linspace(-1.0, 0.0, nz + 1)
+    upper_ref = np.linspace(0.0, 1.0, nz + 1)
+    levels = np.empty((len(zv), 2 * nz + 1))
+    levels[:, : nz + 1] = lower_ref[None, :] * (1.0 + zv[:, None]) + zv[:, None]
+    levels[:, nz:] = upper_ref[None, :] * (1.0 - zv[:, None]) + zv[:, None]
+    return levels
+
+
+def unflatten_inline(s, zv, z):
+    """z (1 - s zeta) + zeta, as `t_apply` and `_chain_rule_error` wrote it."""
+    return z * (1.0 - s * zv) + zv
+
+
+def flatten_inline(s, zv, z):
+    """(z - zeta) / (1 - s zeta), as `t_apply` and `lambda_map` wrote it."""
+    return (z - zv) / (1.0 - s * zv)
+
+
+def pulled_back_source(zeta, F):
+    """The flattened volume source (1 - s zeta) F(x, z (1 - s zeta) + zeta) at
+    reference points, as the flattened load wrote it."""
+
+    def pulled_back_F(x, z):
+        zv = zeta.value(x)
+        denom = 1.0 - np.where(z < 0.0, -1.0, 1.0) * zv
+        return denom * F(x, z * denom + zv)
+
+    return pulled_back_F
+
+
+def solve_flattened_1d(zeta: float, forcing, eps: float) -> PiecewiseField1D:
+    """The exact 1D flattened solve with its sources written out per region."""
+    z0 = float(zeta)
+    F = as_array_fn(forcing.F)
+    f = as_array_fn(forcing.f)
+
+    def F_left(x):
+        return (1.0 + z0) * F(np.asarray(x) * (1.0 + z0) + z0)
+
+    def F_right(x):
+        return (1.0 - z0) * F(np.asarray(x) * (1.0 - z0) + z0)
+
+    flux = float(f(np.asarray([z0]))[0])
+    return _two_region_exact(F_left, F_right, 1.0 / (1.0 + z0), 1.0 / (eps * (1.0 - z0)), flux, 0.0,
+                             label=f"flattened(zeta={z0:g})")
+
+
+def region_energies(fld, metric, below, eps, k1, k2):
+    """(e1, e2, total) of a P1 field under a metric, `below` the area of each
+    triangle counted in region 1; the gradient is computed afresh."""
+    grads, area = fld.mesh.basis_gradients()
+    g = np.einsum("tad,ta->td", grads, fld.values[fld.mesh.triangles])
+    dens = np.einsum("...d,...de,...e->...", g, metric, g)
+    e1 = k1 * float(np.sum(dens * below))
+    e2 = (k2 / eps) * float(np.sum(dens * (area - below)))
+    return e1, e2, e1 + e2
+
+
+def energy_split(fld, eps, k1=1.0, k2=1.0):
+    """Fitted diagonal split: regions from the mesh tags."""
+    below = np.where(fld.mesh.region == 1, fld.mesh.triangle_areas(), 0.0)
+    return region_energies(fld, np.eye(2), below, eps, k1, k2)
+
+
+def energy_split_flat(fld, eps, k1=1.0, k2=1.0):
+    """Fitted flat split: triangles clipped at z = 0."""
+    mesh = fld.mesh
+    below = _area_below(mesh.nodes[:, 1].take(mesh.triangles), mesh.triangle_areas())
+    return region_energies(fld, np.eye(2), below, eps, k1, k2)
+
+
+def flattened_energy_split(rho, zeta, eps, k1=1.0, k2=1.0):
+    """Flattened diagonal split under the averaged metric."""
+    mesh = rho.mesh
+    below = np.where(mesh.region == 1, mesh.triangle_areas(), 0.0)
+    return region_energies(rho, _averaged_metric(mesh, zeta), below, eps, k1, k2)
+
+
+def flattened_energy_split_flat(rho, zeta, eps, k1=1.0, k2=1.0):
+    """Flat split of T^{-1} rho: triangles clipped at the pulled-back cut."""
+    mesh = rho.mesh
+    zc = zeta.value(mesh.col_x)
+    h = np.where((mesh.region == 1)[:, None],
+                 _heights_above(mesh, -zc / (1.0 + zc)), _heights_above(mesh, -zc / (1.0 - zc)))
+    below = _area_below(h, mesh.triangle_areas())
+    return region_energies(rho, _averaged_metric(mesh, zeta), below, eps, k1, k2)

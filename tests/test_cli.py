@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from darcyperturb import flatten
 from darcyperturb.cli import dispatch
 from darcyperturb.config import _EXPR_FUNCS, _SECTION_KEYS, ConfigError, compile_expression, load_config
 
@@ -250,6 +251,36 @@ def test_flatten_solve_accepts_a_table_perturbation(tmp_path):
     assert np.array_equal(np.unique(nodes[:, 2]), np.linspace(-1.0, 1.0, 33))
     gaps = np.loadtxt(cmp_csv, delimiter=",", skiprows=1)
     assert gaps.shape == (2, 2) and np.all(np.isfinite(gaps[:, 1])) and np.all(gaps[:, 1] > 0.0)
+
+
+@pytest.mark.parametrize("command, given", [
+    ("validate-zeta", "flag"), ("solve2d", "flag"), ("flatten-solve", "flag"),
+    ("validate-zeta", "key"), ("solve2d", "key"), ("flatten-solve", "key"), ("flatten-check", "key"),
+])
+def test_table_rejects_an_amplitude(tmp_path, capsys, command, given):
+    # a table gives zeta itself: an amplitude next to it would be ignored
+    cfg = table_config(tmp_path)
+    if given == "key":
+        cfg.write_text(cfg.read_text().replace("family = table\n", "family = table\namplitude = 0.05\n"))
+    amplitude = ["--amplitude", "0.05"] if given == "flag" else []
+    out = [] if command in ("validate-zeta", "flatten-check") else ["--out", str(tmp_path / "out.csv")]
+    assert dispatch([command, "--config", str(cfg), *amplitude, *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "amplitude" in err
+    assert not (tmp_path / "out.csv").exists()
+    # without the amplitude the same table runs
+    assert dispatch([command, "--config", str(table_config(tmp_path)), *out]) == 0
+
+
+def test_flatten_check_checks_a_table_once(tmp_path, monkeypatch):
+    checked = []
+    report = flatten.matrix_property_report
+    monkeypatch.setattr(flatten, "matrix_property_report",
+                        lambda shapes, **kw: checked.append(len(shapes)) or report(shapes, **kw))
+    assert dispatch(["flatten-check", "--config", str(table_config(tmp_path))]) == 0
+    assert dispatch(["flatten-check"]) == 0
+    # the table once, or the configured family at two amplitudes, plus three fixed shapes
+    assert checked == [4, 5]
 
 
 @pytest.mark.parametrize("mode", ["oned", "fitted2d", "flattened2d"])

@@ -1,9 +1,11 @@
-"""Per-mesh and per-row invariants computed once: the cached P1 geometry of a
-mesh, the averaged flattening metric of the last (mesh, zeta), and the
-release of each study row's mesh before the next row builds its own."""
+"""Per-mesh, per-field and per-row invariants computed once: the cached P1
+geometry of a mesh, the gradient of a field, the averaged flattening metric
+of the last (mesh, zeta), and the release of each study row's mesh before
+the next row builds its own."""
 
 import gc
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -50,6 +52,41 @@ def test_geometry_is_computed_once_and_read_only():
         grads[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         area[0] = 1.0
+
+
+def test_field_gradient_is_computed_once_and_read_only():
+    mesh = fem2d.build_fitted_mesh(sine(0.3), 6, 5)
+    values = np.linspace(0.0, 1.0, mesh.n_nodes)
+    fld = fem2d.Field2D(mesh=mesh, values=values)
+    g = fld.gradients()
+    assert fld.gradients() is g
+    grads, _ = mesh.basis_gradients()
+    assert np.array_equal(g, np.einsum("tad,ta->td", grads, values[mesh.triangles]))
+    with pytest.raises(ValueError):
+        fld.values[0] = 1.0
+    with pytest.raises(ValueError):
+        g[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("mode, per_row", [("fitted2d", 2), ("flattened2d", 1)])
+def test_sweep_computes_each_field_gradient_once(monkeypatch, mode, per_row):
+    # p's gradient serves every row's xi and V-norm; a flattened row's rho
+    # serves its V-norm and both energy splits, and a fitted row adds the
+    # resampled q of its V-norm to q itself
+    computed = []
+    once = fem2d.Field2D._gradients
+
+    def counted(fld):
+        computed.append(fld.label)
+        return once.func(fld)
+
+    prop = cached_property(counted)
+    prop.__set_name__(fem2d.Field2D, "_gradients")
+    monkeypatch.setattr(fem2d.Field2D, "_gradients", prop)
+    records = run_sequence(shape_family("sine"), [0.2, 0.1, 0.05], FORCING, 0.5, 8, mode)
+    assert [r.status for r in records] == ["ok"] * 3
+    assert len(computed) == 3 * per_row + 1
+    assert computed.count("fitted-solve") == 1 + (mode == "fitted2d") * 3
 
 
 def test_meshes_hash_by_identity():

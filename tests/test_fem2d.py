@@ -12,7 +12,6 @@ from darcyperturb.fem2d import (
     Field2D,
     build_fitted_mesh,
     energy_split,
-    energy_split_flat,
     resample,
     vnorm_diff_2d,
 )
@@ -135,7 +134,7 @@ def test_zero_data_zero_solution():
     m = build_fitted_mesh(sine(0.2), 12, 12)
     q = assemble_solve(m, forcing(), eps=0.5)
     assert np.max(np.abs(q.values)) == 0.0
-    assert energy_split(q, 0.5) == (0.0, 0.0, 0.0)
+    assert energy_split(q, 0.5) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_linearity():
@@ -232,7 +231,7 @@ def test_galerkin_energy_identity():
     for amp, eps in ((0.0, 0.5), (0.2, 0.1)):
         m = build_fitted_mesh(sine(amp), 24, 24)
         q = assemble_solve(m, forcing(F=lambda x, z: x + z, f=lambda x, z: 1 + x), eps=eps)
-        _, _, total = energy_split(q, eps)
+        total = energy_split(q, eps)[2]
         assert total == pytest.approx(q.meta["load_functional"], rel=1e-8)
 
 
@@ -240,7 +239,7 @@ def test_energy_interface_identity_flat():
     # flat interface: total energy equals int_Gamma q dS for f = 1, F = 0
     m = build_fitted_mesh(sine(0.0), 32, 32)
     q = assemble_solve(m, forcing(f=ONE2), eps=0.5)
-    _, _, total = energy_split(q, 0.5)
+    total = energy_split(q, 0.5)[2]
     iface_nodes = m.node_grid[:, m.nz]
     xg = m.nodes[iface_nodes, 0]
     vals = q.values[iface_nodes]
@@ -278,8 +277,7 @@ def test_coercivity_inequality_random_fields():
             vals = np.zeros(m.n_nodes)
             vals[free] = rng.normal(size=len(free))
             fld = Field2D(mesh=m, values=vals)
-            _, _, a_zeta = energy_split(fld, eps)
-            _, _, a_flat = energy_split_flat(fld, eps)
+            _, _, a_zeta, a_flat = energy_split(fld, eps)
             assert a_zeta >= c_z * a_flat - 1e-9 * a_flat
 
 
@@ -291,10 +289,9 @@ def test_energy_split_flat_partition():
 
     vals = rng.normal(size=m.n_nodes)
     fld = Field2D(mesh=m, values=vals)
-    e1a, e2a, _ = energy_split(fld, 1.0)
-    e1b, e2b, _ = energy_split_flat(fld, 1.0)
+    e1, e2, total, flat_total = energy_split(fld, 1.0)
     # eps = 1: both splits sum to the same plain Dirichlet energy
-    assert e1a + e2a == pytest.approx(e1b + e2b, rel=1e-12)
+    assert e1 + e2 == total == pytest.approx(flat_total, rel=1e-12)
 
 
 SHAPES = {"sine": {"wavenumber": 1}, "bump": {}, "hat": {"knot": 0.5}}

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import h1_norm_smooth, t_apply_smooth
+import oracles
+from oracles import bits, h1_norm_smooth, t_apply_smooth
 
-from darcyperturb.geometry import FLAT_ZETA, ForcingSpec, make_perturbation, perturbation_from_table
+from darcyperturb.geometry import (FLAT_ZETA, ForcingSpec, _heights_above, column_map, column_map_inverse,
+                                   make_perturbation, perturbation_from_table)
 from darcyperturb import fem2d, solver1d
 from darcyperturb.flatten import (
     ainv_norm_bound,
+    assemble_flattened_load,
     assemble_flattened_stiffness,
     coercivity_constant,
     flattened_energy_split,
-    flattened_energy_split_flat,
     lambda_map,
     matrix_property_report,
     pullback_norm_bound,
@@ -401,6 +403,77 @@ def test_flat_split_energy_agrees_on_both_paths(n, family, sign, amp, eps):
     fr = ForcingSpec(F=ZERO2, f=ONE2)
     q = fem2d.assemble_solve(fem2d.build_fitted_mesh(zeta, n, n), fr, eps=eps)
     rho = solve_flattened(zeta, fr, eps, fem2d.build_fitted_mesh(FLAT_ZETA, n, n))
-    fitted = fem2d.energy_split_flat(q, eps)[2]
-    flattened = flattened_energy_split_flat(rho, zeta, eps)[2]
+    fitted = fem2d.energy_split(q, eps)[3]
+    flattened = flattened_energy_split(rho, zeta, eps)[3]
     assert abs(flattened - fitted) <= (4.0 * amp / n + 1e-9) * fitted
+
+
+@settings(deadline=None, max_examples=40)
+@given(nx=st.integers(2, 12), nz=st.integers(2, 12), family=st.sampled_from(sorted(FLAT_SPLIT_SHAPES)),
+       sign=st.sampled_from([1, -1]), amp=st.floats(0.0, 0.8), eps=eps_values, k1=k_values, k2=k_values,
+       seed=st.integers(0, 2**32 - 1))
+def test_one_energy_pass_gives_the_bits_of_the_four_splits(nx, nz, family, sign, amp, eps, k1, k2, seed):
+    # one density per field serves both splits; each number keeps the bits of
+    # the split function that once computed it on its own
+    zeta = signed_shape(family, amp, sign)
+    rng = np.random.default_rng(seed)
+    mesh = fem2d.build_fitted_mesh(zeta, nx, nz)
+    q = fem2d.Field2D(mesh=mesh, values=rng.standard_normal(mesh.n_nodes))
+    expected = oracles.energy_split(q, eps, k1, k2) + oracles.energy_split_flat(q, eps, k1, k2)[2:]
+    assert bits(fem2d.energy_split(q, eps, k1, k2)).tolist() == bits(expected).tolist()
+    ref = fem2d.build_fitted_mesh(FLAT_ZETA, nx, nz)
+    rho = fem2d.Field2D(mesh=ref, values=rng.standard_normal(ref.n_nodes))
+    expected = (oracles.flattened_energy_split(rho, zeta, eps, k1, k2)
+                + oracles.flattened_energy_split_flat(rho, zeta, eps, k1, k2)[2:])
+    assert bits(flattened_energy_split(rho, zeta, eps, k1, k2)).tolist() == bits(expected).tolist()
+
+
+@settings(deadline=None, max_examples=40)
+@given(nx=st.integers(2, 16), nz=st.integers(2, 16), family=st.sampled_from(sorted(FLAT_SPLIT_SHAPES)),
+       sign=st.sampled_from([1, -1]), amp=st.floats(0.0, 0.8), seed=st.integers(0, 2**32 - 1))
+def test_column_maps_keep_the_bits_of_every_site(nx, nz, family, sign, amp, seed):
+    # the shared column maps against the formula each site wrote out
+    zeta = signed_shape(family, amp, sign)
+    mesh = fem2d.build_fitted_mesh(zeta, nx, nz)
+    ref = fem2d.build_fitted_mesh(FLAT_ZETA, nx, nz)
+    zc = zeta.value(mesh.col_x)
+    assert np.array_equal(bits(mesh.nodes[:, 1]), bits(oracles.fitted_levels(zc, nz).ravel()))
+
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, 64)
+    z = rng.uniform(-1.0, 1.0, 64)
+    zx = zeta.value(x)
+    for s in (-1.0, 1.0, np.where(z < 0.0, -1.0, 1.0)):
+        assert np.array_equal(bits(column_map_inverse(s, zx, z)), bits(oracles.unflatten_inline(s, zx, z)))
+        assert np.array_equal(bits(column_map(s, zx, z)), bits(oracles.flatten_inline(s, zx, z)))
+    t = rng.uniform(0.0, 1.0, 64)
+    for i, s, perturbed, reference in ((1, -1.0, -1.0 + t * (1.0 + zx), t - 1.0), (2, 1.0, zx + t * (1.0 - zx), t)):
+        forward = lambda_map(i, zeta, np.column_stack([x, perturbed]))[:, 1]
+        inverse = lambda_map(i, zeta, np.column_stack([x, reference]), "inverse")[:, 1]
+        assert np.array_equal(bits(forward), bits(oracles.flatten_inline(s, zx, perturbed)))
+        assert np.array_equal(bits(inverse), bits(oracles.unflatten_inline(s, zx, reference)))
+
+    u = lambda x, z: np.cos(3.0 * x + 2.0 * z)
+    for out, direction, below, inline in ((ref, "T", lambda z, zv: z < 0.0, oracles.unflatten_inline),
+                                          (mesh, "T_inverse", lambda z, zv: z < zv, oracles.flatten_inline)):
+        xn, zn = out.nodes[:, 0], out.nodes[:, 1]
+        zv = zeta.value(xn)
+        src = np.clip(inline(np.where(below(zn, zv), -1.0, 1.0), zv, zn), -1.0, 1.0)
+        assert np.array_equal(bits(t_apply(zeta, u, direction, out).values), bits(u(xn, src)))
+
+    def weighted_f(x, z):
+        return np.sqrt(1.0 + zeta.gradient(x) ** 2) * ONE2(x, zeta.value(x))
+
+    expected = fem2d._load(ref, oracles.pulled_back_source(zeta, u), weighted_f, 4)
+    load = assemble_flattened_load(ref, zeta, ForcingSpec(F=u, f=ONE2))
+    assert np.array_equal(bits(load), bits(expected))
+
+    for s, line in ((-1.0, -zc / (1.0 + zc)), (1.0, -zc / (1.0 - zc))):
+        assert np.array_equal(bits(_heights_above(ref, column_map(s, zc, 0.0))), bits(_heights_above(ref, line)))
+
+    z0 = float(sign * amp)
+    fr = ForcingSpec(F=lambda x: np.exp(x) - x, f=lambda x: 1.0 + 0.5 * x)
+    got, expected = solve_flattened_1d(z0, fr, 0.3), oracles.solve_flattened_1d(z0, fr, 0.3)
+    pts = np.linspace(-1.0, 1.0, 33)
+    assert np.array_equal(bits(got.derivative(pts)), bits(expected.derivative(pts)))
+    assert np.array_equal(bits(got.value(pts)), bits(expected.value(pts)))

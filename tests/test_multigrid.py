@@ -109,8 +109,10 @@ def test_solve_record_in_meta():
 
 def test_maxiter_exhaustion_raises_with_finite_residual():
     mesh = fem2d.build_fitted_mesh(sine(0.2), 16, 16)
+    K = fem2d.assemble_stiffness(mesh, 0.1, 1.0, 1.0)
+    load = fem2d._load(mesh, FORCING.F, FORCING.f, FORCING.quadrature_order)
     with pytest.raises(fem2d.SolverConvergenceError) as info:
-        fem2d.assemble_solve(mesh, FORCING, eps=0.1, rtol=1e-14, maxiter=1)
+        fem2d.cg_solve(K, load, mesh.dirichlet_nodes, mesh.node_grid.shape, rtol=1e-14, maxiter=1)
     assert np.isfinite(info.value.residual) and info.value.residual > 0.0
 
 
