@@ -7,6 +7,14 @@ column maps (`geometry.column_map_inverse`) stretch the reference levels in
 split into two triangles.  Region 1 (below the interface) carries
 coefficient k1 and a Dirichlet outer boundary; region 2 carries k2/eps and a
 Neumann outer boundary.
+
+The assembler and the multigrid share one node-grid layout, the one
+`build_fitted_mesh` makes and `Mesh2D.node_grid` records: node (j, l) of
+column j and level l has id j (2 nz + 1) + l, and quad (j, l) with corners
+a = (j, l), b = (j+1, l), c = (j+1, l+1), d = (j, l+1) splits into triangle
+2 (j 2 nz + l) = abc and its pair acd.  Every node then couples to at most
+seven: the stiffness is summed as seven node-grid arrays, one per stencil
+entry, and the V-cycle coarsens by taking every other grid line.
 """
 
 from __future__ import annotations
@@ -71,6 +79,15 @@ class Mesh2D:
         grads.setflags(write=False)
         area.setflags(write=False)
         return grads, area
+
+    @cached_property
+    def _on_node_grid(self) -> bool:
+        # the layout of build_fitted_mesh, which the grid assembly and the
+        # multigrid rely on: node ids run row-major over node_grid, and the
+        # triangles are _grid_triangles of it
+        grid = self.node_grid
+        return bool(np.array_equal(grid.ravel(), np.arange(self.n_nodes))
+                    and np.array_equal(self.triangles, _grid_triangles(grid)))
 
     def triangle_areas(self) -> np.ndarray:
         """(n_tri,) triangle areas (read-only, computed once per mesh)."""
@@ -146,6 +163,21 @@ def _match_columns(x: np.ndarray, col_x: np.ndarray, tol: float = 1e-12) -> np.n
     return idx
 
 
+def _grid_triangles(node_grid: np.ndarray) -> np.ndarray:
+    """(n_tri, 3) triangles of a (columns, levels) node grid: quad (j, l) has
+    corners a = (j, l), b = (j+1, l), c = (j+1, l+1), d = (j, l+1) and splits
+    into triangles 2(j*2nz+l) = abc and its pair acd."""
+    a, b = node_grid[:-1, :-1], node_grid[1:, :-1]
+    c, d = node_grid[1:, 1:], node_grid[:-1, 1:]
+    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+
+
+def _require_node_grid(mesh: Mesh2D) -> None:
+    """Raise ValueError unless the mesh is laid out on its node grid."""
+    if not mesh._on_node_grid:
+        raise ValueError("mesh triangles are not laid out on its node grid")
+
+
 def build_fitted_mesh(zeta: Perturbation, nx: int, nz: int) -> Mesh2D:
     """Tensor-grid triangulation of Omega fitted to the interface z = zeta(x)."""
     if nx < 2 or nz < 2:
@@ -166,11 +198,7 @@ def build_fitted_mesh(zeta: Perturbation, nx: int, nz: int) -> Mesh2D:
     node_grid = np.arange(levels.size).reshape(levels.shape)
     nodes = np.column_stack([np.repeat(xs, len(ref)), levels.ravel()])
 
-    # quad (j, l) has corners a = (j, l), b = (j+1, l), c = (j+1, l+1),
-    # d = (j, l+1) and splits into triangles 2(j*2nz+l) = abc and its pair acd
-    a, b = node_grid[:-1, :-1], node_grid[1:, :-1]
-    c, d = node_grid[1:, 1:], node_grid[:-1, 1:]
-    triangles = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    triangles = _grid_triangles(node_grid)
     level_region = np.where(np.arange(2 * nz) < nz, 1, 2)
     region = np.tile(np.repeat(level_region, 2), nx).astype(np.int64)
 
@@ -202,27 +230,74 @@ def build_fitted_mesh(zeta: Perturbation, nx: int, nz: int) -> Mesh2D:
     return mesh
 
 
-def _assemble_p1(mesh: Mesh2D, tensor: np.ndarray, eps: float, k1: float, k2: float) -> sp.csr_matrix:
-    """Matrix of sum_T k_T |T| grad(phi_a) . tensor_T grad(phi_b) over P1 hat
+# The entries (m00, m01, m11) of the fitted problem's coefficient tensor.
+_IDENTITY = (1.0, 0.0, 1.0)
+
+
+def _assemble_p1(mesh: Mesh2D, metric, eps: float, k1: float, k2: float) -> sp.csr_matrix:
+    """Matrix of sum_T k_T |T| grad(phi_a) . M_T grad(phi_b) over P1 hat
     functions, with k_T = k1 below the interface and k2/eps above.
 
-    `tensor` is (n_tri, 2, 2) or one (2, 2) matrix for all triangles.
+    `metric` holds the entries (m00, m01, m11) of the symmetric M_T, each one
+    number for all triangles or an (n_tri,) array.  The mesh must be laid out
+    on its node grid (ValueError otherwise).  Every quad's diagonal runs from
+    a to c, so node (j, l) couples to SW (j-1, l-1), W (j-1, l), S (j, l-1),
+    D (j, l), N (j, l+1), E (j+1, l) and NE (j+1, l+1), in ascending node id.
+    The matrix is summed as one node-grid array per stencil entry, and one
+    boolean gather in that order gives the sorted CSR data: no COO, no sort.
     """
-    coef = (np.where(mesh.region == 1, k1, k2 / eps) * mesh.triangle_areas())[:, None, None] * tensor
-    grads, _ = mesh.basis_gradients()
-    local = np.einsum("tad,tde,tbe->tab", grads, coef, grads, optimize=True)
-    # scipy stores the indices as int32 anyway (enough for 2**31 nodes), so
-    # int32 here avoids transient int64 copies at the assembly's memory peak
-    tri = mesh.triangles.astype(np.int32)
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
-    return K.tocsr()
+    _require_node_grid(mesh)
+    grid = mesh.node_grid
+    X, Z = (mesh.nodes[:, k].reshape(grid.shape) for k in (0, 1))
+    quads = (grid.shape[0] - 1, grid.shape[1] - 1, 2)  # triangle 2(j*2nz + l) + orientation
+    coef = np.where(mesh.region == 1, k1, k2 / eps).reshape(quads)
+    entries = [np.broadcast_to(m, mesh.region.shape).reshape(quads) for m in metric]
+
+    def couplings(o, *corners):
+        # entries (0, 1), (1, 2), (2, 0) of the triangles of orientation o,
+        # whose positively oriented corners are node-grid slices; the edge
+        # e_i = p_(i+2) - p_(i+1) opposite corner i, turned a right angle and
+        # divided by 2|T|, is grad(phi_i)
+        x, z = [X[c] for c in corners], [Z[c] for c in corners]
+        ex = (x[2] - x[1], x[0] - x[2], x[1] - x[0])
+        ez = (z[2] - z[1], z[0] - z[2], z[1] - z[0])
+        m00, m01, m11 = (m[..., o] for m in entries)
+        w = coef[..., o] / (2.0 * (ex[1] * ez[2] - ex[2] * ez[1]))  # k |T| / (2|T|)^2
+        return [w * (m11 * ex[i] * ex[j] - m01 * (ex[i] * ez[j] + ez[i] * ex[j]) + m00 * ez[i] * ez[j])
+                for i, j in ((0, 1), (1, 2), (2, 0))]
+
+    a, b, c, d = np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[1:, 1:], np.s_[:-1, 1:]
+    ab, bc, ca = couplings(0, a, b, c)
+    ac, cd, da = couplings(1, a, c, d)
+    stencil = np.zeros((7,) + grid.shape)
+    SW, W, S, D, N, E, NE = stencil
+    # the entry of the edge from corner p to corner q, seen from p and from q
+    for ahead, behind, p, q, entry in ((E, W, a, b, ab), (E, W, d, c, cd), (N, S, b, c, bc),
+                                       (N, S, a, d, da), (NE, SW, a, c, ca + ac)):
+        ahead[p] += entry
+        behind[q] += entry
+    # the hat functions sum to one, so every row of the matrix sums to zero
+    np.negative(SW + W + S + N + E + NE, out=D)
+
+    present = np.ones(grid.shape + (7,), dtype=bool)
+    present[0, :, :2] = present[-1, :, 5:] = False         # no W side on column 0, no E side on the last
+    present[:, 0, [0, 2]] = present[:, -1, [4, 6]] = False  # no S side on level 0, no N side on the top
+    present = present.reshape(-1, 7)
+    n = mesh.n_nodes
+    # scipy stores the indices as int32 anyway (enough for 2**31 nodes)
+    levels = grid.shape[1]
+    offsets = np.array([-levels - 1, -levels, -1, 0, 1, levels, levels + 1], dtype=np.int32)
+    indices = (np.arange(n, dtype=np.int32)[:, None] + offsets)[present]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1, dtype=np.int32), out=indptr[1:])
+    K = sp.csr_matrix((stencil.reshape(7, -1).T[present], indices, indptr), shape=(n, n))
+    K.has_canonical_format = True  # sorted and free of duplicates by construction
+    return K
 
 
 def assemble_stiffness(mesh: Mesh2D, eps: float, k1: float, k2: float) -> sp.csr_matrix:
     """Stiffness of the perturbed energy form on the fitted mesh."""
-    return _assemble_p1(mesh, np.eye(2), eps, k1, k2)
+    return _assemble_p1(mesh, _IDENTITY, eps, k1, k2)
 
 
 def assemble_volume_load(mesh: Mesh2D, F, *, degree: int = 2) -> np.ndarray:
@@ -322,7 +397,8 @@ def _multigrid_levels(A: sp.csr_matrix, free: np.ndarray) -> tuple[list, np.ndar
     """
     levels = []
     for P, R in _prolongations(free.shape, free.tobytes()):
-        levels.append((A, P, R, _SMOOTHER_SCALE / np.asarray(abs(A).sum(axis=1)).ravel()))
+        # row sums of |A| in one pass: every row holds its positive diagonal
+        levels.append((A, P, R, _SMOOTHER_SCALE / np.add.reduceat(np.abs(A.data), A.indptr[:-1])))
         A = (R @ (A @ P)).tocsr()
     # the coarsest grid has at most 4 x 4 lines, so its dense inverse factor
     # is tiny and turns the coarse solve into two small matvecs
@@ -470,17 +546,19 @@ def vnorm_diff_2d(a: Field2D, b: Field2D) -> float:
     return float(np.sqrt(max(np.sum(area * np.sum(diff * diff, axis=1)), 0.0)))
 
 
-def _region_energies(fld: Field2D, metric: np.ndarray, heights: np.ndarray,
+def _region_energies(fld: Field2D, metric, heights: np.ndarray,
                      eps: float, k1: float, k2: float) -> tuple[float, float, float, float]:
     """(e1, e2, total, flat_total) of the P1 field under a per-triangle metric.
 
     One energy density gives the split by the region tags (e1, e2, total) and
     the total of the flat split, whose region 1 is the part of each triangle
-    below the cut with vertex heights `heights` (n_tri, 3).  `metric` is
-    (n_tri, 2, 2) or one (2, 2) matrix.  Exact: P1 gradients are constant.
+    below the cut with vertex heights `heights` (n_tri, 3).  `metric` holds
+    the entries (m00, m01, m11), each one number or an (n_tri,) array, as
+    `_assemble_p1` takes them.  Exact: P1 gradients are constant.
     """
-    g = fld.gradients()
-    dens = np.einsum("...d,...de,...e->...", g, metric, g)
+    g0, g1 = fld.gradients().T
+    m00, m01, m11 = metric
+    dens = g0 * (m00 * g0 + m01 * g1) + g1 * (m01 * g0 + m11 * g1)
     area = fld.mesh.triangle_areas()
 
     def split(below):
@@ -495,4 +573,4 @@ def energy_split(fld: Field2D, eps: float, k1: float = 1.0, k2: float = 1.0) -> 
     """(e1, e2, total) with regions read from the mesh tags (diagonal split),
     and the total of the flat split at z = 0, straddling triangles clipped."""
     mesh = fld.mesh
-    return _region_energies(fld, np.eye(2), mesh.nodes[:, 1].take(mesh.triangles), eps, k1, k2)
+    return _region_energies(fld, _IDENTITY, mesh.nodes[:, 1].take(mesh.triangles), eps, k1, k2)

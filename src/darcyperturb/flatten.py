@@ -7,7 +7,11 @@ Region i in {1, 2} maps Omega_i^zeta onto Omega_i by
 whose inverse stretches the reference level z back to z (1 - (-1)^i zeta) + zeta
 (`geometry.column_map` and `column_map_inverse`).  Gradients transfer through
 A_i with inverse [[1, (1 - (-1)^i z) grad zeta], [0, 1 - (-1)^i zeta]]; the
-flattened weak form carries the metric (1 - (-1)^i zeta) A^T A.
+flattened weak form carries the metric (1 - (-1)^i zeta) A^T A.  The 2D
+flattened stiffness and energies take its three entries (m00, m01, m11)
+averaged over each triangle of the reference mesh; on the node grid the
+quadrature abscissae repeat up each column, so zeta and its gradient are read
+once per column and triangle orientation.
 """
 
 from __future__ import annotations
@@ -56,22 +60,17 @@ def lambda_map(i: int, zeta: Perturbation, point, direction: str = "forward"):
     return out if np.ndim(point) == 2 else out[0]
 
 
-def _metric(s, zeta: Perturbation, x: np.ndarray, z: np.ndarray):
-    """The metric (1 - s zeta) A^T A at reference points (x, z), s = (-1)^i,
-    with det A^{-1} = 1 - s zeta(x) and the shear (1 - s z) grad zeta.
+def _metric(s, zv, g, z):
+    """Entries (m00, m01, m11) of the metric (1 - s zeta) A^T A at reference
+    levels z of columns where zeta = zv and grad zeta = g, s = (-1)^i.
 
-    The metric is a (2, 2, ...) array, entries first so that each entry is
-    contiguous over the points.  `s` may be an array that broadcasts against
-    x, so the points of both regions go in one call.
+    m00 = det A^{-1} = 1 - s zeta and m01 = -(1 - s z) grad zeta, minus the
+    shear of A^{-1}.  `s` may be an array that broadcasts against the others,
+    so the points of both regions go in one call.
     """
-    g = zeta.gradient(x)
-    denom = column_scale(s, zeta.value(x))
+    denom = column_scale(s, zv)
     stretch = 1.0 - s * z
-    metric = np.empty((2, 2) + np.shape(denom))
-    metric[0, 0] = denom
-    metric[0, 1] = metric[1, 0] = -stretch * g
-    metric[1, 1] = (stretch**2 * g**2 + 1.0) / denom
-    return metric, denom, stretch * g
+    return denom, -stretch * g, (stretch**2 * g**2 + 1.0) / denom
 
 
 def transfer(i: int, zeta: Perturbation, x, z):
@@ -86,15 +85,15 @@ def transfer(i: int, zeta: Perturbation, x, z):
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    metric, denom, shear = _metric(_sign(i), zeta, x, z)
-    metric = np.moveaxis(metric, (0, 1), (-2, -1))
+    denom, m01, m11 = np.broadcast_arrays(*_metric(_sign(i), zeta.value(x), zeta.gradient(x), z))
+    metric = np.stack([np.stack([denom, m01], axis=-1), np.stack([m01, m11], axis=-1)], axis=-2)
     A = np.zeros(metric.shape)
     A[..., 0, 0] = 1.0
-    A[..., 0, 1] = -shear / denom
+    A[..., 0, 1] = m01 / denom
     A[..., 1, 1] = 1.0 / denom
     A_inv = np.zeros(metric.shape)
     A_inv[..., 0, 0] = 1.0
-    A_inv[..., 0, 1] = shear
+    A_inv[..., 0, 1] = -m01
     A_inv[..., 1, 1] = denom
     return A, A_inv, metric, denom
 
@@ -138,18 +137,30 @@ def t_apply(zeta: Perturbation, field, direction: str, out_mesh: Mesh2D) -> Fiel
 
 @lru_cache(maxsize=1)
 def _averaged_metric(mesh: Mesh2D, zeta: Perturbation) -> np.ndarray:
-    """(n_tri, 2, 2) metric averaged over each triangle with the degree-2 rule.
+    """(3, n_tri) entries (m00, m01, m11) of the metric averaged over each
+    triangle with the degree-2 rule.
 
     The average is all the P1 energy needs: gradients are constant per
     triangle, so the quadrature of grad.metric grad is grad.average grad.
-    Kept for the last (mesh, zeta), so a row's solve and energy split share
-    it; read-only.
+    On the node grid the quadrature abscissae repeat up each column, so zeta
+    and its gradient are read once per column and triangle orientation
+    (6 nx points); the levels enter through the per-point stretch.  Kept for
+    the last (mesh, zeta), so a row's solve and energy split share it;
+    read-only.
     """
+    fem2d._require_node_grid(mesh)
     bary, wq = triangle_rule(2)
-    xq = mesh.nodes[mesh.triangles, 0] @ bary.T   # (n_tri, q)
-    zq = mesh.nodes[mesh.triangles, 1] @ bary.T
-    s = np.where(mesh.region == 1, -1.0, 1.0)[:, None]
-    avg = np.moveaxis(_metric(s, zeta, xq, zq)[0] @ wq, -1, 0)
+    tri = mesh.triangles.reshape(mesh.node_grid.shape[0] - 1, -1, 2, 3)  # (column, level, orientation, corner)
+    xt = mesh.nodes[:, 0].take(tri[:, :1])
+    zt = mesh.nodes[:, 1].take(tri)
+    s = np.where(mesh.region == 1, -1.0, 1.0).reshape(tri.shape[:3])
+    avg = np.zeros((3,) + s.shape)
+    for (b0, b1, b2), w in zip(bary, wq):
+        x = (b0 * xt[..., 0] + b1 * xt[..., 1]) + b2 * xt[..., 2]
+        z = (b0 * zt[..., 0] + b1 * zt[..., 1]) + b2 * zt[..., 2]
+        for total, entry in zip(avg, _metric(s, zeta.value(x), zeta.gradient(x), z)):
+            total += entry * w
+    avg = avg.reshape(3, -1)
     avg.setflags(write=False)
     return avg
 

@@ -6,17 +6,23 @@ cross-checks the exact solver, the plain forms of the 1D evaluation paths
 piece, a Python merge of breakpoints, one amplitude at a time) that the
 library's shortcuts and row batches must reproduce bit for bit, and the
 column maps and energy splits of the 2D paths written out one formula per
-use, which the shared forms must reproduce bit for bit too."""
+use, which the shared forms must reproduce bit for bit too, the flattening
+metric averaged point by point, and the 2D stiffness summed from
+per-triangle local matrices through COO, which the node-grid assembler must
+reproduce up to the order of summation; and the signed shapes that the 2D
+properties draw (a negative one as the table of its values)."""
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 from darcyperturb.config import _EXPR_CONSTS, _EXPR_FUNCS
 from darcyperturb.flatten import _averaged_metric
-from darcyperturb.geometry import _area_below, _check_eps, _heights_above
-from darcyperturb.quadrature import _ANTIDERIVATIVE_CELLS, _ANTIDERIVATIVE_ORDER, as_array_fn, gauss_rule
+from darcyperturb.geometry import _area_below, _check_eps, _heights_above, make_perturbation, perturbation_from_table
+from darcyperturb.quadrature import (_ANTIDERIVATIVE_CELLS, _ANTIDERIVATIVE_ORDER, as_array_fn, gauss_rule,
+                                     triangle_rule)
 from darcyperturb.solver1d import (_ORDER as _ORDER_1D, BREAKPOINT_MERGE_TOL, Piece, PiecewiseField1D, _at,
                                    _constant, _insert_points, _two_region_exact)
 
@@ -400,6 +406,18 @@ def bits(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+FLAT_SPLIT_SHAPES = {"sine": {"wavenumber": 1}, "bump": {}, "hat": {"knot": 0.3}}
+
+
+def signed_shape(family, amp, sign):
+    """amp * shape for sign 1; for sign -1 the table of its negative."""
+    zeta = make_perturbation(family, dict(FLAT_SPLIT_SHAPES[family]), amp)
+    if sign > 0:
+        return zeta
+    xs = np.linspace(0.0, 1.0, 65)
+    return perturbation_from_table(xs, -zeta.value(xs))
+
+
 # --- 2D column maps and energy splits, one formula per use ---------------------
 # The column map of each call site and the four energy splits, written out as
 # each site wrote them before the sites shared one form.
@@ -454,12 +472,17 @@ def solve_flattened_1d(zeta: float, forcing, eps: float) -> PiecewiseField1D:
                              label=f"flattened(zeta={z0:g})")
 
 
+IDENTITY = (1.0, 0.0, 1.0)
+
+
 def region_energies(fld, metric, below, eps, k1, k2):
-    """(e1, e2, total) of a P1 field under a metric, `below` the area of each
-    triangle counted in region 1; the gradient is computed afresh."""
+    """(e1, e2, total) of a P1 field under a metric with entries (m00, m01,
+    m11), `below` the area of each triangle counted in region 1; the
+    gradient is computed afresh."""
     grads, area = fld.mesh.basis_gradients()
     g = np.einsum("tad,ta->td", grads, fld.values[fld.mesh.triangles])
-    dens = np.einsum("...d,...de,...e->...", g, metric, g)
+    m00, m01, m11 = metric
+    dens = g[:, 0] * (m00 * g[:, 0] + m01 * g[:, 1]) + g[:, 1] * (m01 * g[:, 0] + m11 * g[:, 1])
     e1 = k1 * float(np.sum(dens * below))
     e2 = (k2 / eps) * float(np.sum(dens * (area - below)))
     return e1, e2, e1 + e2
@@ -468,14 +491,14 @@ def region_energies(fld, metric, below, eps, k1, k2):
 def energy_split(fld, eps, k1=1.0, k2=1.0):
     """Fitted diagonal split: regions from the mesh tags."""
     below = np.where(fld.mesh.region == 1, fld.mesh.triangle_areas(), 0.0)
-    return region_energies(fld, np.eye(2), below, eps, k1, k2)
+    return region_energies(fld, IDENTITY, below, eps, k1, k2)
 
 
 def energy_split_flat(fld, eps, k1=1.0, k2=1.0):
     """Fitted flat split: triangles clipped at z = 0."""
     mesh = fld.mesh
     below = _area_below(mesh.nodes[:, 1].take(mesh.triangles), mesh.triangle_areas())
-    return region_energies(fld, np.eye(2), below, eps, k1, k2)
+    return region_energies(fld, IDENTITY, below, eps, k1, k2)
 
 
 def flattened_energy_split(rho, zeta, eps, k1=1.0, k2=1.0):
@@ -493,3 +516,41 @@ def flattened_energy_split_flat(rho, zeta, eps, k1=1.0, k2=1.0):
                  _heights_above(mesh, -zc / (1.0 + zc)), _heights_above(mesh, -zc / (1.0 - zc)))
     below = _area_below(h, mesh.triangle_areas())
     return region_energies(rho, _averaged_metric(mesh, zeta), below, eps, k1, k2)
+
+
+# --- the 2D metric and stiffness, one triangle at a time ------------------------
+
+
+def averaged_metric(mesh, zeta):
+    """(3, n_tri) degree-2 averages of the metric entries (m00, m01, m11),
+    with zeta and its gradient read at every quadrature point of every
+    triangle, in the operation order of the per-column form."""
+    bary, wq = triangle_rule(2)
+    xt = mesh.nodes[:, 0].take(mesh.triangles)
+    zt = mesh.nodes[:, 1].take(mesh.triangles)
+    s = np.where(mesh.region == 1, -1.0, 1.0)
+    avg = np.zeros((3, len(mesh.triangles)))
+    for (b0, b1, b2), w in zip(bary, wq):
+        x = (b0 * xt[:, 0] + b1 * xt[:, 1]) + b2 * xt[:, 2]
+        z = (b0 * zt[:, 0] + b1 * zt[:, 1]) + b2 * zt[:, 2]
+        g = zeta.gradient(x)
+        denom = 1.0 - s * zeta.value(x)
+        stretch = 1.0 - s * z
+        avg[0] += denom * w
+        avg[1] += -stretch * g * w
+        avg[2] += (stretch**2 * g**2 + 1.0) / denom * w
+    return avg
+
+
+def assemble_p1(mesh, metric, eps, k1, k2):
+    """The P1 matrix of sum_T k_T |T| grad(phi_a) . M_T grad(phi_b), summed
+    from the 3 x 3 local matrices of every triangle through COO, for metric
+    entries (m00, m01, m11) as numbers or (n_tri,) arrays."""
+    m00, m01, m11 = (np.broadcast_to(m, mesh.region.shape) for m in metric)
+    tensor = np.stack([np.stack([m00, m01], axis=-1), np.stack([m01, m11], axis=-1)], axis=-2)
+    grads, area = mesh_geometry(mesh)
+    coef = (np.where(mesh.region == 1, k1, k2 / eps) * area)[:, None, None] * tensor
+    local = np.einsum("tad,tde,tbe->tab", grads, coef, grads)
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from darcyperturb.geometry import ForcingSpec, lower_bound_constant, make_perturbation
+import oracles
+from darcyperturb import fem2d, flatten
+from darcyperturb.geometry import FLAT_ZETA, ForcingSpec, lower_bound_constant, make_perturbation
 from oracles import min_angle_loop
 from darcyperturb.fem2d import (
     assemble_interface_load,
@@ -307,3 +311,35 @@ def test_resample_identity(nx, nz, family, amp, seed):
     assert np.array_equal(resample(q, m).values, q.values)
     perm = rng.permutation(m.n_nodes)
     assert np.array_equal(q.value(m.nodes[perm, 0], m.nodes[perm, 1]), q.values[perm])
+
+
+@settings(deadline=None, max_examples=60)
+@given(nx=st.integers(2, 16), nz=st.integers(2, 16), family=st.sampled_from(sorted(oracles.FLAT_SPLIT_SHAPES)),
+       sign=st.sampled_from([1, -1]), amp=st.floats(0.0, 0.8), eps=st.floats(0.05, 1.0),
+       k1=st.floats(0.1, 10.0), k2=st.floats(0.1, 10.0), tensor=st.sampled_from(["identity", "metric"]),
+       fitted=st.booleans())
+def test_grid_assembly_matches_the_coo_reference(nx, nz, family, sign, amp, eps, k1, k2, tensor, fitted):
+    # the seven stencil arrays give the pattern of the COO sum exactly and its
+    # entries up to the order of summation
+    zeta = oracles.signed_shape(family, amp, sign)
+    mesh = build_fitted_mesh(zeta if fitted else FLAT_ZETA, nx, nz)
+    metric = fem2d._IDENTITY if tensor == "identity" else flatten._averaged_metric(mesh, zeta)
+    K = fem2d._assemble_p1(mesh, metric, eps, k1, k2)
+    ref = oracles.assemble_p1(mesh, metric, eps, k1, k2)
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+    row_max = np.repeat(np.maximum.reduceat(np.abs(ref.data), ref.indptr[:-1]), np.diff(ref.indptr))
+    assert np.all(np.abs(K.data - ref.data) <= 1e-13 * row_max)
+
+
+def test_grid_assembly_refuses_a_mesh_off_its_node_grid():
+    zeta = sine(0.2)
+    for mesh in (build_fitted_mesh(zeta, 4, 3), build_fitted_mesh(FLAT_ZETA, 4, 3)):
+        off_grid = (dataclasses.replace(mesh, triangles=mesh.triangles[::-1].copy()),
+                    dataclasses.replace(mesh, triangles=np.roll(mesh.triangles, 1, axis=1)),
+                    dataclasses.replace(mesh, node_grid=mesh.node_grid[::-1].copy()))
+        for bad in off_grid:
+            with pytest.raises(ValueError, match="node grid"):
+                assemble_stiffness(bad, 0.5, 1.0, 1.0)
+            with pytest.raises(ValueError, match="node grid"):
+                flatten.assemble_flattened_stiffness(bad, zeta, 0.5)

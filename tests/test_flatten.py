@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 import oracles
-from oracles import bits, h1_norm_smooth, t_apply_smooth
+from oracles import FLAT_SPLIT_SHAPES, bits, h1_norm_smooth, signed_shape, t_apply_smooth
 
 from darcyperturb.geometry import (FLAT_ZETA, ForcingSpec, _heights_above, column_map, column_map_inverse,
-                                   make_perturbation, perturbation_from_table)
+                                   make_perturbation)
 from darcyperturb import fem2d, solver1d
 from darcyperturb.flatten import (
+    _averaged_metric,
     ainv_norm_bound,
     assemble_flattened_load,
     assemble_flattened_stiffness,
@@ -379,18 +380,6 @@ def test_galerkin_identity_on_both_paths(n, family, amp, eps):
 
 # --- the flat split of the pulled-back field -------------------------------------
 
-FLAT_SPLIT_SHAPES = {"sine": {"wavenumber": 1}, "bump": {}, "hat": {"knot": 0.3}}
-
-
-def signed_shape(family, amp, sign):
-    """amp * shape for sign 1; for sign -1 the table of its negative."""
-    zeta = make_perturbation(family, dict(FLAT_SPLIT_SHAPES[family]), amp)
-    if sign > 0:
-        return zeta
-    xs = np.linspace(0.0, 1.0, 65)
-    return perturbation_from_table(xs, -zeta.value(xs))
-
-
 @settings(deadline=None, max_examples=30)
 @given(n=st.integers(4, 12), family=st.sampled_from(sorted(FLAT_SPLIT_SHAPES)),
        sign=st.sampled_from([1, -1]), amp=st.floats(0.0, 0.6), eps=st.sampled_from([0.1, 0.5, 1.0]))
@@ -477,3 +466,17 @@ def test_column_maps_keep_the_bits_of_every_site(nx, nz, family, sign, amp, seed
     pts = np.linspace(-1.0, 1.0, 33)
     assert np.array_equal(bits(got.derivative(pts)), bits(expected.derivative(pts)))
     assert np.array_equal(bits(got.value(pts)), bits(expected.value(pts)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(nx=st.integers(2, 16), nz=st.integers(2, 16), family=st.sampled_from(sorted(FLAT_SPLIT_SHAPES)),
+       sign=st.sampled_from([1, -1]), amp=st.floats(0.0, 0.8))
+def test_metric_read_once_per_column_keeps_the_bits_of_every_point(nx, nz, family, sign, amp):
+    # zeta and its gradient read once per column and orientation give the
+    # averages of reading them at every quadrature point, on the reference
+    # mesh and on a fitted one
+    zeta = signed_shape(family, amp, sign)
+    for mesh in (fem2d.build_fitted_mesh(FLAT_ZETA, nx, nz), fem2d.build_fitted_mesh(zeta, nx, nz)):
+        metric = _averaged_metric(mesh, zeta)
+        assert metric.shape == (3, len(mesh.triangles)) and not metric.flags.writeable
+        assert np.array_equal(bits(metric), bits(oracles.averaged_metric(mesh, zeta)))
