@@ -1,20 +1,21 @@
 """P1 finite elements on interface-fitted triangulations of the slab
 Omega = (0, 1) x (-1, 1).
 
-Meshes are tensor grids whose columns follow the perturbed interface: the
-column maps (`geometry.column_map_inverse`) stretch the reference levels in
-[-1, 0] by 1 + zeta(x) and those in [0, 1] by 1 - zeta(x).  Each quad is
-split into two triangles.  Region 1 (below the interface) carries
-coefficient k1 and a Dirichlet outer boundary; region 2 carries k2/eps and a
-Neumann outer boundary.
+A mesh is a tensor grid whose columns follow the perturbed interface, and
+`Mesh2D` stores exactly that: the column abscissae and the heights of the
+levels of every column.  The column maps (`geometry.column_map_inverse`)
+stretch the reference levels in [-1, 0] by 1 + zeta(x) and those in [0, 1]
+by 1 - zeta(x).  Each quad is split into two triangles.  Region 1 (below the
+interface) carries coefficient k1 and a Dirichlet outer boundary; region 2
+carries k2/eps and a Neumann outer boundary.
 
-The assembler and the multigrid share one node-grid layout, the one
-`build_fitted_mesh` makes and `Mesh2D.node_grid` records: node (j, l) of
-column j and level l has id j (2 nz + 1) + l, and quad (j, l) with corners
-a = (j, l), b = (j+1, l), c = (j+1, l+1), d = (j, l+1) splits into triangle
-2 (j 2 nz + l) = abc and its pair acd.  Every node then couples to at most
-seven: the stiffness is summed as seven node-grid arrays, one per stencil
-entry, and the V-cycle coarsens by taking every other grid line.
+Node (j, l) of column j and level l has id j (2 nz + 1) + l, and quad (j, l)
+with corners a = (j, l), b = (j+1, l), c = (j+1, l+1), d = (j, l+1) splits
+into triangle 2 (j 2 nz + l) = abc and its pair acd.  The per-row kernels
+(geometry, gradients, loads, stiffness) read slices of that node grid, not
+a connectivity table.  Every node couples to at most seven: the stiffness
+is summed as seven node-grid arrays, one per stencil entry, and the V-cycle
+coarsens by taking every other grid line.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from time import perf_counter
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Perturbation, _area_below, _check_eps, column_map_inverse, validate_admissible
+from .geometry import (Perturbation, _area_below, _check_eps, _grid_corners, column_map_inverse,
+                       validate_admissible)
 from .quadrature import as_array_fn, gauss_rule, triangle_rule
 
 
@@ -38,56 +40,147 @@ class SolverConvergenceError(RuntimeError):
         self.residual = residual
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# the corners a = (j, l), b = (j+1, l), c = (j+1, l+1), d = (j, l+1) of every
+# quad as slices of a node-grid array, and the corners of its triangles abc
+# (orientation 0) and acd (orientation 1)
+_A, _B, _C, _D = np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[1:, 1:], np.s_[:-1, 1:]
+_ORIENTATIONS = ((_A, _B, _C), (_A, _C, _D))
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh2D:
-    """Interface-fitted triangulation with structured-column metadata.
+    """Interface-fitted triangulation of the slab, stored as its node grid:
+    the abscissae of the nx + 1 columns and the heights of the 2 nz + 1
+    levels of every column, level nz on the interface.
 
-    Immutable: the triangle areas and hat gradients are computed once per mesh
-    and handed out read-only.  Meshes compare and hash by identity.
+    `node_grid`, `nodes`, `triangles`, `region`, the three edge lists and
+    `dirichlet_nodes` are views derived from the grid on first read, for
+    output and the tests; the per-row kernels read slices of the grid.
+    Immutable: every array is read-only, and the triangle areas, hat
+    gradients and smallest angle are computed once per mesh.  Meshes compare
+    and hash by identity.
     """
 
-    nodes: np.ndarray            # (n_nodes, 2) coordinates (x, z)
-    triangles: np.ndarray        # (n_tri, 3) positively oriented node triples
-    region: np.ndarray           # (n_tri,) 1 below the interface, 2 above
-    dirichlet_edges: np.ndarray  # (k, 2) edges on the Dirichlet part of the boundary
-    neumann_edges: np.ndarray    # (k, 2) edges on the Neumann part
-    interface_edges: np.ndarray  # (nx, 2) ordered polyline along the interface
-    nx: int
-    nz: int
-    col_x: np.ndarray            # (nx+1,) column abscissae
-    zeta_at_cols: np.ndarray     # (nx+1,) interface height per column
-    node_grid: np.ndarray        # (nx+1, 2*nz+1) node id per (column, level)
+    col_x: np.ndarray   # (nx+1,) column abscissae
+    levels: np.ndarray  # (nx+1, 2*nz+1) height of node (column, level)
+
+    def __post_init__(self):
+        _read_only(self.col_x)
+        _read_only(self.levels)
+
+    @property
+    def nx(self) -> int:
+        return len(self.col_x) - 1
+
+    @property
+    def nz(self) -> int:
+        return self.levels.shape[1] // 2
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return self.levels.size
 
     @property
+    def zeta_at_cols(self) -> np.ndarray:
+        """(nx+1,) interface height per column."""
+        return self.levels[:, self.nz]
+
+    @cached_property
+    def node_grid(self) -> np.ndarray:
+        """(nx+1, 2*nz+1) node id per (column, level), row-major."""
+        return _read_only(np.arange(self.n_nodes).reshape(self.levels.shape))
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """(n_nodes, 2) coordinates (x, z)."""
+        return _read_only(np.column_stack([np.repeat(self.col_x, self.levels.shape[1]), self.levels.ravel()]))
+
+    @cached_property
+    def triangles(self) -> np.ndarray:
+        """(n_tri, 3) positively oriented node triples: quad (j, l) splits into
+        triangles 2(j*2nz + l) = abc and its pair acd."""
+        return _read_only(np.ascontiguousarray(self._corner_values(self.node_grid)))
+
+    @cached_property
+    def region(self) -> np.ndarray:
+        """(n_tri,) 1 below the interface, 2 above."""
+        return _read_only(np.tile(np.repeat(np.array([1, 2], dtype=np.int64), 2 * self.nz), self.nx))
+
+    @cached_property
+    def dirichlet_edges(self) -> np.ndarray:
+        """(nx + 2nz, 2) edges of the bottom z = -1 and of the lateral walls
+        below the interface level."""
+        grid, nz = self.node_grid, self.nz
+        return _read_only(np.concatenate([_chain(grid[:, 0]), _chain(grid[0, : nz + 1]),
+                                          _chain(grid[-1, : nz + 1])]))
+
+    @cached_property
+    def neumann_edges(self) -> np.ndarray:
+        """(nx + 2nz, 2) edges of the top z = 1 and of the walls above the
+        interface level."""
+        grid, nz = self.node_grid, self.nz
+        return _read_only(np.concatenate([_chain(grid[:, -1]), _chain(grid[0, nz:]), _chain(grid[-1, nz:])]))
+
+    @cached_property
+    def interface_edges(self) -> np.ndarray:
+        """(nx, 2) ordered polyline along the interface."""
+        return _read_only(_chain(self.node_grid[:, self.nz]))
+
+    @cached_property
     def dirichlet_nodes(self) -> np.ndarray:
-        return np.unique(self.dirichlet_edges)
+        """Sorted ids of the nodes on the Dirichlet edges."""
+        return _read_only(np.unique(self.dirichlet_edges))
+
+    @cached_property
+    def _level_rows(self) -> np.ndarray:
+        # the levels the kernels read: two equal rows when every column has
+        # the same levels (the flat reference mesh), so per-level work
+        # broadcasts over the columns instead of repeating in each
+        Z = self.levels
+        return Z[:2] if np.array_equal(Z, np.broadcast_to(Z[0], Z.shape)) else Z
+
+    def _corners(self) -> tuple:
+        """Per triangle orientation, the corner abscissae as (nx, 1) arrays,
+        one per column, and the corner heights as slices of `_level_rows`."""
+        X = np.broadcast_to(self.col_x[:, None], (self.nx + 1, 2))
+        return tuple(([X[c] for c in o], [self._level_rows[c] for c in o]) for o in _ORIENTATIONS)
+
+    def _corner_values(self, node_values: np.ndarray) -> np.ndarray:
+        """(n_tri, 3) values of a node array at the corners of every triangle
+        (a corner-major view)."""
+        return _grid_corners(np.reshape(node_values, self.levels.shape)).reshape(3, -1).T
 
     @cached_property
     def _geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        x = self.nodes[:, 0].take(self.triangles)
-        z = self.nodes[:, 1].take(self.triangles)
-        area = 0.5 * ((x[:, 1] - x[:, 0]) * (z[:, 2] - z[:, 0])
-                      - (x[:, 2] - x[:, 0]) * (z[:, 1] - z[:, 0]))
-        # hat a vanishes on the edge from vertex b = a + 1 to c = a + 2 (mod 3)
-        b, c = [1, 2, 0], [2, 0, 1]
-        two_area = (2.0 * area)[:, None]
-        grads = np.stack([(z[:, b] - z[:, c]) / two_area, (x[:, c] - x[:, b]) / two_area], axis=-1)
-        grads.setflags(write=False)
-        area.setflags(write=False)
-        return grads, area
+        quads = (self.nx, 2 * self.nz, 2)
+        area = np.empty(quads)
+        # hat-major in memory, which einsum over the hats reads fastest
+        grads = np.empty((3,) + quads + (2,))
+        for o, (x, z) in enumerate(self._corners()):
+            area[..., o] = 0.5 * ((x[1] - x[0]) * (z[2] - z[0]) - (x[2] - x[0]) * (z[1] - z[0]))
+            two_area = 2.0 * area[..., o]
+            # hat a vanishes on the edge from corner b = a + 1 to c = a + 2 (mod 3)
+            for a, (b, c) in enumerate(((1, 2), (2, 0), (0, 1))):
+                grads[a, ..., o, 0] = (z[b] - z[c]) / two_area
+                grads[a, ..., o, 1] = (x[c] - x[b]) / two_area
+        return _read_only(grads.reshape(3, -1, 2).transpose(1, 0, 2)), _read_only(area.reshape(-1))
 
     @cached_property
-    def _on_node_grid(self) -> bool:
-        # the layout of build_fitted_mesh, which the grid assembly and the
-        # multigrid rely on: node ids run row-major over node_grid, and the
-        # triangles are _grid_triangles of it
-        grid = self.node_grid
-        return bool(np.array_equal(grid.ravel(), np.arange(self.n_nodes))
-                    and np.array_equal(self.triangles, _grid_triangles(grid)))
+    def _min_angle(self) -> float:
+        # the largest corner cosine, then one arccos: arccos is decreasing
+        largest = -1.0
+        for x, z in self._corners():
+            for a in range(3):
+                b, c = (a + 1) % 3, (a + 2) % 3
+                ux, uz, vx, vz = x[b] - x[a], z[b] - z[a], x[c] - x[a], z[c] - z[a]
+                cosang = (ux * vx + uz * vz) / (np.sqrt(ux * ux + uz * uz) * np.sqrt(vx * vx + vz * vz))
+                largest = max(largest, float(np.max(cosang)))
+        return float(np.degrees(np.arccos(np.clip(largest, -1.0, 1.0))))
 
     def triangle_areas(self) -> np.ndarray:
         """(n_tri,) triangle areas (read-only, computed once per mesh)."""
@@ -99,13 +192,14 @@ class Mesh2D:
         return self._geometry
 
     def min_angle(self) -> float:
-        """Smallest interior angle over all triangles, in degrees."""
-        p = self.nodes[self.triangles]
-        # edges from each corner to the next two corners
-        u = p[:, [1, 2, 0]] - p
-        v = p[:, [2, 0, 1]] - p
-        cosang = np.sum(u * v, axis=2) / (np.linalg.norm(u, axis=2) * np.linalg.norm(v, axis=2))
-        return float(np.min(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))))
+        """Smallest interior angle over all triangles, in degrees (computed
+        once per mesh)."""
+        return self._min_angle
+
+
+def _chain(ids: np.ndarray) -> np.ndarray:
+    """Consecutive node pairs along a grid line."""
+    return np.column_stack((ids[:-1], ids[1:]))
 
 
 @dataclass(frozen=True)
@@ -128,7 +222,7 @@ class Field2D:
     @cached_property
     def _gradients(self) -> np.ndarray:
         grads, _ = self.mesh.basis_gradients()
-        g = np.einsum("tad,ta->td", grads, self.values[self.mesh.triangles])
+        g = np.einsum("tad,ta->td", grads, self.mesh._corner_values(self.values))
         g.setflags(write=False)
         return g
 
@@ -142,14 +236,15 @@ class Field2D:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         z = np.atleast_1d(np.asarray(z, dtype=float))
         cols = _match_columns(x, self.mesh.col_x)
+        levels = self.mesh.levels
+        values = self.values.reshape(levels.shape)
         # one stable sort groups the points by column: a mask per column would
         # cost a pass over all points for each of the nx + 1 columns
         order = np.argsort(cols, kind="stable")
         starts = np.flatnonzero(np.diff(cols[order], prepend=-1))
         out = np.empty_like(z)
         for j, sel in zip(cols[order[starts]], np.split(order, starts[1:])):
-            ids = self.mesh.node_grid[j]
-            out[sel] = np.interp(z[sel], self.mesh.nodes[ids, 1], self.values[ids])
+            out[sel] = np.interp(z[sel], levels[j], values[j])
         return out
 
 
@@ -161,21 +256,6 @@ def _match_columns(x: np.ndarray, col_x: np.ndarray, tol: float = 1e-12) -> np.n
         bad = x[np.abs(col_x[idx] - x) > tol][:3]
         raise ValueError(f"abscissae {bad} do not match mesh columns")
     return idx
-
-
-def _grid_triangles(node_grid: np.ndarray) -> np.ndarray:
-    """(n_tri, 3) triangles of a (columns, levels) node grid: quad (j, l) has
-    corners a = (j, l), b = (j+1, l), c = (j+1, l+1), d = (j, l+1) and splits
-    into triangles 2(j*2nz+l) = abc and its pair acd."""
-    a, b = node_grid[:-1, :-1], node_grid[1:, :-1]
-    c, d = node_grid[1:, 1:], node_grid[:-1, 1:]
-    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
-
-
-def _require_node_grid(mesh: Mesh2D) -> None:
-    """Raise ValueError unless the mesh is laid out on its node grid."""
-    if not mesh._on_node_grid:
-        raise ValueError("mesh triangles are not laid out on its node grid")
 
 
 def build_fitted_mesh(zeta: Perturbation, nx: int, nz: int) -> Mesh2D:
@@ -194,37 +274,7 @@ def build_fitted_mesh(zeta: Perturbation, nx: int, nz: int) -> Mesh2D:
     # column levels: the reference levels pulled back through the column maps,
     # the interface level z = 0 through the upper one
     ref = np.r_[np.linspace(-1.0, 0.0, nz + 1), np.linspace(0.0, 1.0, nz + 1)[1:]]
-    levels = column_map_inverse(np.where(ref < 0.0, -1.0, 1.0), zv[:, None], ref)
-    node_grid = np.arange(levels.size).reshape(levels.shape)
-    nodes = np.column_stack([np.repeat(xs, len(ref)), levels.ravel()])
-
-    triangles = _grid_triangles(node_grid)
-    level_region = np.where(np.arange(2 * nz) < nz, 1, 2)
-    region = np.tile(np.repeat(level_region, 2), nx).astype(np.int64)
-
-    def chain(ids):  # consecutive node pairs along a grid line
-        return np.column_stack((ids[:-1], ids[1:]))
-
-    # bottom z = -1 and the lateral walls below the interface level are
-    # Dirichlet; the top z = 1 and the walls above it are Neumann
-    left, right = node_grid[0], node_grid[nx]
-    dirichlet = np.concatenate([chain(node_grid[:, 0]), chain(left[: nz + 1]), chain(right[: nz + 1])])
-    neumann = np.concatenate([chain(node_grid[:, -1]), chain(left[nz:]), chain(right[nz:])])
-    interface = chain(node_grid[:, nz])
-
-    mesh = Mesh2D(
-        nodes=nodes,
-        triangles=triangles,
-        region=region,
-        dirichlet_edges=dirichlet,
-        neumann_edges=neumann,
-        interface_edges=interface,
-        nx=nx,
-        nz=nz,
-        col_x=xs,
-        zeta_at_cols=zv,
-        node_grid=node_grid,
-    )
+    mesh = Mesh2D(col_x=xs, levels=column_map_inverse(np.where(ref < 0.0, -1.0, 1.0), zv[:, None], ref))
     if np.min(mesh.triangle_areas()) <= 1e-14:
         raise ValueError("degenerate triangle in fitted mesh")
     return mesh
@@ -239,53 +289,48 @@ def _assemble_p1(mesh: Mesh2D, metric, eps: float, k1: float, k2: float) -> sp.c
     functions, with k_T = k1 below the interface and k2/eps above.
 
     `metric` holds the entries (m00, m01, m11) of the symmetric M_T, each one
-    number for all triangles or an (n_tri,) array.  The mesh must be laid out
-    on its node grid (ValueError otherwise).  Every quad's diagonal runs from
-    a to c, so node (j, l) couples to SW (j-1, l-1), W (j-1, l), S (j, l-1),
-    D (j, l), N (j, l+1), E (j+1, l) and NE (j+1, l+1), in ascending node id.
-    The matrix is summed as one node-grid array per stencil entry, and one
-    boolean gather in that order gives the sorted CSR data: no COO, no sort.
+    number for all triangles or an (n_tri,) array.  Every quad's diagonal
+    runs from a to c, so node (j, l) couples to SW (j-1, l-1), W (j-1, l),
+    S (j, l-1), D (j, l), N (j, l+1), E (j+1, l) and NE (j+1, l+1), in
+    ascending node id.  The matrix is summed as one node-grid array per
+    stencil entry, and one boolean gather in that order gives the sorted CSR
+    data: no COO, no sort.
     """
-    _require_node_grid(mesh)
-    grid = mesh.node_grid
-    X, Z = (mesh.nodes[:, k].reshape(grid.shape) for k in (0, 1))
-    quads = (grid.shape[0] - 1, grid.shape[1] - 1, 2)  # triangle 2(j*2nz + l) + orientation
-    coef = np.where(mesh.region == 1, k1, k2 / eps).reshape(quads)
-    entries = [np.broadcast_to(m, mesh.region.shape).reshape(quads) for m in metric]
+    quads = (mesh.nx, 2 * mesh.nz, 2)  # triangle 2(j*2nz + l) + orientation
+    coef = np.repeat([k1, k2 / eps], mesh.nz)  # per level
+    entries = [np.broadcast_to(m, (np.prod(quads),)).reshape(quads) for m in metric]
 
-    def couplings(o, *corners):
+    def couplings(o, x, z):
         # entries (0, 1), (1, 2), (2, 0) of the triangles of orientation o,
-        # whose positively oriented corners are node-grid slices; the edge
+        # from their positively oriented corners; the edge
         # e_i = p_(i+2) - p_(i+1) opposite corner i, turned a right angle and
         # divided by 2|T|, is grad(phi_i)
-        x, z = [X[c] for c in corners], [Z[c] for c in corners]
         ex = (x[2] - x[1], x[0] - x[2], x[1] - x[0])
         ez = (z[2] - z[1], z[0] - z[2], z[1] - z[0])
         m00, m01, m11 = (m[..., o] for m in entries)
-        w = coef[..., o] / (2.0 * (ex[1] * ez[2] - ex[2] * ez[1]))  # k |T| / (2|T|)^2
+        w = coef / (2.0 * (ex[1] * ez[2] - ex[2] * ez[1]))  # k |T| / (2|T|)^2
         return [w * (m11 * ex[i] * ex[j] - m01 * (ex[i] * ez[j] + ez[i] * ex[j]) + m00 * ez[i] * ez[j])
                 for i, j in ((0, 1), (1, 2), (2, 0))]
 
-    a, b, c, d = np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[1:, 1:], np.s_[:-1, 1:]
-    ab, bc, ca = couplings(0, a, b, c)
-    ac, cd, da = couplings(1, a, c, d)
-    stencil = np.zeros((7,) + grid.shape)
+    (ab, bc, ca), (ac, cd, da) = (couplings(o, x, z) for o, (x, z) in enumerate(mesh._corners()))
+    shape = mesh.levels.shape
+    stencil = np.zeros((7,) + shape)
     SW, W, S, D, N, E, NE = stencil
     # the entry of the edge from corner p to corner q, seen from p and from q
-    for ahead, behind, p, q, entry in ((E, W, a, b, ab), (E, W, d, c, cd), (N, S, b, c, bc),
-                                       (N, S, a, d, da), (NE, SW, a, c, ca + ac)):
+    for ahead, behind, p, q, entry in ((E, W, _A, _B, ab), (E, W, _D, _C, cd), (N, S, _B, _C, bc),
+                                       (N, S, _A, _D, da), (NE, SW, _A, _C, ca + ac)):
         ahead[p] += entry
         behind[q] += entry
     # the hat functions sum to one, so every row of the matrix sums to zero
     np.negative(SW + W + S + N + E + NE, out=D)
 
-    present = np.ones(grid.shape + (7,), dtype=bool)
+    present = np.ones(shape + (7,), dtype=bool)
     present[0, :, :2] = present[-1, :, 5:] = False         # no W side on column 0, no E side on the last
     present[:, 0, [0, 2]] = present[:, -1, [4, 6]] = False  # no S side on level 0, no N side on the top
     present = present.reshape(-1, 7)
     n = mesh.n_nodes
     # scipy stores the indices as int32 anyway (enough for 2**31 nodes)
-    levels = grid.shape[1]
+    levels = shape[1]
     offsets = np.array([-levels - 1, -levels, -1, 0, 1, levels, levels + 1], dtype=np.int32)
     indices = (np.arange(n, dtype=np.int32)[:, None] + offsets)[present]
     indptr = np.zeros(n + 1, dtype=np.int32)
@@ -300,41 +345,70 @@ def assemble_stiffness(mesh: Mesh2D, eps: float, k1: float, k2: float) -> sp.csr
     return _assemble_p1(mesh, _IDENTITY, eps, k1, k2)
 
 
+def _at_point(corners, b) -> np.ndarray:
+    """(2, ...) values at the barycentric point b of the triangles of both
+    orientations, from their corner values (one triple per orientation)."""
+    return np.stack([(b[0] * v0 + b[1] * v1) + b[2] * v2 for v0, v1, v2 in corners])
+
+
+def _at_points(corners, bary: np.ndarray) -> np.ndarray:
+    """(2, q, ...) values at the q barycentric points `bary`, as `_at_point`."""
+    return np.stack([_at_point(corners, b) for b in bary], axis=1)
+
+
+def _volume_load(mesh: Mesh2D, Fq: np.ndarray, bary: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Load vector of a source given by its values Fq (2, q, nx, 2nz) at the
+    barycentric points `bary` (q, 3) of the triangles of each orientation,
+    with weights w: each corner's share is added into the node grid by
+    slices."""
+    area = mesh.triangle_areas().reshape(mesh.nx, -1, 2)
+    load = np.zeros(mesh.levels.shape)
+    for o, corners in enumerate(_ORIENTATIONS):
+        # basis value of hat a at barycentric point q is bary[q, a]
+        contrib = bary.T @ (area[..., o] * Fq[o] * w[:, None, None]).reshape(len(w), -1)
+        for a, c in enumerate(corners):
+            load[c] += contrib[a].reshape(area.shape[:2])
+    return load.reshape(-1)
+
+
 def assemble_volume_load(mesh: Mesh2D, F, *, degree: int = 2) -> np.ndarray:
     """Load vector of int_Omega F r by per-triangle quadrature."""
     F = as_array_fn(F)
     bary, w = triangle_rule(degree)
-    xq = mesh.nodes[mesh.triangles, 0] @ bary.T         # (t, q)
-    zq = mesh.nodes[mesh.triangles, 1] @ bary.T
-    Fq = F(xq.ravel(), zq.ravel()).reshape(xq.shape)
-    area = mesh.triangle_areas()
-    # basis value of hat a at barycentric point q is bary[q, a]
-    contrib = (area[:, None] * Fq * w) @ bary
-    return np.bincount(mesh.triangles.ravel(), contrib.ravel(), minlength=mesh.n_nodes)
+    x, z = np.broadcast_arrays(*(_at_points(c, bary) for c in zip(*mesh._corners())))
+    Fq = F(x.ravel(), z.ravel()).reshape(x.shape)
+    return _volume_load(mesh, Fq, bary, w)
 
 
 def assemble_interface_load(mesh: Mesh2D, f, *, order: int = 4) -> np.ndarray:
     """Load vector of int_{Gamma^zeta} f r dS along the interface polyline."""
     f = as_array_fn(f)
     t, w = gauss_rule(order)
-    a = mesh.nodes[mesh.interface_edges[:, 0]]
-    b = mesh.nodes[mesh.interface_edges[:, 1]]
-    length = np.linalg.norm(b - a, axis=1)
+    x, z = mesh.col_x, mesh.zeta_at_cols  # the interface nodes, left to right
+    dx, dz = np.diff(x), np.diff(z)
+    length = np.sqrt(dx * dx + dz * dz)
     lam = 0.5 * (t + 1.0)                               # (q,)
-    pts = a[:, None, :] + lam[None, :, None] * (b - a)[:, None, :]
-    fq = f(pts[..., 0].ravel(), pts[..., 1].ravel()).reshape(pts.shape[:2])
+    px, pz = (v[:-1, None] + lam * dv[:, None] for v, dv in ((x, dx), (z, dz)))
+    fq = f(px.ravel(), pz.ravel()).reshape(px.shape)
     w_half = 0.5 * w
-    c0 = length * np.einsum("eq,q,q->e", fq, w_half, 1.0 - lam)
-    c1 = length * np.einsum("eq,q,q->e", fq, w_half, lam)
-    return (np.bincount(mesh.interface_edges[:, 0], c0, minlength=mesh.n_nodes)
-            + np.bincount(mesh.interface_edges[:, 1], c1, minlength=mesh.n_nodes))
+    load = np.zeros(mesh.levels.shape)
+    load[:-1, mesh.nz] += length * np.einsum("eq,q,q->e", fq, w_half, 1.0 - lam)
+    load[1:, mesh.nz] += length * np.einsum("eq,q,q->e", fq, w_half, lam)
+    return load.reshape(-1)
+
+
+def _rules(quadrature_order: int) -> tuple[int, int]:
+    """The triangle-rule degree of the volume load and the Gauss order of the
+    interface load that a forcing's `quadrature_order` selects."""
+    return 2 if quadrature_order <= 4 else 4, max(2, quadrature_order)
 
 
 def _load(mesh: Mesh2D, F, f, quadrature_order: int) -> np.ndarray:
     """Volume load of F plus interface load of f, in the rules that a
     forcing's `quadrature_order` selects."""
-    load = assemble_volume_load(mesh, F, degree=2 if quadrature_order <= 4 else 4)
-    load += assemble_interface_load(mesh, f, order=max(2, quadrature_order))
+    degree, order = _rules(quadrature_order)
+    load = assemble_volume_load(mesh, F, degree=degree)
+    load += assemble_interface_load(mesh, f, order=order)
     return load
 
 
@@ -346,19 +420,23 @@ _SMOOTHER_SCALE = 1.5
 
 
 def _prolongation_1d(n: int) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Linear interpolation onto the n + 1 lines of one grid axis from every
-    other line plus the last one; the identity once n < 4 (no coarsening).
+    """Linear interpolation onto the n + 1 lines of one grid axis from the
+    coarse lines 0, 2, ..., and n; the identity once n < 4 (no coarsening).
 
+    For an odd n the coarse lines are 0, 2, ..., n - 3 and n, so the last
+    coarse interval spans three cells (weights 1/3 and 2/3) rather than
+    leaving a one-cell sliver that would survive on every coarser level.
     Returns the (n + 1, m) matrix and the fine indices of the m coarse lines.
     """
     if n < 4:
         return sp.identity(n + 1, format="csr"), np.arange(n + 1)
-    coarse = np.unique(np.r_[np.arange(0, n + 1, 2), n])
-    mid = np.arange(1, n, 2)
-    rows = np.r_[coarse, mid, mid]
-    cols = np.r_[np.arange(len(coarse)), mid // 2, mid // 2 + 1]
-    vals = np.r_[np.ones(len(coarse)), np.full(2 * len(mid), 0.5)]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, len(coarse))), coarse
+    coarse = np.r_[np.arange(0, n - 1 - n % 2, 2), n]
+    lines = np.arange(n + 1)
+    k = np.minimum(np.searchsorted(coarse, lines, side="right") - 1, len(coarse) - 2)
+    t = (lines - coarse[k]) / (coarse[k + 1] - coarse[k])
+    rows, cols, vals = np.r_[lines, lines], np.r_[k, k + 1], np.r_[1.0 - t, t]
+    keep = vals != 0.0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n + 1, len(coarse))), coarse
 
 
 @lru_cache(maxsize=1)
@@ -508,17 +586,21 @@ def cg_solve(K: sp.csr_matrix, load: np.ndarray, dirichlet: np.ndarray, grid: tu
     return values, record
 
 
-def _galerkin_solve(mesh: Mesh2D, assemble, label: str, eps: float, k1: float, k2: float,
+def _galerkin_solve(mesh: Mesh2D, stiffness, load, label: str, eps: float, k1: float, k2: float,
                     rtol: float) -> Field2D:
-    """Assemble (K, load) by `assemble()`, then CG-solve K u = load on the
-    free nodes; records the coefficients, the solve, the seconds of both
-    phases and the Galerkin identity terms in the field's meta."""
+    """Assemble K by `stiffness()` and the load by `load()`, then CG-solve
+    K u = load on the free nodes; records the coefficients, the solve, the
+    seconds of each phase, the mesh's smallest angle and the Galerkin
+    identity terms in the field's meta."""
     t0 = perf_counter()
-    K, load = assemble()
+    K = stiffness()
     t1 = perf_counter()
-    values, record = cg_solve(K, load, mesh.dirichlet_nodes, mesh.node_grid.shape, rtol=rtol)
-    meta = {"eps": eps, "k1": k1, "k2": k2, "assemble_s": t1 - t0, **record, "solve_s": perf_counter() - t1,
-            "load_functional": float(load @ values), "bilinear_energy": float(values @ (K @ values))}
+    b = load()
+    t2 = perf_counter()
+    values, record = cg_solve(K, b, mesh.dirichlet_nodes, mesh.levels.shape, rtol=rtol)
+    meta = {"eps": eps, "k1": k1, "k2": k2, "assemble_s": t2 - t0, "stiffness_s": t1 - t0, "load_s": t2 - t1,
+            **record, "solve_s": perf_counter() - t2, "min_angle": mesh.min_angle(),
+            "load_functional": float(b @ values), "bilinear_energy": float(values @ (K @ values))}
     return Field2D(mesh=mesh, values=values, label=label, meta=meta)
 
 
@@ -526,16 +608,17 @@ def assemble_solve(mesh: Mesh2D, forcing, eps: float, k1: float = 1.0, k2: float
                    *, rtol: float = 1e-10) -> Field2D:
     """Galerkin solution of the perturbed weak problem on the fitted mesh."""
     _check_eps(eps)
-    return _galerkin_solve(
-        mesh, lambda: (assemble_stiffness(mesh, eps, k1, k2),
-                       _load(mesh, forcing.F, forcing.f, forcing.quadrature_order)),
-        "fitted-solve", eps, k1, k2, rtol)
+    return _galerkin_solve(mesh, lambda: assemble_stiffness(mesh, eps, k1, k2),
+                           lambda: _load(mesh, forcing.F, forcing.f, forcing.quadrature_order),
+                           "fitted-solve", eps, k1, k2, rtol)
 
 
 def resample(b: Field2D, mesh: Mesh2D) -> Field2D:
     """P1-interpolate a field onto the nodes of another mesh with matching columns."""
-    values = b.value(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    return Field2D(mesh=mesh, values=values, label=f"resampled[{b.label}]")
+    source = b.values.reshape(b.mesh.levels.shape)
+    values = [np.interp(z, b.mesh.levels[j], source[j])
+              for z, j in zip(mesh.levels, _match_columns(mesh.col_x, b.mesh.col_x))]
+    return Field2D(mesh=mesh, values=np.concatenate(values), label=f"resampled[{b.label}]")
 
 
 def vnorm_diff_2d(a: Field2D, b: Field2D) -> float:
@@ -550,11 +633,12 @@ def _region_energies(fld: Field2D, metric, heights: np.ndarray,
                      eps: float, k1: float, k2: float) -> tuple[float, float, float, float]:
     """(e1, e2, total, flat_total) of the P1 field under a per-triangle metric.
 
-    One energy density gives the split by the region tags (e1, e2, total) and
-    the total of the flat split, whose region 1 is the part of each triangle
-    below the cut with vertex heights `heights` (n_tri, 3).  `metric` holds
-    the entries (m00, m01, m11), each one number or an (n_tri,) array, as
-    `_assemble_p1` takes them.  Exact: P1 gradients are constant.
+    One energy density gives the split by the regions of the mesh levels (e1,
+    e2, total) and the total of the flat split, whose region 1 is the part of
+    each triangle below the cut with vertex heights `heights` (n_tri, 3).
+    `metric` holds the entries (m00, m01, m11), each one number or an
+    (n_tri,) array, as `_assemble_p1` takes them.  Exact: P1 gradients are
+    constant.
     """
     g0, g1 = fld.gradients().T
     m00, m01, m11 = metric
@@ -566,11 +650,14 @@ def _region_energies(fld: Field2D, metric, heights: np.ndarray,
         e2 = (k2 / eps) * float(np.sum(dens * (area - below)))
         return e1, e2, e1 + e2
 
-    return *split(np.where(fld.mesh.region == 1, area, 0.0)), split(_area_below(heights, area))[2]
+    below = area.copy()
+    below.reshape(fld.mesh.nx, 2, -1)[:, 1] = 0.0  # the triangles above the interface level
+    return *split(below), split(_area_below(heights, area))[2]
 
 
 def energy_split(fld: Field2D, eps: float, k1: float = 1.0, k2: float = 1.0) -> tuple[float, ...]:
-    """(e1, e2, total) with regions read from the mesh tags (diagonal split),
-    and the total of the flat split at z = 0, straddling triangles clipped."""
+    """(e1, e2, total) with regions read from the mesh levels (diagonal
+    split), and the total of the flat split at z = 0, straddling triangles
+    clipped."""
     mesh = fld.mesh
-    return _region_energies(fld, _IDENTITY, mesh.nodes[:, 1].take(mesh.triangles), eps, k1, k2)
+    return _region_energies(fld, _IDENTITY, mesh._corner_values(mesh.levels), eps, k1, k2)

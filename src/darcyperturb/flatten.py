@@ -135,6 +135,17 @@ def t_apply(zeta: Perturbation, field, direction: str, out_mesh: Mesh2D) -> Fiel
     return Field2D(mesh=out_mesh, values=values, label=f"{direction}[{getattr(field, 'label', 'fn')}]")
 
 
+def _by_region(mesh: Mesh2D, a: np.ndarray) -> np.ndarray:
+    """An array (..., columns, 2nz) over the quads of `mesh`, with one column
+    for all when it broadcasts over them, viewed as (..., columns, region,
+    level in the region)."""
+    return a.reshape(a.shape[:-1] + (2, mesh.nz))
+
+
+# s = (-1)^i of regions 1 and 2, on the region axis of `_by_region`
+_REGION_SIGNS = np.array([-1.0, 1.0])[:, None]
+
+
 @lru_cache(maxsize=1)
 def _averaged_metric(mesh: Mesh2D, zeta: Perturbation) -> np.ndarray:
     """(3, n_tri) entries (m00, m01, m11) of the metric averaged over each
@@ -143,26 +154,26 @@ def _averaged_metric(mesh: Mesh2D, zeta: Perturbation) -> np.ndarray:
     The average is all the P1 energy needs: gradients are constant per
     triangle, so the quadrature of grad.metric grad is grad.average grad.
     On the node grid the quadrature abscissae repeat up each column, so zeta
-    and its gradient are read once per column and triangle orientation
-    (6 nx points); the levels enter through the per-point stretch.  Kept for
-    the last (mesh, zeta), so a row's solve and energy split share it;
-    read-only.
+    and its gradient are read once per column, triangle orientation and
+    point, m00 is formed per column and region, and the levels enter m01 and
+    m11 through the per-point stretch (per level on the reference mesh).
+    Kept for the last (mesh, zeta), so a row's solve and energy split share
+    it; read-only.
     """
-    fem2d._require_node_grid(mesh)
     bary, wq = triangle_rule(2)
-    tri = mesh.triangles.reshape(mesh.node_grid.shape[0] - 1, -1, 2, 3)  # (column, level, orientation, corner)
-    xt = mesh.nodes[:, 0].take(tri[:, :1])
-    zt = mesh.nodes[:, 1].take(tri)
-    s = np.where(mesh.region == 1, -1.0, 1.0).reshape(tri.shape[:3])
-    avg = np.zeros((3,) + s.shape)
-    for (b0, b1, b2), w in zip(bary, wq):
-        x = (b0 * xt[..., 0] + b1 * xt[..., 1]) + b2 * xt[..., 2]
-        z = (b0 * zt[..., 0] + b1 * zt[..., 1]) + b2 * zt[..., 2]
-        for total, entry in zip(avg, _metric(s, zeta.value(x), zeta.gradient(x), z)):
-            total += entry * w
-    avg = avg.reshape(3, -1)
-    avg.setflags(write=False)
-    return avg
+    x_corners, z_corners = zip(*mesh._corners())
+    avg = [0.0, 0.0, 0.0]
+    for b, w in zip(bary, wq):
+        x = fem2d._at_point(x_corners, b)[..., None]  # (orientation, column, 1, 1)
+        z = _by_region(mesh, fem2d._at_point(z_corners, b))
+        for k, entry in enumerate(_metric(_REGION_SIGNS, zeta.value(x), zeta.gradient(x), z)):
+            avg[k] = avg[k] + entry * w
+    out = np.empty((3, mesh.nx, 2, mesh.nz, 2))
+    for k, entry in enumerate(avg):
+        out[k] = np.moveaxis(entry, 0, -1)
+    out = out.reshape(3, -1)
+    out.setflags(write=False)
+    return out
 
 
 def assemble_flattened_stiffness(mesh: Mesh2D, zeta: Perturbation, eps: float,
@@ -174,21 +185,28 @@ def assemble_flattened_stiffness(mesh: Mesh2D, zeta: Perturbation, eps: float,
 def assemble_flattened_load(mesh: Mesh2D, zeta: Perturbation, forcing) -> np.ndarray:
     """Volume load sum_i int (1-(-1)^i zeta) (T F) r plus the weighted interface load.
 
-    The interface weight is the surface-measure Jacobian |(-grad zeta, 1)|, so
-    the flattened load replicates int_{Gamma^zeta} f r dS.
+    The quadrature points of the reference mesh lie strictly inside one
+    region, and their abscissae repeat up each column, so zeta is read once
+    per column, triangle orientation and point.  The interface weight is the
+    surface-measure Jacobian |(-grad zeta, 1)|, so the flattened load
+    replicates int_{Gamma^zeta} f r dS.
     """
-
-    def pulled_back_F(x, z):
-        # quadrature points of the reference mesh lie strictly inside one region
-        zv = zeta.value(x)
-        s = np.where(z < 0.0, -1.0, 1.0)
-        return column_scale(s, zv) * forcing.F(x, column_map_inverse(s, zv, z))
+    degree, order = fem2d._rules(forcing.quadrature_order)
+    bary, w = triangle_rule(degree)
+    x, z = (fem2d._at_points(c, bary) for c in zip(*mesh._corners()))
+    x = x[..., None]  # (orientation, point, column, 1, 1)
+    zv = zeta.value(x)
+    src = column_map_inverse(_REGION_SIGNS, zv, _by_region(mesh, z))
+    Fq = column_scale(_REGION_SIGNS, zv) * as_array_fn(forcing.F)(np.broadcast_to(x, src.shape).ravel(),
+                                                                   src.ravel()).reshape(src.shape)
 
     def weighted_f(x, z):
         g = zeta.gradient(x)
         return np.sqrt(1.0 + g**2) * forcing.f(x, zeta.value(x))
 
-    return fem2d._load(mesh, pulled_back_F, weighted_f, forcing.quadrature_order)
+    load = fem2d._volume_load(mesh, Fq.reshape(Fq.shape[:3] + (-1,)), bary, w)
+    load += fem2d.assemble_interface_load(mesh, weighted_f, order=order)
+    return load
 
 
 def solve_flattened(zeta: Perturbation, forcing, eps: float, ref_mesh: Mesh2D,
@@ -197,10 +215,9 @@ def solve_flattened(zeta: Perturbation, forcing, eps: float, ref_mesh: Mesh2D,
     _check_eps(eps)
     if np.max(np.abs(ref_mesh.zeta_at_cols)) > 1e-14:
         raise ValueError("reference mesh must be the flat-interface mesh")
-    return fem2d._galerkin_solve(
-        ref_mesh, lambda: (assemble_flattened_stiffness(ref_mesh, zeta, eps, k1, k2),
-                           assemble_flattened_load(ref_mesh, zeta, forcing)),
-        "flattened-solve", eps, k1, k2, rtol)
+    return fem2d._galerkin_solve(ref_mesh, lambda: assemble_flattened_stiffness(ref_mesh, zeta, eps, k1, k2),
+                                 lambda: assemble_flattened_load(ref_mesh, zeta, forcing),
+                                 "flattened-solve", eps, k1, k2, rtol)
 
 
 def flattened_energy_split(rho: Field2D, zeta: Perturbation, eps: float, k1: float = 1.0,
@@ -217,8 +234,7 @@ def flattened_energy_split(rho: Field2D, zeta: Perturbation, eps: float, k1: flo
     """
     mesh = rho.mesh
     zc = zeta.value(mesh.col_x)
-    h1, h2 = (_heights_above(mesh, column_map(s, zc, 0.0)) for s in (-1.0, 1.0))
-    h = np.where((mesh.region == 1)[:, None], h1, h2)
+    h = _heights_above(mesh, column_map(-1.0, zc, 0.0), column_map(1.0, zc, 0.0))
     return fem2d._region_energies(rho, _averaged_metric(mesh, zeta), h, eps, k1, k2)
 
 

@@ -300,12 +300,33 @@ def _area_below(h: np.ndarray, area: np.ndarray) -> np.ndarray:
     return below
 
 
-def _heights_above(mesh, line: np.ndarray) -> np.ndarray:
+def _grid_corners(V: np.ndarray) -> np.ndarray:
+    """(3, columns, levels, 2) values of a node-grid array V of shape
+    (columns + 1, levels + 1) at the corners of its triangles: quad (j, l)
+    with corners a = (j, l), b = (j+1, l), c = (j+1, l+1), d = (j, l+1)
+    splits into the triangles abc and acd, in that order.
+
+    Corner-major, so `.reshape(3, -1).T` views the corners as the (n_tri, 3)
+    rows of the triangles in order; six slice copies, faster than gathering
+    through a triangle list.
+    """
+    a, b, c, d = V[:-1, :-1], V[1:, :-1], V[1:, 1:], V[:-1, 1:]
+    out = np.empty((3,) + a.shape + (2,), dtype=V.dtype)
+    for o, corners in enumerate(((a, b, c), (a, c, d))):
+        for k, corner in enumerate(corners):
+            out[k, ..., o] = corner
+    return out
+
+
+def _heights_above(mesh, line: np.ndarray, upper: np.ndarray | None = None) -> np.ndarray:
     """(n_tri, 3) vertex heights of a `fem2d.Mesh2D` above the polyline
-    through its column abscissae and the (nx + 1,) values `line`."""
-    at_nodes = np.empty(mesh.n_nodes)
-    at_nodes[mesh.node_grid] = line[:, None]
-    return (mesh.nodes[:, 1] - at_nodes).take(mesh.triangles)
+    through its column abscissae and the (nx + 1,) values `line`; with
+    `upper`, the triangles above the interface level measure their heights
+    from the polyline of `upper` instead."""
+    h = _grid_corners(mesh.levels - line[:, None])
+    if upper is not None:
+        h[:, :, mesh.nz:] = _grid_corners(mesh.levels[:, mesh.nz:] - upper[:, None])
+    return h.reshape(3, -1).T
 
 
 def xi_perturbation(field, zeta: Perturbation) -> float:
@@ -321,6 +342,6 @@ def xi_perturbation(field, zeta: Perturbation) -> float:
     mesh = field.mesh
     area = mesh.triangle_areas()
     g = field.gradients()
-    strip = (_area_below(mesh.nodes[:, 1].take(mesh.triangles), area)
+    strip = (_area_below(mesh._corner_values(mesh.levels), area)
              - _area_below(_heights_above(mesh, zeta.value(mesh.col_x)), area))
     return float(np.einsum("td,td,t->", g, g, strip))

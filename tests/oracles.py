@@ -9,10 +9,14 @@ column maps and energy splits of the 2D paths written out one formula per
 use, which the shared forms must reproduce bit for bit too, the flattening
 metric averaged point by point, and the 2D stiffness summed from
 per-triangle local matrices through COO, which the node-grid assembler must
-reproduce up to the order of summation; and the signed shapes that the 2D
-properties draw (a negative one as the table of its values)."""
+reproduce up to the order of summation; the fitted mesh as the connectivity
+lists it once stored, whose views the node-grid mesh must reproduce bit for
+bit, and the loads gathered and scattered through those lists; and the
+signed shapes that the 2D properties draw (a negative one as the table of
+its values)."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -516,6 +520,68 @@ def flattened_energy_split_flat(rho, zeta, eps, k1=1.0, k2=1.0):
                  _heights_above(mesh, -zc / (1.0 + zc)), _heights_above(mesh, -zc / (1.0 - zc)))
     below = _area_below(h, mesh.triangle_areas())
     return region_energies(rho, _averaged_metric(mesh, zeta), below, eps, k1, k2)
+
+
+# --- the 2D mesh as connectivity lists, and its loads through them ------------
+
+
+def listed_mesh(zeta, nx: int, nz: int) -> SimpleNamespace:
+    """The fitted mesh as a node list, a triangle list, region tags, three edge
+    lists, a node grid and the Dirichlet nodes, built the way `Mesh2D` once
+    stored them, with the areas and hat gradients gathered through the
+    triangle list."""
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    levels = fitted_levels(zeta.value(xs), nz)
+    node_grid = np.arange(levels.size).reshape(levels.shape)
+    nodes = np.column_stack([np.repeat(xs, levels.shape[1]), levels.ravel()])
+    a, b = node_grid[:-1, :-1], node_grid[1:, :-1]
+    c, d = node_grid[1:, 1:], node_grid[:-1, 1:]
+    triangles = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    region = np.tile(np.repeat(np.where(np.arange(2 * nz) < nz, 1, 2), 2), nx).astype(np.int64)
+
+    def chain(ids):
+        return np.column_stack((ids[:-1], ids[1:]))
+
+    left, right = node_grid[0], node_grid[nx]
+    dirichlet = np.concatenate([chain(node_grid[:, 0]), chain(left[: nz + 1]), chain(right[: nz + 1])])
+    neumann = np.concatenate([chain(node_grid[:, -1]), chain(left[nz:]), chain(right[nz:])])
+    x, z = nodes[:, 0].take(triangles), nodes[:, 1].take(triangles)
+    area = 0.5 * ((x[:, 1] - x[:, 0]) * (z[:, 2] - z[:, 0]) - (x[:, 2] - x[:, 0]) * (z[:, 1] - z[:, 0]))
+    b, c = [1, 2, 0], [2, 0, 1]
+    two_area = (2.0 * area)[:, None]
+    grads = np.stack([(z[:, b] - z[:, c]) / two_area, (x[:, c] - x[:, b]) / two_area], axis=-1)
+    return SimpleNamespace(nodes=nodes, triangles=triangles, region=region, node_grid=node_grid,
+                           dirichlet_edges=dirichlet, neumann_edges=neumann,
+                           interface_edges=chain(node_grid[:, nz]), dirichlet_nodes=np.unique(dirichlet),
+                           zeta_at_cols=levels[:, nz], grads=grads, area=area, n_nodes=levels.size)
+
+
+def volume_load(mesh, F, degree: int) -> np.ndarray:
+    """int F r by per-triangle quadrature, the points and the sum gathered
+    and scattered through the triangle list of `mesh` (a `listed_mesh`)."""
+    F = as_array_fn(F)
+    bary, w = triangle_rule(degree)
+    xq = mesh.nodes[mesh.triangles, 0] @ bary.T
+    zq = mesh.nodes[mesh.triangles, 1] @ bary.T
+    Fq = F(xq.ravel(), zq.ravel()).reshape(xq.shape)
+    contrib = (mesh.area[:, None] * Fq * w) @ bary
+    return np.bincount(mesh.triangles.ravel(), contrib.ravel(), minlength=mesh.n_nodes)
+
+
+def interface_load(mesh, f, order: int) -> np.ndarray:
+    """int f r dS along the interface edge list of `mesh` (a `listed_mesh`)."""
+    f = as_array_fn(f)
+    t, w = gauss_rule(order)
+    a = mesh.nodes[mesh.interface_edges[:, 0]]
+    b = mesh.nodes[mesh.interface_edges[:, 1]]
+    length = np.linalg.norm(b - a, axis=1)
+    lam = 0.5 * (t + 1.0)
+    pts = a[:, None, :] + lam[None, :, None] * (b - a)[:, None, :]
+    fq = f(pts[..., 0].ravel(), pts[..., 1].ravel()).reshape(pts.shape[:2])
+    c0 = length * np.einsum("eq,q,q->e", fq, 0.5 * w, 1.0 - lam)
+    c1 = length * np.einsum("eq,q,q->e", fq, 0.5 * w, lam)
+    return (np.bincount(mesh.interface_edges[:, 0], c0, minlength=mesh.n_nodes)
+            + np.bincount(mesh.interface_edges[:, 1], c1, minlength=mesh.n_nodes))
 
 
 # --- the 2D metric and stiffness, one triangle at a time ------------------------

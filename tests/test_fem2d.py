@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -332,14 +330,59 @@ def test_grid_assembly_matches_the_coo_reference(nx, nz, family, sign, amp, eps,
     assert np.all(np.abs(K.data - ref.data) <= 1e-13 * row_max)
 
 
-def test_grid_assembly_refuses_a_mesh_off_its_node_grid():
-    zeta = sine(0.2)
-    for mesh in (build_fitted_mesh(zeta, 4, 3), build_fitted_mesh(FLAT_ZETA, 4, 3)):
-        off_grid = (dataclasses.replace(mesh, triangles=mesh.triangles[::-1].copy()),
-                    dataclasses.replace(mesh, triangles=np.roll(mesh.triangles, 1, axis=1)),
-                    dataclasses.replace(mesh, node_grid=mesh.node_grid[::-1].copy()))
-        for bad in off_grid:
-            with pytest.raises(ValueError, match="node grid"):
-                assemble_stiffness(bad, 0.5, 1.0, 1.0)
-            with pytest.raises(ValueError, match="node grid"):
-                flatten.assemble_flattened_stiffness(bad, zeta, 0.5)
+@settings(deadline=None, max_examples=40)
+@given(nx=st.integers(2, 24), nz=st.integers(2, 24), family=st.sampled_from(sorted(oracles.FLAT_SPLIT_SHAPES)),
+       sign=st.sampled_from([1, -1]), amp=st.floats(0.0, 0.8))
+def test_node_grid_views_match_the_listed_mesh(nx, nz, family, sign, amp):
+    # every connectivity view, the areas and the hat gradients of the
+    # node-grid mesh are the connectivity lists it once stored, bit for bit
+    zeta = oracles.signed_shape(family, amp, sign)
+    for mesh, listed in ((build_fitted_mesh(zeta, nx, nz), oracles.listed_mesh(zeta, nx, nz)),
+                         (build_fitted_mesh(FLAT_ZETA, nx, nz), oracles.listed_mesh(FLAT_ZETA, nx, nz))):
+        for name in ("nodes", "triangles", "region", "node_grid", "dirichlet_edges", "neumann_edges",
+                     "interface_edges", "dirichlet_nodes"):
+            view, expected = getattr(mesh, name), getattr(listed, name)
+            assert view.dtype == expected.dtype and view.shape == expected.shape
+            assert np.array_equal(view.view(np.int64), expected.view(np.int64))
+            assert not view.flags.writeable and getattr(mesh, name) is view
+        assert np.array_equal(oracles.bits(mesh.zeta_at_cols), oracles.bits(listed.zeta_at_cols))
+        grads, area = mesh.basis_gradients()
+        assert np.array_equal(oracles.bits(grads), oracles.bits(listed.grads))
+        assert np.array_equal(oracles.bits(area), oracles.bits(listed.area))
+        assert mesh.min_angle() == min_angle_loop(mesh)
+
+
+# sources of both kinds for the load properties: polynomials, and
+# transcendental functions that change sign inside the slab
+SOURCES_2D = {
+    "1": lambda x, z: np.ones_like(x),
+    "x z": lambda x, z: x * z,
+    "x^3 - 2 x z^2 + z": lambda x, z: x**3 - 2.0 * x * z**2 + z,
+    "sin(3x + 2z)": lambda x, z: np.sin(3.0 * x + 2.0 * z),
+    "exp(x) cos(4z)": lambda x, z: np.exp(x) * np.cos(4.0 * z),
+    "sqrt(1 + x^2 + z^2)": lambda x, z: np.sqrt(1.0 + x**2 + z**2),
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(nx=st.integers(2, 20), nz=st.integers(2, 20), family=st.sampled_from(sorted(oracles.FLAT_SPLIT_SHAPES)),
+       sign=st.sampled_from([1, -1]), amp=st.floats(0.0, 0.8), source=st.sampled_from(sorted(SOURCES_2D)),
+       flux=st.sampled_from(sorted(SOURCES_2D)), order=st.sampled_from([4, 6]), flattened=st.booleans())
+def test_node_grid_loads_match_the_per_triangle_load(nx, nz, family, sign, amp, source, flux, order, flattened):
+    # the loads added into the node grid by slices are the loads gathered and
+    # scattered through the triangle list, up to the order of summation;
+    # order 4 selects the degree-2 triangle rule and order 6 the degree-4 one
+    zeta = oracles.signed_shape(family, amp, sign)
+    F, f = SOURCES_2D[source], SOURCES_2D[flux]
+    degree, gauss = (2, 4) if order == 4 else (4, 6)
+    if flattened:
+        mesh, listed = build_fitted_mesh(FLAT_ZETA, nx, nz), oracles.listed_mesh(FLAT_ZETA, nx, nz)
+        load = flatten.assemble_flattened_load(mesh, zeta, forcing(F=F, f=f, order=order))
+        F = oracles.pulled_back_source(zeta, F)
+        f = lambda x, z, f=f: np.sqrt(1.0 + zeta.gradient(x) ** 2) * f(x, zeta.value(x))
+    else:
+        mesh, listed = build_fitted_mesh(zeta, nx, nz), oracles.listed_mesh(zeta, nx, nz)
+        load = fem2d._load(mesh, F, f, order)
+    volume, interface = oracles.volume_load(listed, F, degree), oracles.interface_load(listed, f, gauss)
+    scale = oracles.volume_load(listed, lambda x, z: np.abs(F(x, z)), degree) + np.abs(interface)
+    assert np.max(np.abs(load - (volume + interface))) <= 1e-14 * np.max(scale)
