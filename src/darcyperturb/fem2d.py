@@ -50,6 +50,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # (orientation 0) and acd (orientation 1)
 _A, _B, _C, _D = np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[1:, 1:], np.s_[:-1, 1:]
 _ORIENTATIONS = ((_A, _B, _C), (_A, _C, _D))
+# the two corners that follow each corner of a positively oriented triangle
+_NEXT = ((1, 2), (2, 0), (0, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,12 +60,12 @@ class Mesh2D:
     the abscissae of the nx + 1 columns and the heights of the 2 nz + 1
     levels of every column, level nz on the interface.
 
-    `node_grid`, `nodes`, `triangles`, `region`, the three edge lists and
-    `dirichlet_nodes` are views derived from the grid on first read, for
-    output and the tests; the per-row kernels read slices of the grid.
-    Immutable: every array is read-only, and the triangle areas, hat
-    gradients and smallest angle are computed once per mesh.  Meshes compare
-    and hash by identity.
+    `node_grid`, `nodes`, `triangles`, `region`, the three edge lists,
+    `dirichlet_nodes` and `free_mask` are views derived from the grid on
+    first read; the per-row kernels read slices of the grid.  Immutable:
+    every array is read-only, and the triangle areas and smallest angle (no
+    hat gradients) are computed once per mesh.  Meshes compare and hash by
+    identity.
     """
 
     col_x: np.ndarray   # (nx+1,) column abscissae
@@ -132,9 +134,16 @@ class Mesh2D:
         return _read_only(_chain(self.node_grid[:, self.nz]))
 
     @cached_property
+    def free_mask(self) -> np.ndarray:
+        """(nx+1, 2*nz+1) True off the bottom and the walls up to the interface."""
+        free = np.ones(self.levels.shape, dtype=bool)
+        free[:, 0] = free[[0, -1], : self.nz + 1] = False
+        return _read_only(free)
+
+    @cached_property
     def dirichlet_nodes(self) -> np.ndarray:
         """Sorted ids of the nodes on the Dirichlet edges."""
-        return _read_only(np.unique(self.dirichlet_edges))
+        return _read_only(np.flatnonzero(~self.free_mask))
 
     @cached_property
     def _level_rows(self) -> np.ndarray:
@@ -156,27 +165,18 @@ class Mesh2D:
         return _grid_corners(np.reshape(node_values, self.levels.shape)).reshape(3, -1).T
 
     @cached_property
-    def _geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        quads = (self.nx, 2 * self.nz, 2)
-        area = np.empty(quads)
-        # hat-major in memory, which einsum over the hats reads fastest
-        grads = np.empty((3,) + quads + (2,))
+    def _areas(self) -> np.ndarray:
+        area = np.empty((self.nx, 2 * self.nz, 2))
         for o, (x, z) in enumerate(self._corners()):
             area[..., o] = 0.5 * ((x[1] - x[0]) * (z[2] - z[0]) - (x[2] - x[0]) * (z[1] - z[0]))
-            two_area = 2.0 * area[..., o]
-            # hat a vanishes on the edge from corner b = a + 1 to c = a + 2 (mod 3)
-            for a, (b, c) in enumerate(((1, 2), (2, 0), (0, 1))):
-                grads[a, ..., o, 0] = (z[b] - z[c]) / two_area
-                grads[a, ..., o, 1] = (x[c] - x[b]) / two_area
-        return _read_only(grads.reshape(3, -1, 2).transpose(1, 0, 2)), _read_only(area.reshape(-1))
+        return _read_only(area.reshape(-1))
 
     @cached_property
     def _min_angle(self) -> float:
         # the largest corner cosine, then one arccos: arccos is decreasing
         largest = -1.0
         for x, z in self._corners():
-            for a in range(3):
-                b, c = (a + 1) % 3, (a + 2) % 3
+            for a, (b, c) in enumerate(_NEXT):
                 ux, uz, vx, vz = x[b] - x[a], z[b] - z[a], x[c] - x[a], z[c] - z[a]
                 cosang = (ux * vx + uz * vz) / (np.sqrt(ux * ux + uz * uz) * np.sqrt(vx * vx + vz * vz))
                 largest = max(largest, float(np.max(cosang)))
@@ -184,12 +184,7 @@ class Mesh2D:
 
     def triangle_areas(self) -> np.ndarray:
         """(n_tri,) triangle areas (read-only, computed once per mesh)."""
-        return self._geometry[1]
-
-    def basis_gradients(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-triangle gradients of the three hat functions and the areas
-        (read-only, computed once per mesh)."""
-        return self._geometry
+        return self._areas
 
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles, in degrees (computed
@@ -221,10 +216,17 @@ class Field2D:
 
     @cached_property
     def _gradients(self) -> np.ndarray:
-        grads, _ = self.mesh.basis_gradients()
-        g = np.einsum("tad,ta->td", grads, self.mesh._corner_values(self.values))
-        g.setflags(write=False)
-        return g
+        mesh = self.mesh
+        V = self.values.reshape(mesh.levels.shape)
+        two_area = 2.0 * mesh.triangle_areas().reshape(mesh.nx, -1, 2)
+        g = np.empty(two_area.shape + (2,))
+        for o, ((x, z), corners) in enumerate(zip(mesh._corners(), _ORIENTATIONS)):
+            v, t = [V[c] for c in corners], two_area[..., o]
+            # hat a has gradient (z_b - z_c, x_c - x_b) / 2|T|, where b and c
+            # follow a; summed hat by hat, in the order of an einsum over them
+            g[..., o, 0] = sum((z[b] - z[c]) / t * v[a] for a, (b, c) in enumerate(_NEXT))
+            g[..., o, 1] = sum((x[c] - x[b]) / t * v[a] for a, (b, c) in enumerate(_NEXT))
+        return _read_only(g.reshape(-1, 2))
 
     def gradients(self) -> np.ndarray:
         """(n_tri, 2) constant gradient per triangle (read-only)."""
@@ -284,7 +286,8 @@ def build_fitted_mesh(zeta: Perturbation, nx: int, nz: int) -> Mesh2D:
 _IDENTITY = (1.0, 0.0, 1.0)
 
 
-def _assemble_p1(mesh: Mesh2D, metric, eps: float, k1: float, k2: float) -> sp.csr_matrix:
+def _assemble_p1(mesh: Mesh2D, metric, eps: float, k1: float, k2: float,
+                 keep: np.ndarray | None = None) -> sp.csr_matrix:
     """Matrix of sum_T k_T |T| grad(phi_a) . M_T grad(phi_b) over P1 hat
     functions, with k_T = k1 below the interface and k2/eps above.
 
@@ -294,7 +297,9 @@ def _assemble_p1(mesh: Mesh2D, metric, eps: float, k1: float, k2: float) -> sp.c
     S (j, l-1), D (j, l), N (j, l+1), E (j+1, l) and NE (j+1, l+1), in
     ascending node id.  The matrix is summed as one node-grid array per
     stencil entry, and one boolean gather in that order gives the sorted CSR
-    data: no COO, no sort.
+    data: no COO, no sort.  With a node-grid mask `keep` (the free nodes of
+    a solve) only the rows and columns of the kept nodes are gathered,
+    numbered in node order: the matrix K[keep][:, keep] without forming K.
     """
     quads = (mesh.nx, 2 * mesh.nz, 2)  # triangle 2(j*2nz + l) + orientation
     coef = np.repeat([k1, k2 / eps], mesh.nz)  # per level
@@ -324,17 +329,17 @@ def _assemble_p1(mesh: Mesh2D, metric, eps: float, k1: float, k2: float) -> sp.c
     # the hat functions sum to one, so every row of the matrix sums to zero
     np.negative(SW + W + S + N + E + NE, out=D)
 
-    present = np.ones(shape + (7,), dtype=bool)
-    present[0, :, :2] = present[-1, :, 5:] = False         # no W side on column 0, no E side on the last
-    present[:, 0, [0, 2]] = present[:, -1, [4, 6]] = False  # no S side on level 0, no N side on the top
-    present = present.reshape(-1, 7)
-    n = mesh.n_nodes
-    # scipy stores the indices as int32 anyway (enough for 2**31 nodes)
-    levels = shape[1]
-    offsets = np.array([-levels - 1, -levels, -1, 0, 1, levels, levels + 1], dtype=np.int32)
-    indices = (np.arange(n, dtype=np.int32)[:, None] + offsets)[present]
+    keep = np.ones(shape, dtype=bool) if keep is None else keep
+    # each node's neighbour in every stencil direction, in grids padded by
+    # one line that is never kept; scipy stores the indices as int32 anyway
+    kept, number = np.pad(keep, 1), np.pad(np.cumsum(keep, dtype=np.int32).reshape(shape) - 1, 1)
+    shifts = [np.s_[1 + dj: 1 + dj + shape[0], 1 + dl: 1 + dl + shape[1]]
+             for dj, dl in ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))]  # SW, ..., NE
+    present = (np.stack([kept[a] for a in shifts], axis=-1) & keep[..., None]).reshape(-1, 7)
+    n = int(np.count_nonzero(keep))
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1, dtype=np.int32), out=indptr[1:])
+    np.cumsum(present.sum(axis=1, dtype=np.int32)[keep.ravel()], out=indptr[1:])
+    indices = np.stack([number[a] for a in shifts], axis=-1).reshape(-1, 7)[present]
     K = sp.csr_matrix((stencil.reshape(7, -1).T[present], indices, indptr), shape=(n, n))
     K.has_canonical_format = True  # sorted and free of duplicates by construction
     return K
@@ -543,33 +548,28 @@ def cg(A, b: np.ndarray, *, rtol: float = 1e-5, atol: float = 0.0, maxiter: int 
     return x, maxiter
 
 
-def cg_solve(K: sp.csr_matrix, load: np.ndarray, dirichlet: np.ndarray, grid: tuple[int, int],
+def cg_solve(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
              *, rtol: float = 1e-10, maxiter: int | None = None) -> tuple[np.ndarray, dict]:
-    """Solve the SPD system on the free nodes by CG preconditioned with one
-    geometric-multigrid V-cycle.
+    """Solve the SPD system A x = b on the free nodes by CG preconditioned
+    with one geometric-multigrid V-cycle.
 
-    Node ids must run row-major over a `grid` = (columns, levels) node grid,
-    as `Mesh2D.node_grid` does; the coarse grids take every other line of each
-    axis.  Returns the nodal values (0 on `dirichlet`) and the solve record.
+    `free` is the node-grid mask (columns, levels) of the free nodes, as
+    `Mesh2D.free_mask`; A and b are numbered in node order over them, as
+    `_assemble_p1` with that mask gives them.  The coarse grids take every
+    other line of each axis.  Returns x and the solve record.
     """
-    n = K.shape[0]
-    mask = np.ones(n, dtype=bool)
-    mask[dirichlet] = False
-    free = np.flatnonzero(mask)
-    if len(free) == 0:
+    if len(b) == 0:
         raise SolverConvergenceError("no free nodes: empty Dirichlet complement", np.inf)
-    if len(dirichlet) == 0:
+    if free.all():
         raise SolverConvergenceError("singular system: empty Dirichlet set", np.inf)
-    A = K[free][:, free]
-    b = load[free]
     if np.any(A.diagonal() <= 0.0):
         raise SolverConvergenceError("non-SPD reduced system", np.inf)
     try:
-        levels, coarsest = _multigrid_levels(A, mask.reshape(grid))
+        levels, coarsest = _multigrid_levels(A, free)
     except np.linalg.LinAlgError:
         raise SolverConvergenceError("non-SPD reduced system", np.inf) from None
     if maxiter is None:
-        maxiter = int(50 * np.sqrt(len(free))) + 10
+        maxiter = int(50 * np.sqrt(len(b))) + 10
     # one entry per iteration, all the same iterate: the count is its length
     steps = []
     x, info = cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter,
@@ -579,28 +579,30 @@ def cg_solve(K: sp.csr_matrix, load: np.ndarray, dirichlet: np.ndarray, grid: tu
         raise SolverConvergenceError(
             f"CG did not converge within {maxiter} iterations (relative residual {res:.3e})", res
         )
-    values = np.zeros(n)
-    values[free] = x
     record = {"solver": "mg-cg", "iterations": len(steps), "rel_residual": res,
-              "dofs": len(free), "nnz": A.nnz, "levels": len(levels) + 1}
-    return values, record
+              "dofs": len(b), "nnz": A.nnz, "levels": len(levels) + 1}
+    return x, record
 
 
-def _galerkin_solve(mesh: Mesh2D, stiffness, load, label: str, eps: float, k1: float, k2: float,
+def _galerkin_solve(mesh: Mesh2D, load, metric, label: str, eps: float, k1: float, k2: float,
                     rtol: float) -> Field2D:
-    """Assemble K by `stiffness()` and the load by `load()`, then CG-solve
-    K u = load on the free nodes; records the coefficients, the solve, the
-    seconds of each phase, the mesh's smallest angle and the Galerkin
-    identity terms in the field's meta."""
+    """Assemble the load by `load()` (first, so its temporaries are gone
+    before the matrix exists), then the stiffness of the coefficient entries
+    `metric()` on the free nodes only, without the full K, and CG-solve;
+    records the coefficients, the solve, the seconds of each phase, the
+    mesh's smallest angle and the Galerkin identity terms in the meta."""
+    free = mesh.free_mask
     t0 = perf_counter()
-    K = stiffness()
+    b = load()[free.ravel()]
     t1 = perf_counter()
-    b = load()
+    A = _assemble_p1(mesh, metric(), eps, k1, k2, free)
     t2 = perf_counter()
-    values, record = cg_solve(K, b, mesh.dirichlet_nodes, mesh.levels.shape, rtol=rtol)
-    meta = {"eps": eps, "k1": k1, "k2": k2, "assemble_s": t2 - t0, "stiffness_s": t1 - t0, "load_s": t2 - t1,
+    x, record = cg_solve(A, b, free, rtol=rtol)
+    values = np.zeros(mesh.n_nodes)
+    values[free.ravel()] = x
+    meta = {"eps": eps, "k1": k1, "k2": k2, "assemble_s": t2 - t0, "stiffness_s": t2 - t1, "load_s": t1 - t0,
             **record, "solve_s": perf_counter() - t2, "min_angle": mesh.min_angle(),
-            "load_functional": float(b @ values), "bilinear_energy": float(values @ (K @ values))}
+            "load_functional": float(b @ x), "bilinear_energy": float(x @ (A @ x))}
     return Field2D(mesh=mesh, values=values, label=label, meta=meta)
 
 
@@ -608,9 +610,8 @@ def assemble_solve(mesh: Mesh2D, forcing, eps: float, k1: float = 1.0, k2: float
                    *, rtol: float = 1e-10) -> Field2D:
     """Galerkin solution of the perturbed weak problem on the fitted mesh."""
     _check_eps(eps)
-    return _galerkin_solve(mesh, lambda: assemble_stiffness(mesh, eps, k1, k2),
-                           lambda: _load(mesh, forcing.F, forcing.f, forcing.quadrature_order),
-                           "fitted-solve", eps, k1, k2, rtol)
+    return _galerkin_solve(mesh, lambda: _load(mesh, forcing.F, forcing.f, forcing.quadrature_order),
+                           lambda: _IDENTITY, "fitted-solve", eps, k1, k2, rtol)
 
 
 def resample(b: Field2D, mesh: Mesh2D) -> Field2D:
@@ -625,8 +626,7 @@ def vnorm_diff_2d(a: Field2D, b: Field2D) -> float:
     """V-norm (int |grad a - grad b|^2)^(1/2), resampling b onto a's mesh."""
     b_on_a = b if b.mesh is a.mesh else resample(b, a.mesh)
     diff = a.gradients() - b_on_a.gradients()
-    _, area = a.mesh.basis_gradients()
-    return float(np.sqrt(max(np.sum(area * np.sum(diff * diff, axis=1)), 0.0)))
+    return float(np.sqrt(max(np.sum(a.mesh.triangle_areas() * np.sum(diff * diff, axis=1)), 0.0)))
 
 
 def _region_energies(fld: Field2D, metric, heights: np.ndarray,

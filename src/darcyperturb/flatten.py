@@ -215,9 +215,8 @@ def solve_flattened(zeta: Perturbation, forcing, eps: float, ref_mesh: Mesh2D,
     _check_eps(eps)
     if np.max(np.abs(ref_mesh.zeta_at_cols)) > 1e-14:
         raise ValueError("reference mesh must be the flat-interface mesh")
-    return fem2d._galerkin_solve(ref_mesh, lambda: assemble_flattened_stiffness(ref_mesh, zeta, eps, k1, k2),
-                                 lambda: assemble_flattened_load(ref_mesh, zeta, forcing),
-                                 "flattened-solve", eps, k1, k2, rtol)
+    return fem2d._galerkin_solve(ref_mesh, lambda: assemble_flattened_load(ref_mesh, zeta, forcing),
+                                 lambda: _averaged_metric(ref_mesh, zeta), "flattened-solve", eps, k1, k2, rtol)
 
 
 def flattened_energy_split(rho: Field2D, zeta: Perturbation, eps: float, k1: float = 1.0,

@@ -1,6 +1,7 @@
 """Reference computations that only the tests use: analytic pullbacks and
 norms of smooth fields, the continuity of piecewise 1D fields, the P1 mesh
-geometry computed afresh, the P1 finite-element solve of the 1D problem that
+geometry computed afresh (the hat gradients, which the mesh does not store,
+and a field's gradient as their einsum with its corner values), the P1 finite-element solve of the 1D problem that
 cross-checks the exact solver, the plain forms of the 1D evaluation paths
 (broadcast by a product with ones, np.clip clamps, one call per np.unique
 piece, a Python merge of breakpoints, one amplitude at a time) that the
@@ -95,9 +96,10 @@ def max_jump(field) -> float:
     return jump
 
 
-def mesh_geometry(mesh):
+def basis_gradients(mesh):
     """Per-triangle hat gradients (n_tri, 3, 2) and areas (n_tri,), computed
-    afresh from the nodes of a `Mesh2D` on every call."""
+    afresh from the nodes of a `Mesh2D` on every call (the mesh stores only
+    its areas)."""
     p = mesh.nodes[mesh.triangles]
     area = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
@@ -107,6 +109,13 @@ def mesh_geometry(mesh):
         grads[:, a, 0] = (p[:, b, 1] - p[:, c, 1]) / (2.0 * area)
         grads[:, a, 1] = (p[:, c, 0] - p[:, b, 0]) / (2.0 * area)
     return grads, area
+
+
+def field_gradients(fld):
+    """(n_tri, 2) gradient of a P1 `Field2D`: the einsum of its corner values
+    with the hat gradients of `basis_gradients`."""
+    grads, _ = basis_gradients(fld.mesh)
+    return np.einsum("tad,ta->td", grads, fld.values[fld.mesh.triangles])
 
 
 def min_angle_loop(mesh) -> float:
@@ -483,8 +492,7 @@ def region_energies(fld, metric, below, eps, k1, k2):
     """(e1, e2, total) of a P1 field under a metric with entries (m00, m01,
     m11), `below` the area of each triangle counted in region 1; the
     gradient is computed afresh."""
-    grads, area = fld.mesh.basis_gradients()
-    g = np.einsum("tad,ta->td", grads, fld.values[fld.mesh.triangles])
+    g, area = field_gradients(fld), fld.mesh.triangle_areas()
     m00, m01, m11 = metric
     dens = g[:, 0] * (m00 * g[:, 0] + m01 * g[:, 1]) + g[:, 1] * (m01 * g[:, 0] + m11 * g[:, 1])
     e1 = k1 * float(np.sum(dens * below))
@@ -528,8 +536,7 @@ def flattened_energy_split_flat(rho, zeta, eps, k1=1.0, k2=1.0):
 def listed_mesh(zeta, nx: int, nz: int) -> SimpleNamespace:
     """The fitted mesh as a node list, a triangle list, region tags, three edge
     lists, a node grid and the Dirichlet nodes, built the way `Mesh2D` once
-    stored them, with the areas and hat gradients gathered through the
-    triangle list."""
+    stored them, with the areas gathered through the triangle list."""
     xs = np.linspace(0.0, 1.0, nx + 1)
     levels = fitted_levels(zeta.value(xs), nz)
     node_grid = np.arange(levels.size).reshape(levels.shape)
@@ -547,13 +554,10 @@ def listed_mesh(zeta, nx: int, nz: int) -> SimpleNamespace:
     neumann = np.concatenate([chain(node_grid[:, -1]), chain(left[nz:]), chain(right[nz:])])
     x, z = nodes[:, 0].take(triangles), nodes[:, 1].take(triangles)
     area = 0.5 * ((x[:, 1] - x[:, 0]) * (z[:, 2] - z[:, 0]) - (x[:, 2] - x[:, 0]) * (z[:, 1] - z[:, 0]))
-    b, c = [1, 2, 0], [2, 0, 1]
-    two_area = (2.0 * area)[:, None]
-    grads = np.stack([(z[:, b] - z[:, c]) / two_area, (x[:, c] - x[:, b]) / two_area], axis=-1)
     return SimpleNamespace(nodes=nodes, triangles=triangles, region=region, node_grid=node_grid,
                            dirichlet_edges=dirichlet, neumann_edges=neumann,
                            interface_edges=chain(node_grid[:, nz]), dirichlet_nodes=np.unique(dirichlet),
-                           zeta_at_cols=levels[:, nz], grads=grads, area=area, n_nodes=levels.size)
+                           zeta_at_cols=levels[:, nz], area=area, n_nodes=levels.size)
 
 
 def volume_load(mesh, F, degree: int) -> np.ndarray:
@@ -614,7 +618,7 @@ def assemble_p1(mesh, metric, eps, k1, k2):
     entries (m00, m01, m11) as numbers or (n_tri,) arrays."""
     m00, m01, m11 = (np.broadcast_to(m, mesh.region.shape) for m in metric)
     tensor = np.stack([np.stack([m00, m01], axis=-1), np.stack([m01, m11], axis=-1)], axis=-2)
-    grads, area = mesh_geometry(mesh)
+    grads, area = basis_gradients(mesh)
     coef = (np.where(mesh.region == 1, k1, k2 / eps) * area)[:, None, None] * tensor
     local = np.einsum("tad,tde,tbe->tab", grads, coef, grads)
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()

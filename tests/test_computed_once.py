@@ -1,7 +1,7 @@
-"""Per-mesh, per-field and per-row invariants computed once: the cached P1
-geometry of a mesh, the gradient of a field, the averaged flattening metric
-of the last (mesh, zeta), and the release of each study row's mesh before
-the next row builds its own."""
+"""Per-mesh, per-field and per-row invariants computed once: the cached
+triangle areas of a mesh (its only stored geometry), the gradient of a
+field, the averaged flattening metric of the last (mesh, zeta), and the
+release of each study row's mesh before the next row builds its own."""
 
 import gc
 import weakref
@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import mesh_geometry
+from oracles import basis_gradients, bits, field_gradients
 
 from darcyperturb import fem2d, flatten
 from darcyperturb.geometry import ForcingSpec, make_perturbation
@@ -32,26 +32,22 @@ def sine(amp, k=1):
 
 @settings(deadline=None, max_examples=40)
 @given(nx=st.integers(2, 24), nz=st.integers(2, 24), family=families, amp=st.floats(0.0, 0.9))
-def test_cached_geometry_equals_fresh_formula(nx, nz, family, amp):
+def test_cached_areas_equal_fresh_formula(nx, nz, family, amp):
     name, params = family
     mesh = fem2d.build_fitted_mesh(make_perturbation(name, params, amp), nx, nz)
-    grads, area = mesh.basis_gradients()
-    expected_grads, expected_area = mesh_geometry(mesh)
-    assert np.array_equal(grads, expected_grads)
-    assert np.array_equal(area, expected_area)
-    assert np.array_equal(mesh.triangle_areas(), expected_area)
+    _, expected_area = basis_gradients(mesh)
+    assert np.array_equal(bits(mesh.triangle_areas()), bits(expected_area))
 
 
-def test_geometry_is_computed_once_and_read_only():
+def test_areas_are_computed_once_and_read_only():
     mesh = fem2d.build_fitted_mesh(sine(0.3), 6, 5)
-    grads, area = mesh.basis_gradients()
-    again = mesh.basis_gradients()
-    assert again[0] is grads and again[1] is area
+    area = mesh.triangle_areas()
     assert mesh.triangle_areas() is area
     with pytest.raises(ValueError):
-        grads[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
         area[0] = 1.0
+    # the hat gradients are not part of the mesh
+    assert not hasattr(mesh, "basis_gradients")
+    assert all(np.shape(v) != (len(area), 3, 2) for v in vars(mesh).values())
 
 
 def test_field_gradient_is_computed_once_and_read_only():
@@ -60,8 +56,7 @@ def test_field_gradient_is_computed_once_and_read_only():
     fld = fem2d.Field2D(mesh=mesh, values=values)
     g = fld.gradients()
     assert fld.gradients() is g
-    grads, _ = mesh.basis_gradients()
-    assert np.array_equal(g, np.einsum("tad,ta->td", grads, values[mesh.triangles]))
+    assert np.array_equal(g, field_gradients(fld))
     with pytest.raises(ValueError):
         fld.values[0] = 1.0
     with pytest.raises(ValueError):
@@ -139,3 +134,28 @@ def test_row_mesh_released_before_next_row(monkeypatch):
     assert [r.status for r in records] == ["ok"] * 3
     assert len(built) == 4
     assert alive == [[], [], [False], [False, False]]
+
+
+@pytest.mark.parametrize("mode", ["fitted2d", "flattened2d"])
+def test_study_solves_without_a_full_matrix_or_hat_gradients(monkeypatch, mode):
+    # a sweep's solves assemble on the free nodes only, so the public full
+    # assemblers are never called, and no mesh keeps per-triangle gradients
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full stiffness was assembled")
+
+    monkeypatch.setattr(fem2d, "assemble_stiffness", refuse)
+    monkeypatch.setattr(flatten, "assemble_flattened_stiffness", refuse)
+    meshes = []
+    build = fem2d.build_fitted_mesh
+
+    def kept(zeta, nx, nz):
+        meshes.append(build(zeta, nx, nz))
+        return meshes[-1]
+
+    monkeypatch.setattr(fem2d, "build_fitted_mesh", kept)
+    records = run_sequence(shape_family("sine"), [0.2, 0.1], FORCING, 0.5, 8, mode)
+    assert [r.status for r in records] == ["ok"] * 2
+    assert len(meshes) == (3 if mode == "fitted2d" else 1)
+    for mesh in meshes:
+        n_tri = 2 * mesh.nx * 2 * mesh.nz
+        assert all(np.shape(v) != (n_tri, 3, 2) for v in vars(mesh).values())

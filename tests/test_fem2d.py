@@ -334,8 +334,8 @@ def test_grid_assembly_matches_the_coo_reference(nx, nz, family, sign, amp, eps,
 @given(nx=st.integers(2, 24), nz=st.integers(2, 24), family=st.sampled_from(sorted(oracles.FLAT_SPLIT_SHAPES)),
        sign=st.sampled_from([1, -1]), amp=st.floats(0.0, 0.8))
 def test_node_grid_views_match_the_listed_mesh(nx, nz, family, sign, amp):
-    # every connectivity view, the areas and the hat gradients of the
-    # node-grid mesh are the connectivity lists it once stored, bit for bit
+    # every connectivity view and the areas of the node-grid mesh are the
+    # connectivity lists it once stored, bit for bit
     zeta = oracles.signed_shape(family, amp, sign)
     for mesh, listed in ((build_fitted_mesh(zeta, nx, nz), oracles.listed_mesh(zeta, nx, nz)),
                          (build_fitted_mesh(FLAT_ZETA, nx, nz), oracles.listed_mesh(FLAT_ZETA, nx, nz))):
@@ -346,10 +346,22 @@ def test_node_grid_views_match_the_listed_mesh(nx, nz, family, sign, amp):
             assert np.array_equal(view.view(np.int64), expected.view(np.int64))
             assert not view.flags.writeable and getattr(mesh, name) is view
         assert np.array_equal(oracles.bits(mesh.zeta_at_cols), oracles.bits(listed.zeta_at_cols))
-        grads, area = mesh.basis_gradients()
-        assert np.array_equal(oracles.bits(grads), oracles.bits(listed.grads))
-        assert np.array_equal(oracles.bits(area), oracles.bits(listed.area))
+        assert np.array_equal(oracles.bits(mesh.triangle_areas()), oracles.bits(listed.area))
         assert mesh.min_angle() == min_angle_loop(mesh)
+
+
+@settings(deadline=None, max_examples=60)
+@given(nx=st.integers(2, 24), nz=st.integers(2, 24), family=st.sampled_from(sorted(oracles.FLAT_SPLIT_SHAPES)),
+       sign=st.sampled_from([1, -1]), amp=st.floats(0.0, 0.8), scale=st.integers(-6, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_grid_gradients_equal_the_hat_gradient_einsum(nx, nz, family, sign, amp, scale, seed):
+    # the corner differences of the node grid, summed hat by hat, are the
+    # einsum over the per-triangle hat gradients that the mesh once stored
+    zeta = oracles.signed_shape(family, amp, sign)
+    for mesh in (build_fitted_mesh(zeta, nx, nz), build_fitted_mesh(FLAT_ZETA, nx, nz)):
+        values = np.random.default_rng(seed).standard_normal(mesh.n_nodes) * 10.0**scale
+        fld = Field2D(mesh=mesh, values=values)
+        assert np.array_equal(oracles.bits(fld.gradients()), oracles.bits(oracles.field_gradients(fld)))
 
 
 # sources of both kinds for the load properties: polynomials, and

@@ -1,6 +1,7 @@
-"""Multigrid-preconditioned CG: agreement with a direct solve, symmetry of the
-V-cycle, iteration counts flat in the mesh size, the solve record, and the
-CG loop against scipy's `cg` (imported here only)."""
+"""Multigrid-preconditioned CG: the free-node stiffness against the reduced
+full one, agreement with a direct solve, symmetry of the V-cycle, iteration
+counts flat in the mesh size, the solve record, and the CG loop against
+scipy's `cg` (imported here only)."""
 
 from functools import partial
 
@@ -11,7 +12,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 from oracles import min_angle_loop
 
-from darcyperturb import fem2d
+from darcyperturb import fem2d, flatten
 from darcyperturb.flatten import assemble_flattened_stiffness, solve_flattened
 from darcyperturb.geometry import ForcingSpec, make_perturbation
 
@@ -32,13 +33,16 @@ def system(kind, nx, nz, amp, eps, k1=1.0, k2=1.0):
     return mesh, assemble_flattened_stiffness(mesh, sine(amp), eps, k1, k2)
 
 
+def reduced(mesh, K):
+    """The full matrix K restricted to the free nodes, and their ids."""
+    free = np.flatnonzero(mesh.free_mask)
+    return K[free][:, free], free
+
+
 def hierarchy(mesh, K):
     """Reduced system on the free nodes and its multigrid hierarchy."""
-    mask = np.ones(mesh.n_nodes, dtype=bool)
-    mask[mesh.dirichlet_nodes] = False
-    free = np.flatnonzero(mask)
-    A = K[free][:, free]
-    return A, free, fem2d._multigrid_levels(A, mask.reshape(mesh.node_grid.shape))
+    A, free = reduced(mesh, K)
+    return A, free, fem2d._multigrid_levels(A, mesh.free_mask)
 
 
 kinds = st.sampled_from(["fitted", "flattened"])
@@ -48,17 +52,34 @@ eps_values = st.floats(0.01, 1.0)
 k_values = st.floats(0.1, 10.0)
 
 
+@settings(deadline=None, max_examples=60)
+@given(kind=kinds, nx=sizes, nz=sizes, amp=amps, eps=eps_values, k1=k_values, k2=k_values)
+def test_free_node_assembly_is_the_reduced_full_matrix(kind, nx, nz, amp, eps, k1, k2):
+    # the solve assembles on the free nodes only; that must be K[free][:, free]
+    # of the public full assembly, bit for bit and in the same CSR layout
+    mesh, K = system(kind, nx, nz, amp, eps, k1, k2)
+    metric = fem2d._IDENTITY if kind == "fitted" else flatten._averaged_metric(mesh, sine(amp))
+    A = fem2d._assemble_p1(mesh, metric, eps, k1, k2, mesh.free_mask)
+    ref, _ = reduced(mesh, K)
+    assert A.shape == ref.shape and A.has_canonical_format
+    for name in ("data", "indices", "indptr"):
+        mine, theirs = getattr(A, name), getattr(ref, name)
+        assert mine.dtype == theirs.dtype
+        assert np.array_equal(mine.view(np.int64) if name == "data" else mine,
+                              theirs.view(np.int64) if name == "data" else theirs)
+
+
 @settings(deadline=None, max_examples=40)
 @given(kind=kinds, nx=sizes, nz=sizes, amp=amps, eps=eps_values, k1=k_values, k2=k_values,
        seed=st.integers(0, 2**32 - 1))
 def test_mg_cg_matches_direct_solve(kind, nx, nz, amp, eps, k1, k2, seed):
     mesh, K = system(kind, nx, nz, amp, eps, k1, k2)
-    load = np.random.default_rng(seed).standard_normal(mesh.n_nodes)
-    values, record = fem2d.cg_solve(K, load, mesh.dirichlet_nodes, mesh.node_grid.shape, rtol=1e-13)
-    A, free, _ = hierarchy(mesh, K)
-    direct = spla.spsolve(A.tocsc(), load[free])
-    assert np.linalg.norm(values[free] - direct) <= 1e-8 * np.linalg.norm(direct)
-    assert np.all(values[mesh.dirichlet_nodes] == 0.0)
+    A, free = reduced(mesh, K)
+    b = np.random.default_rng(seed).standard_normal(len(free))
+    x, record = fem2d.cg_solve(A, b, mesh.free_mask, rtol=1e-13)
+    direct = spla.spsolve(A.tocsc(), b)
+    assert x.shape == (len(free),)
+    assert np.linalg.norm(x - direct) <= 1e-8 * np.linalg.norm(direct)
     assert record["dofs"] == len(free)
     assert record["nnz"] == A.nnz
 
@@ -107,6 +128,8 @@ def test_solve_record_in_meta():
         assert q.meta["iterations"] >= 1
         assert 0.0 < q.meta["rel_residual"] <= 1e-10
         assert q.meta["dofs"] == q.mesh.n_nodes - len(q.mesh.dirichlet_nodes)
+        assert np.all(q.values[q.mesh.dirichlet_nodes] == 0.0)
+        assert np.all(q.values[q.mesh.free_mask.ravel()] != 0.0)
         # the reduced P1 matrix: a diagonal plus at most six neighbours per row
         assert q.meta["dofs"] < q.meta["nnz"] <= 7 * q.meta["dofs"]
         assert q.meta["levels"] >= 2
@@ -114,10 +137,10 @@ def test_solve_record_in_meta():
 
 def test_maxiter_exhaustion_raises_with_finite_residual():
     mesh = fem2d.build_fitted_mesh(sine(0.2), 16, 16)
-    K = fem2d.assemble_stiffness(mesh, 0.1, 1.0, 1.0)
+    A, free = reduced(mesh, fem2d.assemble_stiffness(mesh, 0.1, 1.0, 1.0))
     load = fem2d._load(mesh, FORCING.F, FORCING.f, FORCING.quadrature_order)
     with pytest.raises(fem2d.SolverConvergenceError) as info:
-        fem2d.cg_solve(K, load, mesh.dirichlet_nodes, mesh.node_grid.shape, rtol=1e-14, maxiter=1)
+        fem2d.cg_solve(A, load[free], mesh.free_mask, rtol=1e-14, maxiter=1)
     assert np.isfinite(info.value.residual) and info.value.residual > 0.0
 
 
@@ -218,8 +241,8 @@ def test_cg_solve_rejects_an_indefinite_system():
     w = ((-1.0) ** (j + l)).ravel()
     w[mesh.dirichlet_nodes] = 0.0
     w /= np.linalg.norm(w)
-    K = (K - 8.0 * sp.csr_matrix(np.outer(w, w))).tocsr()
+    A, free = reduced(mesh, (K - 8.0 * sp.csr_matrix(np.outer(w, w))).tocsr())
     load = np.random.default_rng(0).standard_normal(mesh.n_nodes)
     with pytest.raises(fem2d.SolverConvergenceError, match="not SPD") as info:
-        fem2d.cg_solve(K, load, mesh.dirichlet_nodes, mesh.node_grid.shape)
+        fem2d.cg_solve(A, load[free], mesh.free_mask)
     assert np.isfinite(info.value.residual)
