@@ -47,7 +47,6 @@ from .study import (
     check_estimates,
     emit_report,
     run_sequence,
-    shape_family,
 )
 from .config import RunConfig, load_config
 
@@ -81,7 +80,6 @@ __all__ = [
     "project_Hperp",
     "pullback_norm_bound",
     "run_sequence",
-    "shape_family",
     "solve_exact_1d",
     "solve_flattened",
     "solve_flattened_1d",

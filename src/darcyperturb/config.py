@@ -109,8 +109,8 @@ class RunConfig:
             raise ConfigError(f"dim must be 1 or 2, got {self.dim}")
         if not 0.0 < self.eps <= 1.0:
             raise ConfigError(f"eps must lie in (0, 1], got {self.eps}")
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ConfigError("k1, k2 must be positive")
+        if not (0.0 < self.k1 < np.inf and 0.0 < self.k2 < np.inf):
+            raise ConfigError(f"k1, k2 must be positive and finite, got {self.k1}, {self.k2}")
         if not 0.0 <= self.amplitude < 1.0:
             raise ConfigError(f"amplitude must lie in [0, 1), got {self.amplitude}")
         if self.n_cells < 4:
@@ -119,10 +119,16 @@ class RunConfig:
             raise ConfigError(f"nx, nz must be >= 2, got {self.nx}, {self.nz}")
         if self.quadrature_order < 1:
             raise ConfigError("quadrature_order must be a positive integer")
+        if self.continuity_tol is not None and not self.continuity_tol >= 0.0:
+            raise ConfigError(f"continuity_tol must be >= 0, got {self.continuity_tol}")
+        if not 0.0 < self.cg_rtol < 1.0:
+            raise ConfigError(f"cg_rtol must lie in (0, 1), got {self.cg_rtol}")
         if self.mode not in ("oned", "fitted2d", "flattened2d"):
             raise ConfigError(f"unknown study mode {self.mode!r}")
         if any(not 0.0 <= a < 1.0 for a in self.amplitudes):
             raise ConfigError("study amplitudes must lie in [0, 1)")
+        if self.gap_target is not None and not 0.0 < self.gap_target < np.inf:
+            raise ConfigError(f"gap_target must be positive and finite, got {self.gap_target}")
         return self
 
     # --- builders -----------------------------------------------------------

@@ -9,13 +9,13 @@ by 1 - zeta(x).  Each quad is split into two triangles.  Region 1 (below the
 interface) carries coefficient k1 and a Dirichlet outer boundary; region 2
 carries k2/eps and a Neumann outer boundary.
 
-Node (j, l) of column j and level l has id j (2 nz + 1) + l, and quad (j, l)
-with corners a = (j, l), b = (j+1, l), c = (j+1, l+1), d = (j, l+1) splits
-into triangle 2 (j 2 nz + l) = abc and its pair acd.  The per-row kernels
-(geometry, gradients, loads, stiffness) read slices of that node grid, not
-a connectivity table.  Every node couples to at most seven: the stiffness
-is summed as seven node-grid arrays, one per stencil entry, and the V-cycle
-coarsens by taking every other grid line.
+Node (j, l) of column j and level l has id j (2 nz + 1) + l, and the quads
+of the grid split into triangles as `geometry._ORIENTATIONS` says.  The
+per-row kernels (geometry, gradients, loads, stiffness) read slices of that
+node grid, not a connectivity table, and fields move between meshes with
+matching columns by one column-wise interpolation.  Every node couples to at
+most seven: the stiffness is summed as seven node-grid arrays, one per
+stencil entry, and the V-cycle coarsens by taking every other grid line.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from time import perf_counter
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import (Perturbation, _area_below, _check_eps, _grid_corners, column_map_inverse,
-                       validate_admissible)
+from .geometry import (_A, _B, _C, _D, _ORIENTATIONS, Perturbation, _area_below, _check_eps, _grid_corners,
+                       column_map_inverse, validate_admissible)
 from .quadrature import as_array_fn, gauss_rule, triangle_rule
 
 
@@ -45,11 +45,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# the corners a = (j, l), b = (j+1, l), c = (j+1, l+1), d = (j, l+1) of every
-# quad as slices of a node-grid array, and the corners of its triangles abc
-# (orientation 0) and acd (orientation 1)
-_A, _B, _C, _D = np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[1:, 1:], np.s_[:-1, 1:]
-_ORIENTATIONS = ((_A, _B, _C), (_A, _C, _D))
 # the two corners that follow each corner of a positively oriented triangle
 _NEXT = ((1, 2), (2, 0), (0, 1))
 
@@ -60,12 +55,11 @@ class Mesh2D:
     the abscissae of the nx + 1 columns and the heights of the 2 nz + 1
     levels of every column, level nz on the interface.
 
-    `node_grid`, `nodes`, `triangles`, `region`, the three edge lists,
-    `dirichlet_nodes` and `free_mask` are views derived from the grid on
-    first read; the per-row kernels read slices of the grid.  Immutable:
-    every array is read-only, and the triangle areas and smallest angle (no
-    hat gradients) are computed once per mesh.  Meshes compare and hash by
-    identity.
+    `node_grid`, `nodes`, `triangles`, `region`, `dirichlet_nodes` and
+    `free_mask` are views derived from the grid on first read; the per-row
+    kernels read slices of the grid.  Immutable: every array is read-only,
+    and the triangle areas and smallest angle (no hat gradients) are
+    computed once per mesh.  Meshes compare and hash by identity.
     """
 
     col_x: np.ndarray   # (nx+1,) column abscissae
@@ -104,34 +98,14 @@ class Mesh2D:
 
     @cached_property
     def triangles(self) -> np.ndarray:
-        """(n_tri, 3) positively oriented node triples: quad (j, l) splits into
-        triangles 2(j*2nz + l) = abc and its pair acd."""
+        """(n_tri, 3) positively oriented node triples, in the order of
+        `geometry._ORIENTATIONS`."""
         return _read_only(np.ascontiguousarray(self._corner_values(self.node_grid)))
 
     @cached_property
     def region(self) -> np.ndarray:
         """(n_tri,) 1 below the interface, 2 above."""
         return _read_only(np.tile(np.repeat(np.array([1, 2], dtype=np.int64), 2 * self.nz), self.nx))
-
-    @cached_property
-    def dirichlet_edges(self) -> np.ndarray:
-        """(nx + 2nz, 2) edges of the bottom z = -1 and of the lateral walls
-        below the interface level."""
-        grid, nz = self.node_grid, self.nz
-        return _read_only(np.concatenate([_chain(grid[:, 0]), _chain(grid[0, : nz + 1]),
-                                          _chain(grid[-1, : nz + 1])]))
-
-    @cached_property
-    def neumann_edges(self) -> np.ndarray:
-        """(nx + 2nz, 2) edges of the top z = 1 and of the walls above the
-        interface level."""
-        grid, nz = self.node_grid, self.nz
-        return _read_only(np.concatenate([_chain(grid[:, -1]), _chain(grid[0, nz:]), _chain(grid[-1, nz:])]))
-
-    @cached_property
-    def interface_edges(self) -> np.ndarray:
-        """(nx, 2) ordered polyline along the interface."""
-        return _read_only(_chain(self.node_grid[:, self.nz]))
 
     @cached_property
     def free_mask(self) -> np.ndarray:
@@ -192,11 +166,6 @@ class Mesh2D:
         return self._min_angle
 
 
-def _chain(ids: np.ndarray) -> np.ndarray:
-    """Consecutive node pairs along a grid line."""
-    return np.column_stack((ids[:-1], ids[1:]))
-
-
 @dataclass(frozen=True)
 class Field2D:
     """Nodal scalar field over a mesh; Dirichlet nodes carry value 0.
@@ -232,32 +201,30 @@ class Field2D:
         """(n_tri, 2) constant gradient per triangle (read-only)."""
         return self._gradients
 
-    def value(self, x, z):
-        """P1 interpolation at 1D arrays of points whose abscissae match mesh
-        columns."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        cols = _match_columns(x, self.mesh.col_x)
-        levels = self.mesh.levels
-        values = self.values.reshape(levels.shape)
-        # one stable sort groups the points by column: a mask per column would
-        # cost a pass over all points for each of the nx + 1 columns
-        order = np.argsort(cols, kind="stable")
-        starts = np.flatnonzero(np.diff(cols[order], prepend=-1))
-        out = np.empty_like(z)
-        for j, sel in zip(cols[order[starts]], np.split(order, starts[1:])):
-            out[sel] = np.interp(z[sel], levels[j], values[j])
-        return out
+
+# how far an abscissa may lie from the mesh column it is matched to
+_COLUMN_TOL = 1e-12
 
 
-def _match_columns(x: np.ndarray, col_x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _match_columns(x: np.ndarray, col_x: np.ndarray) -> np.ndarray:
     idx = np.clip(np.searchsorted(col_x, x), 0, len(col_x) - 1)
     idx = np.where((idx > 0) & (np.abs(col_x[np.maximum(idx - 1, 0)] - x) < np.abs(col_x[idx] - x)),
                    idx - 1, idx)
-    if np.any(np.abs(col_x[idx] - x) > tol):
-        bad = x[np.abs(col_x[idx] - x) > tol][:3]
+    if np.any(np.abs(col_x[idx] - x) > _COLUMN_TOL):
+        bad = x[np.abs(col_x[idx] - x) > _COLUMN_TOL][:3]
         raise ValueError(f"abscissae {bad} do not match mesh columns")
     return idx
+
+
+def _interp_columns(fld: Field2D, col_x: np.ndarray, heights: np.ndarray) -> np.ndarray:
+    """Values of the P1 field `fld` at the points of a node grid, flattened
+    row-major: row k of `heights` holds the point heights of the column at
+    abscissa col_x[k], which must be a column of the field's mesh.  One
+    linear interpolation up each column."""
+    levels = fld.mesh.levels
+    source = fld.values.reshape(levels.shape)
+    return np.concatenate([np.interp(z, levels[j], source[j])
+                           for z, j in zip(heights, _match_columns(col_x, fld.mesh.col_x))])
 
 
 def build_fitted_mesh(zeta: Perturbation, nx: int, nz: int) -> Mesh2D:
@@ -504,11 +471,11 @@ def _v_cycle(levels: list, coarsest: np.ndarray, r: np.ndarray) -> np.ndarray:
     return x
 
 
-def cg(A, b: np.ndarray, *, rtol: float = 1e-5, atol: float = 0.0, maxiter: int | None = None,
+def cg(A, b: np.ndarray, *, rtol: float = 1e-5, maxiter: int | None = None,
        M=None, callback=None) -> tuple[np.ndarray, int]:
     """Preconditioned conjugate gradients (Hestenes & Stiefel, 1952) from a
     zero guess, with the update order and the stopping rule of
-    `scipy.sparse.linalg.cg`: stop once ||r|| < max(atol, rtol ||b||).
+    `scipy.sparse.linalg.cg` at atol = 0: stop once ||r|| < rtol ||b||.
 
     `M` is a callable applying the preconditioner, `callback(x)` runs after
     every iteration.  Returns (x, 0) on convergence and (x, maxiter) when the
@@ -519,7 +486,7 @@ def cg(A, b: np.ndarray, *, rtol: float = 1e-5, atol: float = 0.0, maxiter: int 
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0
-    tol = max(float(atol), float(rtol) * float(bnorm))
+    tol = float(rtol) * float(bnorm)
     if maxiter is None:
         maxiter = 10 * len(b)
     x = np.zeros_like(b)
@@ -572,7 +539,7 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
         maxiter = int(50 * np.sqrt(len(b))) + 10
     # one entry per iteration, all the same iterate: the count is its length
     steps = []
-    x, info = cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter,
+    x, info = cg(A, b, rtol=rtol, maxiter=maxiter,
                  M=partial(_v_cycle, levels, coarsest), callback=steps.append)
     res = float(np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300))
     if info != 0:
@@ -615,11 +582,9 @@ def assemble_solve(mesh: Mesh2D, forcing, eps: float, k1: float = 1.0, k2: float
 
 
 def resample(b: Field2D, mesh: Mesh2D) -> Field2D:
-    """P1-interpolate a field onto the nodes of another mesh with matching columns."""
-    source = b.values.reshape(b.mesh.levels.shape)
-    values = [np.interp(z, b.mesh.levels[j], source[j])
-              for z, j in zip(mesh.levels, _match_columns(mesh.col_x, b.mesh.col_x))]
-    return Field2D(mesh=mesh, values=np.concatenate(values), label=f"resampled[{b.label}]")
+    """P1-interpolate a field onto the nodes of another mesh whose columns
+    are columns of the field's mesh."""
+    return Field2D(mesh=mesh, values=_interp_columns(b, mesh.col_x, mesh.levels), label=f"resampled[{b.label}]")
 
 
 def vnorm_diff_2d(a: Field2D, b: Field2D) -> float:

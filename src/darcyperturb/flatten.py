@@ -103,15 +103,21 @@ def pullback_norm_bound(zeta: Perturbation) -> float:
     return float(np.sqrt(max(2.0, 4.0 * zeta.norm_w1inf**2)))
 
 
-def ainv_norm_bound(zeta: Perturbation, dim: int = 2) -> float:
-    """Frobenius bound for A^{-1}: sqrt(N + 3 + 4 ||zeta||_W1inf^2)."""
-    return float(np.sqrt(dim + 3.0 + 4.0 * zeta.norm_w1inf**2))
+def ainv_norm_bound(zeta: Perturbation) -> float:
+    """Frobenius bound for A^{-1}: sqrt(N + 3 + 4 ||zeta||_W1inf^2), N = 2."""
+    return float(np.sqrt(2 + 3.0 + 4.0 * zeta.norm_w1inf**2))
 
 
-def coercivity_constant(zeta: Perturbation, dim: int = 2) -> float:
-    """Uniform lower bound e(zeta) on the metric spectrum, positive while
-    ||zeta||_C < 1."""
-    return float((1.0 - zeta.norm_sup) / (dim + 3.0 + 4.0 * zeta.norm_w1inf**2))
+def _coercivity(norm_sup, norm_w1inf, dim: int):
+    """(1 - ||zeta||_C) / (N + 3 + 4 ||zeta||_W1inf^2) in dimension N, for
+    norms given as numbers or arrays."""
+    return (1.0 - norm_sup) / (dim + 3.0 + 4.0 * norm_w1inf**2)
+
+
+def coercivity_constant(zeta: Perturbation) -> float:
+    """Uniform lower bound e(zeta) on the metric spectrum in 2D, positive
+    while ||zeta||_C < 1."""
+    return float(_coercivity(zeta.norm_sup, zeta.norm_w1inf, 2))
 
 
 def t_apply(zeta: Perturbation, field, direction: str, out_mesh: Mesh2D) -> Field2D:
@@ -119,19 +125,21 @@ def t_apply(zeta: Perturbation, field, direction: str, out_mesh: Mesh2D) -> Fiel
 
     direction "T": (T r)(x) = r(Lambda_i^{-1}(x)) for reference points x;
     direction "T_inverse": compose with the forward map at perturbed points.
-    Discrete fields are evaluated by column-wise P1 interpolation.
+    The maps keep x, so the source heights form a node grid over the columns
+    of `out_mesh`, and a discrete field is interpolated up its columns as
+    `fem2d.resample` does; its mesh must have those columns.
     """
     if direction not in ("T", "T_inverse"):
         raise ValueError(f"direction must be 'T' or 'T_inverse', got {direction!r}")
-    x = out_mesh.nodes[:, 0]
-    z = out_mesh.nodes[:, 1]
-    zv = zeta.value(x)
+    x, z = out_mesh.col_x, out_mesh.levels
+    zv = zeta.value(x)[:, None]
     if direction == "T":
         src_z = column_map_inverse(np.where(z < 0.0, -1.0, 1.0), zv, z)
     else:
         src_z = column_map(np.where(z < zv, -1.0, 1.0), zv, z)
     src_z = np.clip(src_z, -1.0, 1.0)
-    values = field.value(x, src_z) if isinstance(field, Field2D) else as_array_fn(field)(x, src_z)
+    values = (fem2d._interp_columns(field, x, src_z) if isinstance(field, Field2D)
+              else as_array_fn(field)(np.repeat(x, z.shape[1]), src_z.ravel()))
     return Field2D(mesh=out_mesh, values=values, label=f"{direction}[{getattr(field, 'label', 'fn')}]")
 
 

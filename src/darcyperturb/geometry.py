@@ -8,7 +8,8 @@ k2/eps, Neumann outer boundary).  A perturbation zeta moves the interface to
 the graph z = zeta(x) while keeping it pinned at the lateral walls.
 
 `column_map` and its inverse are the one form of the maps Lambda_i of
-`flatten`.  `_area_below`, the exact area of each triangle below a line, is
+`flatten`.  `_ORIENTATIONS` is the one split of the grid quads into
+triangles.  `_area_below`, the exact area of each triangle below a line, is
 the one triangle clip of the 2D code: both flat splits and `xi_perturbation`
 use it.
 """
@@ -250,13 +251,19 @@ def _check_eps(eps: float):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
 
 
+def _lower_bound(eps: float, swept):
+    """1 - eps*|1 - 1/eps|*swept for the measure `swept` of the strips (a
+    number or an array)."""
+    return 1.0 - eps * abs(1.0 - 1.0 / eps) * swept
+
+
 def lower_bound_constant(zeta: Perturbation, eps: float) -> float:
     """Constant 1 - eps*|1 - 1/eps|*(m1 + m2) bounding the perturbed energy form
     from below against the unperturbed one (coefficient as derived, see README
     notes on the displayed form)."""
     _check_eps(eps)
     m1, m2 = strip_measures(zeta)
-    return 1.0 - eps * abs(1.0 - 1.0 / eps) * (m1 + m2)
+    return _lower_bound(eps, m1 + m2)
 
 
 def column_scale(s, zv):
@@ -300,21 +307,27 @@ def _area_below(h: np.ndarray, area: np.ndarray) -> np.ndarray:
     return below
 
 
+# The quad split of every node grid: quad (j, l) has the corners
+# a = (j, l), b = (j+1, l), c = (j+1, l+1), d = (j, l+1), here as slices of a
+# node-grid array, and splits into the triangles abc (orientation 0) and acd
+# (orientation 1); triangle 2 (j 2nz + l) + o of a mesh is the triangle of
+# orientation o of quad (j, l).
+_A, _B, _C, _D = np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[1:, 1:], np.s_[:-1, 1:]
+_ORIENTATIONS = ((_A, _B, _C), (_A, _C, _D))
+
+
 def _grid_corners(V: np.ndarray) -> np.ndarray:
     """(3, columns, levels, 2) values of a node-grid array V of shape
-    (columns + 1, levels + 1) at the corners of its triangles: quad (j, l)
-    with corners a = (j, l), b = (j+1, l), c = (j+1, l+1), d = (j, l+1)
-    splits into the triangles abc and acd, in that order.
+    (columns + 1, levels + 1) at the corners of its triangles, by orientation.
 
     Corner-major, so `.reshape(3, -1).T` views the corners as the (n_tri, 3)
     rows of the triangles in order; six slice copies, faster than gathering
     through a triangle list.
     """
-    a, b, c, d = V[:-1, :-1], V[1:, :-1], V[1:, 1:], V[:-1, 1:]
-    out = np.empty((3,) + a.shape + (2,), dtype=V.dtype)
-    for o, corners in enumerate(((a, b, c), (a, c, d))):
-        for k, corner in enumerate(corners):
-            out[k, ..., o] = corner
+    out = np.empty((3, V.shape[0] - 1, V.shape[1] - 1, 2), dtype=V.dtype)
+    for o, corners in enumerate(_ORIENTATIONS):
+        for k, c in enumerate(corners):
+            out[k, ..., o] = V[c]
     return out
 
 

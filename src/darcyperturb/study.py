@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fem2d, flatten, solver1d
-from .geometry import FLAT_ZETA, Perturbation, lower_bound_constant, make_perturbation, xi_perturbation
+from .geometry import FLAT_ZETA, Perturbation, _lower_bound, lower_bound_constant, xi_perturbation
 
 SCHEMA_VERSION = 1
 
@@ -79,16 +79,6 @@ class ConvergenceRecord:
     bound_total: float = math.nan
     runtime: float = math.nan
     status: str = "ok"
-
-
-def shape_family(family: str, params: dict | None = None) -> Callable[[float], Perturbation]:
-    """Factory turning an amplitude into a perturbation of a fixed shape."""
-    params = dict(params or {})
-
-    def build(amplitude: float) -> Perturbation:
-        return make_perturbation(family, dict(params), amplitude)
-
-    return build
 
 
 def _check_amplitudes(amplitudes: Sequence[float]):
@@ -181,8 +171,10 @@ def _fill_oned(recs, zeta, p, forcing, eps) -> None:
     e1, e2, tot = solver1d.energy_split_1d(q, zeta, eps)
     put(energy_e1=e1, energy_e2=e2, energy_total=tot)
     put(energy_flat_total=solver1d.energy_split_1d(q, 0.0, eps)[2])
-    put(lower_bound_c=1.0 - eps * abs(1.0 - 1.0 / eps) * np.abs(zeta),
-        coercivity_e=(1.0 - np.abs(zeta)) / (1.0 + 3.0 + 4.0 * zeta * zeta))
+    # in 1D the strips sweep |zeta|, and both norms of zeta are |zeta|; an
+    # array, whose ** 2 is the product zeta * zeta (a float's is pow)
+    size = np.abs(np.atleast_1d(zeta))
+    put(lower_bound_c=_lower_bound(eps, size), coercivity_e=flatten._coercivity(size, size, 1))
     put(xi_p=solver1d.xi_1d(p, zeta))
     bound = solver1d.estimate_rhs_1d(forcing.F, forcing.f, zeta, eps)
     put(bound_h_part=bound.h_part, bound_hperp_part=bound.hperp_part, bound_total=bound.total)

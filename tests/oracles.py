@@ -24,6 +24,7 @@ import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 from darcyperturb.config import _EXPR_CONSTS, _EXPR_FUNCS
+from darcyperturb.fem2d import _match_columns
 from darcyperturb.flatten import _averaged_metric
 from darcyperturb.geometry import _area_below, _check_eps, _heights_above, make_perturbation, perturbation_from_table
 from darcyperturb.quadrature import (_ANTIDERIVATIVE_CELLS, _ANTIDERIVATIVE_ORDER, as_array_fn, gauss_rule,
@@ -422,6 +423,12 @@ def bits(a) -> np.ndarray:
 FLAT_SPLIT_SHAPES = {"sine": {"wavenumber": 1}, "bump": {}, "hat": {"knot": 0.3}}
 
 
+def sine_shape(amplitude):
+    """The wavenumber-1 sine perturbation at `amplitude`: the amplitude ->
+    perturbation shape that the 2D sweeps of the tests run."""
+    return make_perturbation("sine", {"wavenumber": 1}, amplitude)
+
+
 def signed_shape(family, amp, sign):
     """amp * shape for sign 1; for sign -1 the table of its negative."""
     zeta = make_perturbation(family, dict(FLAT_SPLIT_SHAPES[family]), amp)
@@ -528,6 +535,42 @@ def flattened_energy_split_flat(rho, zeta, eps, k1=1.0, k2=1.0):
                  _heights_above(mesh, -zc / (1.0 + zc)), _heights_above(mesh, -zc / (1.0 - zc)))
     below = _area_below(h, mesh.triangle_areas())
     return region_energies(rho, _averaged_metric(mesh, zeta), below, eps, k1, k2)
+
+
+# --- 2D fields at scattered points ------------------------------------------
+# Point-cloud evaluation, as `Field2D.value` and `t_apply` did it before the
+# source heights of T were formed on the node grid.
+
+
+def field_value(fld, x, z):
+    """P1 values of `fld` at 1D arrays of points whose abscissae match mesh
+    columns: the points grouped by column with one stable sort, then one
+    interpolation per column."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    cols = _match_columns(x, fld.mesh.col_x)
+    levels = fld.mesh.levels
+    values = fld.values.reshape(levels.shape)
+    order = np.argsort(cols, kind="stable")
+    starts = np.flatnonzero(np.diff(cols[order], prepend=-1))
+    out = np.empty_like(z)
+    for j, sel in zip(cols[order[starts]], np.split(order, starts[1:])):
+        out[sel] = np.interp(z[sel], levels[j], values[j])
+    return out
+
+
+def t_apply(zeta, field, direction, out_mesh):
+    """(n_nodes,) values of T (direction "T") or T^-1 ("T_inverse") of a
+    `Field2D` or a callable at the nodes of `out_mesh`, with zeta and the
+    source heights evaluated at every node of its point list."""
+    x, z = out_mesh.nodes[:, 0], out_mesh.nodes[:, 1]
+    zv = zeta.value(x)
+    if direction == "T":
+        src_z = unflatten_inline(np.where(z < 0.0, -1.0, 1.0), zv, z)
+    else:
+        src_z = flatten_inline(np.where(z < zv, -1.0, 1.0), zv, z)
+    src_z = np.clip(src_z, -1.0, 1.0)
+    return field_value(field, x, src_z) if hasattr(field, "mesh") else as_array_fn(field)(x, src_z)
 
 
 # --- the 2D mesh as connectivity lists, and its loads through them ------------

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from oracles import from_nodal, h1_norm_smooth, t_apply_smooth
+from oracles import from_nodal, h1_norm_smooth, sine_shape, t_apply_smooth
 
 from darcyperturb.cli import dispatch
 from darcyperturb.geometry import ForcingSpec, lower_bound_constant, make_perturbation
@@ -198,8 +198,7 @@ def test_criterion_8_twod_strong_convergence():
     fr = ForcingSpec(F=ZERO2, f=ONE2)
     eps = 0.1
     n = 64
-    shape = study.shape_family("sine", {"wavenumber": 1})
-    records = study.run_sequence(shape, [0.2, 0.1, 0.05, 0.025], fr, eps, n, "fitted2d")
+    records = study.run_sequence(sine_shape, [0.2, 0.1, 0.05, 0.025], fr, eps, n, "fitted2d")
     gaps = [r.vnorm_gap for r in records]
     ok = all(r.status == "ok" for r in records)
     ok &= all(b < a for a, b in zip(gaps, gaps[1:]))

@@ -406,6 +406,40 @@ def test_study_honours_cg_rtol(tmp_path, mode):
     assert records["loose"] != records["default"]
 
 
+def _rejected(tmp_path, capsys, command: str, text: str, key: str):
+    """Run `command` on the config `text` and check it exits 1 naming `key`,
+    having written nothing."""
+    cfg = write_config(tmp_path / "run.ini", text)
+    out = [] if command == "validate-zeta" else ["--out-dir" if command == "study" else "--out", str(tmp_path / "out")]
+    assert dispatch([command, "--config", str(cfg), *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["2", "1", "0", "-1", "nan", "inf"])
+def test_solve2d_rejects_cg_rtol_outside_the_unit_interval(tmp_path, capsys, value):
+    # 2 stopped CG before its first step and wrote zeros; -1 failed as "not SPD"
+    _rejected(tmp_path, capsys, "solve2d", GOOD_2D + f"cg_rtol = {value}\n", "cg_rtol")
+
+
+@pytest.mark.parametrize("line", ["k1 = nan", "k1 = inf", "k2 = nan", "k2 = -inf"])
+def test_solve2d_rejects_non_finite_k(tmp_path, capsys, line):
+    _rejected(tmp_path, capsys, "solve2d", GOOD_2D.replace("eps = 0.5\n", f"eps = 0.5\n{line}\n"), "k1, k2")
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.1", "-inf"])
+def test_validate_zeta_rejects_nan_or_negative_continuity_tol(tmp_path, capsys, value):
+    # NaN turned the check off: a flux jumping across the interface passed
+    text = GOOD_2D.replace("f = 1\n", f"f = sign(z)\ncontinuity_tol = {value}\n")
+    _rejected(tmp_path, capsys, "validate-zeta", text, "continuity_tol")
+
+
+@pytest.mark.parametrize("value", ["0", "-0.3", "nan", "inf"])
+def test_study_rejects_gap_target_that_is_not_positive_and_finite(tmp_path, capsys, value):
+    _rejected(tmp_path, capsys, "study", GOOD_1D.replace("gap_target = 0.3", f"gap_target = {value}"), "gap_target")
+
+
 # --- every documented failure maps to its exit code ---------------------------
 
 _NAME = st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True)

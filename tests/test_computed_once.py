@@ -10,11 +10,11 @@ from functools import cached_property
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import basis_gradients, bits, field_gradients
+from oracles import basis_gradients, bits, field_gradients, sine_shape
 
 from darcyperturb import fem2d, flatten
 from darcyperturb.geometry import ForcingSpec, make_perturbation
-from darcyperturb.study import run_sequence, shape_family
+from darcyperturb.study import run_sequence
 
 ONE2 = lambda x, z: np.ones_like(x)
 FORCING = ForcingSpec(F=lambda x, z: np.cos(x + z), f=ONE2)
@@ -78,7 +78,7 @@ def test_sweep_computes_each_field_gradient_once(monkeypatch, mode, per_row):
     prop = cached_property(counted)
     prop.__set_name__(fem2d.Field2D, "_gradients")
     monkeypatch.setattr(fem2d.Field2D, "_gradients", prop)
-    records = run_sequence(shape_family("sine"), [0.2, 0.1, 0.05], FORCING, 0.5, 8, mode)
+    records = run_sequence(sine_shape, [0.2, 0.1, 0.05], FORCING, 0.5, 8, mode)
     assert [r.status for r in records] == ["ok"] * 3
     assert len(computed) == 3 * per_row + 1
     assert computed.count("fitted-solve") == 1 + (mode == "fitted2d") * 3
@@ -128,7 +128,7 @@ def test_row_mesh_released_before_next_row(monkeypatch):
     monkeypatch.setattr(fem2d, "build_fitted_mesh", tracked)
     gc.disable()  # release by reference count, not by a collector pass
     try:
-        records = run_sequence(shape_family("sine"), [0.2, 0.1, 0.05], FORCING, 0.5, 8, "fitted2d")
+        records = run_sequence(sine_shape, [0.2, 0.1, 0.05], FORCING, 0.5, 8, "fitted2d")
     finally:
         gc.enable()
     assert [r.status for r in records] == ["ok"] * 3
@@ -153,7 +153,7 @@ def test_study_solves_without_a_full_matrix_or_hat_gradients(monkeypatch, mode):
         return meshes[-1]
 
     monkeypatch.setattr(fem2d, "build_fitted_mesh", kept)
-    records = run_sequence(shape_family("sine"), [0.2, 0.1], FORCING, 0.5, 8, mode)
+    records = run_sequence(sine_shape, [0.2, 0.1], FORCING, 0.5, 8, mode)
     assert [r.status for r in records] == ["ok"] * 2
     assert len(meshes) == (3 if mode == "fitted2d" else 1)
     for mesh in meshes:

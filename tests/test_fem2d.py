@@ -52,11 +52,12 @@ def test_mesh_region_areas():
 def test_mesh_interface_polyline():
     for amp in (0.0, 0.1, 0.3):
         m = build_fitted_mesh(sine(amp, k=2), 24, 8)
-        seg = m.nodes[m.interface_edges]
-        length = np.linalg.norm(seg[:, 1] - seg[:, 0], axis=1).sum()
+        length = np.hypot(np.diff(m.col_x), np.diff(m.zeta_at_cols)).sum()
         assert length >= 1.0 - 1e-12
-        # each interface edge separates one region-1 from one region-2 triangle
-        edge_set = {tuple(sorted(e)) for e in m.interface_edges}
+        # each edge between neighbouring interface nodes separates one
+        # region-1 from one region-2 triangle
+        iface = m.node_grid[:, m.nz]
+        edge_set = {tuple(sorted(e)) for e in zip(iface[:-1], iface[1:])}
         touching = {e: [] for e in edge_set}
         for t, tri in enumerate(m.triangles):
             for a in range(3):
@@ -83,26 +84,18 @@ def test_mesh_layout(nx, nz):
             assert m.region[t] == m.region[t + 1] == (1 if l < nz else 2)
     assert m.triangles.dtype == m.region.dtype == np.int64
 
-    def edge_set(edges):
-        return {tuple(sorted(e)) for e in edges}
+    # the Dirichlet set: the bottom, and the walls up to the interface level
+    bottom = {g[j, 0] for j in range(nx + 1)}
+    walls_below = {g[c, l] for c in (0, nx) for l in range(nz + 1)}
+    assert set(m.dirichlet_nodes) == bottom | walls_below
+    assert len(m.dirichlet_nodes) == (nx + 1) + 2 * nz
+    assert np.array_equal(m.dirichlet_nodes, np.flatnonzero(~m.free_mask))
+    assert m.free_mask.shape == g.shape and not m.free_mask.flags.writeable
 
-    bottom = {tuple(sorted((g[j, 0], g[j + 1, 0]))) for j in range(nx)}
-    top = {tuple(sorted((g[j, -1], g[j + 1, -1]))) for j in range(nx)}
-    walls_below = {tuple(sorted((g[c, l], g[c, l + 1]))) for c in (0, nx) for l in range(nz)}
-    walls_above = {tuple(sorted((g[c, l], g[c, l + 1]))) for c in (0, nx) for l in range(nz, 2 * nz)}
-    assert edge_set(m.dirichlet_edges) == bottom | walls_below
-    assert edge_set(m.neumann_edges) == top | walls_above
-    assert len(m.dirichlet_edges) == nx + 2 * nz
-    assert len(m.neumann_edges) == nx + 2 * nz
-
-    # ordered left-to-right polyline through the interface nodes
-    iface = m.interface_edges
-    assert iface.dtype == np.int64
-    assert [tuple(e) for e in iface] == [(g[j, nz], g[j + 1, nz]) for j in range(nx)]
-    assert np.array_equal(iface[1:, 0], iface[:-1, 1])
-    pts = m.nodes[iface[:, 0]]
-    assert np.allclose(pts[:, 0], m.col_x[:-1])
-    assert np.allclose(pts[:, 1], zeta.value(m.col_x[:-1]), atol=1e-15)
+    # level nz of every column is its interface node, at the height zeta(col_x)
+    assert np.array_equal(m.zeta_at_cols, m.levels[:, nz])
+    assert np.allclose(m.levels[:, nz], zeta.value(m.col_x), atol=1e-15)
+    assert np.array_equal(m.nodes[g[:, nz]], np.column_stack([m.col_x, m.levels[:, nz]]))
 
 
 def test_mesh_dirichlet_side():
@@ -153,7 +146,7 @@ def test_midline_profile_bounded_positive():
     m = build_fitted_mesh(sine(0.0), 32, 32)
     q = assemble_solve(m, forcing(f=ONE2), eps=0.5)
     zs = np.linspace(-1, 1, 33)
-    vals = q.value(np.full_like(zs, 0.5), zs)
+    vals = fem2d._interp_columns(q, np.array([0.5]), zs[None])
     assert np.all(np.isfinite(vals))
     assert np.all(vals[1:] > 0.0)
     assert np.max(vals) < 2.0
@@ -307,8 +300,9 @@ def test_resample_identity(nx, nz, family, amp, seed):
     rng = np.random.default_rng(seed)
     q = Field2D(mesh=m, values=rng.standard_normal(m.n_nodes))
     assert np.array_equal(resample(q, m).values, q.values)
-    perm = rng.permutation(m.n_nodes)
-    assert np.array_equal(q.value(m.nodes[perm, 0], m.nodes[perm, 1]), q.values[perm])
+    # the flat interface maps every height to itself
+    for direction in ("T", "T_inverse"):
+        assert np.array_equal(flatten.t_apply(FLAT_ZETA, q, direction, m).values, q.values)
 
 
 @settings(deadline=None, max_examples=60)
@@ -339,8 +333,7 @@ def test_node_grid_views_match_the_listed_mesh(nx, nz, family, sign, amp):
     zeta = oracles.signed_shape(family, amp, sign)
     for mesh, listed in ((build_fitted_mesh(zeta, nx, nz), oracles.listed_mesh(zeta, nx, nz)),
                          (build_fitted_mesh(FLAT_ZETA, nx, nz), oracles.listed_mesh(FLAT_ZETA, nx, nz))):
-        for name in ("nodes", "triangles", "region", "node_grid", "dirichlet_edges", "neumann_edges",
-                     "interface_edges", "dirichlet_nodes"):
+        for name in ("nodes", "triangles", "region", "node_grid", "dirichlet_nodes"):
             view, expected = getattr(mesh, name), getattr(listed, name)
             assert view.dtype == expected.dtype and view.shape == expected.shape
             assert np.array_equal(view.view(np.int64), expected.view(np.int64))

@@ -6,8 +6,11 @@ study` on `configs/<name>.ini`.  1D records must match byte for byte; 2D
 records must keep every status and agree in every numeric column to 1e-9
 relative, the room left for the summation order of the assembly.
 `tests/golden/solve1d-*.csv` are `solve1d` outputs, which read the values of
-the exact field, and must match byte for byte.  Regenerate a file only for an
-intended change of outputs.
+the exact field, and must match byte for byte.
+`tests/golden/flatten-solve-compare-<n>x<n>.csv` are the `--compare-fitted`
+tables of `flatten-solve` on `configs/solve2d-demo.ini`, the one command that
+pulls a fitted field back through T, and agree as the 2D records do.
+Regenerate a file only for an intended change of outputs.
 """
 
 import csv
@@ -36,17 +39,31 @@ def test_shipped_study_matches_golden(tmp_path, name):
     if name == "study-1d-sqrt":
         assert got == want
         return
-    got_rows, want_rows = _rows(got.decode()), _rows(want.decode())
+    _assert_close_rows(got.decode(), want.decode())
+
+
+def _assert_close_rows(got: str, want: str):
+    """The same columns, rows and statuses, and every number within REL_TOL_2D."""
+    got_rows, want_rows = _rows(got), _rows(want)
     assert list(got_rows[0]) == list(want_rows[0])
     assert len(got_rows) == len(want_rows)
     for k, (g, w) in enumerate(zip(got_rows, want_rows)):
-        assert g["status"] == w["status"], f"row {k}"
+        assert g.get("status") == w.get("status"), f"row {k}"
         for col in w:
             if col == "status":
                 continue
             a, b = float(g[col]), float(w[col])
             assert (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=REL_TOL_2D), \
                 f"row {k} {col}: {a!r} vs golden {b!r}"
+
+
+@pytest.mark.parametrize("n", [16, 15])
+def test_flatten_solve_comparison_matches_golden(tmp_path, n):
+    gaps = tmp_path / "gaps.csv"
+    argv = ["flatten-solve", "--config", str(CONFIGS / "solve2d-demo.ini"), "--nx", str(n), "--nz", str(n),
+            "--out", str(tmp_path / "rho.csv"), "--compare-fitted", str(gaps)]
+    assert dispatch(argv) == 0
+    _assert_close_rows(gaps.read_text(), (GOLDEN / f"flatten-solve-compare-{n}x{n}.csv").read_text())
 
 
 def test_both_2d_goldens_measure_one_flat_split():

@@ -157,7 +157,7 @@ def scipy_cg(A, b, *, rtol, maxiter, M=None):
 
 def our_cg(A, b, *, rtol, maxiter, M=None):
     steps = []
-    x, info = fem2d.cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M, callback=steps.append)
+    x, info = fem2d.cg(A, b, rtol=rtol, maxiter=maxiter, M=M, callback=steps.append)
     assert all(s is x for s in steps)
     return x, info, len(steps)
 

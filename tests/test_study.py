@@ -15,9 +15,8 @@ from darcyperturb.study import (
     emit_report,
     loglog_slope,
     run_sequence,
-    shape_family,
 )
-from oracles import FLUXES, SOURCES, TOL, bits, row_exact, row_study
+from oracles import FLUXES, SOURCES, TOL, bits, row_exact, row_study, sine_shape
 
 ZERO = lambda x: np.zeros_like(x)
 ONE = lambda x: np.ones_like(x)
@@ -97,7 +96,7 @@ def _sweep_with_failing_solver(monkeypatch, mode, error):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, solve)
-    return run_sequence(shape_family("sine"), [0.2, 0.1], fr, 0.5, 8, mode)
+    return run_sequence(sine_shape, [0.2, 0.1], fr, 0.5, 8, mode)
 
 
 @pytest.mark.parametrize("mode", ["oned", "fitted2d"])
@@ -293,8 +292,7 @@ def test_fitted2d_sweep_decreasing():
     from darcyperturb.geometry import make_perturbation
 
     fr = ForcingSpec(F=ZERO2, f=ONE2)
-    shape = shape_family("sine", {"wavenumber": 1})
-    recs = run_sequence(shape, [0.2, 0.1, 0.05], fr, 0.1, 24, "fitted2d")
+    recs = run_sequence(sine_shape, [0.2, 0.1, 0.05], fr, 0.1, 24, "fitted2d")
     gaps = [r.vnorm_gap for r in recs]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert all(r.status == "ok" for r in recs)
@@ -311,8 +309,7 @@ def test_fitted2d_sweep_decreasing():
 
 def test_flattened2d_sweep_matches_energy():
     fr = ForcingSpec(F=ZERO2, f=ONE2)
-    shape = shape_family("sine", {"wavenumber": 1})
-    recs = run_sequence(shape, [0.2, 0.1], fr, 0.1, 16, "flattened2d")
+    recs = run_sequence(sine_shape, [0.2, 0.1], fr, 0.1, 16, "flattened2d")
     assert all(r.status == "ok" for r in recs)
     assert recs[1].vnorm_gap < recs[0].vnorm_gap
     assert recs[0].energy_total > 0.0
