@@ -136,12 +136,13 @@ def _field_csv_1d(field, samples: int) -> str:
 
 
 def _cmd_solve1d(args) -> int:
-    cfg = _load(args, {"eps": args.eps, "dim": 1})
+    cfg = _load(args, {"eps": args.eps})
+    cfg.require_dim(1, "solve1d")
     _require_unit_k(cfg, "solve1d")
     zeta = 0.0 if args.zeta is None else args.zeta
     if not -1.0 < zeta < 1.0:
         raise ConfigError(f"--zeta must lie in (-1, 1), got {zeta}")
-    field = solver1d.solve_exact_1d(cfg.forcing(dim=1), zeta, cfg.eps)
+    field = solver1d.solve_exact_1d(cfg.forcing(), zeta, cfg.eps)
     _write_or_stdout(args.out, _field_csv_1d(field, args.samples))
     return EXIT_OK
 
@@ -161,20 +162,21 @@ def _mesh_csv(mesh) -> str:
 
 
 def _solve2d_config(args) -> RunConfig:
-    return _load(args, {
+    cfg = _load(args, {
         "family": getattr(args, "zeta_family", None),
         "amplitude": args.amplitude,
         "nx": args.nx,
         "nz": args.nz,
         "eps": args.eps,
-        "dim": 2,
     })
+    cfg.require_dim(2, args.command)
+    return cfg
 
 
 def _cmd_solve2d(args) -> int:
     cfg = _solve2d_config(args)
     mesh = fem2d.build_fitted_mesh(cfg.perturbation(), cfg.nx, cfg.nz)
-    field = fem2d.assemble_solve(mesh, cfg.forcing(dim=2), cfg.eps, cfg.k1, cfg.k2, rtol=cfg.cg_rtol)
+    field = fem2d.assemble_solve(mesh, cfg.forcing(), cfg.eps, cfg.k1, cfg.k2, rtol=cfg.cg_rtol)
     _write_or_stdout(args.out, _field_csv_2d(field))
     if args.mesh_out is not None:
         _write_or_stdout(args.mesh_out, _mesh_csv(mesh))
@@ -186,7 +188,7 @@ def _cmd_flatten_solve(args) -> int:
     if args.compare_fitted is not None:
         _require_square(cfg, "flatten-solve --compare-fitted")
     zeta = cfg.perturbation()
-    forcing = cfg.forcing(dim=2)
+    forcing = cfg.forcing()
     ref = fem2d.build_fitted_mesh(FLAT_ZETA, cfg.nx, cfg.nz)
     field = flatten.solve_flattened(zeta, forcing, cfg.eps, ref, cfg.k1, cfg.k2, rtol=cfg.cg_rtol)
     _write_or_stdout(args.out, _field_csv_2d(field))
@@ -213,6 +215,8 @@ def _cmd_flatten_solve(args) -> int:
 
 
 def _cmd_flatten_check(args) -> int:
+    if args.points < 1 or args.seed < 0:
+        raise ConfigError(f"flatten-check needs --points >= 1 and --seed >= 0, got {args.points} and {args.seed}")
     cfg = _load(args)
     # a table is checked as it is; another family at two amplitudes
     configured = [cfg.perturbation()] if cfg.family == "table" else [
@@ -245,10 +249,11 @@ def _cmd_study(args) -> int:
     _require_unit_k(cfg, "study")
     if cfg.family == "table":
         raise ConfigError("study cannot sweep a table perturbation: a table has no amplitude")
+    cfg.require_dim(1 if cfg.mode == "oned" else 2, f"study --mode {cfg.mode}")
     if cfg.mode != "oned":
         _require_square(cfg, f"study {cfg.mode}")
     out_dir = args.out_dir if args.out_dir is not None else Path("study-out")
-    forcing = cfg.forcing(dim=1 if cfg.mode == "oned" else 2)
+    forcing = cfg.forcing()
     resolution = cfg.n_cells if cfg.mode == "oned" else cfg.nx
     records = study_mod.run_sequence(
         cfg.shape() if cfg.mode != "oned" else None,

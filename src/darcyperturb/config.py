@@ -103,6 +103,8 @@ class RunConfig:
     gap_target: float | None = None
 
     base_dir: Path = field(default_factory=Path)
+    # whether the file sets [domain] dim, which a command then has to match
+    dim_given: bool = False
 
     def validate(self) -> "RunConfig":
         if self.dim not in (1, 2):
@@ -130,6 +132,13 @@ class RunConfig:
         if self.gap_target is not None and not 0.0 < self.gap_target < np.inf:
             raise ConfigError(f"gap_target must be positive and finite, got {self.gap_target}")
         return self
+
+    def require_dim(self, dim: int, command: str) -> None:
+        """Run in `dim` dimensions, rejecting a [domain] dim of the file that
+        says otherwise (a file without one suits every command)."""
+        if self.dim_given and self.dim != dim:
+            raise ConfigError(f"{command} solves in {dim}D, but the config sets dim = {self.dim}")
+        self.dim = dim
 
     # --- builders -----------------------------------------------------------
 
@@ -242,6 +251,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path}: {exc}") from exc
         cfg.base_dir = path.parent
+        cfg.dim_given = parser.has_option("domain", "dim")
     for section in parser.sections():
         if section not in _SECTION_KEYS:
             raise ConfigError(f"unknown config section [{section}]")

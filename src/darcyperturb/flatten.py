@@ -16,8 +16,6 @@ once per column and triangle orientation.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -100,18 +98,22 @@ def transfer(i: int, zeta: Perturbation, x, z):
 
 def pullback_norm_bound(zeta: Perturbation) -> float:
     """Operator-norm bound of the pullback on H1: sqrt(max(2, 4 ||zeta||_W1inf^2))."""
-    return float(np.sqrt(max(2.0, 4.0 * zeta.norm_w1inf**2)))
+    w = zeta.norm_w1inf
+    return float(np.sqrt(max(2.0, 4.0 * (w * w))))
 
 
 def ainv_norm_bound(zeta: Perturbation) -> float:
     """Frobenius bound for A^{-1}: sqrt(N + 3 + 4 ||zeta||_W1inf^2), N = 2."""
-    return float(np.sqrt(2 + 3.0 + 4.0 * zeta.norm_w1inf**2))
+    w = zeta.norm_w1inf
+    return float(np.sqrt(2 + 3.0 + 4.0 * (w * w)))
 
 
 def _coercivity(norm_sup, norm_w1inf, dim: int):
     """(1 - ||zeta||_C) / (N + 3 + 4 ||zeta||_W1inf^2) in dimension N, for
-    norms given as numbers or arrays."""
-    return (1.0 - norm_sup) / (dim + 3.0 + 4.0 * norm_w1inf**2)
+    norms given as numbers or arrays, with the same bits for a number and a
+    one-element array: the square is a product (a float's ** 2 is C pow,
+    which differs from it in about 1 of 1,200 draws)."""
+    return (1.0 - norm_sup) / (dim + 3.0 + 4.0 * (norm_w1inf * norm_w1inf))
 
 
 def coercivity_constant(zeta: Perturbation) -> float:
@@ -154,7 +156,6 @@ def _by_region(mesh: Mesh2D, a: np.ndarray) -> np.ndarray:
 _REGION_SIGNS = np.array([-1.0, 1.0])[:, None]
 
 
-@lru_cache(maxsize=1)
 def _averaged_metric(mesh: Mesh2D, zeta: Perturbation) -> np.ndarray:
     """(3, n_tri) entries (m00, m01, m11) of the metric averaged over each
     triangle with the degree-2 rule.
@@ -165,8 +166,8 @@ def _averaged_metric(mesh: Mesh2D, zeta: Perturbation) -> np.ndarray:
     and its gradient are read once per column, triangle orientation and
     point, m00 is formed per column and region, and the levels enter m01 and
     m11 through the per-point stretch (per level on the reference mesh).
-    Kept for the last (mesh, zeta), so a row's solve and energy split share
-    it; read-only.
+    Computed for each use and not kept, so it dies with the assembly or the
+    energy split that reads it; read-only.
     """
     bary, wq = triangle_rule(2)
     x_corners, z_corners = zip(*mesh._corners())

@@ -171,9 +171,8 @@ def _fill_oned(recs, zeta, p, forcing, eps) -> None:
     e1, e2, tot = solver1d.energy_split_1d(q, zeta, eps)
     put(energy_e1=e1, energy_e2=e2, energy_total=tot)
     put(energy_flat_total=solver1d.energy_split_1d(q, 0.0, eps)[2])
-    # in 1D the strips sweep |zeta|, and both norms of zeta are |zeta|; an
-    # array, whose ** 2 is the product zeta * zeta (a float's is pow)
-    size = np.abs(np.atleast_1d(zeta))
+    # in 1D the strips sweep |zeta|, and both norms of zeta are |zeta|
+    size = np.abs(zeta)
     put(lower_bound_c=_lower_bound(eps, size), coercivity_e=flatten._coercivity(size, size, 1))
     put(xi_p=solver1d.xi_1d(p, zeta))
     bound = solver1d.estimate_rhs_1d(forcing.F, forcing.f, zeta, eps)

@@ -202,6 +202,18 @@ def test_flatten_check_ok():
     assert dispatch(["flatten-check", "--points", "200"]) == 0
 
 
+@pytest.mark.parametrize("flag, value", [("--points", "0"), ("--points", "-3"), ("--seed", "-1")])
+def test_flatten_check_rejects_no_points_or_a_negative_seed(capsys, flag, value):
+    assert dispatch(["flatten-check", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: flatten-check needs --points >= 1 and --seed >= 0")
+    assert flag in err and value in err
+
+
+def test_flatten_check_runs_on_one_point():
+    assert dispatch(["flatten-check", "--points", "1", "--seed", "0"]) == 0
+
+
 def test_flatten_solve_with_comparison(tmp_path):
     cfg = write_config(tmp_path / "run.ini", GOOD_2D.replace("nx = 8", "nx = 16").replace("nz = 8", "nz = 16"))
     out = tmp_path / "rho.csv"
@@ -292,6 +304,29 @@ def test_study_rejects_a_table_perturbation(tmp_path, capsys, mode):
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and "table" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text, argv", [
+    (GOOD_1D, ["study", "--mode", "fitted2d"]),
+    (GOOD_1D, ["study", "--mode", "flattened2d"]),
+    (GOOD_1D, ["solve2d"]),
+    (GOOD_1D, ["flatten-solve"]),
+    (GOOD_2D, ["study", "--mode", "oned"]),
+    (GOOD_2D, ["solve1d"]),
+])
+def test_dim_that_contradicts_the_command_is_rejected(tmp_path, capsys, text, argv):
+    # a command in the other dimension would ignore the config's family,
+    # forcing variables and mesh sizes
+    text += "\n[solver]\nnx = 8\nnz = 8\n" if "[solver]" not in text else ""
+    out = ["--out-dir", str(tmp_path / "out")] if argv[0] == "study" else ["--out", str(tmp_path / "out")]
+    cfg = write_config(tmp_path / "run.ini", text)
+    assert dispatch([*argv, "--config", str(cfg), *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {' '.join(argv)} solves in") and "dim = " in err
+    assert not (tmp_path / "out").exists()
+    # a config without dim suits every command
+    write_config(cfg, text.replace("dim = 1\n", "").replace("dim = 2\n", ""))
+    assert dispatch([*argv, "--config", str(cfg), *out]) == 0
 
 
 def test_study_end_to_end(tmp_path):

@@ -1,15 +1,18 @@
 """Per-mesh, per-field and per-row invariants computed once: the cached
 triangle areas of a mesh (its only stored geometry), the gradient of a
-field, the averaged flattening metric of the last (mesh, zeta), and the
-release of each study row's mesh before the next row builds its own."""
+field, and the release of what a 2D solve no longer needs: each study row's
+mesh before the next row builds its own, the averaged flattening metric
+after each use, and the assembly's couplings before its CSR gather."""
 
 import gc
+import tracemalloc
 import weakref
 from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import oracles
 from oracles import basis_gradients, bits, field_gradients, sine_shape
 
 from darcyperturb import fem2d, flatten
@@ -91,26 +94,72 @@ def test_meshes_hash_by_identity():
     assert len({a, b}) == 2
 
 
-def test_metric_memo_follows_zeta():
+def test_metric_is_formed_per_zeta_and_read_only():
+    # no memo: every call forms the metric of its own zeta afresh, the same
+    # bits for the same zeta, and the stiffness follows it
     ref = fem2d.build_fitted_mesh(sine(0.0), 8, 8)
     z1, z2 = sine(0.3), sine(0.1, k=2)
-    memo = [flatten.assemble_flattened_stiffness(ref, z, 0.1) for z in (z1, z2, z1)]
-    for K, z in zip(memo, (z1, z2, z1)):
-        flatten._averaged_metric.cache_clear()
-        fresh = flatten.assemble_flattened_stiffness(ref, z, 0.1)
-        assert np.array_equal(K.toarray(), fresh.toarray())
-    assert not np.array_equal(memo[0].toarray(), memo[1].toarray())
-    assert not flatten._averaged_metric(ref, z1).flags.writeable
+    first, second, again = (flatten._averaged_metric(ref, z) for z in (z1, z2, z1))
+    assert again is not first and np.array_equal(bits(again), bits(first))
+    assert flatten._averaged_metric(ref, z1) is not flatten._averaged_metric(ref, z1)
+    assert not np.array_equal(first, second)
+    assert not any(m.flags.writeable for m in (first, second, again))
+    for z, metric in ((z1, first), (z2, second)):
+        K = flatten.assemble_flattened_stiffness(ref, z, 0.1)
+        assert np.array_equal(K.toarray(), fem2d._assemble_p1(ref, metric, 0.1, 1.0, 1.0).toarray())
 
 
 def test_energy_split_uses_its_own_zeta():
+    # the split after a solve of another zeta reads the metric of its own
     ref = fem2d.build_fitted_mesh(sine(0.0), 8, 8)
     z1, z2 = sine(0.3), sine(0.1, k=2)
     rho = flatten.solve_flattened(z1, FORCING, 0.1, ref)
     split = flatten.flattened_energy_split(rho, z2, 0.1)
-    flatten._averaged_metric.cache_clear()
+    assert split[:3] == pytest.approx(oracles.flattened_energy_split(rho, z2, 0.1), rel=1e-12)
     assert split == flatten.flattened_energy_split(rho, z2, 0.1)
     assert split != flatten.flattened_energy_split(rho, z1, 0.1)
+
+
+def test_flattened_sweep_keeps_no_metric(monkeypatch):
+    # each row's solve and energy split form the metric for themselves, and
+    # it dies with them: no metric array outlives its use
+    formed = []
+    metric = flatten._averaged_metric
+
+    def tracked(mesh, zeta):
+        m = metric(mesh, zeta)
+        formed.append(weakref.ref(m))
+        return m
+
+    monkeypatch.setattr(flatten, "_averaged_metric", tracked)
+    gc.disable()  # release by reference count, not by a collector pass
+    try:
+        records = run_sequence(sine_shape, [0.2, 0.1, 0.05], FORCING, 0.5, 8, "flattened2d")
+    finally:
+        gc.enable()
+    assert [r.status for r in records] == ["ok"] * 3
+    assert len(formed) == 2 * 3
+    assert [k for k, ref in enumerate(formed) if ref() is not None] == []
+
+
+@pytest.mark.parametrize("kind", ["fitted", "flattened"])
+def test_assembly_peak_is_the_stencil_and_the_csr_arrays(kind):
+    # the six coupling arrays, each about the size of a node-grid array, are
+    # freed once summed into the stencil, so above its entry the assembly
+    # holds at most the stencil, the CSR arrays and a slack of four node-grid
+    # arrays
+    mesh = fem2d.build_fitted_mesh(sine(0.0), 64, 64)
+    metric = fem2d._IDENTITY if kind == "fitted" else flatten._averaged_metric(mesh, sine(0.3))
+    fem2d._assemble_p1(mesh, metric, 0.5, 1.0, 1.0, mesh.free_mask)  # the mesh's cached views
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        K = fem2d._assemble_p1(mesh, metric, 0.5, 1.0, 1.0, mesh.free_mask)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    grid = mesh.n_nodes * 8
+    assert peak <= 7 * grid + K.data.nbytes + K.indices.nbytes + K.indptr.nbytes + 4 * grid
 
 
 def test_row_mesh_released_before_next_row(monkeypatch):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import oracles
 from oracles import FLAT_SPLIT_SHAPES, bits, h1_norm_smooth, signed_shape, t_apply_smooth
 
@@ -9,6 +9,7 @@ from darcyperturb.geometry import (FLAT_ZETA, ForcingSpec, _heights_above, colum
 from darcyperturb import fem2d, solver1d
 from darcyperturb.flatten import (
     _averaged_metric,
+    _coercivity,
     ainv_norm_bound,
     assemble_flattened_load,
     assemble_flattened_stiffness,
@@ -161,6 +162,16 @@ def test_bounds_arithmetic():
         norm_w1inf = 1.0
 
     assert coercivity_constant(Fake2()) == pytest.approx(0.75 / 9.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(size=st.floats(0.0, 1.0), dim=st.sampled_from([1, 2]))
+@example(size=0.41645, dim=1)
+@example(size=0.5102, dim=2)
+def test_coercivity_of_a_number_has_the_bits_of_a_one_element_array(size, dim):
+    # a 1D sweep passes the norms of a batch as arrays and of one row as numbers
+    one = np.array([size])
+    assert bits(_coercivity(size, size, dim)) == bits(_coercivity(one, one, dim))[0]
 
 
 def test_matrix_property_report():

@@ -119,9 +119,11 @@ def test_solve_record_in_meta():
     flattened = solve_flattened(sine(0.2), FORCING, 0.1, ref)
     for q in (fitted, flattened):
         assert {"solver", "iterations", "rel_residual", "dofs", "nnz", "levels",
-                "assemble_s", "stiffness_s", "load_s", "solve_s", "min_angle"} <= set(q.meta)
+                "assemble_s", "stiffness_s", "load_s", "solve_s", "mg_setup_s", "min_angle"} <= set(q.meta)
         assert q.meta["assemble_s"] >= 0.0 and q.meta["solve_s"] >= 0.0
         assert q.meta["stiffness_s"] >= 0.0 and q.meta["load_s"] >= 0.0
+        # the hierarchy is built inside the solve
+        assert 0.0 < q.meta["mg_setup_s"] < q.meta["solve_s"]
         assert q.meta["assemble_s"] == pytest.approx(q.meta["stiffness_s"] + q.meta["load_s"], abs=1e-12)
         assert q.meta["min_angle"] == q.mesh.min_angle() == min_angle_loop(q.mesh)
         assert q.meta["solver"] == "mg-cg"
