@@ -112,6 +112,9 @@ def _write_or_stdout(path: Path | None, text: str):
 
 
 def _cmd_validate_zeta(args) -> int:
+    # three samples leave one interior point for the gradient check
+    if args.samples < 3:
+        raise ConfigError(f"validate-zeta needs --samples >= 3, got {args.samples}")
     cfg = _load(args, {"amplitude": args.amplitude})
     zeta = cfg.perturbation()
     report = validate_admissible(zeta, samples=args.samples)
@@ -136,6 +139,9 @@ def _field_csv_1d(field, samples: int) -> str:
 
 
 def _cmd_solve1d(args) -> int:
+    # two samples make the grid span [-1, 1]
+    if args.samples < 2:
+        raise ConfigError(f"solve1d needs --samples >= 2, got {args.samples}")
     cfg = _load(args, {"eps": args.eps})
     cfg.require_dim(1, "solve1d")
     _require_unit_k(cfg, "solve1d")
@@ -187,6 +193,9 @@ def _cmd_flatten_solve(args) -> int:
     cfg = _solve2d_config(args)
     if args.compare_fitted is not None:
         _require_square(cfg, "flatten-solve --compare-fitted")
+        # the table halves n down to 8, so a smaller n would give no row
+        if cfg.nx < 8:
+            raise ConfigError(f"flatten-solve --compare-fitted needs nx >= 8, got nx = {cfg.nx}")
     zeta = cfg.perturbation()
     forcing = cfg.forcing()
     ref = fem2d.build_fitted_mesh(FLAT_ZETA, cfg.nx, cfg.nz)
@@ -253,13 +262,10 @@ def _cmd_study(args) -> int:
     if cfg.mode != "oned":
         _require_square(cfg, f"study {cfg.mode}")
     out_dir = args.out_dir if args.out_dir is not None else Path("study-out")
-    forcing = cfg.forcing()
     resolution = cfg.n_cells if cfg.mode == "oned" else cfg.nx
-    records = study_mod.run_sequence(
-        cfg.shape() if cfg.mode != "oned" else None,
-        cfg.amplitudes, forcing, cfg.eps, resolution, cfg.mode, rtol=cfg.cg_rtol,
-    )
-    verdict = study_mod.check_estimates(records, cfg.mode, cfg.gap_target)
+    records = study_mod.run_sequence(cfg.perturbation, cfg.amplitudes, cfg.forcing(), cfg.eps, resolution,
+                                     cfg.mode, rtol=cfg.cg_rtol)
+    verdict = study_mod.check_estimates(records, cfg.gap_target)
     paths = study_mod.emit_report(records, out_dir, estimate_report=verdict)
     # estimate failures are part of the report, not a run failure (see README)
     for failure in verdict.failures:

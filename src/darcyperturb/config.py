@@ -164,10 +164,6 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def shape(self):
-        """Amplitude -> Perturbation factory for studies."""
-        return lambda amp: self.perturbation(amplitude=amp)
-
     def forcing(self, dim: int | None = None) -> ForcingSpec:
         dim = self.dim if dim is None else dim
         variables = ("x",) if dim == 1 else ("x", "z")

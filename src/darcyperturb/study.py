@@ -63,9 +63,9 @@ class ConvergenceRecord:
     """One row of a perturbation sweep."""
 
     amplitude: float
-    norm_sup: float
-    norm_w1inf: float
     resolution: int
+    norm_sup: float = math.nan
+    norm_w1inf: float = math.nan
     vnorm_gap: float = math.nan
     energy_e1: float = math.nan
     energy_e2: float = math.nan
@@ -97,26 +97,30 @@ def run_sequence(shape: Callable[[float], Perturbation] | None, amplitudes: Sequ
                  *, rtol: float = 1e-10) -> list[ConvergenceRecord]:
     """Solve the perturbed problem along a decreasing amplitude sequence.
 
-    The unperturbed solution is computed once and reused.  Solver errors mark
-    the affected row as failed without aborting the sweep.  `rtol` is the CG
-    tolerance of the 2D solves.
+    Every mode computes the unperturbed solution once and fills its rows
+    through one driver, `_rows`, in batches: runs of one structure in 1D, one
+    row each in 2D.  Expected numerical errors (`_ROW_ERRORS`) mark the
+    affected row as failed without aborting the sweep; any other error
+    propagates.  A 2D sweep builds every zeta = shape(amp) before its first
+    solve, so an invalid shape parameter raises instead of failing rows.
+    `rtol` is the CG tolerance of the 2D solves.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     amps = _check_amplitudes(amplitudes)
     if mode == "oned":
-        return _run_oned(amps, forcing, eps, resolution)
-    if shape is None:
-        raise ValueError("2D modes need a perturbation shape")
-    return _run_twod(shape, amps, forcing, eps, resolution, mode, rtol)
-
-
-def _run_oned(amps, forcing, eps, resolution) -> list[ConvergenceRecord]:
-    p = solver1d.solve_exact_1d(forcing, 0.0, eps)
-    records = []
-    for batch in _oned_batches(amps):
-        records += _oned_rows(batch, p, forcing, eps, resolution)
-    return records
+        p = solver1d.solve_exact_1d(forcing, 0.0, eps)
+        fill = lambda recs, zeta: _fill_oned(recs, zeta, p, forcing, eps)
+        batches = _oned_batches(amps)
+    else:
+        if shape is None:
+            raise ValueError("2D modes need a perturbation shape")
+        zetas = {amp: shape(amp) for amp in amps}
+        n = int(resolution)
+        p = fem2d.assemble_solve(fem2d.build_fitted_mesh(FLAT_ZETA, n, n), forcing, eps=eps, rtol=rtol)
+        fill = lambda recs, amp: _twod_row(recs[0], p, zetas[amp], forcing, eps, mode, rtol)
+        batches = ([amp] for amp in amps)
+    return [rec for batch in batches for rec in _rows(batch, fill, resolution)]
 
 
 def _oned_batches(amps):
@@ -131,22 +135,22 @@ def _oned_batches(amps):
             yield run[k:k + step]
 
 
-def _oned_rows(amps, p, forcing, eps, resolution) -> list[ConvergenceRecord]:
-    """Records of `amps`, solved together (one amplitude as a scalar).
+def _rows(amps, fill, resolution) -> list[ConvergenceRecord]:
+    """Records of the batch `amps`, filled together by fill(recs, zeta), with
+    zeta the amplitudes as an array (one amplitude as a float).
 
-    A batch that fails is solved again one row at a time, so a failing row
+    A batch that fails is filled again one row at a time, so a failing row
     fails alone, and the failed attempt's time is shared over its rows.  Each
     row's runtime is the batch's time over its rows.
     """
-    recs = [ConvergenceRecord(amplitude=amp, norm_sup=abs(amp), norm_w1inf=abs(amp),
-                              resolution=int(resolution)) for amp in amps]
+    recs = [ConvergenceRecord(amplitude=amp, resolution=int(resolution)) for amp in amps]
     t0 = perf_counter()
     try:
-        _fill_oned(recs, np.array(amps) if len(amps) > 1 else amps[0], p, forcing, eps)
+        fill(recs, np.array(amps) if len(amps) > 1 else amps[0])
     except _ROW_ERRORS as exc:  # keep sweeping
         if len(amps) > 1:
             attempt = (perf_counter() - t0) / len(amps)
-            recs = [rec for amp in amps for rec in _oned_rows([amp], p, forcing, eps, resolution)]
+            recs = [rec for amp in amps for rec in _rows([amp], fill, resolution)]
             for rec in recs:
                 rec.runtime += attempt
             return recs
@@ -166,36 +170,18 @@ def _fill_oned(recs, zeta, p, forcing, eps) -> None:
             for rec, v in zip(recs, np.broadcast_to(values, len(recs))):
                 setattr(rec, name, float(v))
 
+    # in 1D the strips sweep |zeta|, and both norms of zeta are |zeta|
+    size = np.abs(zeta)
+    put(norm_sup=size, norm_w1inf=size)
     q = solver1d.solve_exact_1d(forcing, zeta, eps)
     put(vnorm_gap=solver1d.vnorm_diff_1d(p, q))
     e1, e2, tot = solver1d.energy_split_1d(q, zeta, eps)
     put(energy_e1=e1, energy_e2=e2, energy_total=tot)
     put(energy_flat_total=solver1d.energy_split_1d(q, 0.0, eps)[2])
-    # in 1D the strips sweep |zeta|, and both norms of zeta are |zeta|
-    size = np.abs(zeta)
     put(lower_bound_c=_lower_bound(eps, size), coercivity_e=flatten._coercivity(size, size, 1))
     put(xi_p=solver1d.xi_1d(p, zeta))
     bound = solver1d.estimate_rhs_1d(forcing.F, forcing.f, zeta, eps)
     put(bound_h_part=bound.h_part, bound_hperp_part=bound.hperp_part, bound_total=bound.total)
-
-
-def _run_twod(shape, amps, forcing, eps, resolution, mode, rtol) -> list[ConvergenceRecord]:
-    n = int(resolution)
-    ref_mesh = fem2d.build_fitted_mesh(FLAT_ZETA, n, n)
-    p = fem2d.assemble_solve(ref_mesh, forcing, eps=eps, rtol=rtol)
-    records = []
-    for amp in amps:
-        zeta = shape(amp)
-        rec = ConvergenceRecord(amplitude=amp, norm_sup=zeta.norm_sup,
-                                norm_w1inf=zeta.norm_w1inf, resolution=n)
-        t0 = perf_counter()
-        try:
-            _twod_row(rec, p, zeta, forcing, eps, mode, rtol)
-        except _ROW_ERRORS as exc:
-            rec.status = f"failed: {exc}"
-        rec.runtime = perf_counter() - t0
-        records.append(rec)
-    return records
 
 
 def _twod_row(rec: ConvergenceRecord, p: fem2d.Field2D, zeta: Perturbation, forcing,
@@ -205,6 +191,7 @@ def _twod_row(rec: ConvergenceRecord, p: fem2d.Field2D, zeta: Perturbation, forc
     A function of its own so that the row's mesh, field and cached mesh
     geometry are released before the next row builds its mesh.
     """
+    rec.norm_sup, rec.norm_w1inf = zeta.norm_sup, zeta.norm_w1inf
     rec.lower_bound_c = lower_bound_constant(zeta, eps)
     rec.coercivity_e = flatten.coercivity_constant(zeta)
     rec.xi_p = xi_perturbation(p, zeta)
@@ -225,20 +212,21 @@ class EstimateReport:
     failures: tuple[str, ...] = ()
 
 
-def check_estimates(records: Sequence[ConvergenceRecord], mode: str,
+def check_estimates(records: Sequence[ConvergenceRecord],
                     gap_target: float | None = None) -> EstimateReport:
     """Assert the measured rows against the perturbation inequalities.
 
-    Per row: the 1D gap must respect the explicit bound, and the diagonal
-    energy must dominate lower_bound_c times the flat-split energy.  The last
-    row's gap is checked against `gap_target` when given.
+    Per row: the gap must respect the explicit bound where the row has one
+    (1D rows; 2D rows leave bound_total at NaN), and the diagonal energy must
+    dominate lower_bound_c times the flat-split energy.  The last row's gap is
+    checked against `gap_target` when given.
     """
     failures: list[str] = []
     for k, rec in enumerate(records):
         if rec.status != "ok":
             failures.append(f"row {k}: {rec.status}")
             continue
-        if mode == "oned" and not math.isnan(rec.bound_total):
+        if not math.isnan(rec.bound_total):
             if rec.vnorm_gap > rec.bound_total + 1e-9:
                 failures.append(
                     f"row {k}: gap {rec.vnorm_gap:.6e} exceeds bound {rec.bound_total:.6e}"

@@ -186,6 +186,28 @@ def test_solve1d_rejects_bad_zeta(tmp_path):
     assert dispatch(["solve1d", "--zeta", "1.5", "--out", str(tmp_path / "x.csv")]) == 1
 
 
+@pytest.mark.parametrize("samples", ["-3", "0", "1", "2"])
+def test_validate_zeta_rejects_too_few_samples(capsys, samples):
+    # sampling x = 0 alone, or no interior point for the gradient, checks nothing
+    assert dispatch(["validate-zeta", "--samples", samples]) == 1
+    err = capsys.readouterr().err
+    assert err == f"validation error: validate-zeta needs --samples >= 3, got {samples}\n"
+    assert dispatch(["validate-zeta", "--samples", "3"]) == 0
+
+
+@pytest.mark.parametrize("samples", ["-4", "0", "1"])
+def test_solve1d_rejects_too_few_samples(tmp_path, capsys, samples):
+    out = tmp_path / "sol.csv"
+    assert dispatch(["solve1d", "--zeta", "0.25", "--samples", samples, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"validation error: solve1d needs --samples >= 2, got {samples}\n"
+    assert not out.exists()
+    # two samples are the ends of [-1, 1]; the breakpoints 0 and 0.25 join them
+    assert dispatch(["solve1d", "--zeta", "0.25", "--samples", "2", "--out", str(out)]) == 0
+    xs = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
+    assert xs.tolist() == [-1.0, 0.0, 0.25, 1.0]
+
+
 def test_solve2d_outputs(tmp_path):
     cfg = write_config(tmp_path / "run.ini", GOOD_2D)
     out = tmp_path / "field.csv"
@@ -239,6 +261,22 @@ def test_flatten_solve_comparison_rejects_nz_other_than_nx(tmp_path, capsys):
     # without the comparison the nx x nz solve runs
     assert dispatch(["flatten-solve", "--config", str(cfg), "--out", str(tmp_path / "rho.csv")]) == 0
     assert len((tmp_path / "rho.csv").read_text().splitlines()) == 1 + 17 * 17
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_flatten_solve_comparison_rejects_nx_below_8(tmp_path, capsys, n):
+    # the comparison halves n down to 8, so a smaller n would give a header-only table
+    cfg = write_config(tmp_path / "run.ini", GOOD_2D)
+    out, cmp_csv = tmp_path / "rho.csv", tmp_path / "gaps.csv"
+    assert dispatch(["flatten-solve", "--config", str(cfg), "--nx", str(n), "--nz", str(n),
+                     "--out", str(out), "--compare-fitted", str(cmp_csv)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"validation error: flatten-solve --compare-fitted needs nx >= 8, got nx = {n}\n"
+    assert not out.exists() and not cmp_csv.exists()
+    # at nx = 8 the table has its one row
+    assert dispatch(["flatten-solve", "--config", str(cfg), "--out", str(out),
+                     "--compare-fitted", str(cmp_csv)]) == 0
+    assert len(cmp_csv.read_text().splitlines()) == 2
 
 
 def table_config(tmp_path: Path, extra: str = "") -> Path:
@@ -411,6 +449,18 @@ def test_study_rejects_nz_other_than_nx(tmp_path, capsys, mode):
     assert dispatch(["study", "--config", str(cfg), "--out-dir", str(out_dir)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and "nz = nx" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("mode", ["fitted2d", "flattened2d"])
+def test_study_rejects_a_bad_shape_parameter(tmp_path, capsys, mode):
+    # every zeta is built before the first solve, so a bad knot fails the run, not its rows
+    text = _study_2d(mode).replace("family = sine\n", "family = hat\nknot = 1.5\n")
+    cfg = write_config(tmp_path / "run.ini", text)
+    out_dir = tmp_path / "out"
+    assert dispatch(["study", "--config", str(cfg), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: hat knot must lie in (0, 1)")
     assert not out_dir.exists()
 
 

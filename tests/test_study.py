@@ -45,7 +45,7 @@ def test_oned_sqrt_law():
 def test_oned_bound_check_tight():
     fr = ForcingSpec(F=ZERO, f=ONE)
     recs = run_sequence(None, [0.25, 0.0625], fr, 0.5, 64, "oned")
-    rep = check_estimates(recs, "oned")
+    rep = check_estimates(recs)
     # the gap bound (a) holds with equality; only the energy check (b) can fail
     assert not any("exceeds bound" in f for f in rep.failures)
 
@@ -73,21 +73,23 @@ def test_failed_row_does_not_abort():
     recs = run_sequence(None, [0.25, 0.125], fr, 0.5, 64, "oned")
     assert recs[0].status.startswith("failed")
     assert recs[1].status == "ok"
-    rep = check_estimates(recs, "oned")
+    rep = check_estimates(recs)
     assert not rep.passed
 
 
 def _sweep_with_failing_solver(monkeypatch, mode, error):
     """Run a two-row sweep whose solves of perturbed problems raise `error`."""
-    from darcyperturb import fem2d
+    from darcyperturb import fem2d, flatten
 
     if mode == "oned":
         # zeta is an array for a batch of rows
         module, name, perturbed = solver1d, "solve_exact_1d", lambda args: np.any(np.asarray(args[1]) != 0.0)
-        fr = ForcingSpec(F=ZERO, f=ONE)
-    else:
+    elif mode == "fitted2d":
         module, name, perturbed = fem2d, "assemble_solve", lambda args: np.any(args[0].zeta_at_cols)
-        fr = ForcingSpec(F=ZERO2, f=ONE2)
+    else:
+        # only the rows solve on the flattened path; p is a fitted solve on the flat mesh
+        module, name, perturbed = flatten, "solve_flattened", lambda args: args[0].norm_sup > 0.0
+    fr = ForcingSpec(F=ZERO, f=ONE) if mode == "oned" else ForcingSpec(F=ZERO2, f=ONE2)
     real = getattr(module, name)
 
     def solve(*args, **kwargs):
@@ -99,7 +101,7 @@ def _sweep_with_failing_solver(monkeypatch, mode, error):
     return run_sequence(sine_shape, [0.2, 0.1], fr, 0.5, 8, mode)
 
 
-@pytest.mark.parametrize("mode", ["oned", "fitted2d"])
+@pytest.mark.parametrize("mode", ["oned", "fitted2d", "flattened2d"])
 def test_solver_error_marks_row_failed(monkeypatch, mode):
     from darcyperturb.fem2d import SolverConvergenceError
 
@@ -107,10 +109,29 @@ def test_solver_error_marks_row_failed(monkeypatch, mode):
     assert [r.status for r in recs] == ["failed: no convergence"] * 2
 
 
-@pytest.mark.parametrize("mode", ["oned", "fitted2d"])
+@pytest.mark.parametrize("mode", ["oned", "fitted2d", "flattened2d"])
 def test_programming_error_propagates(monkeypatch, mode):
     with pytest.raises(TypeError, match="bug"):
         _sweep_with_failing_solver(monkeypatch, mode, TypeError("bug"))
+
+
+@pytest.mark.parametrize("mode", ["fitted2d", "flattened2d"])
+def test_2d_sweep_builds_every_zeta_before_the_first_solve(monkeypatch, mode):
+    """A shape that raises on a later amplitude stops the sweep before any
+    mesh is built or any row solved: the error is not a failed row."""
+    from darcyperturb import fem2d
+
+    built = []
+    monkeypatch.setattr(fem2d, "build_fitted_mesh", lambda *args: built.append(args))
+
+    def shape(amp):
+        if amp < 0.15:
+            raise ValueError("hat knot must lie in (0, 1), got 1.5")
+        return sine_shape(amp)
+
+    with pytest.raises(ValueError, match="hat knot"):
+        run_sequence(shape, [0.2, 0.1], ForcingSpec(F=ZERO2, f=ONE2), 0.5, 8, mode)
+    assert built == []
 
 
 # --- the 1D sweep in row batches against the sweep one row at a time (tests/oracles.py)
@@ -353,7 +374,7 @@ def test_slope_of_sqrt_family():
 def test_gap_target():
     fr = ForcingSpec(F=ZERO, f=ONE)
     recs = run_sequence(None, [0.25, 0.0625], fr, 0.5, 64, "oned")
-    rep = check_estimates(recs, "oned", gap_target=1e-6)
+    rep = check_estimates(recs, gap_target=1e-6)
     assert any("target" in f for f in rep.failures)
-    rep2 = check_estimates(recs, "oned", gap_target=0.5)
+    rep2 = check_estimates(recs, gap_target=0.5)
     assert not any("target" in f for f in rep2.failures)
