@@ -15,13 +15,17 @@ per-row kernels (geometry, gradients, loads, stiffness) read slices of that
 node grid, not a connectivity table, and fields move between meshes with
 matching columns by one column-wise interpolation.  Every node couples to at
 most seven: the stiffness is summed as seven node-grid arrays, one per
-stencil entry, and the V-cycle coarsens by taking every other grid line.
+stencil entry.  The multigrid preconditioner coarsens to every other grid
+line in the same form: its Galerkin operators are 9-point stencils formed
+by slices of the grid, one axis at a time, and its grid transfers are
+slices too (on small grids one 1D matrix product per axis), so it stores
+no prolongation and forms no sparse product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from time import perf_counter
 
 import numpy as np
@@ -253,6 +257,44 @@ def build_fitted_mesh(zeta: Perturbation, nx: int, nz: int) -> Mesh2D:
 _IDENTITY = (1.0, 0.0, 1.0)
 
 
+# the node-grid offsets (dj, dl) of a 9-point stencil in ascending node id;
+# the P1 stiffness couples along the seven of them without (-1, 1) and (1, -1)
+_OFFSETS = tuple((dj, dl) for dj in (-1, 0, 1) for dl in (-1, 0, 1))
+_P1_OFFSETS = tuple(o for o in _OFFSETS if o not in ((-1, 1), (1, -1)))
+
+
+def _pattern(keep: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR pattern of a stencil with the node-grid `offsets` (in ascending
+    node id) over the nodes of the mask `keep`, numbered in node order: the
+    (nodes, offsets) mask of the couplings between kept nodes, their column
+    indices and the row pointers."""
+    shape = keep.shape
+    # each node's neighbour in every stencil direction, in grids padded by
+    # one line that is never kept; scipy stores the indices as int32 anyway
+    kept, number = np.pad(keep, 1), np.pad(np.cumsum(keep, dtype=np.int32).reshape(shape) - 1, 1)
+    shifts = [np.s_[1 + dj: 1 + dj + shape[0], 1 + dl: 1 + dl + shape[1]] for dj, dl in offsets]
+    # one plane per offset, so that the row counts sum contiguous planes
+    planes = np.stack([kept[a] for a in shifts])
+    planes &= keep
+    indptr = np.zeros(int(np.count_nonzero(keep)) + 1, dtype=np.int32)
+    np.cumsum(planes.sum(axis=0, dtype=np.int32)[keep], out=indptr[1:])
+    present = np.ascontiguousarray(planes.reshape(len(offsets), -1).T)
+    del planes
+    indices = np.stack([number[a] for a in shifts], axis=-1).reshape(-1, len(offsets))[present]
+    return present, indices, indptr
+
+
+def _csr(stencil: np.ndarray, pattern: tuple) -> sp.csr_matrix:
+    """The matrix of the node-grid stencil arrays (one per offset of the
+    `_pattern`) in that pattern: one boolean gather gives the sorted CSR
+    data, no COO, no sort."""
+    present, indices, indptr = pattern
+    n = len(indptr) - 1
+    K = sp.csr_matrix((stencil.reshape(present.shape[1], -1).T[present], indices, indptr), shape=(n, n))
+    K.has_canonical_format = True  # sorted and free of duplicates by construction
+    return K
+
+
 def _assemble_p1(mesh: Mesh2D, metric, eps: float, k1: float, k2: float,
                  keep: np.ndarray | None = None) -> sp.csr_matrix:
     """Matrix of sum_T k_T |T| grad(phi_a) . M_T grad(phi_b) over P1 hat
@@ -298,20 +340,7 @@ def _assemble_p1(mesh: Mesh2D, metric, eps: float, k1: float, k2: float,
     # the hat functions sum to one, so every row of the matrix sums to zero
     np.negative(SW + W + S + N + E + NE, out=D)
 
-    keep = np.ones(shape, dtype=bool) if keep is None else keep
-    # each node's neighbour in every stencil direction, in grids padded by
-    # one line that is never kept; scipy stores the indices as int32 anyway
-    kept, number = np.pad(keep, 1), np.pad(np.cumsum(keep, dtype=np.int32).reshape(shape) - 1, 1)
-    shifts = [np.s_[1 + dj: 1 + dj + shape[0], 1 + dl: 1 + dl + shape[1]]
-             for dj, dl in ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))]  # SW, ..., NE
-    present = (np.stack([kept[a] for a in shifts], axis=-1) & keep[..., None]).reshape(-1, 7)
-    n = int(np.count_nonzero(keep))
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1, dtype=np.int32)[keep.ravel()], out=indptr[1:])
-    indices = np.stack([number[a] for a in shifts], axis=-1).reshape(-1, 7)[present]
-    K = sp.csr_matrix((stencil.reshape(7, -1).T[present], indices, indptr), shape=(n, n))
-    K.has_canonical_format = True  # sorted and free of duplicates by construction
-    return K
+    return _csr(stencil, _pattern(np.ones(shape, dtype=bool) if keep is None else keep, _P1_OFFSETS))
 
 
 def assemble_stiffness(mesh: Mesh2D, eps: float, k1: float, k2: float) -> sp.csr_matrix:
@@ -393,65 +422,348 @@ def _load(mesh: Mesh2D, F, f, quadrature_order: int) -> np.ndarray:
 _SMOOTHER_SCALE = 1.5
 
 
-def _prolongation_1d(n: int) -> tuple[sp.csr_matrix, np.ndarray]:
+def _prolongation_1d(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Linear interpolation onto the n + 1 lines of one grid axis from the
-    coarse lines 0, 2, ..., and n; the identity once n < 4 (no coarsening).
+    coarse lines 0, 2, ..., and n; None once n < 4 (no coarsening).
 
     For an odd n the coarse lines are 0, 2, ..., n - 3 and n, so the last
     coarse interval spans three cells (weights 1/3 and 2/3) rather than
     leaving a one-cell sliver that would survive on every coarser level.
-    Returns the (n + 1, m) matrix and the fine indices of the m coarse lines.
+    Returns the fine indices of the m + 1 coarse lines and, for every fine
+    line l, its parent k_l = min(l // 2, m - 1), the coarse line at or below
+    it, and the weight t_l of the coarse line k_l + 1 in its value.
     """
     if n < 4:
-        return sp.identity(n + 1, format="csr"), np.arange(n + 1)
-    coarse = np.r_[np.arange(0, n - 1 - n % 2, 2), n]
+        return None
+    coarse = np.append(np.arange(0, n - 1 - n % 2, 2), n)
     lines = np.arange(n + 1)
-    k = np.minimum(np.searchsorted(coarse, lines, side="right") - 1, len(coarse) - 2)
-    t = (lines - coarse[k]) / (coarse[k + 1] - coarse[k])
-    rows, cols, vals = np.r_[lines, lines], np.r_[k, k + 1], np.r_[1.0 - t, t]
-    keep = vals != 0.0
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n + 1, len(coarse))), coarse
+    k = np.minimum(lines // 2, len(coarse) - 2)
+    return coarse, k, (lines - coarse[k]) / (coarse[k + 1] - coarse[k])
 
 
-@lru_cache(maxsize=1)
-def _prolongations(shape: tuple[int, int], free_bytes: bytes) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
-    """Prolongations P = kron(Px, Pz) of every level, restricted to the free
-    fine and free coarse nodes, for the grid-shaped free-node mask given by
-    `shape` and its bytes, each paired with its restriction R = P^T.
+class _Lines:
+    """The interpolation of `_prolongation_1d` along one axis of node-grid
+    arrays (-2 the columns, -1 the levels), applied by slices.
 
-    They depend only on the grid and the Dirichlet set, which every row of a
-    study shares, so the last mask's are kept; read-only.
+    The fine lines split into parts of one set of weights: runs of the
+    lines 2K, and of the lines 2K + 1, below 2m, whose parents are runs of
+    consecutive coarse lines, and each line from 2m on, with the parent
+    m - 1.  A part, the run of its parents and the run of the next coarse
+    lines are slices of the grid, so every transfer and the Galerkin
+    coarsening are sums of slices, one number times a slice at a time.  The
+    parts of the coarse lines themselves (t = 0 or 1, one parent of weight 1)
+    come first.
     """
-    free = np.frombuffer(free_bytes, dtype=bool).reshape(shape)
-    transfers = []
-    while True:
-        Px, cx = _prolongation_1d(free.shape[0] - 1)
-        Pz, cz = _prolongation_1d(free.shape[1] - 1)
-        coarse = free[np.ix_(cx, cz)]
-        if coarse.size == free.size:
-            return tuple(transfers)
-        P = sp.kron(Px, Pz, format="csr")[free.ravel()][:, coarse.ravel()]
-        R = P.T.tocsr()
-        for a in (P.data, P.indices, P.indptr, R.data, R.indices, R.indptr):
-            a.setflags(write=False)
-        transfers.append((P, R))
-        free = coarse
+
+    def __init__(self, n: int, axis: int):
+        self.coarse, k, t = _prolongation_1d(n)
+        self.n, self.axis = n, axis
+        # Galerkin weights: a fine coupling of offset dl from line l meets
+        # the interpolation of line l + dl, whose parent lies delta =
+        # k_(l+dl) - k_l lines from k_l: coarse line k_l + e takes the weight
+        # c[dl, e + 1] = (1 - t) [delta = e] + t [delta + 1 = e], with t of
+        # line l + dl.  Line l's own parents k_l and k_l + 1 take the shares
+        # 1 - t_l and t_l, so c[dl, e + 1] lands on the coarse offsets e and
+        # e - 1.  Left of line 0 stands a line like line 1 below coarse line
+        # 0, so that line 0 weighs like the other lines 2K; the couplings
+        # off the grid are zero anyway.
+        tn = np.concatenate(([t[1]], t, [0.0]))
+        kn = np.concatenate(([k[0] - 1], k, [k[-1]]))
+        delta = np.stack([kn[:-2] - k, np.zeros(n + 1), kn[2:] - k])[:, None]
+        tl = np.stack([tn[:-2], t, tn[2:]])[:, None]
+        e = np.arange(-1.0, 3.0)[:, None]
+        c = (1.0 - tl) * (delta == e) + tl * (delta == e - 1.0)
+        share = np.stack([1.0 - t, t])
+        # per line, its two shares, then the weight [parent, dL, dl] of a
+        # fine coupling of offset dl in the coarse one of offset dL
+        galerkin = share[:, None, None] * np.stack([c[:, :3], c[:, 1:]]).transpose(0, 2, 1, 3)
+        galerkin[:, :, 2, n] = 0.0  # line n couples to no line above it
+        weights = np.concatenate([share, galerkin.reshape(18, n + 1)])
+        m = len(self.coarse) - 1
+        runs = []  # (first line, stop) of every part
+        for first in (0, 1):
+            change = np.any(weights[:, first + 2:2 * m:2] != weights[:, first:2 * m - 2:2], axis=0)
+            bounds = [first, *(first + 2 + 2 * np.flatnonzero(change)).tolist(), 2 * m + first]
+            runs += zip(bounds[:-1], bounds[1:])
+        runs += [(l, l + 1) for l in range(2 * m, n + 1)]
+        self.parts, self.galerkin_parts = [], []
+        for start, stop in runs:
+            w = weights[:, start].tolist()
+            parent, size = min(start // 2, m - 1), len(range(start, stop, 2))
+            fine = self._at(slice(start, stop, 2))
+            parents = [self._at(slice(parent + up, parent + up + size)) for up in (0, 1)]
+            shares = [(parents[up], w[up]) for up in (0, 1) if w[up]]
+            self.parts.insert(0 if len(shares) == 1 else len(self.parts), (fine, shares))
+            # per fine offset dl and weight, every coarse (offset, parent) it
+            # lands on: one product serves them all
+            for dl in range(3):
+                targets = {}
+                for up, dL in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)):
+                    if w[2 + 9 * up + 3 * dL + dl]:
+                        targets.setdefault(w[2 + 9 * up + 3 * dL + dl], []).append((dL, parents[up]))
+                self.galerkin_parts += [(fine, dl, wt, where) for wt, where in targets.items()]
+
+    def _at(self, s: slice) -> tuple:
+        return (Ellipsis, s) + (slice(None),) * (-1 - self.axis)
+
+    def resized(self, shape: tuple) -> tuple:
+        """`shape` with the coarse number of lines on the axis."""
+        axis = len(shape) + self.axis
+        return shape[:axis] + (len(self.coarse),) + shape[axis + 1:]
+
+    def restrict(self, v: np.ndarray, shape: tuple) -> np.ndarray:
+        """P^T along the axis into a new array of `shape`: the coarse lines
+        copied, every other fine line shared between its parents k_l and
+        k_l + 1 in the proportions 1 - t_l and t_l."""
+        out = np.empty(shape)
+        for fine, shares in self.parts:
+            lines = v[fine]
+            if len(shares) == 1:
+                out[shares[0][0]] = lines
+                continue
+            (lower, w_lo), (upper, w_hi) = shares
+            part = w_hi * lines
+            into = out[upper]
+            into += part
+            into = out[lower]
+            into += part if w_lo == w_hi else w_lo * lines
+        return out
+
+    def prolong(self, c: np.ndarray, shape: tuple) -> np.ndarray:
+        """P along the axis into a new array of `shape`: the coarse lines
+        copied, every other fine line interpolated from its parents."""
+        out = np.empty(shape)
+        for fine, shares in self.parts:
+            if len(shares) == 1:
+                out[fine] = c[shares[0][0]]
+                continue
+            (lower, w_lo), (upper, w_hi) = shares
+            lines = out[fine]
+            if w_lo == w_hi:
+                np.add(c[lower], c[upper], out=lines)
+                lines *= w_lo
+            else:
+                np.multiply(c[lower], w_lo, out=lines)
+                lines += w_hi * c[upper]
+        return out
+
+    def galerkin(self, a: np.ndarray) -> np.ndarray:
+        """P^T A P along the axis, for the stencil arrays a (3, 3, columns,
+        levels) of A indexed [offset on this axis + 1, offset on the other
+        + 1]; the coarse stencil comes back in the same layout.  Every fine
+        row's couplings are summed into its parents by slices."""
+        out = np.zeros(self.resized(a.shape))
+        view = out
+        if self.axis == -1:
+            a, view = a.transpose(1, 0, 2, 3), out.transpose(1, 0, 2, 3)
+        for fine, dl, w, targets in self.galerkin_parts:
+            part = w * a[dl][fine]
+            for dL, parent in targets:
+                into = view[dL][parent]
+                into += part
+        return out
+
+
+# node grids of up to this many nodes are small: their free nodes go in and
+# out by a boolean mask, and their axes transfer by 1D matrix products.  On
+# a 33 x 65 grid the mask moved a vector in and out in 8.5 us against 14 us
+# by blocks, and a restriction took 6 us by products against 23 us by
+# slices; from 65 x 129 nodes on, blocks and slices are as fast or faster
+_SMALL_GRID = 4096
+
+
+class _FreeNodes:
+    """The free nodes of a node-grid mask in node order: a vector over them
+    goes into a grid and back by one slice per block of columns that share
+    one contiguous run of free levels, or on grids of up to _SMALL_GRID
+    nodes, where a call costs more than its work, by the mask."""
+
+    def __init__(self, free: np.ndarray):
+        self.shape, self.mask = free.shape, free if free.size <= _SMALL_GRID else None
+        count = np.count_nonzero(free, axis=1)
+        if np.any(free[:, 0] + np.count_nonzero(free[:, 1:] > free[:, :-1], axis=1) > 1):
+            raise ValueError("the free levels of every column must be contiguous")
+        first = np.where(count > 0, free.argmax(axis=1), 0)
+        starts = np.flatnonzero((first[1:] != first[:-1]) | (count[1:] != count[:-1])) + 1
+        bounds = [0, *starts.tolist(), len(count)]
+        self.blocks, self.fixed, offset = [], [], 0
+        for j0, j1 in zip(bounds[:-1], bounds[1:]):
+            l0, l1 = first[j0], first[j0] + count[j0]
+            self.fixed += [np.s_[j0:j1, :l0], np.s_[j0:j1, l1:]]
+            if l1 > l0:
+                size = (j1 - j0) * (l1 - l0)
+                self.blocks.append((np.s_[offset:offset + size], np.s_[j0:j1, l0:l1], (j1 - j0, l1 - l0)))
+                offset += size
+        self.size = offset
+
+    def grid(self, v: np.ndarray, minus: np.ndarray | None = None) -> np.ndarray:
+        """The node grid of the free-node vector v (or v - minus, formed as
+        it goes in), zero off the free nodes."""
+        if self.mask is not None:
+            g = np.zeros(self.shape)
+            g[self.mask] = v if minus is None else v - minus
+            return g
+        g = np.empty(self.shape)
+        for block in self.fixed:
+            g[block] = 0.0
+        for part, block, shape in self.blocks:
+            if minus is None:
+                g[block] = v[part].reshape(shape)
+            else:
+                np.subtract(v[part].reshape(shape), minus[part].reshape(shape), out=g[block])
+        return g
+
+    def vector(self, g: np.ndarray, plus: np.ndarray | None = None) -> np.ndarray:
+        """The free-node vector of the node grid g (or plus + it, formed as
+        it comes out)."""
+        if self.mask is not None:
+            return g[self.mask] if plus is None else plus + g[self.mask]
+        v = np.empty(self.size)
+        for part, block, shape in self.blocks:
+            if plus is None:
+                v[part].reshape(shape)[...] = g[block]
+            else:
+                np.add(plus[part].reshape(shape), g[block], out=v[part].reshape(shape))
+        return v
+
+
+class _Transfer:
+    """Prolongation P = kron(Px, Pz) from the free coarse nodes to the free
+    fine ones, and restriction P^T: the free-node vector goes into its node
+    grid, is interpolated or weighted along each coarsened axis (the columns
+    first on the way down), and the free nodes of the result come out.
+
+    Along an axis, on grids of more than _SMALL_GRID nodes, the `_Lines`
+    apply by slices; on smaller grids, where a call costs more than its
+    work, the 1D interpolation matrix of the axis, formed once by those
+    slices, applies as one product.
+    """
+
+    def __init__(self, fine: _FreeNodes, coarse: _FreeNodes, axes: list):
+        self.fine, self.coarse = fine, coarse
+        self.down, shape = [], fine.shape
+        for lines in axes:
+            matrix = None
+            if fine.mask is not None:
+                # the 1D prolongation as a (fine, coarse) matrix: the
+                # interpolation of every coarse line alone
+                size = len(lines.coarse)
+                eye = np.eye(size)
+                matrix = (lines.prolong(eye, (lines.n + 1, size)) if lines.axis == -2
+                          else lines.prolong(eye, (size, lines.n + 1)).T)
+            self.down.append((lines, matrix, lines.resized(shape), shape))
+            shape = lines.resized(shape)
+
+    def restrict(self, r: np.ndarray, Ax: np.ndarray | None = None) -> np.ndarray:
+        """P^T r, or P^T (r - Ax) with the residual formed as it goes into
+        the grid."""
+        g = self.fine.grid(r, Ax)
+        for lines, matrix, coarse, _ in self.down:
+            if matrix is None:
+                g = lines.restrict(g, coarse)
+            else:
+                g = matrix.T @ g if lines.axis == -2 else g @ matrix
+        return self.coarse.vector(g)
+
+    def prolong(self, x: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
+        """P x, or base + P x with the sum formed as it comes out of the
+        grid."""
+        g = self.coarse.grid(x)
+        for lines, matrix, _, fine in reversed(self.down):
+            if matrix is None:
+                g = lines.prolong(g, fine)
+            else:
+                g = matrix @ g if lines.axis == -2 else g @ matrix.T
+        return self.fine.vector(g, base)
+
+
+# A's stencil is formed a block of grid columns at a time, one of this many,
+# so that its nine node-grid arrays never exist whole and the temporaries of
+# a block (about 24 bytes a nonzero) stay near one node-grid array
+_BLOCKS = 8
+
+
+def _fine_stencil(A: sp.csr_matrix, free: np.ndarray, lines) -> np.ndarray:
+    """The couplings of A at the nine node-grid offsets, coarsened along the
+    level lines by the `_Lines` `lines` (None: not coarsened).
+
+    A's rows and columns are the free nodes of the node-grid mask `free` in
+    node order.  Returns a (3, 3) + grid array whose [1 + dj, 1 + dl][j, l]
+    couples node (j, l) to (j + dj, l + dl), zero where either node is not
+    free.  Entries of A that couple nodes further apart are left out.
+    """
+    cols, levels = free.shape
+    # ids j S + l on the grid padded by one level, so that an id difference
+    # of dj S + dl with |dj|, |dl| <= 1 names one offset and no other
+    S = levels + 1
+    ids = (np.arange(cols, dtype=np.int32)[:, None] * S + np.arange(levels, dtype=np.int32))[free]
+    first = np.concatenate(([0], np.cumsum(np.count_nonzero(free, axis=1))))  # the first row of every column
+    step = -(-cols // _BLOCKS)
+    # where each id difference, shifted by S + 2, puts an entry in a block of
+    # `step` columns: the plane of one of the nine offsets, in node order, or
+    # a tenth, left out, for every other difference
+    plane = step * S
+    slot = np.full(3 * S + 2, 9 * plane, dtype=np.int32)
+    for dj in range(3):
+        slot[1 + dj * S:4 + dj * S] = np.arange(3 * dj, 3 * dj + 3) * plane
+    shifted = ids + (S + 2)
+    out = np.empty((3, 3, cols, levels if lines is None else len(lines.coarse)))
+    for j0 in range(0, cols, step):
+        j1 = min(j0 + step, cols)
+        r0, r1 = first[j0], first[j1]
+        e0, e1 = A.indptr[r0], A.indptr[r1]
+        rows = np.repeat(ids[r0:r1], np.diff(A.indptr[r0:r1 + 1]))
+        where = shifted.take(A.indices[e0:e1])
+        where -= rows
+        np.clip(where, 0, 3 * S + 1, out=where)
+        where = slot.take(where)
+        rows -= j0 * S
+        where += rows
+        block = np.bincount(where, weights=A.data[e0:e1], minlength=10 * plane)
+        block = block.reshape(10, step, S)[:9, :j1 - j0, :levels].reshape(3, 3, j1 - j0, levels)
+        out[:, :, j0:j1] = block if lines is None else lines.galerkin(block)
+    return out
 
 
 def _multigrid_levels(A: sp.csr_matrix, free: np.ndarray) -> tuple[list, np.ndarray]:
-    """Galerkin hierarchy of A on the free nodes of a node grid.
+    """Galerkin hierarchy of A on the free nodes of a node grid, in stencil
+    form (Dendy, "Black box multigrid", J. Comput. Phys. 48, 1982).
 
-    `free` is the grid-shaped mask of the rows of A.  Each level is a tuple
-    (A, P, R, smoother weights) with P and R = P^T from `_prolongations`; the
-    coarsest operator comes back as the inverse of its Cholesky factor.
-    Plain tuples, so the hierarchy dies with the solve.  Raises
-    `np.linalg.LinAlgError` when the coarsest operator is not SPD.
+    `free` is the grid-shaped mask of the rows of A.  A's couplings at the
+    nine node-grid offsets (`_fine_stencil`) are coarsened one axis at a
+    time, the level lines first and then the columns, by slices of the grid
+    (`_Lines.galerkin`); each coarse operator P^T A P, P = kron(Px, Pz) on
+    the free nodes, is a 9-point stencil, gathered into CSR in node order as
+    `_assemble_p1` gathers the fine one.  Couplings of A outside the 3 x 3
+    window stay in the fine A only.  Each level is a tuple (A, smoother
+    weights, `_Transfer`); the coarsest operator comes back as the inverse
+    of its Cholesky factor.  No P or R is stored, so the hierarchy dies with
+    the solve.  Raises `np.linalg.LinAlgError` when the coarsest operator is
+    not SPD.
     """
     levels = []
-    for P, R in _prolongations(free.shape, free.tobytes()):
+    nodes, stencil = _FreeNodes(free), None
+    while True:
+        lines = [_Lines(n - 1, axis) if n > 4 else None for n, axis in zip(free.shape, (-2, -1))]
+        x, z = lines
+        if x is None and z is None:
+            break
+        # the level lines first: on the finest level as A's stencil is formed
+        if stencil is None:
+            stencil = _fine_stencil(A, free, z)
+        elif z is not None:
+            stencil = z.galerkin(stencil)
+        if x is not None:
+            stencil = x.galerkin(stencil)
+        for axis, a in enumerate(lines):
+            free = free if a is None else free.take(a.coarse, axis=axis)
+        coarse = _FreeNodes(free)
         # row sums of |A| in one pass: every row holds its positive diagonal
-        levels.append((A, P, R, _SMOOTHER_SCALE / np.add.reduceat(np.abs(A.data), A.indptr[:-1])))
-        A = (R @ (A @ P)).tocsr()
+        levels.append((A, _SMOOTHER_SCALE / np.add.reduceat(np.abs(A.data), A.indptr[:-1]),
+                       _Transfer(nodes, coarse, [a for a in lines if a is not None])))
+        pattern = _pattern(free, _OFFSETS)
+        stencil *= pattern[0].T.reshape(stencil.shape)  # what the CSR leaves out, the next level must not see
+        A, nodes = _csr(stencil, pattern), coarse
     # the coarsest grid has at most 4 x 4 lines, so its dense inverse factor
     # is tiny and turns the coarse solve into two small matvecs
     return levels, np.linalg.inv(np.linalg.cholesky(A.toarray()))
@@ -459,16 +771,17 @@ def _multigrid_levels(A: sp.csr_matrix, free: np.ndarray) -> tuple[list, np.ndar
 
 def _v_cycle(levels: list, coarsest: np.ndarray, r: np.ndarray) -> np.ndarray:
     """One symmetric V-cycle from a zero guess: damped Jacobi before and after
-    the coarse correction on every level, the inverse Cholesky factor L^-1
-    of the coarsest operator as coarse solve L^-T L^-1 r."""
+    the coarse correction on every level, the grid transfers on the node
+    grid (`_Transfer`), and the inverse Cholesky factor L^-1 of the
+    coarsest operator as coarse solve L^-T L^-1 r."""
     stack = []
-    for A, P, R, w in levels:
+    for A, w, transfer in levels:
         x = w * r
         stack.append((r, x))
-        r = R @ (r - A @ x)
+        r = transfer.restrict(r, A @ x)
     x = coarsest.T @ (coarsest @ r)
-    for (A, P, R, w), (r, x_pre) in zip(reversed(levels), reversed(stack)):
-        x = x_pre + P @ x
+    for (A, w, transfer), (r, x_pre) in zip(reversed(levels), reversed(stack)):
+        x = transfer.prolong(x, x_pre)
         x += w * (r - A @ x)
     return x
 
@@ -525,8 +838,15 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
     `free` is the node-grid mask (columns, levels) of the free nodes, as
     `Mesh2D.free_mask`; A and b are numbered in node order over them, as
     `_assemble_p1` with that mask gives them.  The coarse grids take every
-    other line of each axis.  Returns x and the solve record, which holds
-    the seconds `mg_setup_s` spent building the multigrid hierarchy.
+    other line of each axis.  A may be any CSR matrix over the free nodes:
+    the hierarchy is built from its couplings at the nine node-grid offsets
+    of the 3 x 3 window, and entries that couple nodes further apart enter
+    only the fine level, where CG and the smoother see them.  Returns x and
+    the solve record, which holds the seconds `mg_setup_s` spent building
+    the multigrid hierarchy.  Raises `SolverConvergenceError` when CG does
+    not converge, when A is seen not to be SPD, or when the coarsest
+    operator of the hierarchy is not; the last stops before the first step,
+    at the relative residual 1 of the zero start.
     """
     if len(b) == 0:
         raise SolverConvergenceError("no free nodes: empty Dirichlet complement", np.inf)
@@ -538,7 +858,7 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
     try:
         levels, coarsest = _multigrid_levels(A, free)
     except np.linalg.LinAlgError:
-        raise SolverConvergenceError("non-SPD reduced system", np.inf) from None
+        raise SolverConvergenceError("the coarsest multigrid operator is not SPD", 1.0) from None
     mg_setup_s = perf_counter() - t0
     if maxiter is None:
         maxiter = int(50 * np.sqrt(len(b))) + 10

@@ -102,13 +102,17 @@ def run_sequence(shape: Callable[[float], Perturbation] | None, amplitudes: Sequ
     row each in 2D.  Expected numerical errors (`_ROW_ERRORS`) mark the
     affected row as failed without aborting the sweep; any other error
     propagates.  A 2D sweep builds every zeta = shape(amp) before its first
-    solve, so an invalid shape parameter raises instead of failing rows.
-    `rtol` is the CG tolerance of the 2D solves.
+    solve, so an invalid shape parameter raises instead of failing rows; a
+    1D sweep, whose rows read only the amplitude, builds its shape (when
+    given) once, at the first amplitude, to the same end.  `rtol` is the CG
+    tolerance of the 2D solves.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     amps = _check_amplitudes(amplitudes)
     if mode == "oned":
+        if shape is not None:
+            shape(amps[0])
         p = solver1d.solve_exact_1d(forcing, 0.0, eps)
         fill = lambda recs, zeta: _fill_oned(recs, zeta, p, forcing, eps)
         batches = _oned_batches(amps)
@@ -259,6 +263,15 @@ def loglog_slope(records: Sequence[ConvergenceRecord]) -> float | None:
     return float(np.polyfit(la, lg, 1)[0])
 
 
+def _csv_field(text: str) -> str:
+    """`text` as a cell of `csv.writer` with QUOTE_MINIMAL: in quotes, its
+    own quotes doubled, when it holds a comma, a quote or a line break, so
+    that a failure message stays one cell; else as it is."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def emit_report(records: Sequence[ConvergenceRecord], out_dir,
                 estimate_report: EstimateReport | None = None) -> dict:
     """Write records.csv (stable column order, runtime excluded) and summary.json."""
@@ -268,12 +281,13 @@ def emit_report(records: Sequence[ConvergenceRecord], out_dir,
     out.mkdir(parents=True, exist_ok=True)
 
     # one column at a time: repr of each float (NaN of either sign gives
-    # 'nan'), str of the integer resolution and of the status; in blocks of
-    # rows, so that only one block's cells are held at once
+    # 'nan'), str of the integer resolution and of the status, quoted as
+    # `csv.writer` quotes a field; in blocks of rows, so that only one
+    # block's cells are held at once
     lines = [",".join(CSV_COLUMNS)]
     for k in range(0, len(records), _REPORT_BLOCK_ROWS):
         block = records[k:k + _REPORT_BLOCK_ROWS]
-        columns = [[str(getattr(r, col)) for r in block] if col in _TEXT_COLUMNS
+        columns = [[_csv_field(str(getattr(r, col))) for r in block] if col in _TEXT_COLUMNS
                    else map(repr, np.array([getattr(r, col) for r in block], dtype=float).tolist())
                    for col in CSV_COLUMNS]
         lines += map(",".join, zip(*columns))

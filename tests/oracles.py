@@ -12,9 +12,11 @@ metric averaged point by point, and the 2D stiffness summed from
 per-triangle local matrices through COO, which the node-grid assembler must
 reproduce up to the order of summation; the fitted mesh as the connectivity
 lists it once stored, whose views the node-grid mesh must reproduce bit for
-bit, and the loads gathered and scattered through those lists; and the
-signed shapes that the 2D properties draw (a negative one as the table of
-its values)."""
+bit, and the loads gathered and scattered through those lists; the
+multigrid transfers as sparse Kronecker products of hat-function
+interpolations, whose Galerkin products the stencil hierarchy must
+reproduce to roundoff; and the signed shapes that the 2D properties draw (a
+negative one as the table of its values)."""
 
 import math
 from types import SimpleNamespace
@@ -667,3 +669,29 @@ def assemble_p1(mesh, metric, eps, k1, k2):
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+
+
+def prolongation_1d(n: int) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Linear interpolation onto the n + 1 lines of one grid axis from the
+    coarse lines 0, 2, ..., n (for an odd n 0, 2, ..., n - 3, n): the sparse
+    (n + 1, m + 1) matrix of the coarse hat functions at the fine lines, and
+    the coarse lines; the identity once n < 4."""
+    if n < 4:
+        return sp.identity(n + 1, format="csr"), np.arange(n + 1)
+    coarse = np.append(np.arange(0, n - 1 - n % 2, 2), n)
+    hats = np.array([np.interp(np.arange(n + 1), coarse, e) for e in np.eye(len(coarse))]).T
+    return sp.csr_matrix(hats), coarse
+
+
+def multigrid_prolongations(free: np.ndarray) -> list:
+    """The prolongation P = kron(Px, Pz)[free][:, coarse] of every level of
+    the multigrid hierarchy on the node-grid mask `free`, down to the grid
+    that no axis coarsens."""
+    transfers = []
+    while True:
+        (Px, cx), (Pz, cz) = (prolongation_1d(n - 1) for n in free.shape)
+        coarse = free[np.ix_(cx, cz)]
+        if coarse.size == free.size:
+            return transfers
+        transfers.append(sp.kron(Px, Pz, format="csr")[free.ravel()][:, coarse.ravel()])
+        free = coarse

@@ -502,6 +502,14 @@ def _rejected(tmp_path, capsys, command: str, text: str, key: str):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("shape, key", [("family = hat\nknot = 1.5\n", "knot"),
+                                        ("family = sine\nwavenumber = 0\n", "wavenumber")],
+                         ids=["hat-knot", "sine-wavenumber"])
+def test_oned_study_rejects_a_shape_it_cannot_build(tmp_path, capsys, shape, key):
+    # the 1D rows never read the shape, so it was accepted and ignored
+    _rejected(tmp_path, capsys, "study", GOOD_1D.replace("[forcing]", f"[perturbation]\n{shape}\n[forcing]"), key)
+
+
 @pytest.mark.parametrize("value", ["2", "1", "0", "-1", "nan", "inf"])
 def test_solve2d_rejects_cg_rtol_outside_the_unit_interval(tmp_path, capsys, value):
     # 2 stopped CG before its first step and wrote zeros; -1 failed as "not SPD"

@@ -2,7 +2,8 @@
 triangle areas of a mesh (its only stored geometry), the gradient of a
 field, and the release of what a 2D solve no longer needs: each study row's
 mesh before the next row builds its own, the averaged flattening metric
-after each use, and the assembly's couplings before its CSR gather."""
+after each use, the assembly's couplings before its CSR gather, and the
+multigrid hierarchy with its solve."""
 
 import gc
 import tracemalloc
@@ -11,6 +12,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import basis_gradients, bits, field_gradients, sine_shape
@@ -140,6 +142,47 @@ def test_flattened_sweep_keeps_no_metric(monkeypatch):
     assert [r.status for r in records] == ["ok"] * 3
     assert len(formed) == 2 * 3
     assert [k for k, ref in enumerate(formed) if ref() is not None] == []
+
+
+def test_flattened_sweep_keeps_no_multigrid_state():
+    # the hierarchy, transfers included, dies with each solve: once a sweep
+    # is done, fem2d holds no cache and no array or sparse matrix of its own
+    records = run_sequence(sine_shape, [0.2, 0.1, 0.05], FORCING, 0.5, 8, "flattened2d")
+    assert [r.status for r in records] == ["ok"] * 3
+    held = [name for name, value in vars(fem2d).items()
+            if getattr(value, "__module__", None) == fem2d.__name__ and hasattr(value, "cache_info")
+            or isinstance(value, np.ndarray) or sp.issparse(value)]
+    assert held == []
+
+
+@pytest.mark.parametrize("kind", ["fitted", "flattened"])
+def test_cg_solve_peak_is_the_coarse_operators_and_sixteen_grid_vectors(kind):
+    # the caller holds the fine A and b; above them a solve holds the coarse
+    # CSR operators and at most 16 node-grid arrays: the smoother weights of
+    # every level (about 1.3), CG's vectors and temporaries (about 5) and
+    # one V-cycle's (about 4.6), and, while the hierarchy is built, one
+    # block of A's stencil entries with the coarse stencils; 12.9 were
+    # measured, and stored transfers or sparse Galerkin products took the
+    # peak to about 21
+    mesh = fem2d.build_fitted_mesh(sine(0.0), 64, 64)
+    free = mesh.free_mask
+    metric = fem2d._IDENTITY if kind == "fitted" else flatten._averaged_metric(mesh, sine(0.3))
+    A = fem2d._assemble_p1(mesh, metric, 0.5, 1.0, 1.0, free)
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    # a solve on another grid first: the peak must not rest on anything an
+    # earlier solve of this grid left behind
+    other = fem2d.assemble_solve(fem2d.build_fitted_mesh(sine(0.0), 8, 8), FORCING, eps=0.5)
+    assert other.meta["iterations"] >= 1
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fem2d.cg_solve(A, b, free)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    levels, _ = fem2d._multigrid_levels(A, free)
+    coarse = sum(B.data.nbytes + B.indices.nbytes + B.indptr.nbytes for B, *_ in levels[1:])
+    assert peak <= coarse + 16 * mesh.n_nodes * 8
 
 
 @pytest.mark.parametrize("kind", ["fitted", "flattened"])

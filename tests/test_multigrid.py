@@ -1,7 +1,8 @@
 """Multigrid-preconditioned CG: the free-node stiffness against the reduced
-full one, agreement with a direct solve, symmetry of the V-cycle, iteration
-counts flat in the mesh size, the solve record, and the CG loop against
-scipy's `cg` (imported here only)."""
+full one, the stencil hierarchy and its slice transfers against sparse
+Galerkin products, agreement with a direct solve, symmetry of the V-cycle,
+iteration counts flat in the mesh size, the solve record, and the CG loop
+against scipy's `cg` (imported here only)."""
 
 from functools import partial
 
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
-from oracles import min_angle_loop
+from hypothesis import example, given, settings, strategies as st
+from oracles import min_angle_loop, multigrid_prolongations
 
 from darcyperturb import fem2d, flatten
 from darcyperturb.flatten import assemble_flattened_stiffness, solve_flattened
@@ -67,6 +68,42 @@ def test_free_node_assembly_is_the_reduced_full_matrix(kind, nx, nz, amp, eps, k
         assert mine.dtype == theirs.dtype
         assert np.array_equal(mine.view(np.int64) if name == "data" else mine,
                               theirs.view(np.int64) if name == "data" else theirs)
+
+
+def relative_gap(mine, theirs) -> float:
+    """||mine - theirs|| / ||theirs|| in the Frobenius norm, sparse or dense."""
+    norm = spla.norm if sp.issparse(theirs) else np.linalg.norm
+    return norm(mine - theirs) / norm(theirs)
+
+
+@settings(deadline=None, max_examples=40)
+@given(kind=kinds, nx=sizes, nz=sizes, amp=amps, eps=eps_values, seed=st.integers(0, 2**32 - 1))
+@example(kind="fitted", nx=2, nz=300, amp=0.1, eps=0.1, seed=0)
+@example(kind="fitted", nx=300, nz=2, amp=0.1, eps=0.1, seed=0)
+# a fine grid of 65 x 81 nodes, above fem2d._SMALL_GRID: its free nodes go
+# in and out by blocks of columns and its axes transfer by slices, not by
+# the mask and 1D matrix products of the smaller grids
+@example(kind="flattened", nx=64, nz=40, amp=0.3, eps=0.1, seed=0)
+def test_stencil_hierarchy_is_the_sparse_galerkin_product(kind, nx, nz, amp, eps, seed):
+    # every coarse operator is P^T A P of the level above, with the sparse
+    # P = kron(Px, Pz)[free][:, coarse]; the coarsest comes back as its
+    # inverse Cholesky factor, so it is compared as L L^T; the transfers
+    # apply P and P^T, alone and with the residual and the sum that the
+    # V-cycle forms on the way
+    mesh, K = system(kind, nx, nz, amp, eps)
+    A, _, (levels, coarsest) = hierarchy(mesh, K)
+    prolongations = multigrid_prolongations(mesh.free_mask)
+    assert len(levels) == len(prolongations) and levels[0][0] is A
+    L = np.linalg.inv(coarsest)
+    coarse_operators = [B for B, *_ in levels[1:]] + [L @ L.T]
+    rng = np.random.default_rng(seed)
+    for (fine, _, transfer), P, coarse in zip(levels, prolongations, coarse_operators):
+        assert relative_gap(coarse, P.T @ fine @ P if sp.issparse(coarse) else (P.T @ fine @ P).toarray()) <= 1e-12
+        v, r, s = rng.standard_normal(P.shape[1]), *rng.standard_normal((2, P.shape[0]))
+        assert relative_gap(transfer.prolong(v), P @ v) <= 1e-14
+        assert relative_gap(transfer.restrict(r), P.T @ r) <= 1e-14
+        assert relative_gap(transfer.prolong(v, s), s + P @ v) <= 1e-14
+        assert relative_gap(transfer.restrict(r, s), P.T @ (r - s)) <= 1e-14
 
 
 @settings(deadline=None, max_examples=40)

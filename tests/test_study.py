@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import json
 
@@ -346,6 +348,29 @@ def test_emit_report_roundtrip(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["schema_version"] == 1
     assert summary["n_records"] == 1
+
+
+def test_failed_row_with_a_comma_stays_one_cell(tmp_path):
+    # the status cell is written as csv.writer writes it: a failure message
+    # with a comma and a quote stays one cell of a 16-cell row, and the rows
+    # without either keep their unquoted bytes
+    def f(x):
+        if np.any(np.asarray(x) == 0.3):
+            raise ArithmeticError('no flux at 0.3, "sign" unknown')
+        return 1.0 + 0.5 * np.asarray(x)
+
+    recs = run_sequence(None, [0.4, 0.3, 0.2], ForcingSpec(F=ZERO, f=f), 0.5, 64, "oned")
+    assert [r.status for r in recs] == ["ok", 'failed: no flux at 0.3, "sign" unknown', "ok"]
+    emit_report(recs, tmp_path)
+    lines = (tmp_path / "records.csv").read_text().splitlines()
+    rows = list(csv.reader(lines))
+    assert [len(row) for row in rows] == [len(CSV_COLUMNS)] * 4
+    assert [row[-1] for row in rows] == ["status"] + [r.status for r in recs]
+    for line, row in zip(lines, rows):
+        written = io.StringIO()
+        csv.writer(written, lineterminator="\n").writerow(row)
+        assert written.getvalue() == line + "\n"
+    assert lines[1] == ",".join(rows[1]) and lines[3] == ",".join(rows[3])
 
 
 def test_emit_report_empty_errors(tmp_path):
