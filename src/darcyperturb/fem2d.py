@@ -422,28 +422,22 @@ def _load(mesh: Mesh2D, F, f, quadrature_order: int) -> np.ndarray:
 _SMOOTHER_SCALE = 1.5
 
 
-def _prolongation_1d(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+# the index of a slice of lines along either axis of node-grid arrays:
+# -2 the columns, -1 the levels
+_ALONG = {-2: lambda s: (Ellipsis, s, slice(None)), -1: lambda s: (Ellipsis, s)}
+
+
+class _Lines:
     """Linear interpolation onto the n + 1 lines of one grid axis from the
-    coarse lines 0, 2, ..., and n; None once n < 4 (no coarsening).
+    coarse lines 0, 2, ..., and n, applied by slices along either axis of
+    node-grid arrays (`_ALONG`).
 
     For an odd n the coarse lines are 0, 2, ..., n - 3 and n, so the last
     coarse interval spans three cells (weights 1/3 and 2/3) rather than
     leaving a one-cell sliver that would survive on every coarser level.
-    Returns the fine indices of the m + 1 coarse lines and, for every fine
-    line l, its parent k_l = min(l // 2, m - 1), the coarse line at or below
-    it, and the weight t_l of the coarse line k_l + 1 in its value.
-    """
-    if n < 4:
-        return None
-    coarse = np.append(np.arange(0, n - 1 - n % 2, 2), n)
-    lines = np.arange(n + 1)
-    k = np.minimum(lines // 2, len(coarse) - 2)
-    return coarse, k, (lines - coarse[k]) / (coarse[k + 1] - coarse[k])
-
-
-class _Lines:
-    """The interpolation of `_prolongation_1d` along one axis of node-grid
-    arrays (-2 the columns, -1 the levels), applied by slices.
+    Every fine line l has the parent k_l = min(l // 2, m - 1), the coarse
+    line at or below it, and the weight t_l of the coarse line k_l + 1 in
+    its value.
 
     The fine lines split into parts of one set of weights: runs of the
     lines 2K, and of the lines 2K + 1, below 2m, whose parents are runs of
@@ -455,9 +449,12 @@ class _Lines:
     come first.
     """
 
-    def __init__(self, n: int, axis: int):
-        self.coarse, k, t = _prolongation_1d(n)
-        self.n, self.axis = n, axis
+    def __init__(self, n: int):
+        self.coarse = np.append(np.arange(0, n - 1 - n % 2, 2), n)
+        m = len(self.coarse) - 1
+        lines = np.arange(n + 1)
+        k = np.minimum(lines // 2, m - 1)
+        t = (lines - self.coarse[k]) / (self.coarse[k + 1] - self.coarse[k])
         # Galerkin weights: a fine coupling of offset dl from line l meets
         # the interpolation of line l + dl, whose parent lies delta =
         # k_(l+dl) - k_l lines from k_l: coarse line k_l + e takes the weight
@@ -479,44 +476,52 @@ class _Lines:
         galerkin = share[:, None, None] * np.stack([c[:, :3], c[:, 1:]]).transpose(0, 2, 1, 3)
         galerkin[:, :, 2, n] = 0.0  # line n couples to no line above it
         weights = np.concatenate([share, galerkin.reshape(18, n + 1)])
-        m = len(self.coarse) - 1
         runs = []  # (first line, stop) of every part
         for first in (0, 1):
             change = np.any(weights[:, first + 2:2 * m:2] != weights[:, first:2 * m - 2:2], axis=0)
             bounds = [first, *(first + 2 + 2 * np.flatnonzero(change)).tolist(), 2 * m + first]
             runs += zip(bounds[:-1], bounds[1:])
         runs += [(l, l + 1) for l in range(2 * m, n + 1)]
-        self.parts, self.galerkin_parts = [], []
+        # per axis, every part as (its lines, [(parents, weight)]) and, per
+        # fine offset dl and weight, every coarse (offset, parents) it lands
+        # on: one product serves them all
+        self.parts = {axis: [] for axis in _ALONG}
+        self.galerkin_parts = {axis: [] for axis in _ALONG}
         for start, stop in runs:
             w = weights[:, start].tolist()
             parent, size = min(start // 2, m - 1), len(range(start, stop, 2))
-            fine = self._at(slice(start, stop, 2))
-            parents = [self._at(slice(parent + up, parent + up + size)) for up in (0, 1)]
+            parents = [slice(parent + up, parent + up + size) for up in (0, 1)]
             shares = [(parents[up], w[up]) for up in (0, 1) if w[up]]
-            self.parts.insert(0 if len(shares) == 1 else len(self.parts), (fine, shares))
-            # per fine offset dl and weight, every coarse (offset, parent) it
-            # lands on: one product serves them all
+            targets = [{}, {}, {}]  # per dl
             for dl in range(3):
-                targets = {}
                 for up, dL in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)):
                     if w[2 + 9 * up + 3 * dL + dl]:
-                        targets.setdefault(w[2 + 9 * up + 3 * dL + dl], []).append((dL, parents[up]))
-                self.galerkin_parts += [(fine, dl, wt, where) for wt, where in targets.items()]
+                        targets[dl].setdefault(w[2 + 9 * up + 3 * dL + dl], []).append((dL, parents[up]))
+            for axis, at in _ALONG.items():
+                fine = at(slice(start, stop, 2))
+                self.parts[axis].insert(0 if len(shares) == 1 else len(self.parts[axis]),
+                                        (fine, [(at(lines), wt) for lines, wt in shares]))
+                self.galerkin_parts[axis] += [(fine, dl, wt, [(dL, at(lines)) for dL, lines in where])
+                                              for dl in range(3) for wt, where in targets[dl].items()]
 
-    def _at(self, s: slice) -> tuple:
-        return (Ellipsis, s) + (slice(None),) * (-1 - self.axis)
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The interpolation as an (n + 1, m + 1) matrix: the prolongation of
+        every coarse line alone."""
+        size = len(self.coarse)
+        return self.prolong(np.eye(size), (self.coarse[-1] + 1, size), -2)
 
-    def resized(self, shape: tuple) -> tuple:
+    def resized(self, shape: tuple, axis: int) -> tuple:
         """`shape` with the coarse number of lines on the axis."""
-        axis = len(shape) + self.axis
+        axis += len(shape)
         return shape[:axis] + (len(self.coarse),) + shape[axis + 1:]
 
-    def restrict(self, v: np.ndarray, shape: tuple) -> np.ndarray:
+    def restrict(self, v: np.ndarray, shape: tuple, axis: int) -> np.ndarray:
         """P^T along the axis into a new array of `shape`: the coarse lines
         copied, every other fine line shared between its parents k_l and
         k_l + 1 in the proportions 1 - t_l and t_l."""
         out = np.empty(shape)
-        for fine, shares in self.parts:
+        for fine, shares in self.parts[axis]:
             lines = v[fine]
             if len(shares) == 1:
                 out[shares[0][0]] = lines
@@ -529,11 +534,11 @@ class _Lines:
             into += part if w_lo == w_hi else w_lo * lines
         return out
 
-    def prolong(self, c: np.ndarray, shape: tuple) -> np.ndarray:
+    def prolong(self, c: np.ndarray, shape: tuple, axis: int) -> np.ndarray:
         """P along the axis into a new array of `shape`: the coarse lines
         copied, every other fine line interpolated from its parents."""
         out = np.empty(shape)
-        for fine, shares in self.parts:
+        for fine, shares in self.parts[axis]:
             if len(shares) == 1:
                 out[fine] = c[shares[0][0]]
                 continue
@@ -547,16 +552,16 @@ class _Lines:
                 lines += w_hi * c[upper]
         return out
 
-    def galerkin(self, a: np.ndarray) -> np.ndarray:
+    def galerkin(self, a: np.ndarray, axis: int) -> np.ndarray:
         """P^T A P along the axis, for the stencil arrays a (3, 3, columns,
         levels) of A indexed [offset on this axis + 1, offset on the other
         + 1]; the coarse stencil comes back in the same layout.  Every fine
         row's couplings are summed into its parents by slices."""
-        out = np.zeros(self.resized(a.shape))
+        out = np.zeros(self.resized(a.shape, axis))
         view = out
-        if self.axis == -1:
+        if axis == -1:
             a, view = a.transpose(1, 0, 2, 3), out.transpose(1, 0, 2, 3)
-        for fine, dl, w, targets in self.galerkin_parts:
+        for fine, dl, w, targets in self.galerkin_parts[axis]:
             part = w * a[dl][fine]
             for dL, parent in targets:
                 into = view[dL][parent]
@@ -565,10 +570,14 @@ class _Lines:
 
 
 # node grids of up to this many nodes are small: their free nodes go in and
-# out by a boolean mask, and their axes transfer by 1D matrix products.  On
-# a 33 x 65 grid the mask moved a vector in and out in 8.5 us against 14 us
-# by blocks, and a restriction took 6 us by products against 23 us by
-# slices; from 65 x 129 nodes on, blocks and slices are as fast or faster
+# out by a boolean mask, and their axes transfer by 1D matrix products, as a
+# numpy call costs more there than its work.  On a 33 x 65 grid the mask
+# moved a vector in and out in 8.5 us against 14 us by blocks, and a
+# restriction took 6 us by products against 23 us by slices; from 65 x 129
+# nodes on, blocks and slices are as fast or faster.  The fitted n = 128
+# benchmark sweep, whose grids from 33 x 65 down are small, ran in 0.59 s
+# with this path against 0.63-0.65 s without it (medians of two rounds of
+# 10 paired runs on a 2-vCPU VM; faster in 19 of the 20 pairs)
 _SMALL_GRID = 4096
 
 
@@ -576,7 +585,7 @@ class _FreeNodes:
     """The free nodes of a node-grid mask in node order: a vector over them
     goes into a grid and back by one slice per block of columns that share
     one contiguous run of free levels, or on grids of up to _SMALL_GRID
-    nodes, where a call costs more than its work, by the mask."""
+    nodes by the mask."""
 
     def __init__(self, free: np.ndarray):
         self.shape, self.mask = free.shape, free if free.size <= _SMALL_GRID else None
@@ -589,7 +598,10 @@ class _FreeNodes:
         self.blocks, self.fixed, offset = [], [], 0
         for j0, j1 in zip(bounds[:-1], bounds[1:]):
             l0, l1 = first[j0], first[j0] + count[j0]
-            self.fixed += [np.s_[j0:j1, :l0], np.s_[j0:j1, l1:]]
+            if l0 > 0:
+                self.fixed.append(np.s_[j0:j1, :l0])
+            if l1 < free.shape[1]:
+                self.fixed.append(np.s_[j0:j1, l1:])
             if l1 > l0:
                 size = (j1 - j0) * (l1 - l0)
                 self.blocks.append((np.s_[offset:offset + size], np.s_[j0:j1, l0:l1], (j1 - j0, l1 - l0)))
@@ -630,50 +642,39 @@ class _FreeNodes:
 class _Transfer:
     """Prolongation P = kron(Px, Pz) from the free coarse nodes to the free
     fine ones, and restriction P^T: the free-node vector goes into its node
-    grid, is interpolated or weighted along each coarsened axis (the columns
-    first on the way down), and the free nodes of the result come out.
-
-    Along an axis, on grids of more than _SMALL_GRID nodes, the `_Lines`
-    apply by slices; on smaller grids, where a call costs more than its
-    work, the 1D interpolation matrix of the axis, formed once by those
-    slices, applies as one product.
-    """
+    grid, is interpolated or weighted by the `_Lines` of each coarsened
+    axis (the columns first on the way down), and the free nodes of the
+    result come out.  On grids of up to _SMALL_GRID nodes an axis
+    transfers by one product with `_Lines.matrix`."""
 
     def __init__(self, fine: _FreeNodes, coarse: _FreeNodes, axes: list):
         self.fine, self.coarse = fine, coarse
         self.down, shape = [], fine.shape
-        for lines in axes:
-            matrix = None
-            if fine.mask is not None:
-                # the 1D prolongation as a (fine, coarse) matrix: the
-                # interpolation of every coarse line alone
-                size = len(lines.coarse)
-                eye = np.eye(size)
-                matrix = (lines.prolong(eye, (lines.n + 1, size)) if lines.axis == -2
-                          else lines.prolong(eye, (size, lines.n + 1)).T)
-            self.down.append((lines, matrix, lines.resized(shape), shape))
-            shape = lines.resized(shape)
+        for lines, axis in axes:
+            matrix = None if fine.mask is None else lines.matrix
+            self.down.append((lines, axis, matrix, lines.resized(shape, axis), shape))
+            shape = lines.resized(shape, axis)
 
     def restrict(self, r: np.ndarray, Ax: np.ndarray | None = None) -> np.ndarray:
         """P^T r, or P^T (r - Ax) with the residual formed as it goes into
         the grid."""
         g = self.fine.grid(r, Ax)
-        for lines, matrix, coarse, _ in self.down:
+        for lines, axis, matrix, coarse, _ in self.down:
             if matrix is None:
-                g = lines.restrict(g, coarse)
+                g = lines.restrict(g, coarse, axis)
             else:
-                g = matrix.T @ g if lines.axis == -2 else g @ matrix
+                g = matrix.T @ g if axis == -2 else g @ matrix
         return self.coarse.vector(g)
 
     def prolong(self, x: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
         """P x, or base + P x with the sum formed as it comes out of the
         grid."""
         g = self.coarse.grid(x)
-        for lines, matrix, _, fine in reversed(self.down):
+        for lines, axis, matrix, _, fine in reversed(self.down):
             if matrix is None:
-                g = lines.prolong(g, fine)
+                g = lines.prolong(g, fine, axis)
             else:
-                g = matrix @ g if lines.axis == -2 else g @ matrix.T
+                g = matrix @ g if axis == -2 else g @ matrix.T
         return self.fine.vector(g, base)
 
 
@@ -690,7 +691,10 @@ def _fine_stencil(A: sp.csr_matrix, free: np.ndarray, lines) -> np.ndarray:
     A's rows and columns are the free nodes of the node-grid mask `free` in
     node order.  Returns a (3, 3) + grid array whose [1 + dj, 1 + dl][j, l]
     couples node (j, l) to (j + dj, l + dl), zero where either node is not
-    free.  Entries of A that couple nodes further apart are left out.
+    free.  An entry of A that couples nodes further apart enters as its
+    absolute value on the diagonal of its row: the stencil's operator is A
+    plus a diagonally dominant remainder with no negative eigenvalue, so it
+    is SPD, and so are its Galerkin coarsenings, whenever A is.
     """
     cols, levels = free.shape
     # ids j S + l on the grid padded by one level, so that an id difference
@@ -701,7 +705,7 @@ def _fine_stencil(A: sp.csr_matrix, free: np.ndarray, lines) -> np.ndarray:
     step = -(-cols // _BLOCKS)
     # where each id difference, shifted by S + 2, puts an entry in a block of
     # `step` columns: the plane of one of the nine offsets, in node order, or
-    # a tenth, left out, for every other difference
+    # a tenth, summed into the diagonal, for every other difference
     plane = step * S
     slot = np.full(3 * S + 2, 9 * plane, dtype=np.int32)
     for dj in range(3):
@@ -717,11 +721,16 @@ def _fine_stencil(A: sp.csr_matrix, free: np.ndarray, lines) -> np.ndarray:
         where -= rows
         np.clip(where, 0, 3 * S + 1, out=where)
         where = slot.take(where)
+        weights = A.data[e0:e1]
+        outside = where == 9 * plane
+        if outside.any():
+            weights = np.where(outside, np.abs(weights), weights)
         rows -= j0 * S
         where += rows
-        block = np.bincount(where, weights=A.data[e0:e1], minlength=10 * plane)
-        block = block.reshape(10, step, S)[:9, :j1 - j0, :levels].reshape(3, 3, j1 - j0, levels)
-        out[:, :, j0:j1] = block if lines is None else lines.galerkin(block)
+        block = np.bincount(where, weights=weights, minlength=10 * plane).reshape(10, step, S)
+        block[4] += block[9]  # the diagonal plane
+        block = block[:9, :j1 - j0, :levels].reshape(3, 3, j1 - j0, levels)
+        out[:, :, j0:j1] = block if lines is None else lines.galerkin(block, -1)
     return out
 
 
@@ -735,32 +744,37 @@ def _multigrid_levels(A: sp.csr_matrix, free: np.ndarray) -> tuple[list, np.ndar
     (`_Lines.galerkin`); each coarse operator P^T A P, P = kron(Px, Pz) on
     the free nodes, is a 9-point stencil, gathered into CSR in node order as
     `_assemble_p1` gathers the fine one.  Couplings of A outside the 3 x 3
-    window stay in the fine A only.  Each level is a tuple (A, smoother
-    weights, `_Transfer`); the coarsest operator comes back as the inverse
-    of its Cholesky factor.  No P or R is stored, so the hierarchy dies with
-    the solve.  Raises `np.linalg.LinAlgError` when the coarsest operator is
-    not SPD.
+    window enter the coarse levels only as their absolute values on the
+    diagonal, so every coarse operator is SPD when A is.  One `_Lines` per
+    number of lines serves both axes and every level.  Each level is a
+    tuple (A, smoother weights, `_Transfer`); the coarsest operator comes
+    back as the inverse of its Cholesky factor.  No P or R is stored, so the
+    hierarchy dies with the solve.  Raises `np.linalg.LinAlgError` when the
+    coarsest operator is not SPD.
     """
-    levels = []
+    levels, shared = [], {}
     nodes, stencil = _FreeNodes(free), None
     while True:
-        lines = [_Lines(n - 1, axis) if n > 4 else None for n, axis in zip(free.shape, (-2, -1))]
-        x, z = lines
+        for n in free.shape:
+            if n > 4 and n not in shared:
+                shared[n] = _Lines(n - 1)
+        x, z = map(shared.get, free.shape)
         if x is None and z is None:
             break
         # the level lines first: on the finest level as A's stencil is formed
         if stencil is None:
             stencil = _fine_stencil(A, free, z)
         elif z is not None:
-            stencil = z.galerkin(stencil)
+            stencil = z.galerkin(stencil, -1)
         if x is not None:
-            stencil = x.galerkin(stencil)
-        for axis, a in enumerate(lines):
-            free = free if a is None else free.take(a.coarse, axis=axis)
+            stencil = x.galerkin(stencil, -2)
+        axes = [(a, axis) for a, axis in ((x, -2), (z, -1)) if a is not None]
+        for a, axis in axes:
+            free = free.take(a.coarse, axis=axis)
         coarse = _FreeNodes(free)
         # row sums of |A| in one pass: every row holds its positive diagonal
         levels.append((A, _SMOOTHER_SCALE / np.add.reduceat(np.abs(A.data), A.indptr[:-1]),
-                       _Transfer(nodes, coarse, [a for a in lines if a is not None])))
+                       _Transfer(nodes, coarse, axes)))
         pattern = _pattern(free, _OFFSETS)
         stencil *= pattern[0].T.reshape(stencil.shape)  # what the CSR leaves out, the next level must not see
         A, nodes = _csr(stencil, pattern), coarse
@@ -840,13 +854,16 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
     `_assemble_p1` with that mask gives them.  The coarse grids take every
     other line of each axis.  A may be any CSR matrix over the free nodes:
     the hierarchy is built from its couplings at the nine node-grid offsets
-    of the 3 x 3 window, and entries that couple nodes further apart enter
-    only the fine level, where CG and the smoother see them.  Returns x and
-    the solve record, which holds the seconds `mg_setup_s` spent building
-    the multigrid hierarchy.  Raises `SolverConvergenceError` when CG does
-    not converge, when A is seen not to be SPD, or when the coarsest
-    operator of the hierarchy is not; the last stops before the first step,
-    at the relative residual 1 of the zero start.
+    of the 3 x 3 window, and an entry that couples nodes further apart
+    enters the coarse levels only as its absolute value on the diagonal of
+    its row, so the preconditioner is SPD whenever A is; CG and the fine
+    smoother see A whole.  Such couplings slow the convergence down.
+    Returns x and the solve record, which holds the seconds `mg_setup_s`
+    spent building the multigrid hierarchy.  Raises `SolverConvergenceError`
+    when CG does not converge, when A is seen not to be SPD, or when the
+    coarsest operator of the hierarchy is not (A is then not SPD either);
+    the last stops before the first step, with an infinite residual as the
+    other checks before it.
     """
     if len(b) == 0:
         raise SolverConvergenceError("no free nodes: empty Dirichlet complement", np.inf)
@@ -858,7 +875,7 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
     try:
         levels, coarsest = _multigrid_levels(A, free)
     except np.linalg.LinAlgError:
-        raise SolverConvergenceError("the coarsest multigrid operator is not SPD", 1.0) from None
+        raise SolverConvergenceError("the coarsest multigrid operator is not SPD", np.inf) from None
     mg_setup_s = perf_counter() - t0
     if maxiter is None:
         maxiter = int(50 * np.sqrt(len(b))) + 10

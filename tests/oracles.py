@@ -683,6 +683,19 @@ def prolongation_1d(n: int) -> tuple[sp.csr_matrix, np.ndarray]:
     return sp.csr_matrix(hats), coarse
 
 
+def window_operator(A: sp.csr_matrix, free: np.ndarray) -> sp.csr_matrix:
+    """The operator a multigrid hierarchy coarsens for A over the free nodes
+    of the node-grid mask `free` (in node order): A's couplings within the
+    3 x 3 node-grid window, and the absolute value of every other entry
+    added to the diagonal of its row."""
+    j, l = np.nonzero(free)
+    C = A.tocoo()
+    inside = (np.abs(j[C.row] - j[C.col]) <= 1) & (np.abs(l[C.row] - l[C.col]) <= 1)
+    lumped = np.bincount(C.row[~inside], np.abs(C.data[~inside]), minlength=A.shape[0])
+    window = sp.csr_matrix((C.data[inside], (C.row[inside], C.col[inside])), shape=A.shape)
+    return (window + sp.diags(lumped)).tocsr()
+
+
 def multigrid_prolongations(free: np.ndarray) -> list:
     """The prolongation P = kron(Px, Pz)[free][:, coarse] of every level of
     the multigrid hierarchy on the node-grid mask `free`, down to the grid

@@ -5,13 +5,14 @@ iteration counts flat in the mesh size, the solve record, and the CG loop
 against scipy's `cg` (imported here only)."""
 
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
-from oracles import min_angle_loop, multigrid_prolongations
+from oracles import min_angle_loop, multigrid_prolongations, window_operator
 
 from darcyperturb import fem2d, flatten
 from darcyperturb.flatten import assemble_flattened_stiffness, solve_flattened
@@ -76,22 +77,25 @@ def relative_gap(mine, theirs) -> float:
     return norm(mine - theirs) / norm(theirs)
 
 
-@settings(deadline=None, max_examples=40)
-@given(kind=kinds, nx=sizes, nz=sizes, amp=amps, eps=eps_values, seed=st.integers(0, 2**32 - 1))
-@example(kind="fitted", nx=2, nz=300, amp=0.1, eps=0.1, seed=0)
-@example(kind="fitted", nx=300, nz=2, amp=0.1, eps=0.1, seed=0)
+@settings(deadline=None, max_examples=60)
+@given(kind=kinds, nx=sizes, nz=sizes, amp=amps, eps=eps_values, seed=st.integers(0, 2**32 - 1),
+       slices=st.booleans())
+@example(kind="fitted", nx=2, nz=300, amp=0.1, eps=0.1, seed=0, slices=False)
+@example(kind="fitted", nx=300, nz=2, amp=0.1, eps=0.1, seed=0, slices=True)
 # a fine grid of 65 x 81 nodes, above fem2d._SMALL_GRID: its free nodes go
-# in and out by blocks of columns and its axes transfer by slices, not by
-# the mask and 1D matrix products of the smaller grids
-@example(kind="flattened", nx=64, nz=40, amp=0.3, eps=0.1, seed=0)
-def test_stencil_hierarchy_is_the_sparse_galerkin_product(kind, nx, nz, amp, eps, seed):
+# in and out by blocks of columns and its axes transfer by slices, the
+# coarser grids' by the mask and 1D matrix products
+@example(kind="flattened", nx=64, nz=40, amp=0.3, eps=0.1, seed=0, slices=False)
+def test_stencil_hierarchy_is_the_sparse_galerkin_product(kind, nx, nz, amp, eps, seed, slices):
     # every coarse operator is P^T A P of the level above, with the sparse
     # P = kron(Px, Pz)[free][:, coarse]; the coarsest comes back as its
     # inverse Cholesky factor, so it is compared as L L^T; the transfers
     # apply P and P^T, alone and with the residual and the sum that the
-    # V-cycle forms on the way
+    # V-cycle forms on the way, on every level by slices when `slices`
+    # holds, else by the mask and 1D matrix products on the small grids
     mesh, K = system(kind, nx, nz, amp, eps)
-    A, _, (levels, coarsest) = hierarchy(mesh, K)
+    with mock.patch.object(fem2d, "_SMALL_GRID", 0 if slices else fem2d._SMALL_GRID):
+        A, _, (levels, coarsest) = hierarchy(mesh, K)
     prolongations = multigrid_prolongations(mesh.free_mask)
     assert len(levels) == len(prolongations) and levels[0][0] is A
     L = np.linalg.inv(coarsest)
@@ -285,3 +289,43 @@ def test_cg_solve_rejects_an_indefinite_system():
     with pytest.raises(fem2d.SolverConvergenceError, match="not SPD") as info:
         fem2d.cg_solve(A, load[free], mesh.free_mask)
     assert np.isfinite(info.value.residual)
+
+
+def checkerboard_system(c):
+    """The fitted 16 x 16 system K + c w w^T of the unit checkerboard mode w,
+    which couples every free node to every other, on the free nodes."""
+    mesh = fem2d.build_fitted_mesh(sine(0.0), 16, 16)
+    K = fem2d.assemble_stiffness(mesh, 1.0, 1.0, 1.0)
+    j, l = np.indices(mesh.node_grid.shape)
+    w = ((-1.0) ** (j + l)).ravel()
+    w[mesh.dirichlet_nodes] = 0.0
+    w /= np.linalg.norm(w)
+    A, free = reduced(mesh, (K + c * sp.csr_matrix(np.outer(w, w))).tocsr())
+    return mesh, A, np.random.default_rng(0).standard_normal(len(free))
+
+
+@pytest.mark.parametrize("c", [8.0, 100.0])
+def test_cg_solve_solves_an_spd_system_with_couplings_beyond_the_window(c):
+    # the hierarchy coarsens A's 3 x 3 window with every other coupling's
+    # absolute value on the diagonal, which keeps the coarse operators SPD
+    # for an SPD A; CG on the full A then reaches the direct solution
+    mesh, A, b = checkerboard_system(c)
+    levels, _ = fem2d._multigrid_levels(A, mesh.free_mask)
+    P = multigrid_prolongations(mesh.free_mask)[0]
+    assert relative_gap(levels[1][0], P.T @ window_operator(A, mesh.free_mask) @ P) <= 1e-12
+    x, record = fem2d.cg_solve(A, b, mesh.free_mask, rtol=1e-13)
+    direct = np.linalg.solve(A.toarray(), b)
+    assert np.linalg.norm(x - direct) <= 1e-8 * np.linalg.norm(direct)
+    assert record["levels"] == len(levels) + 1
+
+
+def test_cg_solve_rejects_an_indefinite_coarsest_operator_before_cg():
+    # 3 K - 2 diag(K) keeps K's positive diagonal, but its smooth modes,
+    # which the coarsest grid sees, curve down: the solve stops before the
+    # first CG step, with no residual to report
+    mesh = fem2d.build_fitted_mesh(sine(0.0), 16, 16)
+    K = fem2d.assemble_stiffness(mesh, 1.0, 1.0, 1.0)
+    A, free = reduced(mesh, (3.0 * K - 2.0 * sp.diags(K.diagonal())).tocsr())
+    with pytest.raises(fem2d.SolverConvergenceError, match="coarsest multigrid operator is not SPD") as info:
+        fem2d.cg_solve(A, np.ones(len(free)), mesh.free_mask)
+    assert info.value.residual == np.inf
