@@ -263,24 +263,36 @@ _OFFSETS = tuple((dj, dl) for dj in (-1, 0, 1) for dl in (-1, 0, 1))
 _P1_OFFSETS = tuple(o for o in _OFFSETS if o not in ((-1, 1), (1, -1)))
 
 
+def _neighbours(grid: np.ndarray, offsets, axis: int) -> np.ndarray:
+    """Each node's neighbour in `grid` at every node-grid offset, stacked
+    along `axis`; zero (False) past the edge of the grid."""
+    shape, padded = grid.shape, np.pad(grid, 1)
+    return np.stack([padded[1 + dj: 1 + dj + shape[0], 1 + dl: 1 + dl + shape[1]] for dj, dl in offsets], axis=axis)
+
+
+def _couplings(keep: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """The (offsets, columns, levels) mask of the couplings between nodes of
+    the mask `keep` at the node-grid `offsets`, and the CSR row pointers of
+    the kept nodes in node order."""
+    # one plane per offset, so that the row counts sum contiguous planes
+    planes = _neighbours(keep, offsets, 0)
+    planes &= keep
+    indptr = np.zeros(int(np.count_nonzero(keep)) + 1, dtype=np.int32)
+    np.cumsum(planes.sum(axis=0, dtype=np.int32)[keep], out=indptr[1:])
+    return planes, indptr
+
+
 def _pattern(keep: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR pattern of a stencil with the node-grid `offsets` (in ascending
     node id) over the nodes of the mask `keep`, numbered in node order: the
     (nodes, offsets) mask of the couplings between kept nodes, their column
     indices and the row pointers."""
-    shape = keep.shape
-    # each node's neighbour in every stencil direction, in grids padded by
-    # one line that is never kept; scipy stores the indices as int32 anyway
-    kept, number = np.pad(keep, 1), np.pad(np.cumsum(keep, dtype=np.int32).reshape(shape) - 1, 1)
-    shifts = [np.s_[1 + dj: 1 + dj + shape[0], 1 + dl: 1 + dl + shape[1]] for dj, dl in offsets]
-    # one plane per offset, so that the row counts sum contiguous planes
-    planes = np.stack([kept[a] for a in shifts])
-    planes &= keep
-    indptr = np.zeros(int(np.count_nonzero(keep)) + 1, dtype=np.int32)
-    np.cumsum(planes.sum(axis=0, dtype=np.int32)[keep], out=indptr[1:])
+    planes, indptr = _couplings(keep, offsets)
     present = np.ascontiguousarray(planes.reshape(len(offsets), -1).T)
     del planes
-    indices = np.stack([number[a] for a in shifts], axis=-1).reshape(-1, len(offsets))[present]
+    # scipy stores the indices as int32 anyway
+    number = np.cumsum(keep, dtype=np.int32).reshape(keep.shape) - 1
+    indices = _neighbours(number, offsets, -1).reshape(-1, len(offsets))[present]
     return present, indices, indptr
 
 
@@ -679,57 +691,41 @@ class _Transfer:
 
 
 # A's stencil is formed a block of grid columns at a time, one of this many,
-# so that its nine node-grid arrays never exist whole and the temporaries of
-# a block (about 24 bytes a nonzero) stay near one node-grid array
+# so that its nine node-grid arrays never exist whole and the nine planes of
+# a block stay near one node-grid array
 _BLOCKS = 8
 
 
 def _fine_stencil(A: sp.csr_matrix, free: np.ndarray, lines) -> np.ndarray:
-    """The couplings of A at the nine node-grid offsets, coarsened along the
-    level lines by the `_Lines` `lines` (None: not coarsened).
+    """The stencil of the free-node matrix A that `_assemble_p1` gathers with
+    the node-grid mask `free`, coarsened along the level lines by the
+    `_Lines` `lines` (None: not coarsened).
 
-    A's rows and columns are the free nodes of the node-grid mask `free` in
-    node order.  Returns a (3, 3) + grid array whose [1 + dj, 1 + dl][j, l]
-    couples node (j, l) to (j + dj, l + dl), zero where either node is not
-    free.  An entry of A that couples nodes further apart enters as its
-    absolute value on the diagonal of its row: the stencil's operator is A
-    plus a diagonally dominant remainder with no negative eigenvalue, so it
-    is SPD, and so are its Galerkin coarsenings, whenever A is.
+    Returns a (3, 3) + grid array whose [1 + dj, 1 + dl][j, l] couples node
+    (j, l) to (j + dj, l + dl), zero where either node is not free.  A's
+    entries fill the couplings of `_pattern(free, _P1_OFFSETS)` row by row
+    in node order, explicit zeros included, so the gather runs backwards:
+    one boolean scatter of A's entries per block of columns.  Raises
+    `ValueError` when A's shape or row pointers are not that pattern's.
     """
     cols, levels = free.shape
-    # ids j S + l on the grid padded by one level, so that an id difference
-    # of dj S + dl with |dj|, |dl| <= 1 names one offset and no other
-    S = levels + 1
-    ids = (np.arange(cols, dtype=np.int32)[:, None] * S + np.arange(levels, dtype=np.int32))[free]
-    first = np.concatenate(([0], np.cumsum(np.count_nonzero(free, axis=1))))  # the first row of every column
-    step = -(-cols // _BLOCKS)
-    # where each id difference, shifted by S + 2, puts an entry in a block of
-    # `step` columns: the plane of one of the nine offsets, in node order, or
-    # a tenth, summed into the diagonal, for every other difference
-    plane = step * S
-    slot = np.full(3 * S + 2, 9 * plane, dtype=np.int32)
-    for dj in range(3):
-        slot[1 + dj * S:4 + dj * S] = np.arange(3 * dj, 3 * dj + 3) * plane
-    shifted = ids + (S + 2)
+    # the result first, so that the temporaries free off the top of the heap
     out = np.empty((3, 3, cols, levels if lines is None else len(lines.coarse)))
+    planes, indptr = _couplings(free, _P1_OFFSETS)
+    if A.shape != (len(indptr) - 1,) * 2 or not np.array_equal(A.indptr, indptr):
+        raise ValueError("A is not the free-node P1 matrix of the mask: its shape or row pointers differ")
+    # where A's entries go in the (columns, levels, 3, 3) layout, whose
+    # couplings come in node order and then in ascending node id
+    window = np.zeros((cols, levels, 3, 3), dtype=bool)
+    for plane, (dj, dl) in zip(planes, _P1_OFFSETS):
+        window[..., 1 + dj, 1 + dl] = plane
+    del planes
+    first = indptr[np.concatenate(([0], np.cumsum(np.count_nonzero(free, axis=1))))]  # A's first entry per column
+    step = -(-cols // _BLOCKS)
     for j0 in range(0, cols, step):
         j1 = min(j0 + step, cols)
-        r0, r1 = first[j0], first[j1]
-        e0, e1 = A.indptr[r0], A.indptr[r1]
-        rows = np.repeat(ids[r0:r1], np.diff(A.indptr[r0:r1 + 1]))
-        where = shifted.take(A.indices[e0:e1])
-        where -= rows
-        np.clip(where, 0, 3 * S + 1, out=where)
-        where = slot.take(where)
-        weights = A.data[e0:e1]
-        outside = where == 9 * plane
-        if outside.any():
-            weights = np.where(outside, np.abs(weights), weights)
-        rows -= j0 * S
-        where += rows
-        block = np.bincount(where, weights=weights, minlength=10 * plane).reshape(10, step, S)
-        block[4] += block[9]  # the diagonal plane
-        block = block[:9, :j1 - j0, :levels].reshape(3, 3, j1 - j0, levels)
+        block = np.zeros((3, 3, j1 - j0, levels))
+        block.transpose(2, 3, 0, 1)[window[j0:j1]] = A.data[first[j0]:first[j1]]
         out[:, :, j0:j1] = block if lines is None else lines.galerkin(block, -1)
     return out
 
@@ -738,19 +734,19 @@ def _multigrid_levels(A: sp.csr_matrix, free: np.ndarray) -> tuple[list, np.ndar
     """Galerkin hierarchy of A on the free nodes of a node grid, in stencil
     form (Dendy, "Black box multigrid", J. Comput. Phys. 48, 1982).
 
-    `free` is the grid-shaped mask of the rows of A.  A's couplings at the
-    nine node-grid offsets (`_fine_stencil`) are coarsened one axis at a
-    time, the level lines first and then the columns, by slices of the grid
-    (`_Lines.galerkin`); each coarse operator P^T A P, P = kron(Px, Pz) on
-    the free nodes, is a 9-point stencil, gathered into CSR in node order as
-    `_assemble_p1` gathers the fine one.  Couplings of A outside the 3 x 3
-    window enter the coarse levels only as their absolute values on the
-    diagonal, so every coarse operator is SPD when A is.  One `_Lines` per
-    number of lines serves both axes and every level.  Each level is a
-    tuple (A, smoother weights, `_Transfer`); the coarsest operator comes
-    back as the inverse of its Cholesky factor.  No P or R is stored, so the
-    hierarchy dies with the solve.  Raises `np.linalg.LinAlgError` when the
-    coarsest operator is not SPD.
+    `free` is the grid-shaped mask of the rows of A, and A is the matrix
+    that `_assemble_p1` gathers with that mask (`_fine_stencil` reads its
+    stencil back and raises `ValueError` for any other).  The stencil is
+    coarsened one axis at a time, the level lines first and then the
+    columns, by slices of the grid (`_Lines.galerkin`); each coarse operator
+    P^T A P, P = kron(Px, Pz) on the free nodes, is a 9-point stencil,
+    gathered into CSR in node order as `_assemble_p1` gathers the fine one,
+    and is SPD when A is.  One `_Lines` per number of lines serves both axes
+    and every level.  Each level is a tuple (A, smoother weights,
+    `_Transfer`); the coarsest operator comes back as the inverse of its
+    Cholesky factor.  No P or R is stored, so the hierarchy dies with the
+    solve.  Raises `np.linalg.LinAlgError` when the coarsest operator is not
+    SPD.
     """
     levels, shared = [], {}
     nodes, stencil = _FreeNodes(free), None
@@ -850,21 +846,20 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
     with one geometric-multigrid V-cycle.
 
     `free` is the node-grid mask (columns, levels) of the free nodes, as
-    `Mesh2D.free_mask`; A and b are numbered in node order over them, as
-    `_assemble_p1` with that mask gives them.  The coarse grids take every
-    other line of each axis.  A may be any CSR matrix over the free nodes:
-    the hierarchy is built from its couplings at the nine node-grid offsets
-    of the 3 x 3 window, and an entry that couples nodes further apart
-    enters the coarse levels only as its absolute value on the diagonal of
-    its row, so the preconditioner is SPD whenever A is; CG and the fine
-    smoother see A whole.  Such couplings slow the convergence down.
-    Returns x and the solve record, which holds the seconds `mg_setup_s`
-    spent building the multigrid hierarchy.  Raises `SolverConvergenceError`
-    when CG does not converge, when A is seen not to be SPD, or when the
-    coarsest operator of the hierarchy is not (A is then not SPD either);
-    the last stops before the first step, with an infinite residual as the
-    other checks before it.
+    `Mesh2D.free_mask`; A and b are numbered in node order over them, and A
+    must be the matrix that `_assemble_p1` gathers with that mask, whose
+    stencil the hierarchy reads back (`ValueError` for any other matrix).
+    The coarse grids take every other line of each axis.  Returns x and the
+    solve record, which holds the seconds `mg_setup_s` spent building the
+    multigrid hierarchy and the energy x.Ax as `bilinear_energy`.  Raises
+    `ValueError` for maxiter < 1, and `SolverConvergenceError` when CG does
+    not converge, when A is seen not to be SPD, or when the coarsest
+    operator of the hierarchy is not (A is then not SPD either); the last
+    stops before the first step, with an infinite residual as the other
+    checks before it.
     """
+    if maxiter is not None and maxiter < 1:
+        raise ValueError(f"maxiter must be at least 1, got {maxiter}")
     if len(b) == 0:
         raise SolverConvergenceError("no free nodes: empty Dirichlet complement", np.inf)
     if free.all():
@@ -883,13 +878,15 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
     steps = []
     x, info = cg(A, b, rtol=rtol, maxiter=maxiter,
                  M=partial(_v_cycle, levels, coarsest), callback=steps.append)
-    res = float(np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300))
+    Ax = A @ x
+    res = float(np.linalg.norm(Ax - b) / max(np.linalg.norm(b), 1e-300))
     if info != 0:
         raise SolverConvergenceError(
             f"CG did not converge within {maxiter} iterations (relative residual {res:.3e})", res
         )
     record = {"solver": "mg-cg", "iterations": len(steps), "rel_residual": res,
-              "dofs": len(b), "nnz": A.nnz, "levels": len(levels) + 1, "mg_setup_s": mg_setup_s}
+              "dofs": len(b), "nnz": A.nnz, "levels": len(levels) + 1, "mg_setup_s": mg_setup_s,
+              "bilinear_energy": float(x @ Ax)}
     return x, record
 
 
@@ -911,7 +908,7 @@ def _galerkin_solve(mesh: Mesh2D, load, metric, label: str, eps: float, k1: floa
     values[free.ravel()] = x
     meta = {"eps": eps, "k1": k1, "k2": k2, "assemble_s": t2 - t0, "stiffness_s": t2 - t1, "load_s": t1 - t0,
             **record, "solve_s": perf_counter() - t2, "min_angle": mesh.min_angle(),
-            "load_functional": float(b @ x), "bilinear_energy": float(x @ (A @ x))}
+            "load_functional": float(b @ x)}
     return Field2D(mesh=mesh, values=values, label=label, meta=meta)
 
 

@@ -322,12 +322,6 @@ def _sqrt_of_positive_part(v):
     return _scalar(np.sqrt(np.where(v < 0.0, 0.0, v)))
 
 
-def vnorm_inner_1d(a: PiecewiseField1D, b: PiecewiseField1D) -> float:
-    """V inner product int_{-1}^{1} da db over the union of breakpoints."""
-    breaks = _insert_points(a.breakpoints, [b.breakpoints])
-    return integrate_cells(lambda x: a._eval(x, "deriv") * b._eval(x, "deriv"), breaks, order=_ORDER)
-
-
 def vnorm_diff_1d(a: PiecewiseField1D, b: PiecewiseField1D):
     """V-norm of the difference, (int |da - db|^2)^(1/2); an array for R rows."""
 

@@ -30,7 +30,7 @@ from darcyperturb.fem2d import _match_columns
 from darcyperturb.flatten import _averaged_metric
 from darcyperturb.geometry import _area_below, _check_eps, _heights_above, make_perturbation, perturbation_from_table
 from darcyperturb.quadrature import (_ANTIDERIVATIVE_CELLS, _ANTIDERIVATIVE_ORDER, as_array_fn, gauss_rule,
-                                     triangle_rule)
+                                     integrate_cells, triangle_rule)
 from darcyperturb.solver1d import (_ORDER as _ORDER_1D, BREAKPOINT_MERGE_TOL, Piece, PiecewiseField1D, _at,
                                    _constant, _insert_points, _two_region_exact)
 
@@ -197,6 +197,12 @@ def insert_points_loop(breaks, extra) -> np.ndarray:
         else:
             keep[-1] = max(keep[-1], p)
     return np.array(keep)
+
+
+def vnorm_inner_1d(a: PiecewiseField1D, b: PiecewiseField1D) -> float:
+    """V inner product int_{-1}^{1} da db over the union of breakpoints."""
+    breaks = _insert_points(a.breakpoints, [b.breakpoints])
+    return integrate_cells(lambda x: a._eval(x, "deriv") * b._eval(x, "deriv"), breaks, order=_ORDER_1D)
 
 
 # --- the P1 cross-check of the exact 1D solver ---------------------------------
@@ -681,19 +687,6 @@ def prolongation_1d(n: int) -> tuple[sp.csr_matrix, np.ndarray]:
     coarse = np.append(np.arange(0, n - 1 - n % 2, 2), n)
     hats = np.array([np.interp(np.arange(n + 1), coarse, e) for e in np.eye(len(coarse))]).T
     return sp.csr_matrix(hats), coarse
-
-
-def window_operator(A: sp.csr_matrix, free: np.ndarray) -> sp.csr_matrix:
-    """The operator a multigrid hierarchy coarsens for A over the free nodes
-    of the node-grid mask `free` (in node order): A's couplings within the
-    3 x 3 node-grid window, and the absolute value of every other entry
-    added to the diagonal of its row."""
-    j, l = np.nonzero(free)
-    C = A.tocoo()
-    inside = (np.abs(j[C.row] - j[C.col]) <= 1) & (np.abs(l[C.row] - l[C.col]) <= 1)
-    lumped = np.bincount(C.row[~inside], np.abs(C.data[~inside]), minlength=A.shape[0])
-    window = sp.csr_matrix((C.data[inside], (C.row[inside], C.col[inside])), shape=A.shape)
-    return (window + sp.diags(lumped)).tocsr()
 
 
 def multigrid_prolongations(free: np.ndarray) -> list:

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from oracles import from_nodal, h1_norm_smooth, sine_shape, t_apply_smooth
+from oracles import from_nodal, h1_norm_smooth, sine_shape, t_apply_smooth, vnorm_inner_1d
 
 from darcyperturb.cli import dispatch
 from darcyperturb.geometry import ForcingSpec, lower_bound_constant, make_perturbation
@@ -116,7 +116,7 @@ def test_criterion_4_projection_algebra():
         ph = solver1d.project_H(r, zeta)
         hp = solver1d.project_Hperp(r, zeta)
         worst_sum = max(worst_sum, _vnorm_sum_defect(ph, hp, r))
-        worst_orth = max(worst_orth, abs(solver1d.vnorm_inner_1d(ph, solver1d.project_Hperp(s, zeta))))
+        worst_orth = max(worst_orth, abs(vnorm_inner_1d(ph, solver1d.project_Hperp(s, zeta))))
         lo, hi = (0.0, zeta) if zeta > 0 else (zeta, 0.0)
         gap_pts = np.linspace(lo + 1e-3, hi - 1e-3, 20)
         ok &= float(np.max(np.abs(ph.derivative(gap_pts)))) < 1e-10

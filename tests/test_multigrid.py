@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
-from oracles import min_angle_loop, multigrid_prolongations, window_operator
+from oracles import min_angle_loop, multigrid_prolongations
 
 from darcyperturb import fem2d, flatten
 from darcyperturb.flatten import assemble_flattened_stiffness, solve_flattened
@@ -274,58 +274,67 @@ def test_cg_stops_on_a_direction_of_no_positive_curvature():
         fem2d.cg(A, np.ones(2), rtol=1e-10, maxiter=10)
 
 
-def test_cg_solve_rejects_an_indefinite_system():
-    # subtracting 8 times the checkerboard mode turns its curvature negative
-    # while the diagonal and the coarse grids, which do not see the mode, stay
-    # positive: only the CG loop can notice
+def flat_system():
+    """The flat fitted 16 x 16 mesh and its stiffness K on the free nodes,
+    as the solve assembles it."""
     mesh = fem2d.build_fitted_mesh(sine(0.0), 16, 16)
-    K = fem2d.assemble_stiffness(mesh, 1.0, 1.0, 1.0)
-    j, l = np.indices(mesh.node_grid.shape)
-    w = ((-1.0) ** (j + l)).ravel()
-    w[mesh.dirichlet_nodes] = 0.0
-    w /= np.linalg.norm(w)
-    A, free = reduced(mesh, (K - 8.0 * sp.csr_matrix(np.outer(w, w))).tocsr())
-    load = np.random.default_rng(0).standard_normal(mesh.n_nodes)
-    with pytest.raises(fem2d.SolverConvergenceError, match="not SPD") as info:
-        fem2d.cg_solve(A, load[free], mesh.free_mask)
+    return mesh, reduced(mesh, fem2d.assemble_stiffness(mesh, 1.0, 1.0, 1.0))[0]
+
+
+def test_cg_solve_rejects_an_indefinite_system():
+    # K - s D^1/2 H D^1/2 in K's own pattern, D = diag(K) / 4, where the P1
+    # stencil H (diagonal 1, W/E/S/N -1/2, SW/NE +1/2) has the symbol
+    # 1 - cos(tx) - cos(tz) + cos(tx + tz): 0 on constants and 4 on the
+    # checkerboard mode.  At s = 2.5 the checkerboard curves down while the
+    # diagonal and the coarse grids, which do not see it, stay positive: only
+    # the CG loop can notice
+    mesh, A = flat_system()
+    j, l = np.nonzero(mesh.free_mask)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    dj, dl = j[A.indices] - j[rows], l[A.indices] - l[rows]
+    H = np.where((dj == 0) & (dl == 0), 1.0, np.where(dj == dl, 0.5, -0.5))
+    d = np.sqrt(A.diagonal() / 4.0)
+    A.data -= 2.5 * d[rows] * H * d[A.indices]
+    assert A.diagonal().min() > 0.0
+    load = np.random.default_rng(0).standard_normal(A.shape[0])
+    with pytest.raises(fem2d.SolverConvergenceError, match="CG met a direction") as info:
+        fem2d.cg_solve(A, load, mesh.free_mask)
     assert np.isfinite(info.value.residual)
 
 
-def checkerboard_system(c):
-    """The fitted 16 x 16 system K + c w w^T of the unit checkerboard mode w,
-    which couples every free node to every other, on the free nodes."""
-    mesh = fem2d.build_fitted_mesh(sine(0.0), 16, 16)
-    K = fem2d.assemble_stiffness(mesh, 1.0, 1.0, 1.0)
-    j, l = np.indices(mesh.node_grid.shape)
-    w = ((-1.0) ** (j + l)).ravel()
-    w[mesh.dirichlet_nodes] = 0.0
-    w /= np.linalg.norm(w)
-    A, free = reduced(mesh, (K + c * sp.csr_matrix(np.outer(w, w))).tocsr())
-    return mesh, A, np.random.default_rng(0).standard_normal(len(free))
-
-
-@pytest.mark.parametrize("c", [8.0, 100.0])
-def test_cg_solve_solves_an_spd_system_with_couplings_beyond_the_window(c):
-    # the hierarchy coarsens A's 3 x 3 window with every other coupling's
-    # absolute value on the diagonal, which keeps the coarse operators SPD
-    # for an SPD A; CG on the full A then reaches the direct solution
-    mesh, A, b = checkerboard_system(c)
-    levels, _ = fem2d._multigrid_levels(A, mesh.free_mask)
-    P = multigrid_prolongations(mesh.free_mask)[0]
-    assert relative_gap(levels[1][0], P.T @ window_operator(A, mesh.free_mask) @ P) <= 1e-12
-    x, record = fem2d.cg_solve(A, b, mesh.free_mask, rtol=1e-13)
-    direct = np.linalg.solve(A.toarray(), b)
-    assert np.linalg.norm(x - direct) <= 1e-8 * np.linalg.norm(direct)
-    assert record["levels"] == len(levels) + 1
-
-
 def test_cg_solve_rejects_an_indefinite_coarsest_operator_before_cg():
-    # 3 K - 2 diag(K) keeps K's positive diagonal, but its smooth modes,
-    # which the coarsest grid sees, curve down: the solve stops before the
-    # first CG step, with no residual to report
-    mesh = fem2d.build_fitted_mesh(sine(0.0), 16, 16)
-    K = fem2d.assemble_stiffness(mesh, 1.0, 1.0, 1.0)
-    A, free = reduced(mesh, (3.0 * K - 2.0 * sp.diags(K.diagonal())).tocsr())
+    # 3 K - 2 diag(K), formed in K's pattern, keeps K's positive diagonal,
+    # but its smooth modes, which the coarsest grid sees, curve down: the
+    # solve stops before the first CG step, with no residual to report
+    mesh, K = flat_system()
+    A = K.copy()
+    A.data *= 3.0
+    A.setdiag(A.diagonal() - 2.0 * K.diagonal())
     with pytest.raises(fem2d.SolverConvergenceError, match="coarsest multigrid operator is not SPD") as info:
-        fem2d.cg_solve(A, np.ones(len(free)), mesh.free_mask)
+        fem2d.cg_solve(A, np.ones(A.shape[0]), mesh.free_mask)
     assert info.value.residual == np.inf
+
+
+def test_cg_solve_takes_only_the_free_node_p1_matrix():
+    # the hierarchy reads A back through the assembler's gather, so a matrix
+    # with couplings beyond the P1 pattern, or one without K's explicit
+    # zeros, is refused, not solved
+    mesh, K = flat_system()
+    j, l = np.nonzero(mesh.free_mask)
+    w = (-1.0) ** (j + l)
+    w /= np.linalg.norm(w)
+    pruned = K.copy()
+    pruned.eliminate_zeros()
+    assert pruned.nnz < K.nnz
+    b = np.ones(K.shape[0])
+    for A in ((K + 8.0 * sp.csr_matrix(np.outer(w, w))).tocsr(), pruned):
+        with pytest.raises(ValueError, match="not the free-node P1 matrix"):
+            fem2d.cg_solve(A, b, mesh.free_mask)
+
+
+@pytest.mark.parametrize("maxiter", [0, -1])
+def test_cg_solve_rejects_maxiter_below_one(maxiter):
+    # with no iteration CG would hand back the zero vector as a solution
+    mesh, K = flat_system()
+    with pytest.raises(ValueError, match="maxiter must be at least 1"):
+        fem2d.cg_solve(K, np.ones(K.shape[0]), mesh.free_mask, maxiter=maxiter)

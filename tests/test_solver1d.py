@@ -8,7 +8,8 @@ from darcyperturb import solver1d
 from darcyperturb.config import compile_expression
 from darcyperturb.geometry import ForcingSpec
 from oracles import (FLUXES, SOURCES, TOL, bits, eval_per_piece, from_nodal, insert_points_loop, max_jump,
-                     piece_index_clip, row_bound, row_energy, row_exact, row_vnorm_diff, row_xi, solve_fem_1d)
+                     piece_index_clip, row_bound, row_energy, row_exact, row_vnorm_diff, row_xi, solve_fem_1d,
+                     vnorm_inner_1d)
 
 from darcyperturb.solver1d import (
     energy_split_1d,
@@ -19,7 +20,6 @@ from darcyperturb.solver1d import (
     project_Hperp,
     solve_exact_1d,
     vnorm_diff_1d,
-    vnorm_inner_1d,
     xi_1d,
 )
 
