@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import ForcingSpec, Perturbation, make_perturbation, perturbation_from_table
-from .quadrature import as_array_fn
+from .quadrature import MAX_ORDER, as_array_fn
 
 
 class ConfigError(ValueError):
@@ -119,8 +119,8 @@ class RunConfig:
             raise ConfigError(f"n_cells must be >= 4, got {self.n_cells}")
         if self.nx < 2 or self.nz < 2:
             raise ConfigError(f"nx, nz must be >= 2, got {self.nx}, {self.nz}")
-        if self.quadrature_order < 1:
-            raise ConfigError("quadrature_order must be a positive integer")
+        if not 1 <= self.quadrature_order <= MAX_ORDER:
+            raise ConfigError(f"quadrature_order must lie in [1, {MAX_ORDER}], got {self.quadrature_order}")
         if self.continuity_tol is not None and not self.continuity_tol >= 0.0:
             raise ConfigError(f"continuity_tol must be >= 0, got {self.continuity_tol}")
         if not 0.0 < self.cg_rtol < 1.0:

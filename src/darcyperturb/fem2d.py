@@ -17,9 +17,9 @@ matching columns by one column-wise interpolation.  Every node couples to at
 most seven: the stiffness is summed as seven node-grid arrays, one per
 stencil entry.  The multigrid preconditioner coarsens to every other grid
 line in the same form: its Galerkin operators are 9-point stencils formed
-by slices of the grid, one axis at a time, and its grid transfers are
-slices too (on small grids one 1D matrix product per axis), so it stores
-no prolongation and forms no sparse product.
+by slices of the grid, one axis at a time, and its grid transfers are one
+product per axis with the 1D interpolation of that axis, so it stores no
+2D prolongation and forms no sparse Galerkin product.
 """
 
 from __future__ import annotations
@@ -441,24 +441,23 @@ _ALONG = {-2: lambda s: (Ellipsis, s, slice(None)), -1: lambda s: (Ellipsis, s)}
 
 class _Lines:
     """Linear interpolation onto the n + 1 lines of one grid axis from the
-    coarse lines 0, 2, ..., and n, applied by slices along either axis of
-    node-grid arrays (`_ALONG`).
+    coarse lines 0, 2, ..., and n, as the sparse (n + 1, m + 1) matrix
+    `matrix` of the coarse hat functions at the fine lines.
 
     For an odd n the coarse lines are 0, 2, ..., n - 3 and n, so the last
     coarse interval spans three cells (weights 1/3 and 2/3) rather than
     leaving a one-cell sliver that would survive on every coarser level.
     Every fine line l has the parent k_l = min(l // 2, m - 1), the coarse
     line at or below it, and the weight t_l of the coarse line k_l + 1 in
-    its value.
+    its value: row l of the matrix holds 1 - t_l at k_l and t_l at
+    k_l + 1, and no explicit zero, so a coarse line has one entry.
 
-    The fine lines split into parts of one set of weights: runs of the
-    lines 2K, and of the lines 2K + 1, below 2m, whose parents are runs of
-    consecutive coarse lines, and each line from 2m on, with the parent
-    m - 1.  A part, the run of its parents and the run of the next coarse
-    lines are slices of the grid, so every transfer and the Galerkin
-    coarsening are sums of slices, one number times a slice at a time.  The
-    parts of the coarse lines themselves (t = 0 or 1, one parent of weight 1)
-    come first.
+    For the Galerkin coarsening the fine lines split into parts of one set
+    of weights: runs of the lines 2K, and of the lines 2K + 1, below 2m,
+    whose parents are runs of consecutive coarse lines, and each line from
+    2m on, with the parent m - 1.  A part, the run of its parents and the
+    run of the next coarse lines are slices of the grid, so the coarse
+    stencil is a sum of slices, one number times a slice at a time.
     """
 
     def __init__(self, n: int):
@@ -467,6 +466,12 @@ class _Lines:
         lines = np.arange(n + 1)
         k = np.minimum(lines // 2, m - 1)
         t = (lines - self.coarse[k]) / (self.coarse[k + 1] - self.coarse[k])
+        share = np.stack([1.0 - t, t])
+        stored = share.T != 0.0  # no explicit zero
+        indptr = np.zeros(n + 2, dtype=np.int32)
+        np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+        self.matrix = sp.csr_matrix((share.T[stored], np.stack([k, k + 1], axis=1)[stored], indptr),
+                                    shape=(n + 1, m + 1))
         # Galerkin weights: a fine coupling of offset dl from line l meets
         # the interpolation of line l + dl, whose parent lies delta =
         # k_(l+dl) - k_l lines from k_l: coarse line k_l + e takes the weight
@@ -482,7 +487,6 @@ class _Lines:
         tl = np.stack([tn[:-2], t, tn[2:]])[:, None]
         e = np.arange(-1.0, 3.0)[:, None]
         c = (1.0 - tl) * (delta == e) + tl * (delta == e - 1.0)
-        share = np.stack([1.0 - t, t])
         # per line, its two shares, then the weight [parent, dL, dl] of a
         # fine coupling of offset dl in the coarse one of offset dL
         galerkin = share[:, None, None] * np.stack([c[:, :3], c[:, 1:]]).transpose(0, 2, 1, 3)
@@ -494,16 +498,13 @@ class _Lines:
             bounds = [first, *(first + 2 + 2 * np.flatnonzero(change)).tolist(), 2 * m + first]
             runs += zip(bounds[:-1], bounds[1:])
         runs += [(l, l + 1) for l in range(2 * m, n + 1)]
-        # per axis, every part as (its lines, [(parents, weight)]) and, per
-        # fine offset dl and weight, every coarse (offset, parents) it lands
-        # on: one product serves them all
-        self.parts = {axis: [] for axis in _ALONG}
+        # per axis and part, per fine offset dl and weight, every coarse
+        # (offset, parents) it lands on: one product serves them all
         self.galerkin_parts = {axis: [] for axis in _ALONG}
         for start, stop in runs:
             w = weights[:, start].tolist()
             parent, size = min(start // 2, m - 1), len(range(start, stop, 2))
             parents = [slice(parent + up, parent + up + size) for up in (0, 1)]
-            shares = [(parents[up], w[up]) for up in (0, 1) if w[up]]
             targets = [{}, {}, {}]  # per dl
             for dl in range(3):
                 for up, dL in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)):
@@ -511,66 +512,28 @@ class _Lines:
                         targets[dl].setdefault(w[2 + 9 * up + 3 * dL + dl], []).append((dL, parents[up]))
             for axis, at in _ALONG.items():
                 fine = at(slice(start, stop, 2))
-                self.parts[axis].insert(0 if len(shares) == 1 else len(self.parts[axis]),
-                                        (fine, [(at(lines), wt) for lines, wt in shares]))
                 self.galerkin_parts[axis] += [(fine, dl, wt, [(dL, at(lines)) for dL, lines in where])
                                               for dl in range(3) for wt, where in targets[dl].items()]
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """The interpolation as an (n + 1, m + 1) matrix: the prolongation of
-        every coarse line alone."""
-        size = len(self.coarse)
-        return self.prolong(np.eye(size), (self.coarse[-1] + 1, size), -2)
+    def sparse(self) -> tuple:
+        """(P, P^T) in CSR."""
+        return self.matrix, self.matrix.T.tocsr()
 
-    def resized(self, shape: tuple, axis: int) -> tuple:
-        """`shape` with the coarse number of lines on the axis."""
-        axis += len(shape)
-        return shape[:axis] + (len(self.coarse),) + shape[axis + 1:]
-
-    def restrict(self, v: np.ndarray, shape: tuple, axis: int) -> np.ndarray:
-        """P^T along the axis into a new array of `shape`: the coarse lines
-        copied, every other fine line shared between its parents k_l and
-        k_l + 1 in the proportions 1 - t_l and t_l."""
-        out = np.empty(shape)
-        for fine, shares in self.parts[axis]:
-            lines = v[fine]
-            if len(shares) == 1:
-                out[shares[0][0]] = lines
-                continue
-            (lower, w_lo), (upper, w_hi) = shares
-            part = w_hi * lines
-            into = out[upper]
-            into += part
-            into = out[lower]
-            into += part if w_lo == w_hi else w_lo * lines
-        return out
-
-    def prolong(self, c: np.ndarray, shape: tuple, axis: int) -> np.ndarray:
-        """P along the axis into a new array of `shape`: the coarse lines
-        copied, every other fine line interpolated from its parents."""
-        out = np.empty(shape)
-        for fine, shares in self.parts[axis]:
-            if len(shares) == 1:
-                out[fine] = c[shares[0][0]]
-                continue
-            (lower, w_lo), (upper, w_hi) = shares
-            lines = out[fine]
-            if w_lo == w_hi:
-                np.add(c[lower], c[upper], out=lines)
-                lines *= w_lo
-            else:
-                np.multiply(c[lower], w_lo, out=lines)
-                lines += w_hi * c[upper]
-        return out
+    @cached_property
+    def dense(self) -> tuple:
+        """(P, P^T) as dense arrays."""
+        P = self.matrix.toarray()
+        return P, P.T
 
     def galerkin(self, a: np.ndarray, axis: int) -> np.ndarray:
         """P^T A P along the axis, for the stencil arrays a (3, 3, columns,
         levels) of A indexed [offset on this axis + 1, offset on the other
         + 1]; the coarse stencil comes back in the same layout.  Every fine
         row's couplings are summed into its parents by slices."""
-        out = np.zeros(self.resized(a.shape, axis))
-        view = out
+        shape = list(a.shape)
+        shape[axis] = len(self.coarse)
+        out = view = np.zeros(shape)
         if axis == -1:
             a, view = a.transpose(1, 0, 2, 3), out.transpose(1, 0, 2, 3)
         for fine, dl, w, targets in self.galerkin_parts[axis]:
@@ -582,14 +545,14 @@ class _Lines:
 
 
 # node grids of up to this many nodes are small: their free nodes go in and
-# out by a boolean mask, and their axes transfer by 1D matrix products, as a
-# numpy call costs more there than its work.  On a 33 x 65 grid the mask
-# moved a vector in and out in 8.5 us against 14 us by blocks, and a
-# restriction took 6 us by products against 23 us by slices; from 65 x 129
-# nodes on, blocks and slices are as fast or faster.  The fitted n = 128
-# benchmark sweep, whose grids from 33 x 65 down are small, ran in 0.59 s
-# with this path against 0.63-0.65 s without it (medians of two rounds of
-# 10 paired runs on a 2-vCPU VM; faster in 19 of the 20 pairs)
+# out by a boolean mask, and their axes transfer by dense 1D products, as a
+# numpy or scipy call costs more there than its work.  On a 33 x 65 grid the
+# mask moved a vector in and out in 8.5 us against 14 us by blocks, and a
+# restriction (prolongation) over both axes took 7.6 (10) us by dense
+# products against 16.5 (17.7) us by CSR ones; on a 65 x 129 grid dense
+# took 19-31 (29-39) us against 25-26 (27-28) us, and from there on blocks
+# and CSR are as fast or faster (in-process, best of 15 x 300 calls, one
+# BLAS thread, 2-vCPU VM)
 _SMALL_GRID = 4096
 
 
@@ -654,39 +617,29 @@ class _FreeNodes:
 class _Transfer:
     """Prolongation P = kron(Px, Pz) from the free coarse nodes to the free
     fine ones, and restriction P^T: the free-node vector goes into its node
-    grid, is interpolated or weighted by the `_Lines` of each coarsened
-    axis (the columns first on the way down), and the free nodes of the
-    result come out.  On grids of up to _SMALL_GRID nodes an axis
-    transfers by one product with `_Lines.matrix`."""
+    grid, is multiplied along each coarsened axis by the 1D interpolation of
+    its `_Lines` or its transpose (the columns first on the way down), and
+    the free nodes of the result come out.  The 1D matrices are dense on a
+    grid of up to _SMALL_GRID nodes, else CSR."""
 
     def __init__(self, fine: _FreeNodes, coarse: _FreeNodes, axes: list):
         self.fine, self.coarse = fine, coarse
-        self.down, shape = [], fine.shape
-        for lines, axis in axes:
-            matrix = None if fine.mask is None else lines.matrix
-            self.down.append((lines, axis, matrix, lines.resized(shape, axis), shape))
-            shape = lines.resized(shape, axis)
+        self.down = [(lines.sparse if fine.mask is None else lines.dense, axis) for lines, axis in axes]
 
     def restrict(self, r: np.ndarray, Ax: np.ndarray | None = None) -> np.ndarray:
         """P^T r, or P^T (r - Ax) with the residual formed as it goes into
         the grid."""
         g = self.fine.grid(r, Ax)
-        for lines, axis, matrix, coarse, _ in self.down:
-            if matrix is None:
-                g = lines.restrict(g, coarse, axis)
-            else:
-                g = matrix.T @ g if axis == -2 else g @ matrix
+        for (_, R), axis in self.down:
+            g = R @ g if axis == -2 else (R @ g.T).T
         return self.coarse.vector(g)
 
     def prolong(self, x: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
         """P x, or base + P x with the sum formed as it comes out of the
         grid."""
         g = self.coarse.grid(x)
-        for lines, axis, matrix, _, fine in reversed(self.down):
-            if matrix is None:
-                g = lines.prolong(g, fine, axis)
-            else:
-                g = matrix @ g if axis == -2 else g @ matrix.T
+        for (P, _), axis in reversed(self.down):
+            g = P @ g if axis == -2 else (P @ g.T).T
         return self.fine.vector(g, base)
 
 
@@ -744,8 +697,9 @@ def _multigrid_levels(A: sp.csr_matrix, free: np.ndarray) -> tuple[list, np.ndar
     and is SPD when A is.  One `_Lines` per number of lines serves both axes
     and every level.  Each level is a tuple (A, smoother weights,
     `_Transfer`); the coarsest operator comes back as the inverse of its
-    Cholesky factor.  No P or R is stored, so the hierarchy dies with the
-    solve.  Raises `np.linalg.LinAlgError` when the coarsest operator is not
+    Cholesky factor.  Of P and R only the 1D interpolations of the `_Lines`
+    are stored, and they die with the hierarchy, which dies with the solve.
+    Raises `np.linalg.LinAlgError` when the coarsest operator is not
     SPD.
     """
     levels, shared = [], {}

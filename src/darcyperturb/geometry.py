@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import DEFAULT_ORDER, as_array_fn, integrate_cells
+from .quadrature import DEFAULT_ORDER, MAX_ORDER, as_array_fn, integrate_cells
 
 ENDPOINT_TOL = 1e-12
 
@@ -65,8 +65,8 @@ class ForcingSpec:
     quadrature_order: int = DEFAULT_ORDER
 
     def __post_init__(self):
-        if self.quadrature_order < 1:
-            raise ValueError("quadrature_order must be a positive integer")
+        if not 1 <= self.quadrature_order <= MAX_ORDER:
+            raise ValueError(f"quadrature_order must lie in [1, {MAX_ORDER}], got {self.quadrature_order}")
 
 
 @dataclass(frozen=True)

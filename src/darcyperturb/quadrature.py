@@ -7,6 +7,10 @@ from functools import lru_cache
 import numpy as np
 
 DEFAULT_ORDER = 4
+# the largest quadrature order a forcing may ask for: numpy documents its
+# Gauss-Legendre rule as tested up to 100 points, and forms the rule from an
+# order x order eigenproblem
+MAX_ORDER = 100
 
 # Gauss order and cell count of every Antiderivative
 _ANTIDERIVATIVE_ORDER = 12

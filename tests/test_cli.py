@@ -528,6 +528,13 @@ def test_validate_zeta_rejects_nan_or_negative_continuity_tol(tmp_path, capsys, 
     _rejected(tmp_path, capsys, "validate-zeta", text, "continuity_tol")
 
 
+def test_validate_zeta_rejects_a_quadrature_order_above_100(tmp_path, capsys):
+    # the 2D interface load asks numpy for a Gauss rule of this order, which
+    # it forms from an order x order eigenproblem and tests up to 100 points
+    text = GOOD_2D.replace("f = 1\n", "f = 1\nquadrature_order = 101\n")
+    _rejected(tmp_path, capsys, "validate-zeta", text, "quadrature_order")
+
+
 @pytest.mark.parametrize("value", ["0", "-0.3", "nan", "inf"])
 def test_study_rejects_gap_target_that_is_not_positive_and_finite(tmp_path, capsys, value):
     _rejected(tmp_path, capsys, "study", GOOD_1D.replace("gap_target = 0.3", f"gap_target = {value}"), "gap_target")

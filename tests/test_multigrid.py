@@ -1,6 +1,6 @@
 """Multigrid-preconditioned CG: the free-node stiffness against the reduced
-full one, the stencil hierarchy and its slice transfers against sparse
-Galerkin products, agreement with a direct solve, symmetry of the V-cycle,
+full one, the 1D interpolation of every axis against the hat functions, the
+stencil hierarchy and its transfers against sparse Galerkin products, agreement with a direct solve, symmetry of the V-cycle,
 iteration counts flat in the mesh size, the solve record, and the CG loop
 against scipy's `cg` (imported here only)."""
 
@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
-from oracles import min_angle_loop, multigrid_prolongations
+from oracles import min_angle_loop, multigrid_prolongations, prolongation_1d
 
 from darcyperturb import fem2d, flatten
 from darcyperturb.flatten import assemble_flattened_stiffness, solve_flattened
@@ -77,24 +77,50 @@ def relative_gap(mine, theirs) -> float:
     return norm(mine - theirs) / norm(theirs)
 
 
+@pytest.mark.parametrize("n", range(4, 41))
+def test_line_interpolation_is_the_coarse_hat_functions(n):
+    # one stored entry per coarse line, two per other fine line (1/3 and 2/3
+    # in the last interval of an odd n), no explicit zero; the CSR transpose
+    # and the dense pair are the same matrix
+    lines = fem2d._Lines(n)
+    hats, coarse = prolongation_1d(n)
+    P = lines.matrix
+    assert P.format == "csr" and P.shape == hats.shape and P.has_sorted_indices
+    assert np.array_equal(lines.coarse, coarse)
+    assert np.array_equal(P.indptr, hats.indptr) and np.array_equal(P.indices, hats.indices)
+    assert np.max(np.abs(P.data - hats.data)) <= 1e-15
+    assert np.all(P.data != 0.0)
+    assert np.all(np.diff(P.indptr)[coarse] == 1)
+    assert np.all(np.delete(np.diff(P.indptr), coarse) == 2)
+    if n % 2:
+        assert np.any(np.isclose(P.data, 1.0 / 3.0)) and np.any(np.isclose(P.data, 2.0 / 3.0))
+    P_csr, R_csr = lines.sparse
+    P_dense, R_dense = lines.dense
+    assert P_csr is P and R_csr.format == "csr" and (R_csr != P.T).nnz == 0
+    assert np.array_equal(P_dense, P.toarray()) and np.array_equal(R_dense, P.toarray().T)
+
+
 @settings(deadline=None, max_examples=60)
 @given(kind=kinds, nx=sizes, nz=sizes, amp=amps, eps=eps_values, seed=st.integers(0, 2**32 - 1),
-       slices=st.booleans())
-@example(kind="fitted", nx=2, nz=300, amp=0.1, eps=0.1, seed=0, slices=False)
-@example(kind="fitted", nx=300, nz=2, amp=0.1, eps=0.1, seed=0, slices=True)
-# a fine grid of 65 x 81 nodes, above fem2d._SMALL_GRID: its free nodes go
-# in and out by blocks of columns and its axes transfer by slices, the
-# coarser grids' by the mask and 1D matrix products
-@example(kind="flattened", nx=64, nz=40, amp=0.3, eps=0.1, seed=0, slices=False)
-def test_stencil_hierarchy_is_the_sparse_galerkin_product(kind, nx, nz, amp, eps, seed, slices):
+       small=st.sampled_from([0, fem2d._SMALL_GRID, 10**9]))
+@example(kind="fitted", nx=2, nz=300, amp=0.1, eps=0.1, seed=0, small=fem2d._SMALL_GRID)
+@example(kind="fitted", nx=300, nz=2, amp=0.1, eps=0.1, seed=0, small=0)
+# a fine grid of 65 x 81 nodes, above the default fem2d._SMALL_GRID: its
+# free nodes go in and out by blocks of columns and its axes transfer by CSR
+# products, the coarser grids' by the mask and dense products; with every
+# grid small, it meets the dense products too
+@example(kind="flattened", nx=64, nz=40, amp=0.3, eps=0.1, seed=0, small=fem2d._SMALL_GRID)
+@example(kind="flattened", nx=64, nz=40, amp=0.3, eps=0.1, seed=0, small=10**9)
+def test_stencil_hierarchy_is_the_sparse_galerkin_product(kind, nx, nz, amp, eps, seed, small):
     # every coarse operator is P^T A P of the level above, with the sparse
     # P = kron(Px, Pz)[free][:, coarse]; the coarsest comes back as its
     # inverse Cholesky factor, so it is compared as L L^T; the transfers
     # apply P and P^T, alone and with the residual and the sum that the
-    # V-cycle forms on the way, on every level by slices when `slices`
-    # holds, else by the mask and 1D matrix products on the small grids
+    # V-cycle forms on the way, by dense 1D products and the mask on the
+    # grids of up to `small` nodes, by CSR ones and blocks above: on every
+    # level for small = 0, on none for 10**9
     mesh, K = system(kind, nx, nz, amp, eps)
-    with mock.patch.object(fem2d, "_SMALL_GRID", 0 if slices else fem2d._SMALL_GRID):
+    with mock.patch.object(fem2d, "_SMALL_GRID", small):
         A, _, (levels, coarsest) = hierarchy(mesh, K)
     prolongations = multigrid_prolongations(mesh.free_mask)
     assert len(levels) == len(prolongations) and levels[0][0] is A
