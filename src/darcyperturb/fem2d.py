@@ -16,10 +16,11 @@ node grid, not a connectivity table, and fields move between meshes with
 matching columns by one column-wise interpolation.  Every node couples to at
 most seven: the stiffness is summed as seven node-grid arrays, one per
 stencil entry.  The multigrid preconditioner coarsens to every other grid
-line in the same form: its Galerkin operators are 9-point stencils formed
-by slices of the grid, one axis at a time, and its grid transfers are one
-product per axis with the 1D interpolation of that axis, so it stores no
-2D prolongation and forms no sparse Galerkin product.
+line: its grid transfers are one product per axis with the 1D
+interpolation of that axis, and its Galerkin operators are 9-point
+stencils read off nine probes through those transfers and the operator of
+the level above, so it stores no 2D prolongation and reads no matrix but
+by its matvec.
 """
 
 from __future__ import annotations
@@ -434,11 +435,6 @@ def _load(mesh: Mesh2D, F, f, quadrature_order: int) -> np.ndarray:
 _SMOOTHER_SCALE = 1.5
 
 
-# the index of a slice of lines along either axis of node-grid arrays:
-# -2 the columns, -1 the levels
-_ALONG = {-2: lambda s: (Ellipsis, s, slice(None)), -1: lambda s: (Ellipsis, s)}
-
-
 class _Lines:
     """Linear interpolation onto the n + 1 lines of one grid axis from the
     coarse lines 0, 2, ..., and n, as the sparse (n + 1, m + 1) matrix
@@ -451,13 +447,6 @@ class _Lines:
     line at or below it, and the weight t_l of the coarse line k_l + 1 in
     its value: row l of the matrix holds 1 - t_l at k_l and t_l at
     k_l + 1, and no explicit zero, so a coarse line has one entry.
-
-    For the Galerkin coarsening the fine lines split into parts of one set
-    of weights: runs of the lines 2K, and of the lines 2K + 1, below 2m,
-    whose parents are runs of consecutive coarse lines, and each line from
-    2m on, with the parent m - 1.  A part, the run of its parents and the
-    run of the next coarse lines are slices of the grid, so the coarse
-    stencil is a sum of slices, one number times a slice at a time.
     """
 
     def __init__(self, n: int):
@@ -466,54 +455,12 @@ class _Lines:
         lines = np.arange(n + 1)
         k = np.minimum(lines // 2, m - 1)
         t = (lines - self.coarse[k]) / (self.coarse[k + 1] - self.coarse[k])
-        share = np.stack([1.0 - t, t])
-        stored = share.T != 0.0  # no explicit zero
+        share = np.stack([1.0 - t, t], axis=1)
+        stored = share != 0.0  # no explicit zero
         indptr = np.zeros(n + 2, dtype=np.int32)
         np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
-        self.matrix = sp.csr_matrix((share.T[stored], np.stack([k, k + 1], axis=1)[stored], indptr),
+        self.matrix = sp.csr_matrix((share[stored], np.stack([k, k + 1], axis=1)[stored], indptr),
                                     shape=(n + 1, m + 1))
-        # Galerkin weights: a fine coupling of offset dl from line l meets
-        # the interpolation of line l + dl, whose parent lies delta =
-        # k_(l+dl) - k_l lines from k_l: coarse line k_l + e takes the weight
-        # c[dl, e + 1] = (1 - t) [delta = e] + t [delta + 1 = e], with t of
-        # line l + dl.  Line l's own parents k_l and k_l + 1 take the shares
-        # 1 - t_l and t_l, so c[dl, e + 1] lands on the coarse offsets e and
-        # e - 1.  Left of line 0 stands a line like line 1 below coarse line
-        # 0, so that line 0 weighs like the other lines 2K; the couplings
-        # off the grid are zero anyway.
-        tn = np.concatenate(([t[1]], t, [0.0]))
-        kn = np.concatenate(([k[0] - 1], k, [k[-1]]))
-        delta = np.stack([kn[:-2] - k, np.zeros(n + 1), kn[2:] - k])[:, None]
-        tl = np.stack([tn[:-2], t, tn[2:]])[:, None]
-        e = np.arange(-1.0, 3.0)[:, None]
-        c = (1.0 - tl) * (delta == e) + tl * (delta == e - 1.0)
-        # per line, its two shares, then the weight [parent, dL, dl] of a
-        # fine coupling of offset dl in the coarse one of offset dL
-        galerkin = share[:, None, None] * np.stack([c[:, :3], c[:, 1:]]).transpose(0, 2, 1, 3)
-        galerkin[:, :, 2, n] = 0.0  # line n couples to no line above it
-        weights = np.concatenate([share, galerkin.reshape(18, n + 1)])
-        runs = []  # (first line, stop) of every part
-        for first in (0, 1):
-            change = np.any(weights[:, first + 2:2 * m:2] != weights[:, first:2 * m - 2:2], axis=0)
-            bounds = [first, *(first + 2 + 2 * np.flatnonzero(change)).tolist(), 2 * m + first]
-            runs += zip(bounds[:-1], bounds[1:])
-        runs += [(l, l + 1) for l in range(2 * m, n + 1)]
-        # per axis and part, per fine offset dl and weight, every coarse
-        # (offset, parents) it lands on: one product serves them all
-        self.galerkin_parts = {axis: [] for axis in _ALONG}
-        for start, stop in runs:
-            w = weights[:, start].tolist()
-            parent, size = min(start // 2, m - 1), len(range(start, stop, 2))
-            parents = [slice(parent + up, parent + up + size) for up in (0, 1)]
-            targets = [{}, {}, {}]  # per dl
-            for dl in range(3):
-                for up, dL in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)):
-                    if w[2 + 9 * up + 3 * dL + dl]:
-                        targets[dl].setdefault(w[2 + 9 * up + 3 * dL + dl], []).append((dL, parents[up]))
-            for axis, at in _ALONG.items():
-                fine = at(slice(start, stop, 2))
-                self.galerkin_parts[axis] += [(fine, dl, wt, [(dL, at(lines)) for dL, lines in where])
-                                              for dl in range(3) for wt, where in targets[dl].items()]
 
     @cached_property
     def sparse(self) -> tuple:
@@ -525,23 +472,6 @@ class _Lines:
         """(P, P^T) as dense arrays."""
         P = self.matrix.toarray()
         return P, P.T
-
-    def galerkin(self, a: np.ndarray, axis: int) -> np.ndarray:
-        """P^T A P along the axis, for the stencil arrays a (3, 3, columns,
-        levels) of A indexed [offset on this axis + 1, offset on the other
-        + 1]; the coarse stencil comes back in the same layout.  Every fine
-        row's couplings are summed into its parents by slices."""
-        shape = list(a.shape)
-        shape[axis] = len(self.coarse)
-        out = view = np.zeros(shape)
-        if axis == -1:
-            a, view = a.transpose(1, 0, 2, 3), out.transpose(1, 0, 2, 3)
-        for fine, dl, w, targets in self.galerkin_parts[axis]:
-            part = w * a[dl][fine]
-            for dL, parent in targets:
-                into = view[dL][parent]
-                into += part
-        return out
 
 
 # node grids of up to this many nodes are small: their free nodes go in and
@@ -643,67 +573,58 @@ class _Transfer:
         return self.fine.vector(g, base)
 
 
-# A's stencil is formed a block of grid columns at a time, one of this many,
-# so that its nine node-grid arrays never exist whole and the nine planes of
-# a block stay near one node-grid array
-_BLOCKS = 8
+def _coarse_operator(A: sp.csr_matrix, transfer: _Transfer, free: np.ndarray) -> sp.csr_matrix:
+    """The Galerkin operator P^T A P of the `_Transfer`'s prolongation P onto
+    the coarse free nodes of the node-grid mask `free`, as a 9-point
+    stencil gathered into CSR in node order, read off nine products with
+    colour-group probes (Curtis, Powell & Reid, "On the estimation of
+    sparse Jacobian matrices", 1974).
 
-
-def _fine_stencil(A: sp.csr_matrix, free: np.ndarray, lines) -> np.ndarray:
-    """The stencil of the free-node matrix A that `_assemble_p1` gathers with
-    the node-grid mask `free`, coarsened along the level lines by the
-    `_Lines` `lines` (None: not coarsened).
-
-    Returns a (3, 3) + grid array whose [1 + dj, 1 + dl][j, l] couples node
-    (j, l) to (j + dj, l + dl), zero where either node is not free.  A's
-    entries fill the couplings of `_pattern(free, _P1_OFFSETS)` row by row
-    in node order, explicit zeros included, so the gather runs backwards:
-    one boolean scatter of A's entries per block of columns.  Raises
-    `ValueError` when A's shape or row pointers are not that pattern's.
+    Probe (cj, cl) is one on the coarse nodes (j, l) with j = cj and l = cl
+    mod 3.  They lie three lines apart, so where A couples only nodes of
+    one 3 x 3 window, no two of their hat functions couple under A, and
+    P^T A P of the probe holds at each coarse node its coupling to the one
+    probed node of its window: exactly zero where that node is not free.
+    A is read through its matvec only.
     """
-    cols, levels = free.shape
-    # the result first, so that the temporaries free off the top of the heap
-    out = np.empty((3, 3, cols, levels if lines is None else len(lines.coarse)))
-    planes, indptr = _couplings(free, _P1_OFFSETS)
-    if A.shape != (len(indptr) - 1,) * 2 or not np.array_equal(A.indptr, indptr):
-        raise ValueError("A is not the free-node P1 matrix of the mask: its shape or row pointers differ")
-    # where A's entries go in the (columns, levels, 3, 3) layout, whose
-    # couplings come in node order and then in ascending node id
-    window = np.zeros((cols, levels, 3, 3), dtype=bool)
-    for plane, (dj, dl) in zip(planes, _P1_OFFSETS):
-        window[..., 1 + dj, 1 + dl] = plane
-    del planes
-    first = indptr[np.concatenate(([0], np.cumsum(np.count_nonzero(free, axis=1))))]  # A's first entry per column
-    step = -(-cols // _BLOCKS)
-    for j0 in range(0, cols, step):
-        j1 = min(j0 + step, cols)
-        block = np.zeros((3, 3, j1 - j0, levels))
-        block.transpose(2, 3, 0, 1)[window[j0:j1]] = A.data[first[j0]:first[j1]]
-        out[:, :, j0:j1] = block if lines is None else lines.galerkin(block, -1)
-    return out
+    coarse = transfer.coarse
+    stencil = np.empty((3, 3) + free.shape)
+    probe = np.zeros(free.shape)
+    for cj, cl in np.ndindex(3, 3):
+        probe[cj::3, cl::3] = 1.0
+        g = coarse.grid(transfer.restrict(A @ transfer.prolong(coarse.vector(probe))))
+        probe[cj::3, cl::3] = 0.0
+        for dj, dl in _OFFSETS:
+            at = np.s_[(cj - dj) % 3::3, (cl - dl) % 3::3]
+            stencil[1 + dj, 1 + dl][at] = g[at]
+    return _csr(stencil, _pattern(free, _OFFSETS))
 
 
 def _multigrid_levels(A: sp.csr_matrix, free: np.ndarray) -> tuple[list, np.ndarray]:
-    """Galerkin hierarchy of A on the free nodes of a node grid, in stencil
-    form (Dendy, "Black box multigrid", J. Comput. Phys. 48, 1982).
+    """Galerkin hierarchy of A on the free nodes of a node grid, with coarse
+    operators in stencil form (Dendy, "Black box multigrid", J. Comput.
+    Phys. 48, 1982).
 
     `free` is the grid-shaped mask of the rows of A, and A is the matrix
-    that `_assemble_p1` gathers with that mask (`_fine_stencil` reads its
-    stencil back and raises `ValueError` for any other).  The stencil is
-    coarsened one axis at a time, the level lines first and then the
-    columns, by slices of the grid (`_Lines.galerkin`); each coarse operator
-    P^T A P, P = kron(Px, Pz) on the free nodes, is a 9-point stencil,
-    gathered into CSR in node order as `_assemble_p1` gathers the fine one,
-    and is SPD when A is.  One `_Lines` per number of lines serves both axes
-    and every level.  Each level is a tuple (A, smoother weights,
-    `_Transfer`); the coarsest operator comes back as the inverse of its
-    Cholesky factor.  Of P and R only the 1D interpolations of the `_Lines`
-    are stored, and they die with the hierarchy, which dies with the solve.
-    Raises `np.linalg.LinAlgError` when the coarsest operator is not
-    SPD.
+    that `_assemble_p1` gathers with that mask, so each node couples only
+    to nodes of its 3 x 3 window, as the probes of `_coarse_operator` need;
+    raises `ValueError` when A's shape or row pointers are not that
+    pattern's.  Each level takes every other line of each axis of more
+    than 4 lines, and its operator P^T A P, P = kron(Px, Pz) on the free
+    nodes, comes from the operator above by `_coarse_operator` through the
+    level's own `_Transfer`: a 9-point stencil in CSR, SPD when A is.  One
+    `_Lines` per number of lines serves both axes and every level.  Each
+    level is a tuple (A, smoother weights, `_Transfer`); the coarsest
+    operator comes back as the inverse of its Cholesky factor.  Of P and R
+    only the 1D interpolations of the `_Lines` are stored, and they die
+    with the hierarchy, which dies with the solve.  Raises
+    `np.linalg.LinAlgError` when the coarsest operator is not SPD.
     """
-    levels, shared = [], {}
-    nodes, stencil = _FreeNodes(free), None
+    indptr = _couplings(free, _P1_OFFSETS)[1]
+    if A.shape != (len(indptr) - 1,) * 2 or not np.array_equal(A.indptr, indptr):
+        raise ValueError("A is not the free-node P1 matrix of the mask: its shape or row pointers differ")
+    del indptr
+    levels, shared, nodes = [], {}, _FreeNodes(free)
     while True:
         for n in free.shape:
             if n > 4 and n not in shared:
@@ -711,23 +632,14 @@ def _multigrid_levels(A: sp.csr_matrix, free: np.ndarray) -> tuple[list, np.ndar
         x, z = map(shared.get, free.shape)
         if x is None and z is None:
             break
-        # the level lines first: on the finest level as A's stencil is formed
-        if stencil is None:
-            stencil = _fine_stencil(A, free, z)
-        elif z is not None:
-            stencil = z.galerkin(stencil, -1)
-        if x is not None:
-            stencil = x.galerkin(stencil, -2)
         axes = [(a, axis) for a, axis in ((x, -2), (z, -1)) if a is not None]
         for a, axis in axes:
             free = free.take(a.coarse, axis=axis)
         coarse = _FreeNodes(free)
+        transfer = _Transfer(nodes, coarse, axes)
         # row sums of |A| in one pass: every row holds its positive diagonal
-        levels.append((A, _SMOOTHER_SCALE / np.add.reduceat(np.abs(A.data), A.indptr[:-1]),
-                       _Transfer(nodes, coarse, axes)))
-        pattern = _pattern(free, _OFFSETS)
-        stencil *= pattern[0].T.reshape(stencil.shape)  # what the CSR leaves out, the next level must not see
-        A, nodes = _csr(stencil, pattern), coarse
+        levels.append((A, _SMOOTHER_SCALE / np.add.reduceat(np.abs(A.data), A.indptr[:-1]), transfer))
+        A, nodes = _coarse_operator(A, transfer, free), coarse
     # the coarsest grid has at most 4 x 4 lines, so its dense inverse factor
     # is tiny and turns the coarse solve into two small matvecs
     return levels, np.linalg.inv(np.linalg.cholesky(A.toarray()))
@@ -802,11 +714,12 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
     `free` is the node-grid mask (columns, levels) of the free nodes, as
     `Mesh2D.free_mask`; A and b are numbered in node order over them, and A
     must be the matrix that `_assemble_p1` gathers with that mask, whose
-    stencil the hierarchy reads back (`ValueError` for any other matrix).
-    The coarse grids take every other line of each axis.  Returns x and the
-    solve record, which holds the seconds `mg_setup_s` spent building the
-    multigrid hierarchy and the energy x.Ax as `bilinear_energy`.  Raises
-    `ValueError` for maxiter < 1, and `SolverConvergenceError` when CG does
+    couplings stay inside the 3 x 3 window that the hierarchy's probes need
+    (`ValueError` for any other matrix).  The coarse grids take every other
+    line of each axis.  Returns x and the solve record, which holds the
+    seconds `mg_setup_s` spent building the multigrid hierarchy and the
+    energy x.Ax as `bilinear_energy`.  Raises `ValueError` for maxiter < 1
+    or a load b that is not finite, and `SolverConvergenceError` when CG does
     not converge, when A is seen not to be SPD, or when the coarsest
     operator of the hierarchy is not (A is then not SPD either); the last
     stops before the first step, with an infinite residual as the other
@@ -814,6 +727,8 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
     """
     if maxiter is not None and maxiter < 1:
         raise ValueError(f"maxiter must be at least 1, got {maxiter}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("the load vector is not finite")
     if len(b) == 0:
         raise SolverConvergenceError("no free nodes: empty Dirichlet complement", np.inf)
     if free.all():

@@ -521,6 +521,13 @@ def test_solve2d_rejects_non_finite_k(tmp_path, capsys, line):
     _rejected(tmp_path, capsys, "solve2d", GOOD_2D.replace("eps = 0.5\n", f"eps = 0.5\n{line}\n"), "k1, k2")
 
 
+@pytest.mark.parametrize("command", ["solve2d", "flatten-solve"])
+def test_2d_solve_rejects_a_load_that_is_not_finite(tmp_path, capsys, command):
+    # the load reached CG, which failed as "the system is not SPD" (exit 2)
+    with np.errstate(divide="ignore"):
+        _rejected(tmp_path, capsys, command, GOOD_2D.replace("F = 0\n", "F = 1/(x-x)\n"), "load")
+
+
 @pytest.mark.parametrize("value", ["nan", "-0.1", "-inf"])
 def test_validate_zeta_rejects_nan_or_negative_continuity_tol(tmp_path, capsys, value):
     # NaN turned the check off: a flux jumping across the interface passed

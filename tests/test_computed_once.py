@@ -160,10 +160,9 @@ def test_cg_solve_peak_is_the_coarse_operators_and_sixteen_grid_vectors(kind):
     # the caller holds the fine A and b; above them a solve holds the coarse
     # CSR operators and at most 16 node-grid arrays: the smoother weights of
     # every level (about 1.3), CG's vectors and temporaries (about 5) and
-    # one V-cycle's (about 4.6), and, while the hierarchy is built, one
-    # block of A's stencil entries with the coarse stencils; 12.9 were
-    # measured, and stored transfers or sparse Galerkin products took the
-    # peak to about 21
+    # one V-cycle's (about 4.6); 12.0 were measured for both kinds, the
+    # hierarchy build below it (next test), and stored transfers or sparse
+    # Galerkin products took the peak to about 21
     mesh = fem2d.build_fitted_mesh(sine(0.0), 64, 64)
     free = mesh.free_mask
     metric = fem2d._IDENTITY if kind == "fitted" else flatten._averaged_metric(mesh, sine(0.3))
@@ -183,6 +182,31 @@ def test_cg_solve_peak_is_the_coarse_operators_and_sixteen_grid_vectors(kind):
     levels, _ = fem2d._multigrid_levels(A, free)
     coarse = sum(B.data.nbytes + B.indices.nbytes + B.indptr.nbytes for B, *_ in levels[1:])
     assert peak <= coarse + 16 * mesh.n_nodes * 8
+
+
+@pytest.mark.parametrize("kind", ["fitted", "flattened"])
+def test_multigrid_build_peak_is_the_coarse_operators_and_six_grid_vectors(kind):
+    # the build reads A only through its matvec: nine probes per level, each
+    # written straight into the coarse stencil planes.  Its peak is the row
+    # sums of |A| for the fine smoother weights (A's entries, about 7
+    # node-grid arrays, for one pass), before any coarse operator exists;
+    # probing the first level holds the weights, the coarse stencil (2.25)
+    # and a probe's fine vectors (about 2.5).  4.6-4.7 node-grid arrays
+    # above the coarse operators were measured; reading A's stencil back a
+    # block of columns at a time took 6.9-7.0
+    mesh = fem2d.build_fitted_mesh(sine(0.0), 64, 64)
+    free = mesh.free_mask
+    metric = fem2d._IDENTITY if kind == "fitted" else flatten._averaged_metric(mesh, sine(0.3))
+    A = fem2d._assemble_p1(mesh, metric, 0.5, 1.0, 1.0, free)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        levels, _ = fem2d._multigrid_levels(A, free)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    coarse = sum(B.data.nbytes + B.indices.nbytes + B.indptr.nbytes for B, *_ in levels[1:])
+    assert peak <= coarse + 6 * mesh.n_nodes * 8
 
 
 @pytest.mark.parametrize("kind", ["fitted", "flattened"])

@@ -1,6 +1,7 @@
 """Multigrid-preconditioned CG: the free-node stiffness against the reduced
 full one, the 1D interpolation of every axis against the hat functions, the
-stencil hierarchy and its transfers against sparse Galerkin products, agreement with a direct solve, symmetry of the V-cycle,
+grid transfers and the coarse operators probed through them against sparse
+Galerkin products, agreement with a direct solve, symmetry of the V-cycle,
 iteration counts flat in the mesh size, the solve record, and the CG loop
 against scipy's `cg` (imported here only)."""
 
@@ -107,18 +108,20 @@ def test_line_interpolation_is_the_coarse_hat_functions(n):
 @example(kind="fitted", nx=300, nz=2, amp=0.1, eps=0.1, seed=0, small=0)
 # a fine grid of 65 x 81 nodes, above the default fem2d._SMALL_GRID: its
 # free nodes go in and out by blocks of columns and its axes transfer by CSR
-# products, the coarser grids' by the mask and dense products; with every
-# grid small, it meets the dense products too
+# products, the coarser grids' by the mask and dense products, and so do the
+# probes that form each coarse operator; with every grid small, it meets the
+# dense products too
 @example(kind="flattened", nx=64, nz=40, amp=0.3, eps=0.1, seed=0, small=fem2d._SMALL_GRID)
 @example(kind="flattened", nx=64, nz=40, amp=0.3, eps=0.1, seed=0, small=10**9)
 def test_stencil_hierarchy_is_the_sparse_galerkin_product(kind, nx, nz, amp, eps, seed, small):
-    # every coarse operator is P^T A P of the level above, with the sparse
-    # P = kron(Px, Pz)[free][:, coarse]; the coarsest comes back as its
-    # inverse Cholesky factor, so it is compared as L L^T; the transfers
-    # apply P and P^T, alone and with the residual and the sum that the
-    # V-cycle forms on the way, by dense 1D products and the mask on the
-    # grids of up to `small` nodes, by CSR ones and blocks above: on every
-    # level for small = 0, on none for 10**9
+    # every coarse operator, read off nine probes through the level's
+    # transfers and the operator above, is P^T A P of the level above, with
+    # the sparse P = kron(Px, Pz)[free][:, coarse]; the coarsest comes back
+    # as its inverse Cholesky factor, so it is compared as L L^T; the
+    # transfers apply P and P^T, alone and with the residual and the sum
+    # that the V-cycle forms on the way, by dense 1D products and the mask
+    # on the grids of up to `small` nodes, by CSR ones and blocks above: on
+    # every level for small = 0, on none for 10**9
     mesh, K = system(kind, nx, nz, amp, eps)
     with mock.patch.object(fem2d, "_SMALL_GRID", small):
         A, _, (levels, coarsest) = hierarchy(mesh, K)
@@ -342,9 +345,11 @@ def test_cg_solve_rejects_an_indefinite_coarsest_operator_before_cg():
 
 
 def test_cg_solve_takes_only_the_free_node_p1_matrix():
-    # the hierarchy reads A back through the assembler's gather, so a matrix
-    # with couplings beyond the P1 pattern, or one without K's explicit
-    # zeros, is refused, not solved
+    # the hierarchy reads each coarse operator off nine probes, which is
+    # exact only while every node of A couples inside its 3 x 3 window; so
+    # A must have the P1 pattern of the mask, explicit zeros included, and
+    # a matrix with couplings beyond it, one without K's explicit zeros, or
+    # K with the mask of another grid is refused, not solved
     mesh, K = flat_system()
     j, l = np.nonzero(mesh.free_mask)
     w = (-1.0) ** (j + l)
@@ -352,10 +357,13 @@ def test_cg_solve_takes_only_the_free_node_p1_matrix():
     pruned = K.copy()
     pruned.eliminate_zeros()
     assert pruned.nnz < K.nnz
+    other = fem2d.build_fitted_mesh(sine(0.0), 16, 8).free_mask
+    assert np.count_nonzero(other) != K.shape[0]
     b = np.ones(K.shape[0])
-    for A in ((K + 8.0 * sp.csr_matrix(np.outer(w, w))).tocsr(), pruned):
+    for A, free in (((K + 8.0 * sp.csr_matrix(np.outer(w, w))).tocsr(), mesh.free_mask),
+                    (pruned, mesh.free_mask), (K, other)):
         with pytest.raises(ValueError, match="not the free-node P1 matrix"):
-            fem2d.cg_solve(A, b, mesh.free_mask)
+            fem2d.cg_solve(A, b, free)
 
 
 @pytest.mark.parametrize("maxiter", [0, -1])
