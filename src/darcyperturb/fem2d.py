@@ -15,8 +15,11 @@ per-row kernels (geometry, gradients, loads, stiffness) read slices of that
 node grid, not a connectivity table, and fields move between meshes with
 matching columns by one column-wise interpolation.  Every node couples to at
 most seven: the stiffness is summed as seven node-grid arrays, one per
-stencil entry.  The multigrid preconditioner coarsens to every other grid
-line: its grid transfers are one product per axis with the 1D
+stencil entry.  A solve runs over every node of the grid in node order:
+its matrix is the stiffness between free nodes plus an identity row and
+column for each fixed (Dirichlet) node, and every vector of the solve is
+zero at the fixed nodes.  The multigrid preconditioner coarsens to every
+other grid line: its grid transfers are one product per axis with the 1D
 interpolation of that axis, and its Galerkin operators are 9-point
 stencils read off nine probes through those transfers and the operator of
 the level above, so it stores no 2D prolongation and reads no matrix but
@@ -271,28 +274,31 @@ def _neighbours(grid: np.ndarray, offsets, axis: int) -> np.ndarray:
     return np.stack([padded[1 + dj: 1 + dj + shape[0], 1 + dl: 1 + dl + shape[1]] for dj, dl in offsets], axis=axis)
 
 
-def _couplings(keep: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
-    """The (offsets, columns, levels) mask of the couplings between nodes of
-    the mask `keep` at the node-grid `offsets`, and the CSR row pointers of
-    the kept nodes in node order."""
+def _couplings(free: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """The (offsets, columns, levels) mask of the couplings at the node-grid
+    `offsets` (one of them (0, 0)) between nodes of the mask `free`, and of
+    every node to itself, and the CSR row pointers of all nodes in node
+    order."""
     # one plane per offset, so that the row counts sum contiguous planes
-    planes = _neighbours(keep, offsets, 0)
-    planes &= keep
-    indptr = np.zeros(int(np.count_nonzero(keep)) + 1, dtype=np.int32)
-    np.cumsum(planes.sum(axis=0, dtype=np.int32)[keep], out=indptr[1:])
+    planes = _neighbours(free, offsets, 0)
+    planes &= free
+    planes[offsets.index((0, 0))] = True
+    indptr = np.zeros(free.size + 1, dtype=np.int32)
+    np.cumsum(planes.sum(axis=0, dtype=np.int32), out=indptr[1:])
     return planes, indptr
 
 
-def _pattern(keep: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pattern(free: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR pattern of a stencil with the node-grid `offsets` (in ascending
-    node id) over the nodes of the mask `keep`, numbered in node order: the
-    (nodes, offsets) mask of the couplings between kept nodes, their column
-    indices and the row pointers."""
-    planes, indptr = _couplings(keep, offsets)
+    node id) over all nodes of a grid, numbered by node id, that couples
+    only nodes of the mask `free` and each node to itself: the (nodes,
+    offsets) mask of the couplings, their column indices and the row
+    pointers."""
+    planes, indptr = _couplings(free, offsets)
     present = np.ascontiguousarray(planes.reshape(len(offsets), -1).T)
     del planes
     # scipy stores the indices as int32 anyway
-    number = np.cumsum(keep, dtype=np.int32).reshape(keep.shape) - 1
+    number = np.arange(free.size, dtype=np.int32).reshape(free.shape)
     indices = _neighbours(number, offsets, -1).reshape(-1, len(offsets))[present]
     return present, indices, indptr
 
@@ -309,7 +315,7 @@ def _csr(stencil: np.ndarray, pattern: tuple) -> sp.csr_matrix:
 
 
 def _assemble_p1(mesh: Mesh2D, metric, eps: float, k1: float, k2: float,
-                 keep: np.ndarray | None = None) -> sp.csr_matrix:
+                 free: np.ndarray | None = None) -> sp.csr_matrix:
     """Matrix of sum_T k_T |T| grad(phi_a) . M_T grad(phi_b) over P1 hat
     functions, with k_T = k1 below the interface and k2/eps above.
 
@@ -319,9 +325,10 @@ def _assemble_p1(mesh: Mesh2D, metric, eps: float, k1: float, k2: float,
     S (j, l-1), D (j, l), N (j, l+1), E (j+1, l) and NE (j+1, l+1), in
     ascending node id.  The matrix is summed as one node-grid array per
     stencil entry, and one boolean gather in that order gives the sorted CSR
-    data: no COO, no sort.  With a node-grid mask `keep` (the free nodes of
-    a solve) only the rows and columns of the kept nodes are gathered,
-    numbered in node order: the matrix K[keep][:, keep] without forming K.
+    data: no COO, no sort.  With a node-grid mask `free` (the free nodes of
+    a solve) the couplings of the other, fixed nodes are left out and each
+    fixed node keeps only its diagonal, set to 1: the matrix of a solve,
+    over all nodes in node order.
     """
     quads = (mesh.nx, 2 * mesh.nz, 2)  # triangle 2(j*2nz + l) + orientation
     coef = np.repeat([k1, k2 / eps], mesh.nz)  # per level
@@ -352,8 +359,12 @@ def _assemble_p1(mesh: Mesh2D, metric, eps: float, k1: float, k2: float,
     del ab, bc, ca, ac, cd, da, entry, entries, metric
     # the hat functions sum to one, so every row of the matrix sums to zero
     np.negative(SW + W + S + N + E + NE, out=D)
+    if free is None:
+        free = np.ones(shape, dtype=bool)
+    else:
+        D[~free] = 1.0
 
-    return _csr(stencil, _pattern(np.ones(shape, dtype=bool) if keep is None else keep, _P1_OFFSETS))
+    return _csr(stencil, _pattern(free, _P1_OFFSETS))
 
 
 def assemble_stiffness(mesh: Mesh2D, eps: float, k1: float, k2: float) -> sp.csr_matrix:
@@ -474,157 +485,108 @@ class _Lines:
         return P, P.T
 
 
-# node grids of up to this many nodes are small: their free nodes go in and
-# out by a boolean mask, and their axes transfer by dense 1D products, as a
-# numpy or scipy call costs more there than its work.  On a 33 x 65 grid the
-# mask moved a vector in and out in 8.5 us against 14 us by blocks, and a
-# restriction (prolongation) over both axes took 7.6 (10) us by dense
-# products against 16.5 (17.7) us by CSR ones; on a 65 x 129 grid dense
-# took 19-31 (29-39) us against 25-26 (27-28) us, and from there on blocks
-# and CSR are as fast or faster (in-process, best of 15 x 300 calls, one
-# BLAS thread, 2-vCPU VM)
+# node grids of up to this many nodes are small: their axes transfer by
+# dense 1D products, as a scipy call costs more there than its work.  On a
+# 33 x 65 grid a restriction (prolongation) over both axes took 7.6 (10) us
+# by dense products against 16.5 (17.7) us by CSR ones; on a 65 x 129 grid
+# dense took 19-31 (29-39) us against 25-26 (27-28) us, and from there on
+# CSR is as fast or faster (in-process, best of 15 x 300 calls, one BLAS
+# thread, 2-vCPU VM)
 _SMALL_GRID = 4096
 
 
-class _FreeNodes:
-    """The free nodes of a node-grid mask in node order: a vector over them
-    goes into a grid and back by one slice per block of columns that share
-    one contiguous run of free levels, or on grids of up to _SMALL_GRID
-    nodes by the mask."""
+class _Transfer:
+    """Prolongation P = kron(Px, Pz) from the coarse node grid to the fine
+    one, without its rows at the fine fixed nodes and its columns at the
+    coarse fixed nodes, and restriction P^T.  A vector, which must be zero
+    at the fixed nodes of its grid, is viewed as its node grid, multiplied
+    along each coarsened axis by the 1D interpolation of its `_Lines` or its
+    transpose (the columns first on the way down), and the fixed nodes of
+    the result are set to zero.  The grids are given by their masks of free
+    nodes; the 1D matrices are dense on a fine grid of up to _SMALL_GRID
+    nodes, else CSR."""
 
-    def __init__(self, free: np.ndarray):
-        self.shape, self.mask = free.shape, free if free.size <= _SMALL_GRID else None
-        count = np.count_nonzero(free, axis=1)
-        if np.any(free[:, 0] + np.count_nonzero(free[:, 1:] > free[:, :-1], axis=1) > 1):
-            raise ValueError("the free levels of every column must be contiguous")
-        first = np.where(count > 0, free.argmax(axis=1), 0)
-        starts = np.flatnonzero((first[1:] != first[:-1]) | (count[1:] != count[:-1])) + 1
-        bounds = [0, *starts.tolist(), len(count)]
-        self.blocks, self.fixed, offset = [], [], 0
-        for j0, j1 in zip(bounds[:-1], bounds[1:]):
-            l0, l1 = first[j0], first[j0] + count[j0]
-            if l0 > 0:
-                self.fixed.append(np.s_[j0:j1, :l0])
-            if l1 < free.shape[1]:
-                self.fixed.append(np.s_[j0:j1, l1:])
-            if l1 > l0:
-                size = (j1 - j0) * (l1 - l0)
-                self.blocks.append((np.s_[offset:offset + size], np.s_[j0:j1, l0:l1], (j1 - j0, l1 - l0)))
-                offset += size
-        self.size = offset
+    def __init__(self, fine: np.ndarray, coarse: np.ndarray, axes: list):
+        self.fine_shape, self.coarse_shape = fine.shape, coarse.shape
+        self.fine_fixed, self.coarse_fixed = np.flatnonzero(~fine), np.flatnonzero(~coarse)
+        self.down = [(lines.dense if fine.size <= _SMALL_GRID else lines.sparse, axis) for lines, axis in axes]
 
-    def grid(self, v: np.ndarray, minus: np.ndarray | None = None) -> np.ndarray:
-        """The node grid of the free-node vector v (or v - minus, formed as
-        it goes in), zero off the free nodes."""
-        if self.mask is not None:
-            g = np.zeros(self.shape)
-            g[self.mask] = v if minus is None else v - minus
-            return g
-        g = np.empty(self.shape)
-        for block in self.fixed:
-            g[block] = 0.0
-        for part, block, shape in self.blocks:
-            if minus is None:
-                g[block] = v[part].reshape(shape)
-            else:
-                np.subtract(v[part].reshape(shape), minus[part].reshape(shape), out=g[block])
-        return g
+    def restrict(self, r: np.ndarray, Ax: np.ndarray | None = None) -> np.ndarray:
+        """P^T r, or P^T (r - Ax)."""
+        g = (r if Ax is None else r - Ax).reshape(self.fine_shape)
+        for (_, R), axis in self.down:
+            g = R @ g if axis == -2 else (R @ g.T).T
+        v = g.ravel()
+        v[self.coarse_fixed] = 0.0
+        return v
 
-    def vector(self, g: np.ndarray, plus: np.ndarray | None = None) -> np.ndarray:
-        """The free-node vector of the node grid g (or plus + it, formed as
-        it comes out)."""
-        if self.mask is not None:
-            return g[self.mask] if plus is None else plus + g[self.mask]
-        v = np.empty(self.size)
-        for part, block, shape in self.blocks:
-            if plus is None:
-                v[part].reshape(shape)[...] = g[block]
-            else:
-                np.add(plus[part].reshape(shape), g[block], out=v[part].reshape(shape))
+    def prolong(self, x: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
+        """P x, or base + P x."""
+        g = x.reshape(self.coarse_shape)
+        for (P, _), axis in reversed(self.down):
+            g = P @ g if axis == -2 else (P @ g.T).T
+        v = g.ravel()
+        # where a wall's top fixed level is odd, the coarse free node above
+        # gives the fixed wall node on it a share
+        v[self.fine_fixed] = 0.0
+        if base is not None:
+            v += base
         return v
 
 
-class _Transfer:
-    """Prolongation P = kron(Px, Pz) from the free coarse nodes to the free
-    fine ones, and restriction P^T: the free-node vector goes into its node
-    grid, is multiplied along each coarsened axis by the 1D interpolation of
-    its `_Lines` or its transpose (the columns first on the way down), and
-    the free nodes of the result come out.  The 1D matrices are dense on a
-    grid of up to _SMALL_GRID nodes, else CSR."""
-
-    def __init__(self, fine: _FreeNodes, coarse: _FreeNodes, axes: list):
-        self.fine, self.coarse = fine, coarse
-        self.down = [(lines.sparse if fine.mask is None else lines.dense, axis) for lines, axis in axes]
-
-    def restrict(self, r: np.ndarray, Ax: np.ndarray | None = None) -> np.ndarray:
-        """P^T r, or P^T (r - Ax) with the residual formed as it goes into
-        the grid."""
-        g = self.fine.grid(r, Ax)
-        for (_, R), axis in self.down:
-            g = R @ g if axis == -2 else (R @ g.T).T
-        return self.coarse.vector(g)
-
-    def prolong(self, x: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
-        """P x, or base + P x with the sum formed as it comes out of the
-        grid."""
-        g = self.coarse.grid(x)
-        for (P, _), axis in reversed(self.down):
-            g = P @ g if axis == -2 else (P @ g.T).T
-        return self.fine.vector(g, base)
-
-
 def _coarse_operator(A: sp.csr_matrix, transfer: _Transfer, free: np.ndarray) -> sp.csr_matrix:
-    """The Galerkin operator P^T A P of the `_Transfer`'s prolongation P onto
-    the coarse free nodes of the node-grid mask `free`, as a 9-point
-    stencil gathered into CSR in node order, read off nine products with
-    colour-group probes (Curtis, Powell & Reid, "On the estimation of
-    sparse Jacobian matrices", 1974).
+    """The Galerkin operator P^T A P of the `_Transfer`'s prolongation P, with
+    an identity row for each fixed node of the coarse node-grid mask `free`,
+    as a 9-point stencil gathered into CSR in node order, read off nine
+    products with colour-group probes (Curtis, Powell & Reid, "On the
+    estimation of sparse Jacobian matrices", 1974).
 
-    Probe (cj, cl) is one on the coarse nodes (j, l) with j = cj and l = cl
-    mod 3.  They lie three lines apart, so where A couples only nodes of
-    one 3 x 3 window, no two of their hat functions couple under A, and
+    Probe (cj, cl) is one on the free coarse nodes (j, l) with j = cj and
+    l = cl mod 3.  They lie three lines apart, so where A couples only nodes
+    of one 3 x 3 window, no two of their hat functions couple under A, and
     P^T A P of the probe holds at each coarse node its coupling to the one
     probed node of its window: exactly zero where that node is not free.
     A is read through its matvec only.
     """
-    coarse = transfer.coarse
     stencil = np.empty((3, 3) + free.shape)
     probe = np.zeros(free.shape)
     for cj, cl in np.ndindex(3, 3):
-        probe[cj::3, cl::3] = 1.0
-        g = coarse.grid(transfer.restrict(A @ transfer.prolong(coarse.vector(probe))))
-        probe[cj::3, cl::3] = 0.0
+        probed = np.s_[cj::3, cl::3]
+        probe[probed] = free[probed]
+        g = transfer.restrict(A @ transfer.prolong(probe.ravel())).reshape(free.shape)
+        probe[probed] = 0.0
         for dj, dl in _OFFSETS:
             at = np.s_[(cj - dj) % 3::3, (cl - dl) % 3::3]
             stencil[1 + dj, 1 + dl][at] = g[at]
+    stencil[1, 1][~free] = 1.0
     return _csr(stencil, _pattern(free, _OFFSETS))
 
 
 def _multigrid_levels(A: sp.csr_matrix, free: np.ndarray) -> tuple[list, np.ndarray]:
-    """Galerkin hierarchy of A on the free nodes of a node grid, with coarse
-    operators in stencil form (Dendy, "Black box multigrid", J. Comput.
-    Phys. 48, 1982).
+    """Galerkin hierarchy of A on a node grid, with coarse operators in
+    stencil form (Dendy, "Black box multigrid", J. Comput. Phys. 48, 1982).
 
-    `free` is the grid-shaped mask of the rows of A, and A is the matrix
-    that `_assemble_p1` gathers with that mask, so each node couples only
-    to nodes of its 3 x 3 window, as the probes of `_coarse_operator` need;
-    raises `ValueError` when A's shape or row pointers are not that
-    pattern's.  Each level takes every other line of each axis of more
-    than 4 lines, and its operator P^T A P, P = kron(Px, Pz) on the free
-    nodes, comes from the operator above by `_coarse_operator` through the
-    level's own `_Transfer`: a 9-point stencil in CSR, SPD when A is.  One
-    `_Lines` per number of lines serves both axes and every level.  Each
-    level is a tuple (A, smoother weights, `_Transfer`); the coarsest
-    operator comes back as the inverse of its Cholesky factor.  Of P and R
-    only the 1D interpolations of the `_Lines` are stored, and they die
-    with the hierarchy, which dies with the solve.  Raises
-    `np.linalg.LinAlgError` when the coarsest operator is not SPD.
+    `free` is the grid-shaped mask of the free nodes, and A is the matrix
+    over all nodes that `_assemble_p1` gathers with that mask, so each node
+    couples only to nodes of its 3 x 3 window, as the probes of
+    `_coarse_operator` need, and each fixed node only to itself; raises
+    `ValueError` when A's shape or row pointers are not that pattern's.
+    Each level takes every other line of each axis of more than 4 lines, and
+    its operator P^T A P, P = kron(Px, Pz) between the free nodes, plus an
+    identity row for each fixed node, comes from the operator above by
+    `_coarse_operator` through the level's own `_Transfer`: a 9-point
+    stencil in CSR, SPD when A is.  One `_Lines` per number of lines serves
+    both axes and every level.  Each level is a tuple (A, smoother weights,
+    `_Transfer`); the coarsest operator comes back as the inverse of its
+    Cholesky factor.  Of P and R only the 1D interpolations of the `_Lines`
+    are stored, and they die with the hierarchy, which dies with the solve.
+    Raises `np.linalg.LinAlgError` when the coarsest operator is not SPD.
     """
     indptr = _couplings(free, _P1_OFFSETS)[1]
-    if A.shape != (len(indptr) - 1,) * 2 or not np.array_equal(A.indptr, indptr):
-        raise ValueError("A is not the free-node P1 matrix of the mask: its shape or row pointers differ")
+    if A.shape != (free.size,) * 2 or not np.array_equal(A.indptr, indptr):
+        raise ValueError("A is not the P1 matrix of the mask: its shape or row pointers differ")
     del indptr
-    levels, shared, nodes = [], {}, _FreeNodes(free)
+    levels, shared = [], {}
     while True:
         for n in free.shape:
             if n > 4 and n not in shared:
@@ -633,13 +595,13 @@ def _multigrid_levels(A: sp.csr_matrix, free: np.ndarray) -> tuple[list, np.ndar
         if x is None and z is None:
             break
         axes = [(a, axis) for a, axis in ((x, -2), (z, -1)) if a is not None]
+        fine = free
         for a, axis in axes:
             free = free.take(a.coarse, axis=axis)
-        coarse = _FreeNodes(free)
-        transfer = _Transfer(nodes, coarse, axes)
+        transfer = _Transfer(fine, free, axes)
         # row sums of |A| in one pass: every row holds its positive diagonal
         levels.append((A, _SMOOTHER_SCALE / np.add.reduceat(np.abs(A.data), A.indptr[:-1]), transfer))
-        A, nodes = _coarse_operator(A, transfer, free), coarse
+        A = _coarse_operator(A, transfer, free)
     # the coarsest grid has at most 4 x 4 lines, so its dense inverse factor
     # is tiny and turns the coarse solve into two small matvecs
     return levels, np.linalg.inv(np.linalg.cholesky(A.toarray()))
@@ -708,41 +670,48 @@ def cg(A, b: np.ndarray, *, rtol: float = 1e-5, maxiter: int | None = None,
 
 def cg_solve(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
              *, rtol: float = 1e-10, maxiter: int | None = None) -> tuple[np.ndarray, dict]:
-    """Solve the SPD system A x = b on the free nodes by CG preconditioned
-    with one geometric-multigrid V-cycle.
+    """Solve the SPD system A x = b by CG preconditioned with one
+    geometric-multigrid V-cycle.
 
     `free` is the node-grid mask (columns, levels) of the free nodes, as
-    `Mesh2D.free_mask`; A and b are numbered in node order over them, and A
+    `Mesh2D.free_mask`; A, b and x run over all nodes in node order.  A
     must be the matrix that `_assemble_p1` gathers with that mask, whose
     couplings stay inside the 3 x 3 window that the hierarchy's probes need
-    (`ValueError` for any other matrix).  The coarse grids take every other
-    line of each axis.  Returns x and the solve record, which holds the
-    seconds `mg_setup_s` spent building the multigrid hierarchy and the
-    energy x.Ax as `bilinear_energy`.  Raises `ValueError` for maxiter < 1
-    or a load b that is not finite, and `SolverConvergenceError` when CG does
-    not converge, when A is seen not to be SPD, or when the coarsest
-    operator of the hierarchy is not (A is then not SPD either); the last
-    stops before the first step, with an infinite residual as the other
-    checks before it.
+    and whose fixed nodes have identity rows (`ValueError` for any other
+    matrix), and b must be zero at the fixed nodes, so that x is too.  The
+    coarse grids take every other line of each axis.  Returns x and the
+    solve record, which holds the number of free nodes as `dofs`, the
+    entries of A between them as `nnz`, the seconds `mg_setup_s` spent
+    building the multigrid hierarchy and the energy x.Ax as
+    `bilinear_energy`.  Raises `ValueError` for maxiter < 1, a load b that
+    is not finite or not zero at a fixed node, and `SolverConvergenceError`
+    when CG does not converge, when A is seen not to be SPD, or when the
+    coarsest operator of the hierarchy is not (A is then not SPD either);
+    the last stops before the first step, with an infinite residual as the
+    other checks before it.
     """
     if maxiter is not None and maxiter < 1:
         raise ValueError(f"maxiter must be at least 1, got {maxiter}")
     if not np.all(np.isfinite(b)):
         raise ValueError("the load vector is not finite")
-    if len(b) == 0:
+    dofs = int(np.count_nonzero(free))
+    if dofs == 0:
         raise SolverConvergenceError("no free nodes: empty Dirichlet complement", np.inf)
-    if free.all():
+    if dofs == free.size:
         raise SolverConvergenceError("singular system: empty Dirichlet set", np.inf)
     if np.any(A.diagonal() <= 0.0):
-        raise SolverConvergenceError("non-SPD reduced system", np.inf)
+        raise SolverConvergenceError("non-SPD system", np.inf)
     t0 = perf_counter()
     try:
         levels, coarsest = _multigrid_levels(A, free)
     except np.linalg.LinAlgError:
         raise SolverConvergenceError("the coarsest multigrid operator is not SPD", np.inf) from None
     mg_setup_s = perf_counter() - t0
+    # an identity row would copy a fixed node's load into x
+    if np.any(b[~free.ravel()] != 0.0):
+        raise ValueError("the load vector is not zero at a fixed node")
     if maxiter is None:
-        maxiter = int(50 * np.sqrt(len(b))) + 10
+        maxiter = int(50 * np.sqrt(dofs)) + 10
     # one entry per iteration, all the same iterate: the count is its length
     steps = []
     x, info = cg(A, b, rtol=rtol, maxiter=maxiter,
@@ -754,31 +723,31 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, free: np.ndarray,
             f"CG did not converge within {maxiter} iterations (relative residual {res:.3e})", res
         )
     record = {"solver": "mg-cg", "iterations": len(steps), "rel_residual": res,
-              "dofs": len(b), "nnz": A.nnz, "levels": len(levels) + 1, "mg_setup_s": mg_setup_s,
-              "bilinear_energy": float(x @ Ax)}
+              "dofs": dofs, "nnz": A.nnz - (free.size - dofs), "levels": len(levels) + 1,
+              "mg_setup_s": mg_setup_s, "bilinear_energy": float(x @ Ax)}
     return x, record
 
 
 def _galerkin_solve(mesh: Mesh2D, load, metric, label: str, eps: float, k1: float, k2: float,
                     rtol: float) -> Field2D:
     """Assemble the load by `load()` (first, so its temporaries are gone
-    before the matrix exists), then the stiffness of the coefficient entries
-    `metric()` on the free nodes only, without the full K, and CG-solve;
-    records the coefficients, the solve, the seconds of each phase, the
-    mesh's smallest angle and the Galerkin identity terms in the meta."""
+    before the matrix exists) and zero it at the Dirichlet nodes, then the
+    matrix of the coefficient entries `metric()` with identity rows there,
+    without the full K, and CG-solve for the nodal values; records the
+    coefficients, the solve, the seconds of each phase, the mesh's smallest
+    angle and the Galerkin identity terms in the meta."""
     free = mesh.free_mask
     t0 = perf_counter()
-    b = load()[free.ravel()]
+    b = load()
+    b[mesh.dirichlet_nodes] = 0.0
     t1 = perf_counter()
     A = _assemble_p1(mesh, metric(), eps, k1, k2, free)
     t2 = perf_counter()
     x, record = cg_solve(A, b, free, rtol=rtol)
-    values = np.zeros(mesh.n_nodes)
-    values[free.ravel()] = x
     meta = {"eps": eps, "k1": k1, "k2": k2, "assemble_s": t2 - t0, "stiffness_s": t2 - t1, "load_s": t1 - t0,
             **record, "solve_s": perf_counter() - t2, "min_angle": mesh.min_angle(),
             "load_functional": float(b @ x)}
-    return Field2D(mesh=mesh, values=values, label=label, meta=meta)
+    return Field2D(mesh=mesh, values=x, label=label, meta=meta)
 
 
 def assemble_solve(mesh: Mesh2D, forcing, eps: float, k1: float = 1.0, k2: float = 1.0,

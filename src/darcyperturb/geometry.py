@@ -152,6 +152,9 @@ def perturbation_from_table(x: np.ndarray, z: np.ndarray) -> Perturbation:
     z = np.asarray(z, dtype=float)
     if x.ndim != 1 or x.shape != z.shape or len(x) < 2:
         raise ValueError("need two equal-length 1D columns with at least 2 rows")
+    # every check below is false on NaN
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+        raise ValueError("the zeta table holds a value that is not finite (NaN or inf)")
     if np.any(np.diff(x) <= 0.0):
         raise ValueError("abscissae must be strictly increasing")
     if abs(x[0]) > ENDPOINT_TOL or abs(x[-1] - 1.0) > ENDPOINT_TOL:

@@ -690,14 +690,17 @@ def prolongation_1d(n: int) -> tuple[sp.csr_matrix, np.ndarray]:
 
 
 def multigrid_prolongations(free: np.ndarray) -> list:
-    """The prolongation P = kron(Px, Pz)[free][:, coarse] of every level of
-    the multigrid hierarchy on the node-grid mask `free`, down to the grid
-    that no axis coarsens."""
+    """The prolongation P = kron(Px, Pz) between the nodes of the node-grid
+    mask `free`, over all nodes of the grids (zero in the rows of the fine
+    fixed nodes and the columns of the coarse ones), of every level of the
+    multigrid hierarchy, down to the grid that no axis coarsens; each with
+    the flat mask of its coarse free nodes."""
     transfers = []
     while True:
         (Px, cx), (Pz, cz) = (prolongation_1d(n - 1) for n in free.shape)
         coarse = free[np.ix_(cx, cz)]
         if coarse.size == free.size:
             return transfers
-        transfers.append(sp.kron(Px, Pz, format="csr")[free.ravel()][:, coarse.ravel()])
+        fine_rows, coarse_columns = (sp.diags(m.ravel().astype(float)) for m in (free, coarse))
+        transfers.append(((fine_rows @ sp.kron(Px, Pz) @ coarse_columns).tocsr(), coarse.ravel()))
         free = coarse

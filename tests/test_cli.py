@@ -419,6 +419,19 @@ def test_non_numeric_table_is_validation_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["flatten-check", "flatten-solve"])
+def test_table_with_a_nan_is_validation_error(tmp_path, capsys, command):
+    # a NaN passed every check of the table: flatten-check then failed in an
+    # SVD and flatten-solve on a load that was not finite, neither naming it
+    cfg = table_config(tmp_path)
+    (tmp_path / "zeta.csv").write_text("0.0,0.0\n0.5,nan\n1.0,0.0\n")
+    out = [] if command == "flatten-check" else ["--out", str(tmp_path / "rho.csv")]
+    assert dispatch([command, "--config", str(cfg), *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "zeta table" in err and "not finite" in err
+    assert not (tmp_path / "rho.csv").exists()
+
+
 # --- inputs that the study honours or rejects --------------------------------
 
 

@@ -89,6 +89,17 @@ def test_table_perturbation():
         perturbation_from_table(x, z + 0.05)
 
 
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_table_rejects_a_value_that_is_not_finite(column, bad):
+    # each other check of the table is false on NaN, so a NaN row passed
+    # them all; an inf broke one of them under another name
+    table = np.column_stack([np.linspace(0.0, 1.0, 5), [0.0, 0.1, 0.2, 0.1, 0.0]])
+    table[2, column] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        perturbation_from_table(table[:, 0], table[:, 1])
+
+
 def test_strip_measures_sine():
     z = make_perturbation("sine", {"wavenumber": 1}, 0.25)
     m1, m2 = strip_measures(z)

@@ -1,9 +1,10 @@
-"""Multigrid-preconditioned CG: the free-node stiffness against the reduced
-full one, the 1D interpolation of every axis against the hat functions, the
-grid transfers and the coarse operators probed through them against sparse
-Galerkin products, agreement with a direct solve, symmetry of the V-cycle,
-iteration counts flat in the mesh size, the solve record, and the CG loop
-against scipy's `cg` (imported here only)."""
+"""Multigrid-preconditioned CG on the whole node grid, with an identity row
+for each fixed node: the solve's stiffness against the full one with its
+fixed rows and columns replaced, the 1D interpolation of every axis against
+the hat functions, the grid transfers and the coarse operators probed
+through them against sparse Galerkin products, agreement with a direct
+solve, symmetry of the V-cycle, iteration counts flat in the mesh size, the
+solve record, and the CG loop against scipy's `cg` (imported here only)."""
 
 from functools import partial
 from unittest import mock
@@ -36,16 +37,36 @@ def system(kind, nx, nz, amp, eps, k1=1.0, k2=1.0):
     return mesh, assemble_flattened_stiffness(mesh, sine(amp), eps, k1, k2)
 
 
-def reduced(mesh, K):
-    """The full matrix K restricted to the free nodes, and their ids."""
-    free = np.flatnonzero(mesh.free_mask)
-    return K[free][:, free], free
+def whole_grid(mesh, K):
+    """The full matrix K in its own CSR layout, without the entries that
+    couple a fixed node to another node and with 1 on the diagonal of each
+    fixed node: the matrix of a solve over all nodes."""
+    free = mesh.free_mask.ravel()
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    keep = free[rows] & free[K.indices] | (rows == K.indices)
+    indptr = np.zeros_like(K.indptr)
+    indptr[1:] = np.cumsum(np.bincount(rows[keep], minlength=K.shape[0]))
+    return sp.csr_matrix((np.where(free[rows], K.data, 1.0)[keep], K.indices[keep], indptr), shape=K.shape)
 
 
 def hierarchy(mesh, K):
-    """Reduced system on the free nodes and its multigrid hierarchy."""
-    A, free = reduced(mesh, K)
-    return A, free, fem2d._multigrid_levels(A, mesh.free_mask)
+    """The whole-grid system of a solve and its multigrid hierarchy."""
+    A = whole_grid(mesh, K)
+    return A, fem2d._multigrid_levels(A, mesh.free_mask)
+
+
+def zero_at_fixed(mesh, v):
+    """v with its entries at the fixed nodes of the mesh set to zero."""
+    return np.where(mesh.free_mask.ravel(), v, 0.0)
+
+
+def assert_fixed_rows_are_identity(B, free):
+    """Every row of the fixed nodes (False in the flat mask `free`) of the
+    CSR matrix B holds 1 on the diagonal and nothing else."""
+    fixed = np.flatnonzero(~free)
+    assert np.all(np.diff(B.indptr)[fixed] == 1)
+    assert np.array_equal(B.indices[B.indptr[fixed]], fixed)
+    assert np.all(B.data[B.indptr[fixed]] == 1.0)
 
 
 kinds = st.sampled_from(["fitted", "flattened"])
@@ -58,18 +79,23 @@ k_values = st.floats(0.1, 10.0)
 @settings(deadline=None, max_examples=60)
 @given(kind=kinds, nx=sizes, nz=sizes, amp=amps, eps=eps_values, k1=k_values, k2=k_values)
 def test_free_node_assembly_is_the_reduced_full_matrix(kind, nx, nz, amp, eps, k1, k2):
-    # the solve assembles on the free nodes only; that must be K[free][:, free]
-    # of the public full assembly, bit for bit and in the same CSR layout
+    # the solve assembles over all nodes, with no coupling of a fixed node and
+    # an identity row for it; that must be the public full assembly K with
+    # those entries replaced, and its free block K[free][:, free], bit for
+    # bit and in the same CSR layout
     mesh, K = system(kind, nx, nz, amp, eps, k1, k2)
     metric = fem2d._IDENTITY if kind == "fitted" else flatten._averaged_metric(mesh, sine(amp))
     A = fem2d._assemble_p1(mesh, metric, eps, k1, k2, mesh.free_mask)
-    ref, _ = reduced(mesh, K)
-    assert A.shape == ref.shape and A.has_canonical_format
-    for name in ("data", "indices", "indptr"):
-        mine, theirs = getattr(A, name), getattr(ref, name)
-        assert mine.dtype == theirs.dtype
-        assert np.array_equal(mine.view(np.int64) if name == "data" else mine,
-                              theirs.view(np.int64) if name == "data" else theirs)
+    free = mesh.free_mask.ravel()
+    assert A.has_canonical_format
+    assert_fixed_rows_are_identity(A, free)
+    for mine, ref in ((A, whole_grid(mesh, K)), (A[free][:, free], K[free][:, free])):
+        assert mine.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            ours, theirs = getattr(mine, name), getattr(ref, name)
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours.view(np.int64) if name == "data" else ours,
+                                  theirs.view(np.int64) if name == "data" else theirs)
 
 
 def relative_gap(mine, theirs) -> float:
@@ -107,36 +133,46 @@ def test_line_interpolation_is_the_coarse_hat_functions(n):
 @example(kind="fitted", nx=2, nz=300, amp=0.1, eps=0.1, seed=0, small=fem2d._SMALL_GRID)
 @example(kind="fitted", nx=300, nz=2, amp=0.1, eps=0.1, seed=0, small=0)
 # a fine grid of 65 x 81 nodes, above the default fem2d._SMALL_GRID: its
-# free nodes go in and out by blocks of columns and its axes transfer by CSR
-# products, the coarser grids' by the mask and dense products, and so do the
-# probes that form each coarse operator; with every grid small, it meets the
-# dense products too
+# axes transfer by CSR products, the coarser grids' by dense products, and so
+# do the probes that form each coarse operator; with every grid small, it
+# meets the dense products too
 @example(kind="flattened", nx=64, nz=40, amp=0.3, eps=0.1, seed=0, small=fem2d._SMALL_GRID)
 @example(kind="flattened", nx=64, nz=40, amp=0.3, eps=0.1, seed=0, small=10**9)
 def test_stencil_hierarchy_is_the_sparse_galerkin_product(kind, nx, nz, amp, eps, seed, small):
     # every coarse operator, read off nine probes through the level's
-    # transfers and the operator above, is P^T A P of the level above, with
-    # the sparse P = kron(Px, Pz)[free][:, coarse]; the coarsest comes back
-    # as its inverse Cholesky factor, so it is compared as L L^T; the
-    # transfers apply P and P^T, alone and with the residual and the sum
-    # that the V-cycle forms on the way, by dense 1D products and the mask
-    # on the grids of up to `small` nodes, by CSR ones and blocks above: on
-    # every level for small = 0, on none for 10**9
+    # transfers and the operator above, is P^T A P of the level above plus
+    # an identity row for each coarse fixed node, with the sparse
+    # P = kron(Px, Pz) between the free nodes; every level's fixed rows are
+    # identity rows; the coarsest comes back as its inverse Cholesky factor,
+    # so it is compared as L L^T; the transfers apply P and P^T to vectors
+    # zero at the fixed nodes, alone and with the residual and the sum that
+    # the V-cycle forms on the way, by dense 1D products on the grids of up
+    # to `small` nodes, by CSR ones above: on every level for small = 0, on
+    # none for 10**9
     mesh, K = system(kind, nx, nz, amp, eps)
     with mock.patch.object(fem2d, "_SMALL_GRID", small):
-        A, _, (levels, coarsest) = hierarchy(mesh, K)
+        A, (levels, coarsest) = hierarchy(mesh, K)
     prolongations = multigrid_prolongations(mesh.free_mask)
     assert len(levels) == len(prolongations) and levels[0][0] is A
     L = np.linalg.inv(coarsest)
-    coarse_operators = [B for B, *_ in levels[1:]] + [L @ L.T]
+    coarse_operators = [B for B, *_ in levels[1:]] + [sp.csr_matrix(L @ L.T)]
+    free = mesh.free_mask.ravel()
     rng = np.random.default_rng(seed)
-    for (fine, _, transfer), P, coarse in zip(levels, prolongations, coarse_operators):
-        assert relative_gap(coarse, P.T @ fine @ P if sp.issparse(coarse) else (P.T @ fine @ P).toarray()) <= 1e-12
-        v, r, s = rng.standard_normal(P.shape[1]), *rng.standard_normal((2, P.shape[0]))
+    for (fine, _, transfer), (P, coarse_free), coarse in zip(levels, prolongations, coarse_operators):
+        assert_fixed_rows_are_identity(fine, free)
+        assert relative_gap(coarse - sp.diags((~coarse_free).astype(float)), P.T @ fine @ P) <= 1e-12
+        v = np.where(coarse_free, rng.standard_normal(P.shape[1]), 0.0)
+        r, s = np.where(free, rng.standard_normal((2, P.shape[0])), 0.0)
         assert relative_gap(transfer.prolong(v), P @ v) <= 1e-14
         assert relative_gap(transfer.restrict(r), P.T @ r) <= 1e-14
         assert relative_gap(transfer.prolong(v, s), s + P @ v) <= 1e-14
         assert relative_gap(transfer.restrict(r, s), P.T @ (r - s)) <= 1e-14
+        free = coarse_free
+    # the coarsest fixed rows and columns stay unit vectors through Cholesky
+    # and inversion
+    fixed = np.flatnonzero(~free)
+    assert np.array_equal(coarsest[fixed], np.eye(len(free))[fixed])
+    assert np.array_equal(coarsest[:, fixed], np.eye(len(free))[:, fixed])
 
 
 @settings(deadline=None, max_examples=40)
@@ -144,26 +180,31 @@ def test_stencil_hierarchy_is_the_sparse_galerkin_product(kind, nx, nz, amp, eps
        seed=st.integers(0, 2**32 - 1))
 def test_mg_cg_matches_direct_solve(kind, nx, nz, amp, eps, k1, k2, seed):
     mesh, K = system(kind, nx, nz, amp, eps, k1, k2)
-    A, free = reduced(mesh, K)
-    b = np.random.default_rng(seed).standard_normal(len(free))
+    A, free = whole_grid(mesh, K), mesh.free_mask.ravel()
+    b = zero_at_fixed(mesh, np.random.default_rng(seed).standard_normal(mesh.n_nodes))
     x, record = fem2d.cg_solve(A, b, mesh.free_mask, rtol=1e-13)
     direct = spla.spsolve(A.tocsc(), b)
-    assert x.shape == (len(free),)
+    assert x.shape == (mesh.n_nodes,)
     assert np.linalg.norm(x - direct) <= 1e-8 * np.linalg.norm(direct)
-    assert record["dofs"] == len(free)
-    assert record["nnz"] == A.nnz
+    assert np.all(x[~free] == 0.0)
+    # the record counts the free nodes and the entries between them
+    assert record["dofs"] == np.count_nonzero(free)
+    assert record["nnz"] == K[free][:, free].nnz
 
 
 @settings(deadline=None, max_examples=30)
 @given(kind=kinds, nx=sizes, nz=sizes, amp=amps, eps=eps_values, seed=st.integers(0, 2**32 - 1))
 def test_v_cycle_is_symmetric_positive_definite(kind, nx, nz, amp, eps, seed):
+    # on the vectors zero at the fixed nodes, the space of a solve, which the
+    # V-cycle maps into itself
     mesh, K = system(kind, nx, nz, amp, eps)
-    A, _, (levels, coarsest) = hierarchy(mesh, K)
+    A, (levels, coarsest) = hierarchy(mesh, K)
     rng = np.random.default_rng(seed)
-    u, v = rng.standard_normal((2, A.shape[0]))
+    u, v = zero_at_fixed(mesh, rng.standard_normal((2, A.shape[0])))
     Mu, Mv = fem2d._v_cycle(levels, coarsest, u), fem2d._v_cycle(levels, coarsest, v)
     assert abs(u @ Mv - v @ Mu) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(Mv)
     assert v @ Mv > 0.0
+    assert np.all(Mu[mesh.dirichlet_nodes] == 0.0) and np.all(Mv[mesh.dirichlet_nodes] == 0.0)
 
 
 @pytest.mark.parametrize("n", [32, 64, 65, 97, 128, 129, 193])
@@ -176,17 +217,27 @@ def test_iterations_flat_in_mesh_size(n):
 @pytest.mark.parametrize("nx, nz", [(2, 300), (300, 2)])
 def test_thin_meshes_coarsen_to_a_small_system(nx, nz):
     mesh, K = system("fitted", nx, nz, 0.1, 0.1)
-    _, _, (levels, coarsest) = hierarchy(mesh, K)
+    _, (levels, coarsest) = hierarchy(mesh, K)
     assert len(levels) >= 3
     assert coarsest.shape[0] <= 2000
     q = fem2d.assemble_solve(mesh, FORCING, eps=0.1)
     assert q.meta["rel_residual"] <= 1e-10
 
 
-def test_solve_record_in_meta():
+def test_solve_record_in_meta(monkeypatch):
+    maxiters = []
+    cg = fem2d.cg
+
+    def counted(*args, maxiter, **kwargs):
+        maxiters.append(maxiter)
+        return cg(*args, maxiter=maxiter, **kwargs)
+
+    monkeypatch.setattr(fem2d, "cg", counted)
     fitted = fem2d.assemble_solve(fem2d.build_fitted_mesh(sine(0.2), 16, 16), FORCING, eps=0.1)
     ref = fem2d.build_fitted_mesh(sine(0.0), 16, 16)
     flattened = solve_flattened(sine(0.2), FORCING, 0.1, ref)
+    # the default iteration limit follows the number of free nodes, not of all
+    assert maxiters == [int(50 * np.sqrt(q.meta["dofs"])) + 10 for q in (fitted, flattened)]
     for q in (fitted, flattened):
         assert {"solver", "iterations", "rel_residual", "dofs", "nnz", "levels",
                 "assemble_s", "stiffness_s", "load_s", "solve_s", "mg_setup_s", "min_angle"} <= set(q.meta)
@@ -202,17 +253,18 @@ def test_solve_record_in_meta():
         assert q.meta["dofs"] == q.mesh.n_nodes - len(q.mesh.dirichlet_nodes)
         assert np.all(q.values[q.mesh.dirichlet_nodes] == 0.0)
         assert np.all(q.values[q.mesh.free_mask.ravel()] != 0.0)
-        # the reduced P1 matrix: a diagonal plus at most six neighbours per row
+        # the P1 matrix between the free nodes: a diagonal plus at most six
+        # neighbours per row
         assert q.meta["dofs"] < q.meta["nnz"] <= 7 * q.meta["dofs"]
         assert q.meta["levels"] >= 2
 
 
 def test_maxiter_exhaustion_raises_with_finite_residual():
     mesh = fem2d.build_fitted_mesh(sine(0.2), 16, 16)
-    A, free = reduced(mesh, fem2d.assemble_stiffness(mesh, 0.1, 1.0, 1.0))
-    load = fem2d._load(mesh, FORCING.F, FORCING.f, FORCING.quadrature_order)
+    A = whole_grid(mesh, fem2d.assemble_stiffness(mesh, 0.1, 1.0, 1.0))
+    load = zero_at_fixed(mesh, fem2d._load(mesh, FORCING.F, FORCING.f, FORCING.quadrature_order))
     with pytest.raises(fem2d.SolverConvergenceError) as info:
-        fem2d.cg_solve(A, load[free], mesh.free_mask, rtol=1e-14, maxiter=1)
+        fem2d.cg_solve(A, load, mesh.free_mask, rtol=1e-14, maxiter=1)
     assert np.isfinite(info.value.residual) and info.value.residual > 0.0
 
 
@@ -245,8 +297,8 @@ def spd_systems(draw):
         B = (q * np.geomspace(1.0, draw(st.floats(1.0, 1e3)), n)) @ q.T
         return sp.csr_matrix(0.5 * (B + B.T)), rng.standard_normal(n), None
     mesh, K = system(draw(kinds), draw(sizes), draw(sizes), draw(amps), draw(eps_values))
-    A, _, (levels, coarsest) = hierarchy(mesh, K)
-    return A, rng.standard_normal(A.shape[0]), partial(fem2d._v_cycle, levels, coarsest)
+    A, (levels, coarsest) = hierarchy(mesh, K)
+    return A, zero_at_fixed(mesh, rng.standard_normal(A.shape[0])), partial(fem2d._v_cycle, levels, coarsest)
 
 
 @settings(deadline=None, max_examples=60)
@@ -281,7 +333,7 @@ def test_cg_of_zero_rhs_returns_zeros():
 
 def test_cg_exhausting_maxiter_returns_maxiter():
     mesh, K = system("fitted", 16, 16, 0.2, 0.1)
-    A, _, _ = hierarchy(mesh, K)
+    A = whole_grid(mesh, K)
     b = np.random.default_rng(0).standard_normal(A.shape[0])
     x, info, iters = our_cg(A, b, rtol=1e-14, maxiter=3)
     x_ref, info_ref, iters_ref = scipy_cg(A, b, rtol=1e-14, maxiter=3)
@@ -304,10 +356,10 @@ def test_cg_stops_on_a_direction_of_no_positive_curvature():
 
 
 def flat_system():
-    """The flat fitted 16 x 16 mesh and its stiffness K on the free nodes,
-    as the solve assembles it."""
+    """The flat fitted 16 x 16 mesh and its stiffness K over all nodes with
+    identity rows at the fixed nodes, as the solve assembles it."""
     mesh = fem2d.build_fitted_mesh(sine(0.0), 16, 16)
-    return mesh, reduced(mesh, fem2d.assemble_stiffness(mesh, 1.0, 1.0, 1.0))[0]
+    return mesh, whole_grid(mesh, fem2d.assemble_stiffness(mesh, 1.0, 1.0, 1.0))
 
 
 def test_cg_solve_rejects_an_indefinite_system():
@@ -318,14 +370,15 @@ def test_cg_solve_rejects_an_indefinite_system():
     # diagonal and the coarse grids, which do not see it, stay positive: only
     # the CG loop can notice
     mesh, A = flat_system()
-    j, l = np.nonzero(mesh.free_mask)
+    j, l = np.divmod(np.arange(A.shape[0]), mesh.free_mask.shape[1])
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     dj, dl = j[A.indices] - j[rows], l[A.indices] - l[rows]
     H = np.where((dj == 0) & (dl == 0), 1.0, np.where(dj == dl, 0.5, -0.5))
-    d = np.sqrt(A.diagonal() / 4.0)
+    # zero at the fixed nodes, whose identity rows stay as they are
+    d = zero_at_fixed(mesh, np.sqrt(A.diagonal() / 4.0))
     A.data -= 2.5 * d[rows] * H * d[A.indices]
     assert A.diagonal().min() > 0.0
-    load = np.random.default_rng(0).standard_normal(A.shape[0])
+    load = zero_at_fixed(mesh, np.random.default_rng(0).standard_normal(A.shape[0]))
     with pytest.raises(fem2d.SolverConvergenceError, match="CG met a direction") as info:
         fem2d.cg_solve(A, load, mesh.free_mask)
     assert np.isfinite(info.value.residual)
@@ -340,30 +393,36 @@ def test_cg_solve_rejects_an_indefinite_coarsest_operator_before_cg():
     A.data *= 3.0
     A.setdiag(A.diagonal() - 2.0 * K.diagonal())
     with pytest.raises(fem2d.SolverConvergenceError, match="coarsest multigrid operator is not SPD") as info:
-        fem2d.cg_solve(A, np.ones(A.shape[0]), mesh.free_mask)
+        fem2d.cg_solve(A, zero_at_fixed(mesh, np.ones(A.shape[0])), mesh.free_mask)
     assert info.value.residual == np.inf
 
 
 def test_cg_solve_takes_only_the_free_node_p1_matrix():
     # the hierarchy reads each coarse operator off nine probes, which is
     # exact only while every node of A couples inside its 3 x 3 window; so
-    # A must have the P1 pattern of the mask, explicit zeros included, and
-    # a matrix with couplings beyond it, one without K's explicit zeros, or
-    # K with the mask of another grid is refused, not solved
+    # A must have the whole-grid P1 pattern of the mask, explicit zeros
+    # included, and a matrix with couplings beyond it, one without K's
+    # explicit zeros, K with the mask of another grid, or the matrix of the
+    # free nodes alone is refused, not solved; so is a load that is not zero
+    # at a fixed node, whose identity row would copy it into the solution
     mesh, K = flat_system()
-    j, l = np.nonzero(mesh.free_mask)
-    w = (-1.0) ** (j + l)
+    free = mesh.free_mask.ravel()
+    j, l = np.divmod(np.arange(K.shape[0]), mesh.free_mask.shape[1])
+    w = zero_at_fixed(mesh, (-1.0) ** (j + l))
     w /= np.linalg.norm(w)
     pruned = K.copy()
     pruned.eliminate_zeros()
     assert pruned.nnz < K.nnz
     other = fem2d.build_fitted_mesh(sine(0.0), 16, 8).free_mask
-    assert np.count_nonzero(other) != K.shape[0]
-    b = np.ones(K.shape[0])
-    for A, free in (((K + 8.0 * sp.csr_matrix(np.outer(w, w))).tocsr(), mesh.free_mask),
-                    (pruned, mesh.free_mask), (K, other)):
-        with pytest.raises(ValueError, match="not the free-node P1 matrix"):
-            fem2d.cg_solve(A, b, free)
+    assert other.size != K.shape[0]
+    b = zero_at_fixed(mesh, np.ones(K.shape[0]))
+    for A, mask in (((K + 8.0 * sp.csr_matrix(np.outer(w, w))).tocsr(), mesh.free_mask),
+                    (pruned, mesh.free_mask), (K, other), (K[free][:, free], mesh.free_mask)):
+        with pytest.raises(ValueError, match="not the P1 matrix of the mask"):
+            fem2d.cg_solve(A, b, mask)
+    b[mesh.dirichlet_nodes[len(mesh.dirichlet_nodes) // 2]] = 1.0
+    with pytest.raises(ValueError, match="not zero at a fixed node"):
+        fem2d.cg_solve(K, b, mesh.free_mask)
 
 
 @pytest.mark.parametrize("maxiter", [0, -1])
@@ -371,4 +430,4 @@ def test_cg_solve_rejects_maxiter_below_one(maxiter):
     # with no iteration CG would hand back the zero vector as a solution
     mesh, K = flat_system()
     with pytest.raises(ValueError, match="maxiter must be at least 1"):
-        fem2d.cg_solve(K, np.ones(K.shape[0]), mesh.free_mask, maxiter=maxiter)
+        fem2d.cg_solve(K, zero_at_fixed(mesh, np.ones(K.shape[0])), mesh.free_mask, maxiter=maxiter)
