@@ -261,6 +261,12 @@ def _cmd_study(args) -> int:
     cfg.require_dim(1 if cfg.mode == "oned" else 2, f"study --mode {cfg.mode}")
     if cfg.mode != "oned":
         _require_square(cfg, f"study {cfg.mode}")
+    elif cfg.given & {"dim", "mode"}:
+        # a 1D sweep reads no 2D solver key; a file that names neither dim nor
+        # mode suits every command and keeps them for the 2D ones
+        unread = sorted(cfg.given & {"nx", "nz", "cg_rtol"})
+        if unread:
+            raise ConfigError(f"study --mode oned does not read [solver] {', '.join(unread)}, set in the config")
     out_dir = args.out_dir if args.out_dir is not None else Path("study-out")
     resolution = cfg.n_cells if cfg.mode == "oned" else cfg.nx
     records = study_mod.run_sequence(cfg.perturbation, cfg.amplitudes, cfg.forcing(), cfg.eps, resolution,

@@ -103,8 +103,8 @@ class RunConfig:
     gap_target: float | None = None
 
     base_dir: Path = field(default_factory=Path)
-    # whether the file sets [domain] dim, which a command then has to match
-    dim_given: bool = False
+    # the keys (as attribute names) that the file sets
+    given: frozenset[str] = frozenset()
 
     def validate(self) -> "RunConfig":
         if self.dim not in (1, 2):
@@ -136,7 +136,7 @@ class RunConfig:
     def require_dim(self, dim: int, command: str) -> None:
         """Run in `dim` dimensions, rejecting a [domain] dim of the file that
         says otherwise (a file without one suits every command)."""
-        if self.dim_given and self.dim != dim:
+        if "dim" in self.given and self.dim != dim:
             raise ConfigError(f"{command} solves in {dim}D, but the config sets dim = {self.dim}")
         self.dim = dim
 
@@ -247,7 +247,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path}: {exc}") from exc
         cfg.base_dir = path.parent
-        cfg.dim_given = parser.has_option("domain", "dim")
+    given = set()
     for section in parser.sections():
         if section not in _SECTION_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
@@ -256,9 +256,11 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             if attr not in _SECTION_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             setattr(cfg, attr, _parse_value(section, attr, raw))
+            given.add(attr)
+    cfg.given = frozenset(given)
     overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
     for key, value in overrides.items():
         setattr(cfg, key, value)
-    if cfg.family == "table" and ("amplitude" in overrides or parser.has_option("perturbation", "amplitude")):
+    if cfg.family == "table" and ("amplitude" in overrides or "amplitude" in cfg.given):
         raise ConfigError(_TABLE_AMPLITUDE)
     return cfg.validate()

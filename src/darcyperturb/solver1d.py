@@ -18,6 +18,12 @@ leading row axis in front, so each product sees the shapes it sees for one
 row (BLAS results depend on the shape).  A field of one row, such as p, is
 shared by all the rows it meets.  Rows that turn out to differ in structure
 raise ValueError.
+
+Every integral of a squared slope (the V-norm gap, the energy splits and xi)
+reads one table, `_Slopes`: it differentiates each of its fields once, at
+the Gauss nodes of every cell of their merged breakpoints, and integrates
+over the cells of an interval.  A 1D study batch builds one table for p and
+q and reads all of these off it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import _check_eps
-from .quadrature import Antiderivative, as_array_fn, gauss_rule, integrate_cells
+from .quadrature import Antiderivative, as_array_fn, gauss_rule
 
 BREAKPOINT_MERGE_TOL = 1e-13
 
@@ -322,47 +328,75 @@ def _sqrt_of_positive_part(v):
     return _scalar(np.sqrt(np.where(v < 0.0, 0.0, v)))
 
 
+class _Slopes:
+    """The slopes of `fields`, each read in one call at the _ORDER Gauss nodes
+    of every cell of one breakpoint set, and integrals of their squares.
+
+    The cells are those of the merged breakpoints of the fields and of the
+    points `at` (floats, or one value per row).  Each integral squares and
+    sums over its own cells only: a product over more cells than it covers
+    would give other bits.
+    """
+
+    def __init__(self, *fields: PiecewiseField1D, at: Sequence = ()):
+        self.breaks = _insert_points(fields[0].breakpoints, [f.breakpoints for f in fields[1:]]
+                                     + [np.asarray(a, dtype=float)[..., None] for a in at])
+        t, self._w = gauss_rule(_ORDER)
+        lo = self.breaks[..., :-1]
+        self._half = 0.5 * (self.breaks[..., 1:] - lo)
+        # (..., cells, order) sample grid
+        x = lo[..., None] + self._half[..., None] * (t + 1.0)
+        pts = x.reshape(self.breaks.shape[:-1] + (-1,))
+        self.slopes = tuple(f._eval(pts, "deriv").reshape(x.shape) for f in fields)
+
+    def integral(self, slope: np.ndarray, minus: np.ndarray | None = None, lo=-np.inf, hi=np.inf):
+        """int_lo^hi |slope - minus|^2 (|slope|^2 without minus) over the cells
+        whose ends lie in [lo, hi], up to 1e-15, for bounds of one value or
+        one per row (0.0 over no cell)."""
+        lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
+        ends = _shared((self.breaks >= lo - 1e-15) & (self.breaks <= hi + 1e-15))
+        cells = ends[:-1] & ends[1:]
+        d = slope[..., cells, :] if minus is None else slope[..., cells, :] - minus[..., cells, :]
+        # (R, cells, order) @ w keeps the per-row product of a single row, bit for bit
+        return _scalar(np.sum(self._half[..., cells] * ((d * d) @ self._w), axis=-1))
+
+    def vnorm(self, slope: np.ndarray, minus: np.ndarray):
+        """(int |slope - minus|^2)^(1/2) over every cell."""
+        return _sqrt_of_positive_part(self.integral(slope, minus))
+
+    def energy_split(self, slope: np.ndarray, zeta, eps: float):
+        """(e1, e2, e1 + e2) with e1 = int_{-1}^{zeta} |slope|^2, e2 = (1/eps) int_{zeta}^{1} |slope|^2."""
+        _check_eps(eps)
+        e1 = self.integral(slope, lo=-1.0, hi=zeta)
+        e2 = self.integral(slope, lo=zeta, hi=1.0) / eps
+        return e1, e2, e1 + e2
+
+    def xi(self, slope: np.ndarray, zeta):
+        """-sign(zeta) int_gap |slope|^2 (0 for zeta = 0)."""
+        if np.ndim(zeta) == 0 and zeta == 0.0:
+            return 0.0
+        lo, hi = _gap(zeta)
+        return _scalar(-np.sign(zeta) * self.integral(slope, lo=lo, hi=hi))
+
+
 def vnorm_diff_1d(a: PiecewiseField1D, b: PiecewiseField1D):
     """V-norm of the difference, (int |da - db|^2)^(1/2); an array for R rows."""
-
-    def sq(x):
-        d = a._eval(x, "deriv") - b._eval(x, "deriv")
-        return d * d
-
-    breaks = _insert_points(a.breakpoints, [b.breakpoints])
-    return _sqrt_of_positive_part(integrate_cells(sq, breaks, order=_ORDER))
+    table = _Slopes(a, b)
+    return table.vnorm(*table.slopes)
 
 
 def energy_split_1d(field: PiecewiseField1D, zeta, eps: float):
     """(e1, e2, e1 + e2) with e1 = int_{-1}^{zeta} |dq|^2, e2 = (1/eps) int_{zeta}^{1} |dq|^2."""
-    _check_eps(eps)
-    z = np.asarray(zeta, dtype=float)
-    e1 = _restricted_energy(field, -1.0, z)
-    e2 = _restricted_energy(field, z, 1.0) / eps
-    return e1, e2, e1 + e2
-
-
-def _restricted_energy(field: PiecewiseField1D, lo, hi):
-    """int_lo^hi |d field|^2, row by row for per-row bounds or fields (0.0 for an empty interval)."""
-    lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
-    if np.all(hi <= lo):
-        return 0.0
-    breaks = _insert_points(field.breakpoints, [lo, hi])
-    breaks = breaks[..., _shared((breaks >= lo - 1e-15) & (breaks <= hi + 1e-15))]
-
-    def sq(x):
-        d = field._eval(x, "deriv")
-        return d * d
-
-    return integrate_cells(sq, breaks, order=_ORDER)
+    table = _Slopes(field, at=[-1.0, zeta, 1.0])
+    return table.energy_split(table.slopes[0], zeta, eps)
 
 
 def xi_1d(field: PiecewiseField1D, zeta):
     """1D perturbation functional -sign(zeta) int_gap |dq|^2 (0 for zeta = 0)."""
     if np.ndim(zeta) == 0 and zeta == 0.0:
         return 0.0
-    lo, hi = _gap(zeta)
-    return _scalar(-np.sign(zeta) * _restricted_energy(field, lo, hi))
+    table = _Slopes(field, at=_gap(zeta))
+    return table.xi(table.slopes[0], zeta)
 
 
 @dataclass(frozen=True)

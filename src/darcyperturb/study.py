@@ -178,12 +178,16 @@ def _fill_oned(recs, zeta, p, forcing, eps) -> None:
     size = np.abs(zeta)
     put(norm_sup=size, norm_w1inf=size)
     q = solver1d.solve_exact_1d(forcing, zeta, eps)
-    put(vnorm_gap=solver1d.vnorm_diff_1d(p, q))
-    e1, e2, tot = solver1d.energy_split_1d(q, zeta, eps)
+    # every integral of a squared slope reads one table: p and q differentiated
+    # once, on the cells of their merged breakpoints, which hold 0 and zeta
+    table = solver1d._Slopes(p, q)
+    dp, dq = table.slopes
+    put(vnorm_gap=table.vnorm(dp, dq))
+    e1, e2, tot = table.energy_split(dq, zeta, eps)
     put(energy_e1=e1, energy_e2=e2, energy_total=tot)
-    put(energy_flat_total=solver1d.energy_split_1d(q, 0.0, eps)[2])
+    put(energy_flat_total=table.energy_split(dq, 0.0, eps)[2])
     put(lower_bound_c=_lower_bound(eps, size), coercivity_e=flatten._coercivity(size, size, 1))
-    put(xi_p=solver1d.xi_1d(p, zeta))
+    put(xi_p=table.xi(dp, zeta))
     bound = solver1d.estimate_rhs_1d(forcing.F, forcing.f, zeta, eps)
     put(bound_h_part=bound.h_part, bound_hperp_part=bound.hperp_part, bound_total=bound.total)
 

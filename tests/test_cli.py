@@ -523,6 +523,12 @@ def test_oned_study_rejects_a_shape_it_cannot_build(tmp_path, capsys, shape, key
     _rejected(tmp_path, capsys, "study", GOOD_1D.replace("[forcing]", f"[perturbation]\n{shape}\n[forcing]"), key)
 
 
+@pytest.mark.parametrize("line, key", [("nx = 32", "nx"), ("nz = 32", "nz"), ("cg_rtol = 1e-6", "cg_rtol")])
+def test_oned_study_rejects_a_2d_solver_key(tmp_path, capsys, line, key):
+    # no 1D computation reads it, so it was accepted and ignored
+    _rejected(tmp_path, capsys, "study", GOOD_1D + f"\n[solver]\n{line}\n", key)
+
+
 @pytest.mark.parametrize("value", ["2", "1", "0", "-1", "nan", "inf"])
 def test_solve2d_rejects_cg_rtol_outside_the_unit_interval(tmp_path, capsys, value):
     # 2 stopped CG before its first step and wrote zeros; -1 failed as "not SPD"

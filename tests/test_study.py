@@ -310,6 +310,40 @@ def test_oned_batch_builds_no_value_antiderivative(monkeypatch, sign):
         assert np.array_equal(bits(values[r]), bits(row_exact(F, f, z, 0.13).value(xs[r])))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_oned_batch_differentiates_each_field_once(monkeypatch, sign):
+    """The gap, both energy splits and xi_p of a batch read one table of
+    slopes: p and q are each differentiated in one call."""
+    calls = []
+    real = solver1d.PiecewiseField1D._eval
+
+    def counted(field, x, attr):
+        if attr == "deriv":
+            calls.append(field)
+        return real(field, x, attr)
+
+    F, f = compile_expression("sin(3*x) + x**2", ("x",)), compile_expression("exp(x) + 0.5", ("x",))
+    forcing = ForcingSpec(F=F, f=f)
+    p = solver1d.solve_exact_1d(forcing, 0.0, 0.13)
+    zetas = sign * np.linspace(0.85, 0.05, 12)
+    recs = [ConvergenceRecord(amplitude=z, norm_sup=abs(z), norm_w1inf=abs(z), resolution=64) for z in zetas]
+    monkeypatch.setattr(solver1d.PiecewiseField1D, "_eval", counted)
+    study._fill_oned(recs, zetas, p, forcing, 0.13)
+    # once on p, and once on q, the field of 12 rows
+    assert len(calls) == 2 and sum(c is p for c in calls) == 1
+    assert {c.breakpoints.shape for c in calls} == {(3,), (12, 4)}
+
+
+@pytest.mark.parametrize("F, f", [("0", "1"), ("sin(3*x) + x**2", "cos(x)")])
+def test_full_and_partial_batch_match_rows_one_at_a_time(F, f):
+    """70 amplitudes: one batch of _ONED_BATCH_ROWS rows, the size the
+    benchmark runs, and one partial batch, each column bit for bit."""
+    amps = list(np.linspace(0.9, 0.01, 70))
+    assert [len(b) for b in study._oned_batches(amps)] == [study._ONED_BATCH_ROWS, 70 - study._ONED_BATCH_ROWS]
+    forcing = ForcingSpec(F=compile_expression(F, ("x",)), f=compile_expression(f, ("x",)))
+    _assert_rows_match(run_sequence(None, amps, forcing, 0.3, 64, "oned"), row_study(amps, forcing, 0.3))
+
+
 def test_fitted2d_sweep_decreasing():
     from darcyperturb import fem2d
     from darcyperturb.geometry import make_perturbation
