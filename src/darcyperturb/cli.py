@@ -103,6 +103,15 @@ def _require_square(cfg: RunConfig, command: str):
         raise ConfigError(f"{command} needs nz = nx, got nx = {cfg.nx}, nz = {cfg.nz}")
 
 
+def _reject_2d_solver_keys(cfg: RunConfig, command: str):
+    # a 1D command reads no 2D solver key; a file that names neither dim nor
+    # mode suits every command and keeps them for the 2D ones
+    if cfg.given & {"dim", "mode"}:
+        unread = sorted(cfg.given & {"nx", "nz", "cg_rtol"})
+        if unread:
+            raise ConfigError(f"{command} does not read [solver] {', '.join(unread)}, set in the config")
+
+
 def _write_or_stdout(path: Path | None, text: str):
     if path is None:
         sys.stdout.write(text)
@@ -145,6 +154,7 @@ def _cmd_solve1d(args) -> int:
     cfg = _load(args, {"eps": args.eps})
     cfg.require_dim(1, "solve1d")
     _require_unit_k(cfg, "solve1d")
+    _reject_2d_solver_keys(cfg, "solve1d")
     zeta = 0.0 if args.zeta is None else args.zeta
     if not -1.0 < zeta < 1.0:
         raise ConfigError(f"--zeta must lie in (-1, 1), got {zeta}")
@@ -261,12 +271,8 @@ def _cmd_study(args) -> int:
     cfg.require_dim(1 if cfg.mode == "oned" else 2, f"study --mode {cfg.mode}")
     if cfg.mode != "oned":
         _require_square(cfg, f"study {cfg.mode}")
-    elif cfg.given & {"dim", "mode"}:
-        # a 1D sweep reads no 2D solver key; a file that names neither dim nor
-        # mode suits every command and keeps them for the 2D ones
-        unread = sorted(cfg.given & {"nx", "nz", "cg_rtol"})
-        if unread:
-            raise ConfigError(f"study --mode oned does not read [solver] {', '.join(unread)}, set in the config")
+    else:
+        _reject_2d_solver_keys(cfg, "study --mode oned")
     out_dir = args.out_dir if args.out_dir is not None else Path("study-out")
     resolution = cfg.n_cells if cfg.mode == "oned" else cfg.nx
     records = study_mod.run_sequence(cfg.perturbation, cfg.amplitudes, cfg.forcing(), cfg.eps, resolution,

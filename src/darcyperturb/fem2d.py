@@ -511,9 +511,9 @@ class _Transfer:
         self.fine_fixed, self.coarse_fixed = np.flatnonzero(~fine), np.flatnonzero(~coarse)
         self.down = [(lines.dense if fine.size <= _SMALL_GRID else lines.sparse, axis) for lines, axis in axes]
 
-    def restrict(self, r: np.ndarray, Ax: np.ndarray | None = None) -> np.ndarray:
-        """P^T r, or P^T (r - Ax)."""
-        g = (r if Ax is None else r - Ax).reshape(self.fine_shape)
+    def restrict(self, r: np.ndarray) -> np.ndarray:
+        """P^T r."""
+        g = r.reshape(self.fine_shape)
         for (_, R), axis in self.down:
             g = R @ g if axis == -2 else (R @ g.T).T
         v = g.ravel()
@@ -611,16 +611,20 @@ def _v_cycle(levels: list, coarsest: np.ndarray, r: np.ndarray) -> np.ndarray:
     """One symmetric V-cycle from a zero guess: damped Jacobi before and after
     the coarse correction on every level, the grid transfers on the node
     grid (`_Transfer`), and the inverse Cholesky factor L^-1 of the
-    coarsest operator as coarse solve L^-T L^-1 r."""
+    coarsest operator as coarse solve L^-T L^-1 r.  Each residual r - Ax,
+    and its smoothing step w (r - Ax), is written into the matvec's own
+    output Ax."""
     stack = []
     for A, w, transfer in levels:
         x = w * r
         stack.append((r, x))
-        r = transfer.restrict(r, A @ x)
+        Ax = A @ x
+        r = transfer.restrict(np.subtract(r, Ax, out=Ax))
     x = coarsest.T @ (coarsest @ r)
     for (A, w, transfer), (r, x_pre) in zip(reversed(levels), reversed(stack)):
         x = transfer.prolong(x, x_pre)
-        x += w * (r - A @ x)
+        Ax = A @ x
+        x += np.multiply(w, np.subtract(r, Ax, out=Ax), out=Ax)
     return x
 
 
@@ -634,7 +638,9 @@ def cg(A, b: np.ndarray, *, rtol: float = 1e-5, maxiter: int | None = None,
     every iteration.  Returns (x, 0) on convergence and (x, maxiter) when the
     iterations run out; b = 0 gives zeros at once.  Raises
     `SolverConvergenceError` when a search direction p has p.Ap <= 0, where
-    A (or M) is not positive definite.
+    A (or M) is not positive definite.  An iteration makes no vector of its
+    own beyond A's matvec q = Ap and M's result: the steps alpha q and then
+    alpha p are written into q, which is done with by then.
     """
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -660,8 +666,8 @@ def cg(A, b: np.ndarray, *, rtol: float = 1e-5, maxiter: int | None = None,
             raise SolverConvergenceError(f"CG met a direction with p.Ap = {pq:.3e}: the system is not SPD",
                                          float(np.linalg.norm(r) / bnorm))
         alpha = rho / pq
-        x += alpha * p
-        r -= alpha * q
+        r -= np.multiply(alpha, q, out=q)
+        x += np.multiply(alpha, p, out=q)
         rho_prev = rho
         if callback is not None:
             callback(x)
@@ -765,9 +771,17 @@ def resample(b: Field2D, mesh: Mesh2D) -> Field2D:
 
 
 def vnorm_diff_2d(a: Field2D, b: Field2D) -> float:
-    """V-norm (int |grad a - grad b|^2)^(1/2), resampling b onto a's mesh."""
-    b_on_a = b if b.mesh is a.mesh else resample(b, a.mesh)
-    diff = a.gradients() - b_on_a.gradients()
+    """V-norm (int |grad a - grad b|^2)^(1/2) over a's mesh.
+
+    On one mesh it reads the two fields' gradients (and caches them).  When
+    b lives on another mesh, whose columns must be columns of a's, it
+    subtracts b resampled onto a's mesh from a's values and differentiates
+    that one difference field, so neither field forms or keeps a gradient.
+    """
+    if b.mesh is a.mesh:
+        diff = a.gradients() - b.gradients()
+    else:
+        diff = Field2D(mesh=a.mesh, values=a.values - resample(b, a.mesh).values).gradients()
     return float(np.sqrt(max(np.sum(a.mesh.triangle_areas() * np.sum(diff * diff, axis=1)), 0.0)))
 
 

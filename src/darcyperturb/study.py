@@ -104,8 +104,12 @@ def run_sequence(shape: Callable[[float], Perturbation] | None, amplitudes: Sequ
     propagates.  A 2D sweep builds every zeta = shape(amp) before its first
     solve, so an invalid shape parameter raises instead of failing rows; a
     1D sweep, whose rows read only the amplitude, builds its shape (when
-    given) once, at the first amplitude, to the same end.  `rtol` is the CG
-    tolerance of the 2D solves.
+    given) once, at the first amplitude, to the same end.  A 2D sweep also
+    reads every row's xi_p off p right after p's solve, like the zetas
+    outside the row failure rule; a fitted sweep then hands its rows p's
+    values without p's cached gradient, so no row solves while that
+    gradient is alive, while a flattened sweep keeps it, since every
+    flattened gap reads it.  `rtol` is the CG tolerance of the 2D solves.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -122,7 +126,11 @@ def run_sequence(shape: Callable[[float], Perturbation] | None, amplitudes: Sequ
         zetas = {amp: shape(amp) for amp in amps}
         n = int(resolution)
         p = fem2d.assemble_solve(fem2d.build_fitted_mesh(FLAT_ZETA, n, n), forcing, eps=eps, rtol=rtol)
-        fill = lambda recs, amp: _twod_row(recs[0], p, zetas[amp], forcing, eps, mode, rtol)
+        xis = {amp: xi_perturbation(p, zeta) for amp, zeta in zetas.items()}
+        if mode == "fitted2d":
+            # a fitted gap reads no gradient of p: drop the one the xi's cached
+            p = fem2d.Field2D(mesh=p.mesh, values=p.values, label=p.label, meta=p.meta)
+        fill = lambda recs, amp: _twod_row(recs[0], p, zetas[amp], xis[amp], forcing, eps, mode, rtol)
         batches = ([amp] for amp in amps)
     return [rec for batch in batches for rec in _rows(batch, fill, resolution)]
 
@@ -192,9 +200,10 @@ def _fill_oned(recs, zeta, p, forcing, eps) -> None:
     put(bound_h_part=bound.h_part, bound_hperp_part=bound.hperp_part, bound_total=bound.total)
 
 
-def _twod_row(rec: ConvergenceRecord, p: fem2d.Field2D, zeta: Perturbation, forcing,
+def _twod_row(rec: ConvergenceRecord, p: fem2d.Field2D, zeta: Perturbation, xi_p: float, forcing,
               eps: float, mode: str, rtol: float) -> None:
-    """Fill one 2D row against the unperturbed solution p.
+    """Fill one 2D row against the unperturbed solution p, whose xi_p for
+    this zeta the sweep read before its first row.
 
     A function of its own so that the row's mesh, field and cached mesh
     geometry are released before the next row builds its mesh.
@@ -202,7 +211,7 @@ def _twod_row(rec: ConvergenceRecord, p: fem2d.Field2D, zeta: Perturbation, forc
     rec.norm_sup, rec.norm_w1inf = zeta.norm_sup, zeta.norm_w1inf
     rec.lower_bound_c = lower_bound_constant(zeta, eps)
     rec.coercivity_e = flatten.coercivity_constant(zeta)
-    rec.xi_p = xi_perturbation(p, zeta)
+    rec.xi_p = xi_p
     if mode == "fitted2d":
         mesh = fem2d.build_fitted_mesh(zeta, rec.resolution, rec.resolution)
         q = fem2d.assemble_solve(mesh, forcing, eps=eps, rtol=rtol)

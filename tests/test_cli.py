@@ -529,6 +529,18 @@ def test_oned_study_rejects_a_2d_solver_key(tmp_path, capsys, line, key):
     _rejected(tmp_path, capsys, "study", GOOD_1D + f"\n[solver]\n{line}\n", key)
 
 
+@pytest.mark.parametrize("line, key", [("nx = 32", "nx"), ("nz = 32", "nz"), ("cg_rtol = 1e-6", "cg_rtol")])
+def test_solve1d_rejects_a_2d_solver_key(tmp_path, capsys, line, key):
+    # the exact 1D solve reads none of them, so it was accepted and ignored
+    _rejected(tmp_path, capsys, "solve1d", GOOD_1D + f"\n[solver]\n{line}\n", key)
+
+
+def test_solve1d_keeps_2d_solver_keys_of_a_file_without_dim_or_mode(tmp_path):
+    # such a file suits every command, and the 2D ones read the keys
+    cfg = write_config(tmp_path / "run.ini", "[forcing]\nF = 0\nf = 1\n\n[solver]\nnx = 32\ncg_rtol = 1e-6\n")
+    assert dispatch(["solve1d", "--config", str(cfg), "--zeta", "0.25", "--out", str(tmp_path / "sol.csv")]) == 0
+
+
 @pytest.mark.parametrize("value", ["2", "1", "0", "-1", "nan", "inf"])
 def test_solve2d_rejects_cg_rtol_outside_the_unit_interval(tmp_path, capsys, value):
     # 2 stopped CG before its first step and wrote zeros; -1 failed as "not SPD"

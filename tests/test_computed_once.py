@@ -1,9 +1,10 @@
 """Per-mesh, per-field and per-row invariants computed once: the cached
 triangle areas of a mesh (its only stored geometry), the gradient of a
 field, and the release of what a 2D solve no longer needs: each study row's
-mesh before the next row builds its own, the averaged flattening metric
-after each use, the assembly's couplings before its CSR gather, and the
-multigrid hierarchy with its solve."""
+mesh before the next row builds its own, the unperturbed gradient before a
+fitted row solves, the averaged flattening metric after each use, the
+assembly's couplings before its CSR gather, and the multigrid hierarchy with
+its solve."""
 
 import gc
 import tracemalloc
@@ -70,9 +71,9 @@ def test_field_gradient_is_computed_once_and_read_only():
 
 @pytest.mark.parametrize("mode, per_row", [("fitted2d", 2), ("flattened2d", 1)])
 def test_sweep_computes_each_field_gradient_once(monkeypatch, mode, per_row):
-    # p's gradient serves every row's xi and V-norm; a flattened row's rho
-    # serves its V-norm and both energy splits, and a fitted row adds the
-    # resampled q of its V-norm to q itself
+    # p's gradient serves every row's xi, and a flattened row's V-norm; a
+    # flattened row's rho serves its V-norm and both energy splits, and a
+    # fitted row's V-norm differentiates p - q, besides q itself
     computed = []
     once = fem2d.Field2D._gradients
 
@@ -144,6 +145,52 @@ def test_flattened_sweep_keeps_no_metric(monkeypatch):
     assert [k for k, ref in enumerate(formed) if ref() is not None] == []
 
 
+def test_fitted_rows_solve_while_no_gradient_of_p_is_alive(monkeypatch):
+    # every row's xi_p is read off p before the first row solves, and a
+    # fitted gap differentiates p - q, not p: no field on the flat mesh
+    # holds a gradient through a row's assembly and solve
+    meshes, held = [], []
+    build, solve = fem2d.build_fitted_mesh, fem2d.cg_solve
+
+    def kept(zeta, nx, nz):
+        meshes.append(build(zeta, nx, nz))
+        return meshes[-1]
+
+    def watched(*args, **kwargs):
+        held.append([obj.label for obj in gc.get_objects()
+                     if isinstance(obj, fem2d.Field2D) and obj.mesh is meshes[0] and "_gradients" in vars(obj)])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fem2d, "build_fitted_mesh", kept)
+    monkeypatch.setattr(fem2d, "cg_solve", watched)
+    records = run_sequence(sine_shape, [0.2, 0.1, 0.05], FORCING, 0.5, 8, "fitted2d")
+    assert [r.status for r in records] == ["ok"] * 3
+    # p's own solve, then one per row
+    assert held == [[]] * 4
+
+
+@settings(deadline=None, max_examples=30)
+@given(nx=st.integers(2, 12), ratio=st.integers(1, 3), nz=st.integers(2, 12), nz_b=st.integers(2, 12),
+       family=families, amp=st.floats(0.0, 0.9), amp_b=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1))
+def test_two_mesh_gap_differentiates_one_field_and_caches_no_gradient(nx, ratio, nz, nz_b, family, amp,
+                                                                      amp_b, seed):
+    # b lives on another mesh whose columns include a's: the gap is that of
+    # the two fields' own gradients, b resampled onto a's mesh, and neither
+    # field is left holding a gradient
+    name, params = family
+    rng = np.random.default_rng(seed)
+    fields = []
+    for mesh in (fem2d.build_fitted_mesh(make_perturbation(name, params, amp), nx, nz),
+                 fem2d.build_fitted_mesh(sine(amp_b), ratio * nx, nz_b)):
+        fields.append(fem2d.Field2D(mesh=mesh, values=rng.standard_normal(mesh.n_nodes)))
+    a, b = fields
+    gap = fem2d.vnorm_diff_2d(a, b)
+    assert not any("_gradients" in vars(fld) for fld in (a, b))
+    diff = fem2d.Field2D(mesh=a.mesh, values=a.values).gradients() - fem2d.resample(b, a.mesh).gradients()
+    expected = np.sqrt(np.sum(a.mesh.triangle_areas() * np.sum(diff * diff, axis=1)))
+    assert gap == pytest.approx(expected, rel=1e-12)
+
+
 def test_flattened_sweep_keeps_no_multigrid_state():
     # the hierarchy, transfers included, dies with each solve: once a sweep
     # is done, fem2d holds no cache and no array or sparse matrix of its own
@@ -159,10 +206,11 @@ def test_flattened_sweep_keeps_no_multigrid_state():
 def test_cg_solve_peak_is_the_coarse_operators_and_sixteen_grid_vectors(kind):
     # the caller holds the fine A and b; above them a solve holds the coarse
     # CSR operators and at most 16 node-grid arrays: the smoother weights of
-    # every level (about 1.3), CG's vectors and temporaries (about 5) and
-    # one V-cycle's (about 4.6); 12.0 were measured for both kinds, the
-    # hierarchy build below it (next test), and stored transfers or sparse
-    # Galerkin products took the peak to about 21
+    # every level (about 1.3), CG's vectors (about 5) and one V-cycle's
+    # (about 4.6); 11.4-11.5 were measured for both kinds (11.9-12.0 while
+    # CG and the V-cycle made a temporary per step), the hierarchy build
+    # below it (next test), and stored transfers or sparse Galerkin products
+    # took the peak to about 21
     mesh = fem2d.build_fitted_mesh(sine(0.0), 64, 64)
     free = mesh.free_mask
     metric = fem2d._IDENTITY if kind == "fitted" else flatten._averaged_metric(mesh, sine(0.3))
