@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fem2d, flatten, solver1d, study as study_mod
-from .config import ConfigError, RunConfig, load_config
+from .config import _SECTION_KEYS, ConfigError, RunConfig, load_config
 from .geometry import FLAT_ZETA, make_perturbation, validate_admissible
 
 EXIT_OK = 0
@@ -103,13 +103,15 @@ def _require_square(cfg: RunConfig, command: str):
         raise ConfigError(f"{command} needs nz = nx, got nx = {cfg.nx}, nz = {cfg.nz}")
 
 
-def _reject_2d_solver_keys(cfg: RunConfig, command: str):
-    # a 1D command reads no 2D solver key; a file that names neither dim nor
-    # mode suits every command and keeps them for the 2D ones
+def _reject_unread_keys(cfg: RunConfig, command: str, keys: set):
+    # `keys` are the config keys that `command` does not read; a file that
+    # names neither dim nor mode suits every command and keeps them for the
+    # commands that read them
     if cfg.given & {"dim", "mode"}:
-        unread = sorted(cfg.given & {"nx", "nz", "cg_rtol"})
+        unread = [f"[{section}] {key}" for section, names in _SECTION_KEYS.items()
+                  for key in sorted(names & keys & cfg.given)]
         if unread:
-            raise ConfigError(f"{command} does not read [solver] {', '.join(unread)}, set in the config")
+            raise ConfigError(f"{command} does not read {', '.join(unread)}, set in the config")
 
 
 def _write_or_stdout(path: Path | None, text: str):
@@ -154,7 +156,8 @@ def _cmd_solve1d(args) -> int:
     cfg = _load(args, {"eps": args.eps})
     cfg.require_dim(1, "solve1d")
     _require_unit_k(cfg, "solve1d")
-    _reject_2d_solver_keys(cfg, "solve1d")
+    # it solves at --zeta with the exact solver
+    _reject_unread_keys(cfg, "solve1d", {"amplitude", "n_cells", "nx", "nz", "cg_rtol"})
     zeta = 0.0 if args.zeta is None else args.zeta
     if not -1.0 < zeta < 1.0:
         raise ConfigError(f"--zeta must lie in (-1, 1), got {zeta}")
@@ -272,7 +275,7 @@ def _cmd_study(args) -> int:
     if cfg.mode != "oned":
         _require_square(cfg, f"study {cfg.mode}")
     else:
-        _reject_2d_solver_keys(cfg, "study --mode oned")
+        _reject_unread_keys(cfg, "study --mode oned", {"nx", "nz", "cg_rtol"})
     out_dir = args.out_dir if args.out_dir is not None else Path("study-out")
     resolution = cfg.n_cells if cfg.mode == "oned" else cfg.nx
     records = study_mod.run_sequence(cfg.perturbation, cfg.amplitudes, cfg.forcing(), cfg.eps, resolution,

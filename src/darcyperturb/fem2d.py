@@ -18,12 +18,14 @@ most seven: the stiffness is summed as seven node-grid arrays, one per
 stencil entry.  A solve runs over every node of the grid in node order:
 its matrix is the stiffness between free nodes plus an identity row and
 column for each fixed (Dirichlet) node, and every vector of the solve is
-zero at the fixed nodes.  The multigrid preconditioner coarsens to every
-other grid line: its grid transfers are one product per axis with the 1D
-interpolation of that axis, and its Galerkin operators are 9-point
-stencils read off nine probes through those transfers and the operator of
-the level above, so it stores no 2D prolongation and reads no matrix but
-by its matvec.
+zero at the fixed nodes.  Every matrix, the stiffness and the coarse
+operators alike, is gathered from its node-grid stencil arrays straight
+into sorted CSR.  The multigrid preconditioner coarsens to every other grid
+line: its grid transfers are one CSR product per axis with the 1D
+interpolation of that axis or its transpose, and its Galerkin operators
+are 9-point stencils read off nine probes through those transfers and the
+operator of the level above, so it stores no 2D prolongation and reads no
+matrix but by its matvec.
 """
 
 from __future__ import annotations
@@ -288,34 +290,25 @@ def _couplings(free: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
     return planes, indptr
 
 
-def _pattern(free: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR pattern of a stencil with the node-grid `offsets` (in ascending
-    node id) over all nodes of a grid, numbered by node id, that couples
-    only nodes of the mask `free` and each node to itself: the (nodes,
-    offsets) mask of the couplings, their column indices and the row
-    pointers."""
+def _csr(stencil: np.ndarray, free: np.ndarray, offsets) -> sp.csr_matrix:
+    """The CSR matrix, over all nodes of a grid in node order, of the
+    node-grid stencil arrays, one per node-grid offset of `offsets` (in
+    ascending node id), kept where they couple two nodes of the mask `free`
+    or a node to itself.  The mask gives the column indices and the row
+    pointers, and one boolean gather gives the sorted data: no COO, no
+    sort."""
     planes, indptr = _couplings(free, offsets)
     present = np.ascontiguousarray(planes.reshape(len(offsets), -1).T)
     del planes
     # scipy stores the indices as int32 anyway
-    number = np.arange(free.size, dtype=np.int32).reshape(free.shape)
-    indices = _neighbours(number, offsets, -1).reshape(-1, len(offsets))[present]
-    return present, indices, indptr
-
-
-def _csr(stencil: np.ndarray, pattern: tuple) -> sp.csr_matrix:
-    """The matrix of the node-grid stencil arrays (one per offset of the
-    `_pattern`) in that pattern: one boolean gather gives the sorted CSR
-    data, no COO, no sort."""
-    present, indices, indptr = pattern
-    n = len(indptr) - 1
-    K = sp.csr_matrix((stencil.reshape(present.shape[1], -1).T[present], indices, indptr), shape=(n, n))
+    indices = _neighbours(np.arange(free.size, dtype=np.int32).reshape(free.shape), offsets, -1)
+    indices = indices.reshape(-1, len(offsets))[present]
+    K = sp.csr_matrix((stencil.reshape(len(offsets), -1).T[present], indices, indptr), shape=(free.size,) * 2)
     K.has_canonical_format = True  # sorted and free of duplicates by construction
     return K
 
 
-def _assemble_p1(mesh: Mesh2D, metric, eps: float, k1: float, k2: float,
-                 free: np.ndarray | None = None) -> sp.csr_matrix:
+def _assemble_p1(mesh: Mesh2D, metric, eps: float, k1: float, k2: float, free: np.ndarray) -> sp.csr_matrix:
     """Matrix of sum_T k_T |T| grad(phi_a) . M_T grad(phi_b) over P1 hat
     functions, with k_T = k1 below the interface and k2/eps above.
 
@@ -324,11 +317,11 @@ def _assemble_p1(mesh: Mesh2D, metric, eps: float, k1: float, k2: float,
     runs from a to c, so node (j, l) couples to SW (j-1, l-1), W (j-1, l),
     S (j, l-1), D (j, l), N (j, l+1), E (j+1, l) and NE (j+1, l+1), in
     ascending node id.  The matrix is summed as one node-grid array per
-    stencil entry, and one boolean gather in that order gives the sorted CSR
-    data: no COO, no sort.  With a node-grid mask `free` (the free nodes of
-    a solve) the couplings of the other, fixed nodes are left out and each
-    fixed node keeps only its diagonal, set to 1: the matrix of a solve,
-    over all nodes in node order.
+    stencil entry and gathered by `_csr` over all nodes in node order.  The
+    node-grid mask `free` holds the free nodes: the couplings of the other,
+    fixed nodes are left out and each fixed node keeps only its diagonal,
+    set to 1.  With the free nodes of a solve that is the solve's matrix;
+    with every node free it is the whole stiffness.
     """
     quads = (mesh.nx, 2 * mesh.nz, 2)  # triangle 2(j*2nz + l) + orientation
     coef = np.repeat([k1, k2 / eps], mesh.nz)  # per level
@@ -359,17 +352,13 @@ def _assemble_p1(mesh: Mesh2D, metric, eps: float, k1: float, k2: float,
     del ab, bc, ca, ac, cd, da, entry, entries, metric
     # the hat functions sum to one, so every row of the matrix sums to zero
     np.negative(SW + W + S + N + E + NE, out=D)
-    if free is None:
-        free = np.ones(shape, dtype=bool)
-    else:
-        D[~free] = 1.0
-
-    return _csr(stencil, _pattern(free, _P1_OFFSETS))
+    D[~free] = 1.0
+    return _csr(stencil, free, _P1_OFFSETS)
 
 
 def assemble_stiffness(mesh: Mesh2D, eps: float, k1: float, k2: float) -> sp.csr_matrix:
     """Stiffness of the perturbed energy form on the fitted mesh."""
-    return _assemble_p1(mesh, _IDENTITY, eps, k1, k2)
+    return _assemble_p1(mesh, _IDENTITY, eps, k1, k2, np.ones(mesh.levels.shape, dtype=bool))
 
 
 def _at_point(corners, b) -> np.ndarray:
@@ -448,16 +437,17 @@ _SMOOTHER_SCALE = 1.5
 
 class _Lines:
     """Linear interpolation onto the n + 1 lines of one grid axis from the
-    coarse lines 0, 2, ..., and n, as the sparse (n + 1, m + 1) matrix
-    `matrix` of the coarse hat functions at the fine lines.
+    coarse lines 0, 2, ..., and n: the sparse (n + 1, m + 1) matrix `P` of
+    the coarse hat functions at the fine lines, and its transpose `R`, both
+    in CSR.
 
     For an odd n the coarse lines are 0, 2, ..., n - 3 and n, so the last
     coarse interval spans three cells (weights 1/3 and 2/3) rather than
     leaving a one-cell sliver that would survive on every coarser level.
     Every fine line l has the parent k_l = min(l // 2, m - 1), the coarse
     line at or below it, and the weight t_l of the coarse line k_l + 1 in
-    its value: row l of the matrix holds 1 - t_l at k_l and t_l at
-    k_l + 1, and no explicit zero, so a coarse line has one entry.
+    its value: row l of P holds 1 - t_l at k_l and t_l at k_l + 1, and no
+    explicit zero, so a coarse line has one entry.
     """
 
     def __init__(self, n: int):
@@ -470,29 +460,8 @@ class _Lines:
         stored = share != 0.0  # no explicit zero
         indptr = np.zeros(n + 2, dtype=np.int32)
         np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
-        self.matrix = sp.csr_matrix((share[stored], np.stack([k, k + 1], axis=1)[stored], indptr),
-                                    shape=(n + 1, m + 1))
-
-    @cached_property
-    def sparse(self) -> tuple:
-        """(P, P^T) in CSR."""
-        return self.matrix, self.matrix.T.tocsr()
-
-    @cached_property
-    def dense(self) -> tuple:
-        """(P, P^T) as dense arrays."""
-        P = self.matrix.toarray()
-        return P, P.T
-
-
-# node grids of up to this many nodes are small: their axes transfer by
-# dense 1D products, as a scipy call costs more there than its work.  On a
-# 33 x 65 grid a restriction (prolongation) over both axes took 7.6 (10) us
-# by dense products against 16.5 (17.7) us by CSR ones; on a 65 x 129 grid
-# dense took 19-31 (29-39) us against 25-26 (27-28) us, and from there on
-# CSR is as fast or faster (in-process, best of 15 x 300 calls, one BLAS
-# thread, 2-vCPU VM)
-_SMALL_GRID = 4096
+        self.P = sp.csr_matrix((share[stored], np.stack([k, k + 1], axis=1)[stored], indptr), shape=(n + 1, m + 1))
+        self.R = self.P.T.tocsr()
 
 
 class _Transfer:
@@ -500,37 +469,34 @@ class _Transfer:
     one, without its rows at the fine fixed nodes and its columns at the
     coarse fixed nodes, and restriction P^T.  A vector, which must be zero
     at the fixed nodes of its grid, is viewed as its node grid, multiplied
-    along each coarsened axis by the 1D interpolation of its `_Lines` or its
-    transpose (the columns first on the way down), and the fixed nodes of
-    the result are set to zero.  The grids are given by their masks of free
-    nodes; the 1D matrices are dense on a fine grid of up to _SMALL_GRID
-    nodes, else CSR."""
+    along each coarsened axis by the CSR interpolation `P` of its `_Lines`
+    or its transpose `R` (the columns first on the way down), and the fixed
+    nodes of the result are set to zero.  The grids are given by their
+    masks of free nodes."""
 
     def __init__(self, fine: np.ndarray, coarse: np.ndarray, axes: list):
         self.fine_shape, self.coarse_shape = fine.shape, coarse.shape
         self.fine_fixed, self.coarse_fixed = np.flatnonzero(~fine), np.flatnonzero(~coarse)
-        self.down = [(lines.dense if fine.size <= _SMALL_GRID else lines.sparse, axis) for lines, axis in axes]
+        self.axes = axes
 
     def restrict(self, r: np.ndarray) -> np.ndarray:
         """P^T r."""
         g = r.reshape(self.fine_shape)
-        for (_, R), axis in self.down:
-            g = R @ g if axis == -2 else (R @ g.T).T
+        for lines, axis in self.axes:
+            g = lines.R @ g if axis == -2 else (lines.R @ g.T).T
         v = g.ravel()
         v[self.coarse_fixed] = 0.0
         return v
 
-    def prolong(self, x: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
-        """P x, or base + P x."""
+    def prolong(self, x: np.ndarray) -> np.ndarray:
+        """P x."""
         g = x.reshape(self.coarse_shape)
-        for (P, _), axis in reversed(self.down):
-            g = P @ g if axis == -2 else (P @ g.T).T
+        for lines, axis in reversed(self.axes):
+            g = lines.P @ g if axis == -2 else (lines.P @ g.T).T
         v = g.ravel()
         # where a wall's top fixed level is odd, the coarse free node above
         # gives the fixed wall node on it a share
         v[self.fine_fixed] = 0.0
-        if base is not None:
-            v += base
         return v
 
 
@@ -559,7 +525,7 @@ def _coarse_operator(A: sp.csr_matrix, transfer: _Transfer, free: np.ndarray) ->
             at = np.s_[(cj - dj) % 3::3, (cl - dl) % 3::3]
             stencil[1 + dj, 1 + dl][at] = g[at]
     stencil[1, 1][~free] = 1.0
-    return _csr(stencil, _pattern(free, _OFFSETS))
+    return _csr(stencil, free, _OFFSETS)
 
 
 def _multigrid_levels(A: sp.csr_matrix, free: np.ndarray) -> tuple[list, np.ndarray]:
@@ -579,7 +545,8 @@ def _multigrid_levels(A: sp.csr_matrix, free: np.ndarray) -> tuple[list, np.ndar
     both axes and every level.  Each level is a tuple (A, smoother weights,
     `_Transfer`); the coarsest operator comes back as the inverse of its
     Cholesky factor.  Of P and R only the 1D interpolations of the `_Lines`
-    are stored, and they die with the hierarchy, which dies with the solve.
+    are stored, each with its transpose, both in CSR, and they die with the
+    hierarchy, which dies with the solve.
     Raises `np.linalg.LinAlgError` when the coarsest operator is not SPD.
     """
     indptr = _couplings(free, _P1_OFFSETS)[1]
@@ -611,9 +578,10 @@ def _v_cycle(levels: list, coarsest: np.ndarray, r: np.ndarray) -> np.ndarray:
     """One symmetric V-cycle from a zero guess: damped Jacobi before and after
     the coarse correction on every level, the grid transfers on the node
     grid (`_Transfer`), and the inverse Cholesky factor L^-1 of the
-    coarsest operator as coarse solve L^-T L^-1 r.  Each residual r - Ax,
-    and its smoothing step w (r - Ax), is written into the matvec's own
-    output Ax."""
+    coarsest operator as coarse solve L^-T L^-1 r.  On the way up the
+    pre-smoothed iterate is added to the prolonged correction.  Each
+    residual r - Ax, and its smoothing step w (r - Ax), is written into the
+    matvec's own output Ax."""
     stack = []
     for A, w, transfer in levels:
         x = w * r
@@ -622,7 +590,8 @@ def _v_cycle(levels: list, coarsest: np.ndarray, r: np.ndarray) -> np.ndarray:
         r = transfer.restrict(np.subtract(r, Ax, out=Ax))
     x = coarsest.T @ (coarsest @ r)
     for (A, w, transfer), (r, x_pre) in zip(reversed(levels), reversed(stack)):
-        x = transfer.prolong(x, x_pre)
+        x = transfer.prolong(x)
+        x += x_pre
         Ax = A @ x
         x += np.multiply(w, np.subtract(r, Ax, out=Ax), out=Ax)
     return x

@@ -188,7 +188,7 @@ def _averaged_metric(mesh: Mesh2D, zeta: Perturbation) -> np.ndarray:
 def assemble_flattened_stiffness(mesh: Mesh2D, zeta: Perturbation, eps: float,
                                  k1: float = 1.0, k2: float = 1.0) -> sp.csr_matrix:
     """Stiffness of the flattened form sum_i int (k_i/eps^{i-1}) (1-(-1)^i zeta) A^T A grad.grad."""
-    return fem2d._assemble_p1(mesh, _averaged_metric(mesh, zeta), eps, k1, k2)
+    return fem2d._assemble_p1(mesh, _averaged_metric(mesh, zeta), eps, k1, k2, np.ones(mesh.levels.shape, dtype=bool))
 
 
 def assemble_flattened_load(mesh: Mesh2D, zeta: Perturbation, forcing) -> np.ndarray:

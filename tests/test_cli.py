@@ -535,9 +535,18 @@ def test_solve1d_rejects_a_2d_solver_key(tmp_path, capsys, line, key):
     _rejected(tmp_path, capsys, "solve1d", GOOD_1D + f"\n[solver]\n{line}\n", key)
 
 
+@pytest.mark.parametrize("section, line, key", [("perturbation", "amplitude = 0.3", "amplitude"),
+                                               ("solver", "n_cells = 32", "n_cells")])
+def test_solve1d_rejects_a_key_it_does_not_read(tmp_path, capsys, section, line, key):
+    # it solves at --zeta (0 without the flag) by the exact solver, so the
+    # key was accepted and ignored
+    _rejected(tmp_path, capsys, "solve1d", GOOD_1D + f"\n[{section}]\n{line}\n", f"[{section}] {key}")
+
+
 def test_solve1d_keeps_2d_solver_keys_of_a_file_without_dim_or_mode(tmp_path):
-    # such a file suits every command, and the 2D ones read the keys
-    cfg = write_config(tmp_path / "run.ini", "[forcing]\nF = 0\nf = 1\n\n[solver]\nnx = 32\ncg_rtol = 1e-6\n")
+    # such a file suits every command, and the others read the keys
+    cfg = write_config(tmp_path / "run.ini", "[perturbation]\namplitude = 0.3\n\n[forcing]\nF = 0\nf = 1\n\n"
+                       "[solver]\nn_cells = 32\nnx = 32\ncg_rtol = 1e-6\n")
     assert dispatch(["solve1d", "--config", str(cfg), "--zeta", "0.25", "--out", str(tmp_path / "sol.csv")]) == 0
 
 

@@ -109,7 +109,8 @@ def test_metric_is_formed_per_zeta_and_read_only():
     assert not any(m.flags.writeable for m in (first, second, again))
     for z, metric in ((z1, first), (z2, second)):
         K = flatten.assemble_flattened_stiffness(ref, z, 0.1)
-        assert np.array_equal(K.toarray(), fem2d._assemble_p1(ref, metric, 0.1, 1.0, 1.0).toarray())
+        every = np.ones(ref.levels.shape, dtype=bool)
+        assert np.array_equal(K.toarray(), fem2d._assemble_p1(ref, metric, 0.1, 1.0, 1.0, every).toarray())
 
 
 def test_energy_split_uses_its_own_zeta():

@@ -316,7 +316,7 @@ def test_grid_assembly_matches_the_coo_reference(nx, nz, family, sign, amp, eps,
     zeta = oracles.signed_shape(family, amp, sign)
     mesh = build_fitted_mesh(zeta if fitted else FLAT_ZETA, nx, nz)
     metric = fem2d._IDENTITY if tensor == "identity" else flatten._averaged_metric(mesh, zeta)
-    K = fem2d._assemble_p1(mesh, metric, eps, k1, k2)
+    K = fem2d._assemble_p1(mesh, metric, eps, k1, k2, np.ones(mesh.levels.shape, dtype=bool))
     ref = oracles.assemble_p1(mesh, metric, eps, k1, k2)
     assert np.array_equal(K.indptr, ref.indptr)
     assert np.array_equal(K.indices, ref.indices)

@@ -7,7 +7,6 @@ solve, symmetry of the V-cycle, iteration counts flat in the mesh size, the
 solve record, and the CG loop against scipy's `cg` (imported here only)."""
 
 from functools import partial
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,10 +107,10 @@ def relative_gap(mine, theirs) -> float:
 def test_line_interpolation_is_the_coarse_hat_functions(n):
     # one stored entry per coarse line, two per other fine line (1/3 and 2/3
     # in the last interval of an odd n), no explicit zero; the CSR transpose
-    # and the dense pair are the same matrix
+    # is the same matrix
     lines = fem2d._Lines(n)
     hats, coarse = prolongation_1d(n)
-    P = lines.matrix
+    P = lines.P
     assert P.format == "csr" and P.shape == hats.shape and P.has_sorted_indices
     assert np.array_equal(lines.coarse, coarse)
     assert np.array_equal(P.indptr, hats.indptr) and np.array_equal(P.indices, hats.indices)
@@ -121,24 +120,17 @@ def test_line_interpolation_is_the_coarse_hat_functions(n):
     assert np.all(np.delete(np.diff(P.indptr), coarse) == 2)
     if n % 2:
         assert np.any(np.isclose(P.data, 1.0 / 3.0)) and np.any(np.isclose(P.data, 2.0 / 3.0))
-    P_csr, R_csr = lines.sparse
-    P_dense, R_dense = lines.dense
-    assert P_csr is P and R_csr.format == "csr" and (R_csr != P.T).nnz == 0
-    assert np.array_equal(P_dense, P.toarray()) and np.array_equal(R_dense, P.toarray().T)
+    assert lines.R.format == "csr" and (lines.R != P.T).nnz == 0
 
 
 @settings(deadline=None, max_examples=60)
-@given(kind=kinds, nx=sizes, nz=sizes, amp=amps, eps=eps_values, seed=st.integers(0, 2**32 - 1),
-       small=st.sampled_from([0, fem2d._SMALL_GRID, 10**9]))
-@example(kind="fitted", nx=2, nz=300, amp=0.1, eps=0.1, seed=0, small=fem2d._SMALL_GRID)
-@example(kind="fitted", nx=300, nz=2, amp=0.1, eps=0.1, seed=0, small=0)
-# a fine grid of 65 x 81 nodes, above the default fem2d._SMALL_GRID: its
-# axes transfer by CSR products, the coarser grids' by dense products, and so
-# do the probes that form each coarse operator; with every grid small, it
-# meets the dense products too
-@example(kind="flattened", nx=64, nz=40, amp=0.3, eps=0.1, seed=0, small=fem2d._SMALL_GRID)
-@example(kind="flattened", nx=64, nz=40, amp=0.3, eps=0.1, seed=0, small=10**9)
-def test_stencil_hierarchy_is_the_sparse_galerkin_product(kind, nx, nz, amp, eps, seed, small):
+@given(kind=kinds, nx=sizes, nz=sizes, amp=amps, eps=eps_values, seed=st.integers(0, 2**32 - 1))
+@example(kind="fitted", nx=2, nz=300, amp=0.1, eps=0.1, seed=0)
+@example(kind="fitted", nx=300, nz=2, amp=0.1, eps=0.1, seed=0)
+# a fine grid of 65 x 81 nodes, larger than the drawn ones, with an odd
+# z-axis on the coarser levels
+@example(kind="flattened", nx=64, nz=40, amp=0.3, eps=0.1, seed=0)
+def test_stencil_hierarchy_is_the_sparse_galerkin_product(kind, nx, nz, amp, eps, seed):
     # every coarse operator, read off nine probes through the level's
     # transfers and the operator above, is P^T A P of the level above plus
     # an identity row for each coarse fixed node, with the sparse
@@ -146,12 +138,9 @@ def test_stencil_hierarchy_is_the_sparse_galerkin_product(kind, nx, nz, amp, eps
     # identity rows; the coarsest comes back as its inverse Cholesky factor,
     # so it is compared as L L^T; the transfers apply P and P^T to vectors
     # zero at the fixed nodes, alone and with the residual and the sum that
-    # the V-cycle forms on the way, by dense 1D products on the grids of up
-    # to `small` nodes, by CSR ones above: on every level for small = 0, on
-    # none for 10**9
+    # the V-cycle forms on the way
     mesh, K = system(kind, nx, nz, amp, eps)
-    with mock.patch.object(fem2d, "_SMALL_GRID", small):
-        A, (levels, coarsest) = hierarchy(mesh, K)
+    A, (levels, coarsest) = hierarchy(mesh, K)
     prolongations = multigrid_prolongations(mesh.free_mask)
     assert len(levels) == len(prolongations) and levels[0][0] is A
     L = np.linalg.inv(coarsest)
@@ -165,7 +154,7 @@ def test_stencil_hierarchy_is_the_sparse_galerkin_product(kind, nx, nz, amp, eps
         r, s = np.where(free, rng.standard_normal((2, P.shape[0])), 0.0)
         assert relative_gap(transfer.prolong(v), P @ v) <= 1e-14
         assert relative_gap(transfer.restrict(r), P.T @ r) <= 1e-14
-        assert relative_gap(transfer.prolong(v, s), s + P @ v) <= 1e-14
+        assert relative_gap(transfer.prolong(v) + s, s + P @ v) <= 1e-14
         assert relative_gap(transfer.restrict(r - s), P.T @ (r - s)) <= 1e-14
         free = coarse_free
     # the coarsest fixed rows and columns stay unit vectors through Cholesky
@@ -190,6 +179,40 @@ def test_mg_cg_matches_direct_solve(kind, nx, nz, amp, eps, k1, k2, seed):
     # the record counts the free nodes and the entries between them
     assert record["dofs"] == np.count_nonzero(free)
     assert record["nnz"] == K[free][:, free].nnz
+
+
+def reference_v_cycle(operators, prolongations, r):
+    """One V-cycle written out with the sparse Galerkin operators and
+    prolongations of every level, in the update order of `fem2d._v_cycle`:
+    x = w r, the correction of the restricted residual r - A x prolonged
+    onto x, then x += w (r - A x), with the weights of `fem2d._v_cycle` and
+    a dense solve on the coarsest level."""
+    A = operators[0]
+    if not prolongations:
+        return np.linalg.solve(A.toarray(), r)
+    P = prolongations[0]
+    w = fem2d._SMOOTHER_SCALE / np.asarray(abs(A).sum(axis=1)).ravel()
+    x = w * r
+    x = x + P @ reference_v_cycle(operators[1:], prolongations[1:], P.T @ (r - A @ x))
+    return x + w * (r - A @ x)
+
+
+@pytest.mark.parametrize("kind", ["fitted", "flattened"])
+@pytest.mark.parametrize("nx, nz", [(16, 16), (15, 15), (2, 40)])
+def test_v_cycle_is_the_reference_cycle(kind, nx, nz):
+    # the composed cycle of the stencil hierarchy (probed coarse operators,
+    # CSR grid transfers on the node grid, the inverse Cholesky factor) is
+    # the plain V-cycle of the sparse Galerkin products P^T A P, plus an
+    # identity row for each coarse fixed node
+    mesh, K = system(kind, nx, nz, 0.3, 0.1)
+    A, (levels, coarsest) = hierarchy(mesh, K)
+    operators, prolongations = [A], []
+    for P, coarse_free in multigrid_prolongations(mesh.free_mask):
+        operators.append((P.T @ operators[-1] @ P + sp.diags((~coarse_free).astype(float))).tocsr())
+        prolongations.append(P)
+    assert len(levels) == len(prolongations)
+    r = zero_at_fixed(mesh, np.random.default_rng(0).standard_normal(A.shape[0]))
+    assert relative_gap(fem2d._v_cycle(levels, coarsest, r), reference_v_cycle(operators, prolongations, r)) <= 1e-10
 
 
 @settings(deadline=None, max_examples=30)
