@@ -1,5 +1,11 @@
 """Solvers and convergence studies for the two-scale coupled Darcy problem
-under geometric perturbations of the interface."""
+under geometric perturbations of the interface.
+
+The package exports what its commands and studies compute: the exact 1D
+solve and its bound, the fitted and flattened 2D solves, the geometry of
+the perturbation, and the study harness.  Helpers that only the tests read
+(the 1D projections and gap solutions, the 1D flattened solve) live in
+tests/oracles.py."""
 
 from .geometry import (
     AdmissibilityReport,
@@ -16,12 +22,7 @@ from .solver1d import (
     BoundRecord,
     PiecewiseField1D,
     estimate_rhs_1d,
-    hperp_exact_original,
-    hperp_exact_perturbed,
-    project_H,
-    project_Hperp,
     solve_exact_1d,
-    vnorm_diff_1d,
 )
 from .fem2d import (
     Field2D,
@@ -35,10 +36,7 @@ from .fem2d import (
 from .flatten import (
     ainv_norm_bound,
     coercivity_constant,
-    lambda_map,
-    pullback_norm_bound,
     solve_flattened,
-    solve_flattened_1d,
     t_apply,
     transfer,
 )
@@ -69,27 +67,19 @@ __all__ = [
     "emit_report",
     "energy_split",
     "estimate_rhs_1d",
-    "hperp_exact_original",
-    "hperp_exact_perturbed",
-    "lambda_map",
     "load_config",
     "lower_bound_constant",
     "make_perturbation",
     "perturbation_from_table",
-    "project_H",
-    "project_Hperp",
-    "pullback_norm_bound",
     "run_sequence",
     "solve_exact_1d",
     "solve_flattened",
-    "solve_flattened_1d",
     "strip_measures",
     "t_apply",
     "transfer",
     "validate_admissible",
-    "vnorm_diff_1d",
     "vnorm_diff_2d",
     "xi_perturbation",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

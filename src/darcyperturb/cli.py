@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fem2d, flatten, solver1d, study as study_mod
-from .config import _SECTION_KEYS, ConfigError, RunConfig, load_config
+from .config import _SECTION_KEYS, MODES, ConfigError, RunConfig, load_config
 from .geometry import FLAT_ZETA, make_perturbation, validate_admissible
 
 EXIT_OK = 0
@@ -76,7 +76,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
 
     p = add("study", "run a perturbation sweep and emit records.csv + summary.json")
-    p.add_argument("--mode", choices=study_mod.MODES)
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--out-dir", dest="out_dir", type=Path, required=False)
     return parser
 
@@ -189,6 +189,8 @@ def _solve2d_config(args) -> RunConfig:
         "eps": args.eps,
     })
     cfg.require_dim(2, args.command)
+    # a 2D solve sizes its mesh by nx and nz
+    _reject_unread_keys(cfg, args.command, {"n_cells"})
     return cfg
 
 
@@ -274,8 +276,10 @@ def _cmd_study(args) -> int:
     cfg.require_dim(1 if cfg.mode == "oned" else 2, f"study --mode {cfg.mode}")
     if cfg.mode != "oned":
         _require_square(cfg, f"study {cfg.mode}")
-    else:
-        _reject_unread_keys(cfg, "study --mode oned", {"nx", "nz", "cg_rtol"})
+    # every mode sweeps [study] amplitudes; a oned study solves no 2D system,
+    # and a 2D one sizes its meshes by nx
+    unread = {"nx", "nz", "cg_rtol"} if cfg.mode == "oned" else {"n_cells"}
+    _reject_unread_keys(cfg, f"study --mode {cfg.mode}", {"amplitude"} | unread)
     out_dir = args.out_dir if args.out_dir is not None else Path("study-out")
     resolution = cfg.n_cells if cfg.mode == "oned" else cfg.nx
     records = study_mod.run_sequence(cfg.perturbation, cfg.amplitudes, cfg.forcing(), cfg.eps, resolution,

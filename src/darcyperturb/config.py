@@ -64,6 +64,9 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
     return as_array_fn(fn)
 
 
+# the study modes; `study` runs them and the CLI offers them as --mode
+MODES = ("oned", "fitted2d", "flattened2d")
+
 _SECTION_KEYS = {
     "domain": {"dim", "eps", "k1", "k2"},
     "perturbation": {"family", "amplitude", "wavenumber", "knot", "table"},
@@ -125,7 +128,7 @@ class RunConfig:
             raise ConfigError(f"continuity_tol must be >= 0, got {self.continuity_tol}")
         if not 0.0 < self.cg_rtol < 1.0:
             raise ConfigError(f"cg_rtol must lie in (0, 1), got {self.cg_rtol}")
-        if self.mode not in ("oned", "fitted2d", "flattened2d"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown study mode {self.mode!r}")
         if any(not 0.0 <= a < 1.0 for a in self.amplitudes):
             raise ConfigError("study amplitudes must lie in [0, 1)")
@@ -144,9 +147,14 @@ class RunConfig:
 
     def perturbation(self, amplitude: float | None = None) -> Perturbation:
         amp = self.amplitude if amplitude is None else amplitude
+        # every shape parameter the file sets, so that a family that does not
+        # read one rejects it (make_perturbation, for the shaped families)
+        params = {key: getattr(self, key) for key in ("wavenumber", "knot") if key in self.given}
         if self.family == "table":
             if amplitude is not None:
                 raise ConfigError(_TABLE_AMPLITUDE)
+            if params:
+                raise ConfigError(f"family = table reads no {' or '.join(sorted(params))}: the table gives zeta itself")
             if not self.table:
                 raise ConfigError("perturbation family 'table' needs a table = <csv> entry")
             path = (self.base_dir / self.table).resolve()
@@ -154,11 +162,13 @@ class RunConfig:
             if data.ndim != 2 or data.shape[1] != 2:
                 raise ConfigError(f"zeta table {path} must have two columns (x, zeta)")
             return perturbation_from_table(data[:, 0], data[:, 1])
-        params = {}
+        if self.table is not None:
+            raise ConfigError(f"[perturbation] table is read only by family = table, not {self.family}")
+        # and the family's own parameter, from its default when unset
         if self.family == "sine":
-            params["wavenumber"] = self.wavenumber
+            params.setdefault("wavenumber", self.wavenumber)
         elif self.family == "hat":
-            params["knot"] = self.knot
+            params.setdefault("knot", self.knot)
         try:
             return make_perturbation(self.family, params, amp)
         except ValueError as exc:

@@ -1,6 +1,6 @@
 """Column-wise fractional maps that flatten the perturbed interface, the
 induced gradient-transfer matrices, the pullback operator on fields, and the
-flattened variational problems on the reference domain.
+flattened 2D variational problem on the reference mesh.
 
 Region i in {1, 2} maps Omega_i^zeta onto Omega_i by
     Lambda_i(x, X_N) = (x, (X_N - zeta(x)) / (1 - (-1)^i zeta(x))),
@@ -11,7 +11,9 @@ flattened weak form carries the metric (1 - (-1)^i zeta) A^T A.  The 2D
 flattened stiffness and energies take its three entries (m00, m01, m11)
 averaged over each triangle of the reference mesh; on the node grid the
 quadrature abscissae repeat up each column, so zeta and its gradient are read
-once per column and triangle orientation.
+once per column and triangle orientation.  The 1D flattened solve and the
+norm bound of the pullback, which no command reads, live with the tests
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from . import fem2d, solver1d
+from . import fem2d
 from .fem2d import Field2D, Mesh2D
 from .geometry import (Perturbation, _check_eps, _heights_above, column_map, column_map_inverse,
                        column_scale)
@@ -35,27 +37,6 @@ def _sign(i: int) -> float:
     if i not in REGIONS:
         raise ValueError(f"region index must be 1 or 2, got {i}")
     return float((-1) ** i)
-
-
-def lambda_map(i: int, zeta: Perturbation, point, direction: str = "forward"):
-    """Apply the region-i fractional map (forward flattens, inverse unflattens).
-
-    `point` is one (x, z) pair or an (n, 2) array.  Forward expects points of
-    the perturbed region Omega_i^zeta, inverse expects reference points.
-    """
-    s = _sign(i)
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    forward = direction == "forward"
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    x, z = pts[:, 0], pts[:, 1]
-    zv = zeta.value(x)
-    iface = zv if forward else 0.0
-    lo, hi = (-1.0, iface) if i == 1 else (iface, 1.0)
-    if np.any(z < lo - 1e-12) or np.any(z > hi + 1e-12):
-        raise ValueError(f"point outside region {i} of the {'perturbed' if forward else 'reference'} domain")
-    out = np.column_stack([x, (column_map if forward else column_map_inverse)(s, zv, z)])
-    return out if np.ndim(point) == 2 else out[0]
 
 
 def _metric(s, zv, g, z):
@@ -94,12 +75,6 @@ def transfer(i: int, zeta: Perturbation, x, z):
     A_inv[..., 0, 1] = -m01
     A_inv[..., 1, 1] = denom
     return A, A_inv, metric, denom
-
-
-def pullback_norm_bound(zeta: Perturbation) -> float:
-    """Operator-norm bound of the pullback on H1: sqrt(max(2, 4 ||zeta||_W1inf^2))."""
-    w = zeta.norm_w1inf
-    return float(np.sqrt(max(2.0, 4.0 * (w * w))))
 
 
 def ainv_norm_bound(zeta: Perturbation) -> float:
@@ -244,30 +219,6 @@ def flattened_energy_split(rho: Field2D, zeta: Perturbation, eps: float, k1: flo
     zc = zeta.value(mesh.col_x)
     h = _heights_above(mesh, column_map(-1.0, zc, 0.0), column_map(1.0, zc, 0.0))
     return fem2d._region_energies(rho, _averaged_metric(mesh, zeta), h, eps, k1, k2)
-
-
-def solve_flattened_1d(zeta: float, forcing, eps: float) -> solver1d.PiecewiseField1D:
-    """Exact solution of the 1D flattened problem; equals q^zeta composed with
-    the inverse column map."""
-    _check_eps(eps)
-    z0 = float(zeta)
-    if not -1.0 < z0 < 1.0:
-        raise ValueError(f"zeta must lie in (-1, 1), got {z0}")
-    F = as_array_fn(forcing.F)
-    f = as_array_fn(forcing.f)
-
-    def pulled_back(s):
-        # the region's source on the reference interval, and its stretch
-        scale = column_scale(s, z0)
-        return (lambda x: scale * F(column_map_inverse(s, z0, np.asarray(x)))), scale
-
-    F_left, scale_left = pulled_back(-1.0)
-    F_right, scale_right = pulled_back(1.0)
-    flux = float(f(np.asarray([z0]))[0])
-    return solver1d._two_region_exact(
-        F_left, F_right, 1.0 / scale_left, 1.0 / (eps * scale_right), flux, 0.0,
-        label=f"flattened(zeta={z0:g})",
-    )
 
 
 def matrix_property_report(shapes, *, n_points: int = 1000, seed: int = 0) -> dict:

@@ -1,23 +1,26 @@
-"""The exact solver of the 1D two-region problem on (-1, 1),
-the H / H-orthogonal decomposition of the pressure space, and the explicit
+"""The exact solver of the 1D two-region problem on (-1, 1), the table of
+slopes that every 1D gap, energy and strip integral reads, and the explicit
 perturbation error bounds.
 
 The problem: -d(k dq) = F with k = 1 on (-1, zeta) and k = 1/eps on (zeta, 1),
 q(-1) = 0, dq(1) = 0 and the flux jump dq(zeta-) - (1/eps) dq(zeta+) = f(zeta).
 zeta = 0 gives the unperturbed solution p.  For zeta != 0 the space V splits
 into H = {dr = 0 on the gap (lo, hi) between 0 and zeta} and its V-orthogonal
-complement; every gap quantity has one formula for both signs of zeta.
+complement; the bound estimate_rhs_1d has one part in each, with one formula
+for both signs of zeta.  The projections onto H and its complement, and the
+closed-form complement parts of p and q^zeta, live with the tests
+(tests/oracles.py), which check the bound and the paper's decomposition
+against them.
 
-solve_exact_1d, vnorm_diff_1d, energy_split_1d, xi_1d and estimate_rhs_1d
-also take an array of R values of zeta of one structure (all in (0, 1) or
-all in (-1, 0), none within BREAKPOINT_MERGE_TOL of 0 or of +-1) and solve
-the R problems at once, each bit for bit as alone.  The field then holds R
-rows, with breakpoints of shape (R, n), and each per-row number is an array
-of R values.  Every array keeps the shape it has for one problem with one
-leading row axis in front, so each product sees the shapes it sees for one
-row (BLAS results depend on the shape).  A field of one row, such as p, is
-shared by all the rows it meets.  Rows that turn out to differ in structure
-raise ValueError.
+solve_exact_1d, `_Slopes` and estimate_rhs_1d also take an array of R values
+of zeta of one structure (all in (0, 1) or all in (-1, 0), none within
+BREAKPOINT_MERGE_TOL of 0 or of +-1) and solve the R problems at once, each
+bit for bit as alone.  The field then holds R rows, with breakpoints of
+shape (R, n), and each per-row number is an array of R values.  Every array
+keeps the shape it has for one problem with one leading row axis in front,
+so each product sees the shapes it sees for one row (BLAS results depend on
+the shape).  A field of one row, such as p, is shared by all the rows it
+meets.  Rows that turn out to differ in structure raise ValueError.
 
 Every integral of a squared slope (the V-norm gap, the energy splits and xi)
 reads one table, `_Slopes`: it differentiates each of its fields once, at
@@ -51,18 +54,6 @@ class Piece:
     def __init__(self, value: Callable, deriv: Callable):
         self.value = value
         self.deriv = deriv
-
-
-def _constant(c: float) -> Callable:
-    return lambda x: np.full_like(np.asarray(x, dtype=float), c)
-
-
-def _flat(c: float) -> Piece:
-    """The piece with constant value c and zero slope."""
-    return Piece(_constant(c), _constant(0.0))
-
-
-_ZERO = _flat(0.0)
 
 
 def _pointwise(fn) -> Callable:
@@ -239,85 +230,6 @@ def solve_exact_1d(forcing, zeta, eps: float) -> PiecewiseField1D:
     )
 
 
-def project_H(r: PiecewiseField1D, zeta: float) -> PiecewiseField1D:
-    """V-orthogonal projection onto H (fields with no slope between 0 and zeta).
-
-    zeta = 0 degenerates to H = V and returns r itself.
-    """
-    if zeta == 0.0:
-        return r
-    lo, hi = _gap(zeta)
-    anchor = r.value(lo)          # value held constant across the gap
-    shift = r.value(hi) - anchor  # removed from the outer branch
-    return _bands(_insert_points(r.breakpoints, [lo, hi]), lo, hi,
-                  Piece(r.value, r.derivative),
-                  _flat(anchor),
-                  Piece(lambda x: r.value(x) - shift, r.derivative),
-                  f"P_H[{r.label}]")
-
-
-def project_Hperp(r: PiecewiseField1D, zeta: float) -> PiecewiseField1D:
-    """V-orthogonal projection onto the complement of H; supported on the gap.
-
-    zeta = 0 degenerates to the trivial subspace and returns the zero field.
-    """
-    if zeta == 0.0:
-        return PiecewiseField1D(np.array([-1.0, 1.0]), (_ZERO,), "zero")
-    lo, hi = _gap(zeta)
-    anchor = r.value(lo)
-    plateau = r.value(hi) - anchor
-    return _bands(_insert_points(r.breakpoints, [lo, hi]), lo, hi,
-                  _ZERO,
-                  Piece(lambda x: r.value(x) - anchor, r.derivative),
-                  _flat(plateau),
-                  f"P_Hperp[{r.label}]")
-
-
-def _gap_solution(F, f, zeta: float, eps: float, iface: float, label: str) -> PiecewiseField1D:
-    """Closed-form H-orthogonal projection of the exact solution whose
-    interface sits at `iface` (0 for p, zeta for q^zeta).
-
-    The projection vanishes below the gap (lo, hi), is flat above it, and on it
-    has slope scale * (flux + int_x^1 F).  A gap above the interface lies in the
-    1/eps region: (scale, flux) = (eps, 0).  A gap below it has unit coefficient
-    and carries the interface flux: (scale, flux) = (1, f(hi)).
-    """
-    _check_eps(eps)
-    lo, hi = _gap(zeta)
-    if iface == lo:
-        scale, flux = eps, 0.0
-    else:
-        scale, flux = 1.0, _at(f, hi)
-    IF = Antiderivative(_pointwise(F), lo, 1.0)
-    top = IF(1.0)
-
-    def slope(x):
-        return scale * (flux + (top - IF(x)))
-
-    V = Antiderivative(slope, lo, hi)
-    return _bands(_insert_points([-1.0, 1.0], [lo, hi]), lo, hi,
-                  _ZERO, Piece(V, slope), _flat(V(hi)), label)
-
-
-def hperp_exact_original(F, f, zeta: float, eps: float) -> PiecewiseField1D:
-    """Closed-form H-orthogonal projection of the unperturbed solution p.
-
-    Its interface is 0: for zeta > 0 the gap lies in the 1/eps region and f
-    plays no role; for zeta < 0 it lies below and carries the flux f(0).
-    """
-    return _gap_solution(F, f, zeta, eps, 0.0, "hperp_exact_p")
-
-
-def hperp_exact_perturbed(F, f, zeta: float, eps: float) -> PiecewiseField1D:
-    """Closed-form H-orthogonal projection of the perturbed solution q^zeta.
-
-    Its interface is zeta: for zeta > 0 the gap lies below it, has unit
-    coefficient and carries f(zeta); for zeta < 0 it is scaled by eps and f
-    drops out.
-    """
-    return _gap_solution(F, f, zeta, eps, float(zeta), "hperp_exact_q")
-
-
 def _scalar(v):
     """A float for a single problem, the array of R values for R rows."""
     return v if np.ndim(v) else float(v)
@@ -332,15 +244,13 @@ class _Slopes:
     """The slopes of `fields`, each read in one call at the _ORDER Gauss nodes
     of every cell of one breakpoint set, and integrals of their squares.
 
-    The cells are those of the merged breakpoints of the fields and of the
-    points `at` (floats, or one value per row).  Each integral squares and
-    sums over its own cells only: a product over more cells than it covers
-    would give other bits.
+    The cells are those of the merged breakpoints of the fields.  Each
+    integral squares and sums over its own cells only: a product over more
+    cells than it covers would give other bits.
     """
 
-    def __init__(self, *fields: PiecewiseField1D, at: Sequence = ()):
-        self.breaks = _insert_points(fields[0].breakpoints, [f.breakpoints for f in fields[1:]]
-                                     + [np.asarray(a, dtype=float)[..., None] for a in at])
+    def __init__(self, *fields: PiecewiseField1D):
+        self.breaks = _insert_points(fields[0].breakpoints, [f.breakpoints for f in fields[1:]])
         t, self._w = gauss_rule(_ORDER)
         lo = self.breaks[..., :-1]
         self._half = 0.5 * (self.breaks[..., 1:] - lo)
@@ -377,26 +287,6 @@ class _Slopes:
             return 0.0
         lo, hi = _gap(zeta)
         return _scalar(-np.sign(zeta) * self.integral(slope, lo=lo, hi=hi))
-
-
-def vnorm_diff_1d(a: PiecewiseField1D, b: PiecewiseField1D):
-    """V-norm of the difference, (int |da - db|^2)^(1/2); an array for R rows."""
-    table = _Slopes(a, b)
-    return table.vnorm(*table.slopes)
-
-
-def energy_split_1d(field: PiecewiseField1D, zeta, eps: float):
-    """(e1, e2, e1 + e2) with e1 = int_{-1}^{zeta} |dq|^2, e2 = (1/eps) int_{zeta}^{1} |dq|^2."""
-    table = _Slopes(field, at=[-1.0, zeta, 1.0])
-    return table.energy_split(table.slopes[0], zeta, eps)
-
-
-def xi_1d(field: PiecewiseField1D, zeta):
-    """1D perturbation functional -sign(zeta) int_gap |dq|^2 (0 for zeta = 0)."""
-    if np.ndim(zeta) == 0 and zeta == 0.0:
-        return 0.0
-    table = _Slopes(field, at=_gap(zeta))
-    return table.xi(table.slopes[0], zeta)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fem2d, flatten, solver1d
+from .config import MODES
 from .geometry import FLAT_ZETA, Perturbation, _lower_bound, lower_bound_constant, xi_perturbation
 
 SCHEMA_VERSION = 1
-
-MODES = ("oned", "fitted2d", "flattened2d")
 
 # errors that mark one sweep row as failed; anything else is a bug and propagates
 _ROW_ERRORS = (fem2d.SolverConvergenceError, ValueError, ArithmeticError)

@@ -1,25 +1,38 @@
-"""Reference computations that only the tests use: analytic pullbacks and
-norms of smooth fields, the continuity of piecewise 1D fields, the P1 mesh
-geometry computed afresh (the hat gradients, which the mesh does not store,
-and a field's gradient as their einsum with its corner values), the P1 finite-element solve of the 1D problem that
-cross-checks the exact solver, the plain forms of the 1D evaluation paths
-(broadcast by a product with ones, np.clip clamps, one call per np.unique
-piece, a Python merge of breakpoints, one amplitude at a time) that the
-library's shortcuts and row batches must reproduce bit for bit, and the
-column maps and energy splits of the 2D paths written out one formula per
-use, which the shared forms must reproduce bit for bit too, the flattening
-metric averaged point by point, and the 2D stiffness summed from
-per-triangle local matrices through COO, which the node-grid assembler must
-reproduce up to the order of summation; the fitted mesh as the connectivity
-lists it once stored, whose views the node-grid mesh must reproduce bit for
-bit, and the loads gathered and scattered through those lists; the
-multigrid transfers as sparse Kronecker products of hat-function
-interpolations, whose Galerkin products the stencil hierarchy must
-reproduce to roundoff; and the signed shapes that the 2D properties draw (a
-negative one as the table of its values)."""
+"""Reference computations that only the tests use.
+
+* Analytic pullbacks and norms of smooth fields, and the norm bound of the
+  pullback on H1.
+* The continuity of piecewise 1D fields, and the P1 mesh geometry computed
+  afresh (the hat gradients, which the mesh does not store, and a field's
+  gradient as their einsum with its corner values).
+* The paper's 1D decomposition: the V-orthogonal projections onto H and its
+  complement, the closed-form complement parts of p and q^zeta, and the
+  V-norm of a difference that measures them.
+* The P1 finite-element solve of the 1D problem that cross-checks the exact
+  solver, and the exact 1D flattened solve.
+* The plain forms of the 1D evaluation paths (broadcast by a product with
+  ones, np.clip clamps, one call per np.unique piece, a Python merge of
+  breakpoints, one amplitude at a time) that the library's shortcuts and row
+  batches must reproduce bit for bit.
+* The column maps and energy splits of the 2D paths written out one formula
+  per use, which the shared forms must reproduce bit for bit too, and the
+  flattening metric averaged point by point.
+* The 2D stiffness summed from per-triangle local matrices through COO,
+  which the node-grid assembler must reproduce up to the order of
+  summation.
+* The fitted mesh as the connectivity lists it once stored, whose views the
+  node-grid mesh must reproduce bit for bit, and the loads gathered and
+  scattered through those lists.
+* The multigrid transfers as sparse Kronecker products of hat-function
+  interpolations, whose Galerkin products the stencil hierarchy must
+  reproduce to roundoff.
+* The signed shapes that the 2D properties draw (a negative one as the
+  table of its values).
+"""
 
 import math
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,11 +41,12 @@ from scipy.linalg import solve_banded
 from darcyperturb.config import _EXPR_CONSTS, _EXPR_FUNCS
 from darcyperturb.fem2d import _match_columns
 from darcyperturb.flatten import _averaged_metric
-from darcyperturb.geometry import _area_below, _check_eps, _heights_above, make_perturbation, perturbation_from_table
-from darcyperturb.quadrature import (_ANTIDERIVATIVE_CELLS, _ANTIDERIVATIVE_ORDER, as_array_fn, gauss_rule,
-                                     integrate_cells, triangle_rule)
-from darcyperturb.solver1d import (_ORDER as _ORDER_1D, BREAKPOINT_MERGE_TOL, Piece, PiecewiseField1D, _at,
-                                   _constant, _insert_points, _two_region_exact)
+from darcyperturb.geometry import (Perturbation, _area_below, _check_eps, _heights_above, make_perturbation,
+                                   perturbation_from_table)
+from darcyperturb.quadrature import (_ANTIDERIVATIVE_CELLS, _ANTIDERIVATIVE_ORDER, Antiderivative, as_array_fn,
+                                     gauss_rule, integrate_cells, triangle_rule)
+from darcyperturb.solver1d import (_ORDER as _ORDER_1D, BREAKPOINT_MERGE_TOL, Piece, PiecewiseField1D, _Slopes, _at,
+                                   _bands, _gap, _insert_points, _pointwise, _two_region_exact)
 
 
 def t_apply_smooth(zeta, value, grad):
@@ -87,6 +101,12 @@ def h1_norm_smooth(value, grad, *, nx: int = 64, nz: int = 64, order: int = 4) -
             wxz = (hx[:, None, None] * w[None, :, None]) * (hz[kz] * w[None, None, :])
             total += float(np.sum(dens * wxz))
     return float(np.sqrt(max(total, 0.0)))
+
+
+def pullback_norm_bound(zeta: Perturbation) -> float:
+    """Operator-norm bound of the pullback on H1: sqrt(max(2, 4 ||zeta||_W1inf^2))."""
+    w = zeta.norm_w1inf
+    return float(np.sqrt(max(2.0, 4.0 * (w * w))))
 
 
 def max_jump(field) -> float:
@@ -203,6 +223,108 @@ def vnorm_inner_1d(a: PiecewiseField1D, b: PiecewiseField1D) -> float:
     """V inner product int_{-1}^{1} da db over the union of breakpoints."""
     breaks = _insert_points(a.breakpoints, [b.breakpoints])
     return integrate_cells(lambda x: a._eval(x, "deriv") * b._eval(x, "deriv"), breaks, order=_ORDER_1D)
+
+
+# --- the paper's 1D decomposition --------------------------------------------
+# The V-orthogonal projections onto H = {dr = 0 on the gap between 0 and zeta}
+# and its complement, the closed-form complement parts of p and q^zeta, and
+# the V-norm of a difference that the tests measure them with.
+
+def _constant(c: float) -> Callable:
+    return lambda x: np.full_like(np.asarray(x, dtype=float), c)
+
+
+def _flat(c: float) -> Piece:
+    """The piece with constant value c and zero slope."""
+    return Piece(_constant(c), _constant(0.0))
+
+
+_ZERO = _flat(0.0)
+
+
+def project_H(r: PiecewiseField1D, zeta: float) -> PiecewiseField1D:
+    """V-orthogonal projection onto H (fields with no slope between 0 and zeta).
+
+    zeta = 0 degenerates to H = V and returns r itself.
+    """
+    if zeta == 0.0:
+        return r
+    lo, hi = _gap(zeta)
+    anchor = r.value(lo)          # value held constant across the gap
+    shift = r.value(hi) - anchor  # removed from the outer branch
+    return _bands(_insert_points(r.breakpoints, [lo, hi]), lo, hi,
+                  Piece(r.value, r.derivative),
+                  _flat(anchor),
+                  Piece(lambda x: r.value(x) - shift, r.derivative),
+                  f"P_H[{r.label}]")
+
+
+def project_Hperp(r: PiecewiseField1D, zeta: float) -> PiecewiseField1D:
+    """V-orthogonal projection onto the complement of H; supported on the gap.
+
+    zeta = 0 degenerates to the trivial subspace and returns the zero field.
+    """
+    if zeta == 0.0:
+        return PiecewiseField1D(np.array([-1.0, 1.0]), (_ZERO,), "zero")
+    lo, hi = _gap(zeta)
+    anchor = r.value(lo)
+    plateau = r.value(hi) - anchor
+    return _bands(_insert_points(r.breakpoints, [lo, hi]), lo, hi,
+                  _ZERO,
+                  Piece(lambda x: r.value(x) - anchor, r.derivative),
+                  _flat(plateau),
+                  f"P_Hperp[{r.label}]")
+
+
+def _gap_solution(F, f, zeta: float, eps: float, iface: float, label: str) -> PiecewiseField1D:
+    """Closed-form H-orthogonal projection of the exact solution whose
+    interface sits at `iface` (0 for p, zeta for q^zeta).
+
+    The projection vanishes below the gap (lo, hi), is flat above it, and on it
+    has slope scale * (flux + int_x^1 F).  A gap above the interface lies in the
+    1/eps region: (scale, flux) = (eps, 0).  A gap below it has unit coefficient
+    and carries the interface flux: (scale, flux) = (1, f(hi)).
+    """
+    _check_eps(eps)
+    lo, hi = _gap(zeta)
+    if iface == lo:
+        scale, flux = eps, 0.0
+    else:
+        scale, flux = 1.0, _at(f, hi)
+    IF = Antiderivative(_pointwise(F), lo, 1.0)
+    top = IF(1.0)
+
+    def slope(x):
+        return scale * (flux + (top - IF(x)))
+
+    V = Antiderivative(slope, lo, hi)
+    return _bands(_insert_points([-1.0, 1.0], [lo, hi]), lo, hi,
+                  _ZERO, Piece(V, slope), _flat(V(hi)), label)
+
+
+def hperp_exact_original(F, f, zeta: float, eps: float) -> PiecewiseField1D:
+    """Closed-form H-orthogonal projection of the unperturbed solution p.
+
+    Its interface is 0: for zeta > 0 the gap lies in the 1/eps region and f
+    plays no role; for zeta < 0 it lies below and carries the flux f(0).
+    """
+    return _gap_solution(F, f, zeta, eps, 0.0, "hperp_exact_p")
+
+
+def hperp_exact_perturbed(F, f, zeta: float, eps: float) -> PiecewiseField1D:
+    """Closed-form H-orthogonal projection of the perturbed solution q^zeta.
+
+    Its interface is zeta: for zeta > 0 the gap lies below it, has unit
+    coefficient and carries f(zeta); for zeta < 0 it is scaled by eps and f
+    drops out.
+    """
+    return _gap_solution(F, f, zeta, eps, float(zeta), "hperp_exact_q")
+
+
+def vnorm_diff_1d(a: PiecewiseField1D, b: PiecewiseField1D):
+    """V-norm of the difference, (int |da - db|^2)^(1/2); an array for R rows."""
+    table = _Slopes(a, b)
+    return table.vnorm(*table.slopes)
 
 
 # --- the P1 cross-check of the exact 1D solver ---------------------------------
@@ -467,7 +589,7 @@ def unflatten_inline(s, zv, z):
 
 
 def flatten_inline(s, zv, z):
-    """(z - zeta) / (1 - s zeta), as `t_apply` and `lambda_map` wrote it."""
+    """(z - zeta) / (1 - s zeta), as `t_apply` wrote it."""
     return (z - zv) / (1.0 - s * zv)
 
 
@@ -484,7 +606,8 @@ def pulled_back_source(zeta, F):
 
 
 def solve_flattened_1d(zeta: float, forcing, eps: float) -> PiecewiseField1D:
-    """The exact 1D flattened solve with its sources written out per region."""
+    """Exact solution of the 1D flattened problem, with its sources written
+    out per region; equals q^zeta composed with the inverse column map."""
     z0 = float(zeta)
     F = as_array_fn(forcing.F)
     f = as_array_fn(forcing.f)

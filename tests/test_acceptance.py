@@ -10,7 +10,8 @@ import time
 from pathlib import Path
 
 import numpy as np
-from oracles import from_nodal, h1_norm_smooth, sine_shape, t_apply_smooth, vnorm_inner_1d
+from oracles import (from_nodal, h1_norm_smooth, hperp_exact_original, hperp_exact_perturbed, project_H, project_Hperp,
+                     sine_shape, t_apply_smooth, vnorm_diff_1d, vnorm_inner_1d)
 
 from darcyperturb.cli import dispatch
 from darcyperturb.geometry import ForcingSpec, lower_bound_constant, make_perturbation
@@ -59,13 +60,13 @@ def test_criterion_1_oned_oracle_equivalence():
                     p = solver1d.solve_exact_1d(fr, 0.0, eps)
                     worst = max(
                         worst,
-                        solver1d.vnorm_diff_1d(
-                            solver1d.project_Hperp(q, zeta),
-                            solver1d.hperp_exact_perturbed(F, f, zeta, eps),
+                        vnorm_diff_1d(
+                            project_Hperp(q, zeta),
+                            hperp_exact_perturbed(F, f, zeta, eps),
                         ),
-                        solver1d.vnorm_diff_1d(
-                            solver1d.project_Hperp(p, zeta),
-                            solver1d.hperp_exact_original(F, f, zeta, eps),
+                        vnorm_diff_1d(
+                            project_Hperp(p, zeta),
+                            hperp_exact_original(F, f, zeta, eps),
                         ),
                     )
     elapsed = time.perf_counter() - t0
@@ -81,7 +82,7 @@ def test_criterion_2_oned_bound_tightness():
     gaps = []
     ok = True
     for z in zetas:
-        gap = solver1d.vnorm_diff_1d(p, solver1d.solve_exact_1d(fr, z, 0.5))
+        gap = vnorm_diff_1d(p, solver1d.solve_exact_1d(fr, z, 0.5))
         bound = solver1d.estimate_rhs_1d(ZERO, ONE, z, 0.5).total
         gaps.append(gap)
         ok &= abs(gap - np.sqrt(z)) < 1e-9
@@ -94,7 +95,7 @@ def test_criterion_2_oned_bound_tightness():
 def test_criterion_3_oned_strong_convergence():
     fr = ForcingSpec(F=lambda x: x**2 - 1.0 / 3.0, f=lambda x: x)
     p = solver1d.solve_exact_1d(fr, 0.0, 0.5)
-    gaps = [solver1d.vnorm_diff_1d(p, solver1d.solve_exact_1d(fr, 2.0**-n, 0.5))
+    gaps = [vnorm_diff_1d(p, solver1d.solve_exact_1d(fr, 2.0**-n, 0.5))
             for n in range(1, 13)]
     monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
     _report(3, "1D strong convergence", monotone and gaps[-1] < 1e-3,
@@ -113,10 +114,10 @@ def test_criterion_4_projection_algebra():
         vals -= vals[0]
         r = from_nodal(nodes, vals)
         s = from_nodal(nodes, np.concatenate([[0.0], np.cumsum(rng.normal(size=15))]))
-        ph = solver1d.project_H(r, zeta)
-        hp = solver1d.project_Hperp(r, zeta)
+        ph = project_H(r, zeta)
+        hp = project_Hperp(r, zeta)
         worst_sum = max(worst_sum, _vnorm_sum_defect(ph, hp, r))
-        worst_orth = max(worst_orth, abs(vnorm_inner_1d(ph, solver1d.project_Hperp(s, zeta))))
+        worst_orth = max(worst_orth, abs(vnorm_inner_1d(ph, project_Hperp(s, zeta))))
         lo, hi = (0.0, zeta) if zeta > 0 else (zeta, 0.0)
         gap_pts = np.linspace(lo + 1e-3, hi - 1e-3, 20)
         ok &= float(np.max(np.abs(ph.derivative(gap_pts)))) < 1e-10

@@ -436,7 +436,8 @@ def test_table_with_a_nan_is_validation_error(tmp_path, capsys, command):
 
 
 def _study_2d(mode: str, extra_domain: str = "", extra_solver: str = "") -> str:
-    text = GOOD_2D.replace("eps = 0.5\n", "eps = 0.5\n" + extra_domain)
+    # a study sweeps [study] amplitudes and rejects a [perturbation] amplitude
+    text = GOOD_2D.replace("amplitude = 0.2\n", "").replace("eps = 0.5\n", "eps = 0.5\n" + extra_domain)
     text = text.replace("nz = 8\n", "nz = 8\n" + extra_solver)
     return text + f"\n[study]\nmode = {mode}\namplitudes = 0.2 0.1\n"
 
@@ -548,6 +549,62 @@ def test_solve1d_keeps_2d_solver_keys_of_a_file_without_dim_or_mode(tmp_path):
     cfg = write_config(tmp_path / "run.ini", "[perturbation]\namplitude = 0.3\n\n[forcing]\nF = 0\nf = 1\n\n"
                        "[solver]\nn_cells = 32\nnx = 32\ncg_rtol = 1e-6\n")
     assert dispatch(["solve1d", "--config", str(cfg), "--zeta", "0.25", "--out", str(tmp_path / "sol.csv")]) == 0
+
+
+@pytest.mark.parametrize("mode", ["oned", "fitted2d", "flattened2d"])
+def test_study_rejects_a_perturbation_amplitude(tmp_path, capsys, mode):
+    # every mode sweeps [study] amplitudes, so the key was accepted and ignored
+    line = "amplitude = 0.7\n"
+    text = (GOOD_1D.replace("[forcing]", f"[perturbation]\n{line}\n[forcing]") if mode == "oned"
+            else _study_2d(mode).replace("family = sine\n", f"family = sine\n{line}"))
+    _rejected(tmp_path, capsys, "study", text, "[perturbation] amplitude")
+
+
+@pytest.mark.parametrize("mode", ["fitted2d", "flattened2d"])
+def test_2d_study_rejects_n_cells(tmp_path, capsys, mode):
+    # a 2D sweep sizes its meshes by nx, so the key was accepted and ignored
+    _rejected(tmp_path, capsys, "study", _study_2d(mode, extra_solver="n_cells = 32\n"), "[solver] n_cells")
+
+
+@pytest.mark.parametrize("command", ["solve2d", "flatten-solve"])
+def test_2d_solve_rejects_n_cells(tmp_path, capsys, command):
+    # the mesh is nx by nz, so the key was accepted and ignored
+    _rejected(tmp_path, capsys, command, GOOD_2D + "n_cells = 32\n", "[solver] n_cells")
+
+
+@pytest.mark.parametrize("command", ["solve2d", "study"])
+@pytest.mark.parametrize("shape, key", [
+    ("family = bump\nwavenumber = 3\n", "wavenumber"),
+    ("family = sine\nknot = 0.3\n", "knot"),
+    ("family = hat\nwavenumber = 3\n", "wavenumber"),
+    ("family = sine\ntable = zeta.csv\n", "table"),
+], ids=["bump-wavenumber", "sine-knot", "hat-wavenumber", "sine-table"])
+def test_a_parameter_of_another_family_is_rejected(tmp_path, capsys, command, shape, key):
+    # the family's shape does not read it, so it was accepted and ignored
+    (tmp_path / "zeta.csv").write_text("0.0,0.0\n0.5,0.1\n1.0,0.0\n")
+    text = _study_2d("fitted2d") if command == "study" else GOOD_2D
+    text = text.replace("family = sine\n", shape).replace("wavenumber = 1\n", "")
+    _rejected(tmp_path, capsys, command, text, key)
+
+
+@pytest.mark.parametrize("line, key", [("wavenumber = 3", "wavenumber"), ("knot = 0.3", "knot")])
+def test_a_table_rejects_a_shape_parameter(tmp_path, capsys, line, key):
+    # the table gives zeta itself, so the key was accepted and ignored
+    cfg = table_config(tmp_path)
+    _rejected(tmp_path, capsys, "solve2d", cfg.read_text().replace("table = zeta.csv\n", f"table = zeta.csv\n{line}\n"),
+              key)
+
+
+def test_a_wavenumber_is_rejected_under_another_zeta_family(tmp_path, capsys):
+    # --zeta-family replaces the file's family, whose wavenumber no other family reads
+    cfg = write_config(tmp_path / "run.ini", GOOD_2D)
+    out = tmp_path / "field.csv"
+    assert dispatch(["solve2d", "--config", str(cfg), "--zeta-family", "bump", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "wavenumber" in err
+    assert not out.exists()
+    write_config(cfg, GOOD_2D.replace("wavenumber = 1\n", ""))
+    assert dispatch(["solve2d", "--config", str(cfg), "--zeta-family", "bump", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("value", ["2", "1", "0", "-1", "nan", "inf"])

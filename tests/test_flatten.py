@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 import oracles
-from oracles import FLAT_SPLIT_SHAPES, bits, h1_norm_smooth, signed_shape, t_apply_smooth
+from oracles import (FLAT_SPLIT_SHAPES, bits, h1_norm_smooth, pullback_norm_bound, signed_shape, solve_flattened_1d,
+                     t_apply_smooth)
 
 from darcyperturb.geometry import (FLAT_ZETA, ForcingSpec, _heights_above, column_map, column_map_inverse,
                                    make_perturbation)
@@ -15,11 +16,8 @@ from darcyperturb.flatten import (
     assemble_flattened_stiffness,
     coercivity_constant,
     flattened_energy_split,
-    lambda_map,
     matrix_property_report,
-    pullback_norm_bound,
     solve_flattened,
-    solve_flattened_1d,
     t_apply,
     transfer,
 )
@@ -46,21 +44,19 @@ def shapes5():
 
 
 def test_lambda_map_identity_at_zero():
-    z0 = sine(0.0)
-    pts = np.array([[0.3, -0.5], [0.7, -0.1]])
-    assert np.allclose(lambda_map(1, z0, pts, "forward"), pts)
-    assert np.allclose(lambda_map(1, z0, pts, "inverse"), pts)
+    # Lambda_i keeps x and maps the height by geometry.column_map, its inverse by column_map_inverse
+    zv = sine(0.0).value(np.array([0.3, 0.7]))
+    z = np.array([-0.5, -0.1])
+    assert np.allclose(column_map(-1.0, zv, z), z)
+    assert np.allclose(column_map_inverse(-1.0, zv, z), z)
 
 
 def test_lambda_map_column_endpoints():
     # at the peak of the sine, zeta = 0.25 exactly
-    z = sine(0.25)
-    out = lambda_map(1, z, (0.5, -1.0), "forward")
-    assert np.allclose(out, [0.5, -1.0])
-    out = lambda_map(1, z, (0.5, 0.25), "forward")
-    assert np.allclose(out, [0.5, 0.0], atol=1e-15)
-    out = lambda_map(2, z, (0.5, 0.5), "inverse")
-    assert np.allclose(out, [0.5, 0.5 * 0.75 + 0.25])
+    zv = sine(0.25).value(0.5)
+    assert np.allclose(column_map(-1.0, zv, -1.0), -1.0)
+    assert np.allclose(column_map(-1.0, zv, 0.25), 0.0, atol=1e-15)
+    assert np.allclose(column_map_inverse(1.0, zv, 0.5), 0.5 * 0.75 + 0.25)
 
 
 @st.composite
@@ -78,25 +74,16 @@ def test_lambda_map_round_trip(zeta, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 1, 200)
     zv = zeta.value(x)
-    for i, lo, hi in ((1, -np.ones_like(x), zv), (2, zv, np.ones_like(x))):
+    for s, lo, hi in ((-1.0, -np.ones_like(x), zv), (1.0, zv, np.ones_like(x))):
         z = lo + rng.uniform(0, 1, 200) * (hi - lo)
-        pts = np.column_stack([x, z])
-        flat = lambda_map(i, zeta, pts, "forward")
-        back = lambda_map(i, zeta, flat, "inverse")
-        assert np.max(np.abs(back - pts)) < 1e-12
+        flat = column_map(s, zv, z)
+        back = column_map_inverse(s, zv, flat)
+        assert np.max(np.abs(back - z)) < 1e-12
     # the two inverse maps agree on the flat interface
-    on_gamma = np.column_stack([x, np.zeros_like(x)])
-    a = lambda_map(1, zeta, on_gamma, "inverse")
-    b = lambda_map(2, zeta, on_gamma, "inverse")
+    on_gamma = np.zeros_like(x)
+    a = column_map_inverse(-1.0, zv, on_gamma)
+    b = column_map_inverse(1.0, zv, on_gamma)
     assert np.max(np.abs(a - b)) == 0.0
-
-
-def test_lambda_map_rejects_outside():
-    z = sine(0.25)
-    with pytest.raises(ValueError):
-        lambda_map(1, z, (0.5, 0.5), "forward")  # above the interface
-    with pytest.raises(ValueError):
-        lambda_map(2, z, (0.5, -0.5), "inverse")
 
 
 # --- matrices ----------------------------------------------------------------
@@ -471,12 +458,6 @@ def test_column_maps_keep_the_bits_of_every_site(nx, nz, family, sign, amp, seed
     for s in (-1.0, 1.0, np.where(z < 0.0, -1.0, 1.0)):
         assert np.array_equal(bits(column_map_inverse(s, zx, z)), bits(oracles.unflatten_inline(s, zx, z)))
         assert np.array_equal(bits(column_map(s, zx, z)), bits(oracles.flatten_inline(s, zx, z)))
-    t = rng.uniform(0.0, 1.0, 64)
-    for i, s, perturbed, reference in ((1, -1.0, -1.0 + t * (1.0 + zx), t - 1.0), (2, 1.0, zx + t * (1.0 - zx), t)):
-        forward = lambda_map(i, zeta, np.column_stack([x, perturbed]))[:, 1]
-        inverse = lambda_map(i, zeta, np.column_stack([x, reference]), "inverse")[:, 1]
-        assert np.array_equal(bits(forward), bits(oracles.flatten_inline(s, zx, perturbed)))
-        assert np.array_equal(bits(inverse), bits(oracles.unflatten_inline(s, zx, reference)))
 
     u = lambda x, z: np.cos(3.0 * x + 2.0 * z)
     for out, direction in ((ref, "T"), (mesh, "T_inverse")):
@@ -492,13 +473,6 @@ def test_column_maps_keep_the_bits_of_every_site(nx, nz, family, sign, amp, seed
 
     for s, line in ((-1.0, -zc / (1.0 + zc)), (1.0, -zc / (1.0 - zc))):
         assert np.array_equal(bits(_heights_above(ref, column_map(s, zc, 0.0))), bits(_heights_above(ref, line)))
-
-    z0 = float(sign * amp)
-    fr = ForcingSpec(F=lambda x: np.exp(x) - x, f=lambda x: 1.0 + 0.5 * x)
-    got, expected = solve_flattened_1d(z0, fr, 0.3), oracles.solve_flattened_1d(z0, fr, 0.3)
-    pts = np.linspace(-1.0, 1.0, 33)
-    assert np.array_equal(bits(got.derivative(pts)), bits(expected.derivative(pts)))
-    assert np.array_equal(bits(got.value(pts)), bits(expected.value(pts)))
 
 
 @settings(deadline=None, max_examples=40)

@@ -7,21 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from darcyperturb import solver1d
 from darcyperturb.config import compile_expression
 from darcyperturb.geometry import ForcingSpec
-from oracles import (FLUXES, SOURCES, TOL, bits, eval_per_piece, from_nodal, insert_points_loop, max_jump,
-                     piece_index_clip, row_bound, row_energy, row_exact, row_vnorm_diff, row_xi, solve_fem_1d,
+from oracles import (FLUXES, SOURCES, TOL, bits, eval_per_piece, from_nodal, hperp_exact_original,
+                     hperp_exact_perturbed, insert_points_loop, max_jump, piece_index_clip, project_H, project_Hperp,
+                     row_bound, row_energy, row_exact, row_vnorm_diff, row_xi, solve_fem_1d, vnorm_diff_1d,
                      vnorm_inner_1d)
 
-from darcyperturb.solver1d import (
-    energy_split_1d,
-    estimate_rhs_1d,
-    hperp_exact_original,
-    hperp_exact_perturbed,
-    project_H,
-    project_Hperp,
-    solve_exact_1d,
-    vnorm_diff_1d,
-    xi_1d,
-)
+from darcyperturb.solver1d import _Slopes, estimate_rhs_1d, solve_exact_1d
 
 ZERO = lambda x: np.zeros_like(x)
 ONE = lambda x: np.ones_like(x)
@@ -330,16 +321,19 @@ def test_strong_convergence_sweep():
 
 
 def test_energy_split_and_xi():
+    # read off the one table of p and q that a 1D study row reads
     fr = forcing(f=ONE)
+    p = solve_exact_1d(fr, 0.0, 0.5)
     q = solve_exact_1d(fr, 0.25, 0.5)
-    e1, e2, tot = energy_split_1d(q, 0.25, 0.5)
+    table = _Slopes(p, q)
+    dp, dq = table.slopes
+    e1, e2, tot = table.energy_split(dq, 0.25, 0.5)
     # dq = 1 on (-1, 0.25), 0 after: e1 = 1.25, e2 = 0
     assert e1 == pytest.approx(1.25, abs=1e-10)
     assert e2 == pytest.approx(0.0, abs=1e-12)
     assert tot == pytest.approx(1.25, abs=1e-10)
-    p = solve_exact_1d(fr, 0.0, 0.5)
-    assert xi_1d(p, 0.25) == pytest.approx(0.0, abs=1e-12)  # dp = 0 on (0, 0.25)
-    assert xi_1d(q, 0.25) == pytest.approx(-0.25, abs=1e-10)  # dq = 1 there
+    assert table.xi(dp, 0.25) == pytest.approx(0.0, abs=1e-12)  # dp = 0 on (0, 0.25)
+    assert table.xi(dq, 0.25) == pytest.approx(-0.25, abs=1e-10)  # dq = 1 there
 
 
 # --- evaluation shortcuts against the plain forms, bit for bit (tests/oracles.py)
@@ -466,9 +460,12 @@ def test_batched_functions_match_rows_one_at_a_time(F, f, eps, zetas, s):
     F, f = compile_expression(F, ("x",)), compile_expression(f, ("x",))
     p = solve_exact_1d(forcing(F, f), 0.0, eps)
     q = solve_exact_1d(forcing(F, f), zetas, eps)
-    gaps, (e1, e2, tot), xi_p, xi_q = (vnorm_diff_1d(p, q), energy_split_1d(q, zetas, eps),
-                                        xi_1d(p, zetas), xi_1d(q, zetas))
-    flat, bound = energy_split_1d(q, 0.0, eps), estimate_rhs_1d(F, f, zetas, eps)
+    # the one table of p and q that a 1D study batch reads
+    table = _Slopes(p, q)
+    dp, dq = table.slopes
+    gaps, (e1, e2, tot), xi_p, xi_q = (table.vnorm(dp, dq), table.energy_split(dq, zetas, eps),
+                                        table.xi(dp, zetas), table.xi(dq, zetas))
+    flat, bound = table.energy_split(dq, 0.0, eps), estimate_rhs_1d(F, f, zetas, eps)
     # a point of each band of every row: below the gap, in it and above it (s = 0
     # gives the breakpoints themselves; near s = 1 rounding could put a row's
     # point in the next band, and a batch needs each column in one band)
@@ -504,7 +501,9 @@ def test_single_zeta_matches_the_row_form(F, f, eps, zeta):
     assert np.array_equal(bits(q.derivative(x)), bits(q_row.derivative(x)))
     p, p_row = solve_exact_1d(forcing(F, f), 0.0, eps), row_exact(F, f, 0.0, eps)
     bound = estimate_rhs_1d(F, f, zeta, eps)
-    got = [vnorm_diff_1d(p, q), *energy_split_1d(q, zeta, eps)[:2], xi_1d(p, zeta),
+    table = _Slopes(p, q)
+    dp, dq = table.slopes
+    got = [table.vnorm(dp, dq), *table.energy_split(dq, zeta, eps)[:2], table.xi(dp, zeta),
            bound.h_part, bound.hperp_part]
     assert all(type(v) is float for v in got)
     expected = [row_vnorm_diff(p_row, q_row), row_energy(q_row, -1.0, zeta),
@@ -520,5 +519,6 @@ def test_rows_of_another_structure_are_refused():
         solve_exact_1d(fr, np.array([0.3, TOL / 2]), 0.5)
     with pytest.raises(ValueError, match="zeta must lie"):
         estimate_rhs_1d(ZERO, ONE, np.array([0.3, -0.2]), 0.5)
+    table = _Slopes(solve_exact_1d(fr, 0.0, 0.5))
     with pytest.raises(ValueError, match="zeta must lie"):
-        xi_1d(solve_exact_1d(fr, 0.0, 0.5), np.array([0.3, 0.0]))
+        table.xi(table.slopes[0], np.array([0.3, 0.0]))
